@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "core/distance.h"
-#include "core/nearest_link.h"
+#include "core/streaming_link.h"
 
 namespace {
 
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   auto precision_in = [&](const feature::FeatureMatrix& s,
                           const feature::FeatureMatrix& p,
                           const std::vector<double>& weights) {
-    const core::DistanceMatrix d = core::distance_matrix(s, p, weights);
-    const core::LinkResult link = core::nearest_link_search(d);
+    const core::LinkResult link = core::streaming_nearest_link(s, p, weights);
     session.add_items(link.candidate.size());
     std::size_t hits = 0;
     for (std::size_t idx : link.candidate) {

@@ -9,22 +9,22 @@
 //   3. Search-range scaling — candidate precision as the pool grows
 //      (the paper's "larger search range enables a higher ratio" claim,
 //      measured densely rather than at two points).
-//   4. Multi-round cost — full recompute vs the incremental linker.
-//   5. Dense vs streaming engine — wall time and peak working set of
+//   4. Dense vs streaming engine — wall time and peak working set of
 //      the materialized M x N matrix against the tiled top-k engine on
 //      a 1000 x 100000 synthetic pool, with a bitwise equality check.
-//   6. Two-phase index retrieval — the coarse and random-projection
-//      shortlist backends against streaming-exact on a clustered
-//      Gaussian-mixture pool (uniform data defeats every pruning
-//      bound), with an nprobe sweep and a bitwise equality check on
-//      each arm.
+//   5. Two-phase index retrieval — the coarse shortlist backend against
+//      streaming-exact on a clustered Gaussian-mixture pool (uniform
+//      data defeats every pruning bound), with an nprobe sweep and a
+//      bitwise equality check on each arm.
+//
+// Arms 1 and 4 need the whole matrix; 2, 3 and 5 link through the
+// streaming engine, as the pipeline does.
 #include <cmath>
 #include <cstdio>
 #include <set>
 
 #include "bench_common.h"
 #include "core/distance.h"
-#include "core/incremental.h"
 #include "core/index.h"
 #include "core/nearest_link.h"
 #include "obs/metrics.h"
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
     table.set_header({"Weighting", "Precision"});
 
     auto run_with = [&](const char* name, std::vector<double> weights) {
-      const core::DistanceMatrix d = core::distance_matrix(sec, pool, weights);
-      const core::LinkResult link = core::nearest_link_search(d);
+      const core::LinkResult link =
+          core::streaming_nearest_link(sec, pool, weights);
       table.add_row({name, util::format_percent(
                                precision_of(world, pool_ptrs, link.candidate), 1)});
     };
@@ -163,8 +163,7 @@ int main(int argc, char** argv) {
       if (n < sec.rows()) continue;
       feature::FeatureMatrix sub(n);
       for (std::size_t i = 0; i < n; ++i) sub.set_row(i, pool[i]);
-      const core::DistanceMatrix d = core::distance_matrix(sec, sub);
-      const core::LinkResult link = core::nearest_link_search(d);
+      const core::LinkResult link = core::streaming_nearest_link(sec, sub);
       table.add_row({util::human_count(n),
                      util::format_percent(
                          precision_of(world, pool_ptrs, link.candidate), 1)});
@@ -174,69 +173,7 @@ int main(int argc, char** argv) {
                 "  a larger range offers closer neighbors, so precision rises\n\n");
   }
 
-  // ---- 4. Multi-round cost: full recompute vs the incremental linker.
-  {
-    const std::size_t rounds = 3;
-    const std::vector<double> weights = core::maxabs_weights(sec, pool);
-
-    // Batch: recompute the full matrix every round (pool additionally
-    // shrinks each round in the real loop; keeping it fixed here isolates
-    // the recompute cost).
-    double batch_ms = 0.0;
-    {
-      feature::FeatureMatrix seeds = sec;
-      for (std::size_t r = 0; r < rounds; ++r) {
-        core::LinkResult link;
-        batch_ms += bench::timed_ms("ablation.batch_round", [&] {
-          const core::DistanceMatrix d =
-              core::distance_matrix(seeds, pool, weights);
-          link = core::nearest_link_search(d);
-        });
-        // Grow the seed set by the round's security finds.
-        for (std::size_t idx : link.candidate) {
-          if (world.oracle.truth(pool_ptrs[idx]->patch.commit).is_security) {
-            seeds.push_back(pool[idx]);
-          }
-        }
-      }
-    }
-
-    // Incremental: cached neighborhoods, only new seeds cost row scans.
-    double incremental_ms = 0.0;
-    std::size_t scans = 0;
-    {
-      core::IncrementalLinker linker(/*k=*/24);
-      linker.set_pool(pool, weights);
-      linker.add_seeds(sec);
-      for (std::size_t r = 0; r < rounds; ++r) {
-        core::LinkResult link;
-        incremental_ms += bench::timed_ms("ablation.incremental_round",
-                                          [&] { link = linker.link(); });
-        feature::FeatureMatrix found(0);
-        for (std::size_t idx : link.candidate) {
-          if (world.oracle.truth(pool_ptrs[idx]->patch.commit).is_security) {
-            found.push_back(pool[idx]);
-          }
-        }
-        linker.remove_from_pool(link.candidate);
-        incremental_ms += bench::timed_ms("ablation.incremental_add",
-                                          [&] { linker.add_seeds(found); });
-      }
-      scans = linker.row_scans();
-    }
-
-    util::Table table("Multi-round linking cost (3 rounds, growing seed set)");
-    table.set_header({"Strategy", "Total time (ms)", "Full row scans"});
-    table.add_row({"full recompute per round", util::format_double(batch_ms, 1),
-                   "M x rounds (implicit)"});
-    table.add_row({"incremental linker", util::format_double(incremental_ms, 1),
-                   std::to_string(scans)});
-    std::printf("%s", table.render().c_str());
-    std::printf("  the incremental linker scans each seed's row once and pays\n"
-                "  only for newly-labeled seeds afterwards\n");
-  }
-
-  // ---- 5. Dense vs streaming engine (acceptance scale).
+  // ---- 4. Dense vs streaming engine (acceptance scale).
   {
     const std::size_t m = bench::scaled(1000, scale);
     const std::size_t n = bench::scaled(100000, scale);
@@ -316,10 +253,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- 6. Two-phase index retrieval (acceptance scale, clustered data).
+  // ---- 5. Two-phase index retrieval (acceptance scale, clustered data).
   //
-  // The index backends only pay off when the pool has structure — on
-  // uniform synthetic data every pruning bound collapses (the committed
+  // The index only pays off when the pool has structure — on uniform
+  // synthetic data every pruning bound collapses (the committed
   // baseline records pruned_cells: 0), so this arm draws columns from a
   // Gaussian mixture where a coarse partition genuinely separates
   // distances. Every arm must stay bitwise identical to streaming-exact;
@@ -377,44 +314,38 @@ int main(int argc, char** argv) {
     double default_ms = exact_ms;
     double default_fallbacks = 0.0;
     double default_probes = 0.0;
-    for (const core::IndexKind kind :
-         {core::IndexKind::kCoarse, core::IndexKind::kRproj}) {
-      for (const std::size_t nprobe : {2ul, 4ul, 8ul}) {
-        core::StreamingLinkConfig cfg;
-        cfg.index.kind = kind;
-        cfg.index.nprobe = nprobe;
-        core::StreamingLinkStats stats;
-        core::LinkResult link;
-        const double ms = bench::timed_ms("ablation.index_arm", [&] {
-          link = core::streaming_nearest_link(big_sec, big_pool, weights, cfg,
-                                              &stats);
-        });
-        const bool identical =
-            exact_link.candidate == link.candidate &&
-            exact_link.total_distance == link.total_distance;
-        all_identical = all_identical && identical;
-        const double total_cells = static_cast<double>(m) *
-                                   static_cast<double>(n);
-        const double shortlist_pct =
-            total_cells > 0.0
-                ? 100.0 * static_cast<double>(stats.index_shortlist_cols) /
-                      total_cells
-                : 0.0;
-        table.add_row(
-            {std::string(core::index_kind_name(kind)), std::to_string(nprobe),
-             util::format_double(ms, 1),
-             util::format_double(ms > 0.0 ? exact_ms / ms : 0.0, 2),
-             util::format_double(shortlist_pct, 1),
-             std::to_string(stats.index_fallback_rescans),
-             identical ? "yes (bitwise)" : "NO — MISMATCH"});
-        if (kind == core::IndexKind::kCoarse && nprobe == 8) {
-          default_ms = ms;
-          default_fallbacks =
-              static_cast<double>(stats.index_fallback_rescans);
-          default_probes = static_cast<double>(stats.index_probes);
-        }
-        session.add_items(m);
+    for (const std::size_t nprobe : {2ul, 4ul, 8ul}) {
+      core::StreamingLinkConfig cfg;
+      cfg.index.kind = core::IndexKind::kCoarse;
+      cfg.index.nprobe = nprobe;
+      core::StreamingLinkStats stats;
+      core::LinkResult link;
+      const double ms = bench::timed_ms("ablation.index_arm", [&] {
+        link = core::streaming_nearest_link(big_sec, big_pool, weights, cfg,
+                                            &stats);
+      });
+      const bool identical = exact_link.candidate == link.candidate &&
+                             exact_link.total_distance == link.total_distance;
+      all_identical = all_identical && identical;
+      const double total_cells =
+          static_cast<double>(m) * static_cast<double>(n);
+      const double shortlist_pct =
+          total_cells > 0.0
+              ? 100.0 * static_cast<double>(stats.index_shortlist_cols) /
+                    total_cells
+              : 0.0;
+      table.add_row({"coarse", std::to_string(nprobe),
+                     util::format_double(ms, 1),
+                     util::format_double(ms > 0.0 ? exact_ms / ms : 0.0, 2),
+                     util::format_double(shortlist_pct, 1),
+                     std::to_string(stats.index_fallback_rescans),
+                     identical ? "yes (bitwise)" : "NO — MISMATCH"});
+      if (nprobe == 8) {
+        default_ms = ms;
+        default_fallbacks = static_cast<double>(stats.index_fallback_rescans);
+        default_probes = static_cast<double>(stats.index_probes);
       }
+      session.add_items(m);
     }
     std::printf("%s", table.render().c_str());
     std::printf("  every arm re-verifies its shortlist through the exact blocked\n"

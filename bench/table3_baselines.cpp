@@ -11,8 +11,7 @@
 
 #include "bench_common.h"
 #include "core/baselines.h"
-#include "core/distance.h"
-#include "core/nearest_link.h"
+#include "core/streaming_link.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -116,9 +115,8 @@ int main(int argc, char** argv) {
 
   // --- Nearest link search (ours).
   {
-    const core::DistanceMatrix d =
-        core::distance_matrix(sec_features, pool_features);
-    const core::LinkResult link = core::nearest_link_search(d);
+    const core::LinkResult link =
+        core::streaming_nearest_link(sec_features, pool_features);
     const util::Interval ci =
         verify_sample(world.oracle, pool_ptrs, link.candidate, verify_cap, 14);
     table.add_row({"Nearest Link Search (ours)", util::human_count(pool_size),

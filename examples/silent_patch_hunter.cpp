@@ -13,8 +13,7 @@
 #include <cstdio>
 
 #include "core/baselines.h"
-#include "core/distance.h"
-#include "core/nearest_link.h"
+#include "core/streaming_link.h"
 #include "corpus/world.h"
 #include "feature/features.h"
 #include "util/rng.h"
@@ -88,8 +87,7 @@ int main() {
 
   // Strategy 3: nearest link search.
   {
-    const core::DistanceMatrix d = core::distance_matrix(sec, wild);
-    const core::LinkResult link = core::nearest_link_search(d);
+    const core::LinkResult link = core::streaming_nearest_link(sec, wild);
     score("nearest link candidates:", link.candidate);
   }
 

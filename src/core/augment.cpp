@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/nearest_link.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -36,9 +35,10 @@ feature::FeatureMatrix extract_records(
 
 AugmentationLoop::AugmentationLoop(
     std::vector<const corpus::CommitRecord*> seed_security,
-    corpus::Oracle& oracle)
+    corpus::Oracle& oracle, const StreamingLinkConfig& link)
     : oracle_(oracle),
       seed_count_(seed_security.size()),
+      link_config_(link),
       security_(std::move(seed_security)) {
   security_features_ = extract_records(security_);
 }
@@ -46,11 +46,6 @@ AugmentationLoop::AugmentationLoop(
 void AugmentationLoop::set_pool(std::vector<const corpus::CommitRecord*> pool) {
   pool_ = std::move(pool);
   pool_features_ = extract_records(pool_);
-}
-
-void AugmentationLoop::use_streaming(const StreamingLinkConfig& config) {
-  streaming_ = true;
-  streaming_config_ = config;
 }
 
 RoundStats AugmentationLoop::run_round() {
@@ -68,14 +63,10 @@ RoundStats AugmentationLoop::run_round() {
   if (pool_.size() <= security_.size()) {
     selected.resize(pool_.size());
     for (std::size_t i = 0; i < selected.size(); ++i) selected[i] = i;
-  } else if (streaming_) {
-    // Same LinkResult as the dense branch below, O(M·k) memory.
-    selected = streaming_nearest_link(security_features_, pool_features_,
-                                      streaming_config_)
-                   .candidate;
   } else {
-    const DistanceMatrix d = distance_matrix(security_features_, pool_features_);
-    selected = nearest_link_search(d).candidate;
+    selected = streaming_nearest_link(security_features_, pool_features_,
+                                      link_config_)
+                   .candidate;
   }
   stats.candidates = selected.size();
 
@@ -97,8 +88,7 @@ RoundStats AugmentationLoop::run_round() {
     if (verdict[i] != 0) {
       ++stats.verified_security;
       security_.push_back(record);
-      const feature::FeatureVector v = feature::extract(record->patch);
-      security_features_.push_back(v);
+      security_features_.push_back(pool_features_[selected[i]]);
     } else {
       nonsecurity_.push_back(record);
     }
@@ -128,13 +118,8 @@ RoundStats AugmentationLoop::run_round() {
     pool_[idx] = pool_[last];
     if (idx != last) pool_features_.set_row(idx, pool_features_[last]);
     pool_.pop_back();
-    // FeatureMatrix has no pop_back; emulate by rebuilding at the end.
-    // (see below)
   }
-  // Rebuild the feature matrix to the shrunken size.
-  feature::FeatureMatrix shrunk(pool_.size(), pool_features_.cols());
-  for (std::size_t i = 0; i < pool_.size(); ++i) shrunk.set_row(i, pool_features_[i]);
-  pool_features_ = std::move(shrunk);
+  pool_features_.truncate(pool_.size());
 
   util::log_info() << "augment round " << stats.round << ": " << stats.candidates
                    << " candidates, " << stats.verified_security

@@ -1,8 +1,9 @@
 // The human-in-the-loop dataset augmentation of Section III-B: candidate
-// selection by nearest link search, "manual" verification through the
-// oracle, and the loop judgment on the security-patch hit ratio R.
-// Reproduces the Table II protocol (rounds over growing labeled sets,
-// pool swaps between rounds).
+// selection by nearest link search (the streaming engine,
+// core/streaming_link.h), "manual" verification through the oracle, and
+// the loop judgment on the security-patch hit ratio R. Reproduces the
+// Table II protocol (rounds over growing labeled sets, pool swaps
+// between rounds).
 #pragma once
 
 #include <cstddef>
@@ -12,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/distance.h"
 #include "core/streaming_link.h"
 #include "corpus/oracle.h"
 #include "corpus/repo.h"
@@ -62,19 +62,16 @@ using CommitIndex =
 class AugmentationLoop {
  public:
   /// `seed_security` are the already-verified patches (the NVD-based
-  /// dataset). The loop never re-verifies them.
+  /// dataset). The loop never re-verifies them. `link` bounds the
+  /// nearest-link engine's resources (memory cap, threads, index); no
+  /// setting changes which candidates a round selects.
   AugmentationLoop(std::vector<const corpus::CommitRecord*> seed_security,
-                   corpus::Oracle& oracle);
+                   corpus::Oracle& oracle,
+                   const StreamingLinkConfig& link = {});
 
   /// Replace the unlabeled pool (the paper swaps Set I -> Set II -> III).
   /// Features are extracted once per record here.
   void set_pool(std::vector<const corpus::CommitRecord*> pool);
-
-  /// Route candidate selection through the streaming tiled engine
-  /// instead of materializing the dense M x N matrix. Bit-identical
-  /// round results; memory bounded by the config's cap instead of
-  /// growing with the pool.
-  void use_streaming(const StreamingLinkConfig& config = {});
 
   /// One candidate-selection + verification round.
   RoundStats run_round();
@@ -129,8 +126,7 @@ class AugmentationLoop {
   std::size_t seed_count_;
   std::size_t rounds_run_ = 0;
   bool finished_ = false;
-  bool streaming_ = false;
-  StreamingLinkConfig streaming_config_;
+  StreamingLinkConfig link_config_;
   std::vector<RoundStats> history_;
   RoundCallback on_round_;
 

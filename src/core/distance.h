@@ -2,8 +2,10 @@
 // commits (Section III-B.2). Features are normalized per dimension by
 // 1/max|a_j| computed over BOTH sets, then the M x N Euclidean distance
 // matrix is filled in parallel row blocks. Stored as float: at paper
-// scale (4076 x 200K) the matrix is ~3.3 GB; callers can also use the
-// blocked interface to stream without materializing everything.
+// scale (4076 x 200K) the matrix is ~3.3 GB, which is why the pipeline
+// links through the streaming engine (core/streaming_link.h) and the
+// full matrix serves only as the tests' oracle and ablation input. The
+// weights, scaling and l2_cell below are shared by both paths.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +66,8 @@ double weighted_distance(std::span<const double> a, std::span<const double> b,
 /// Pre-scale a feature matrix by per-dimension weights into a packed
 /// row-major float buffer (rows() x weights.size()). This is the exact
 /// double-multiply-then-cast sequence the dense kernel uses; the
-/// streaming engine and the incremental linker share it so their cells
-/// stay bit-identical to the materialized matrix.
+/// streaming engine shares it so its cells stay bit-identical to the
+/// materialized matrix.
 std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
                                   std::span<const double> weights);
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/link_kernel.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace patchdb::core {
@@ -86,7 +85,7 @@ void assign_nearest(const float* cols, std::size_t count, std::size_t dims,
       });
 }
 
-/// Shared probing loop: partitions arrive as (lower_bound, id) pairs
+/// Probing loop: partitions arrive as (lower_bound, id) pairs
 /// sorted ascending; probe until nprobe partitions AND min(k, n)
 /// columns are covered, then bound the rest by the first unprobed
 /// partition's lower bound (the sort makes it the minimum).
@@ -283,140 +282,12 @@ class CoarseIndex final : public Index {
   Partitioned parts_;
 };
 
-/// Random-projection bucketing: one unit direction, columns bucketed by
-/// their 1-d projection. |p·a - p·b| <= ||a - b|| for a unit p, so the
-/// gap from the query's projection to a bucket's [min, max] projection
-/// interval lower-bounds the distance to every member.
-class RprojIndex final : public Index {
- public:
-  explicit RprojIndex(const IndexConfig& config) : config_(config) {}
-
-  IndexKind kind() const noexcept override { return IndexKind::kRproj; }
-
-  void build(const float* cols, std::size_t n, std::size_t dims) override {
-    dims_ = dims;
-    n_ = n;
-    parts_ = Partitioned{};
-    bucket_min_.clear();
-    bucket_max_.clear();
-    if (n == 0) return;
-
-    dir_.assign(dims, 0.0);
-    std::uint64_t state = config_.seed;
-    double norm = 0.0;
-    for (std::size_t j = 0; j < dims; ++j) {
-      const std::uint64_t z = util::splitmix64(state);
-      dir_[j] = static_cast<double>(z >> 11) * 0x1p-52 - 1.0;
-      norm += dir_[j] * dir_[j];
-    }
-    norm = std::sqrt(norm);
-    if (norm < 1e-12) {
-      std::fill(dir_.begin(), dir_.end(), 0.0);
-      dir_[0] = 1.0;
-    } else {
-      for (double& v : dir_) v /= norm;
-    }
-
-    std::vector<double> proj(n);
-    util::default_pool().parallel_for(n, [&](std::size_t begin,
-                                             std::size_t end) {
-      for (std::size_t c = begin; c < end; ++c) {
-        proj[c] = project(cols + c * dims).first;
-      }
-    });
-    double lo = proj[0];
-    double hi = proj[0];
-    norm_scale_ = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      lo = std::min(lo, proj[c]);
-      hi = std::max(hi, proj[c]);
-      norm_scale_ =
-          std::max(norm_scale_, col_norm(cols + c * dims));
-    }
-
-    std::size_t buckets = config_.buckets > 0 ? config_.buckets : n / 64;
-    buckets = std::clamp<std::size_t>(buckets, 1, std::min<std::size_t>(n, 4096));
-    const double width = (hi - lo) / static_cast<double>(buckets);
-    std::vector<std::uint32_t> assign(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      std::size_t b = width > 0.0
-                          ? static_cast<std::size_t>((proj[c] - lo) / width)
-                          : 0;
-      assign[c] = static_cast<std::uint32_t>(std::min(b, buckets - 1));
-    }
-    parts_.build_from_assignment(assign, buckets);
-    bucket_min_.assign(buckets, kInf);
-    bucket_max_.assign(buckets, -kInf);
-    for (std::size_t c = 0; c < n; ++c) {
-      bucket_min_[assign[c]] = std::min(bucket_min_[assign[c]], proj[c]);
-      bucket_max_[assign[c]] = std::max(bucket_max_[assign[c]], proj[c]);
-    }
-  }
-
-  std::span<const std::uint32_t> ordering() const noexcept override {
-    return parts_.ordering;
-  }
-
-  IndexShortlist shortlist(const float* query, std::size_t k,
-                           std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-                               ranges) const override {
-    if (n_ == 0) return {};
-    const auto [q, qnorm] = project(query);
-    std::vector<std::pair<double, std::uint32_t>> order;
-    order.reserve(bucket_min_.size());
-    for (std::size_t b = 0; b < bucket_min_.size(); ++b) {
-      if (parts_.starts[b] == parts_.starts[b + 1]) continue;
-      const double gap =
-          std::max({0.0, bucket_min_[b] - q, q - bucket_max_[b]});
-      // Projection rounding is relative to the operand norms, not to
-      // the gap, so the slack scales with both sides' magnitudes.
-      const double slack =
-          kBoundSlack * (std::abs(q) + qnorm + norm_scale_ + 1.0);
-      order.emplace_back(std::max(0.0, gap - slack),
-                         static_cast<std::uint32_t>(b));
-    }
-    return parts_.probe(order, k, n_, config_.nprobe,
-                        index_pending_margin(dims_), ranges);
-  }
-
- private:
-  std::pair<double, double> project(const float* v) const noexcept {
-    double dot = 0.0;
-    double norm = 0.0;
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double x = static_cast<double>(v[j]);
-      dot += dir_[j] * x;
-      norm += x * x;
-    }
-    return {dot, std::sqrt(norm)};
-  }
-
-  double col_norm(const float* v) const noexcept {
-    double norm = 0.0;
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double x = static_cast<double>(v[j]);
-      norm += x * x;
-    }
-    return std::sqrt(norm);
-  }
-
-  IndexConfig config_;
-  std::size_t dims_ = 0;
-  std::size_t n_ = 0;
-  std::vector<double> dir_;
-  double norm_scale_ = 0.0;  // max column norm, for the bound slack
-  std::vector<double> bucket_min_;  // actual member projection extents
-  std::vector<double> bucket_max_;
-  Partitioned parts_;
-};
-
 }  // namespace
 
 std::string_view index_kind_name(IndexKind kind) noexcept {
   switch (kind) {
     case IndexKind::kExact: return "exact";
     case IndexKind::kCoarse: return "coarse";
-    case IndexKind::kRproj: return "rproj";
   }
   return "unknown";
 }
@@ -424,9 +295,8 @@ std::string_view index_kind_name(IndexKind kind) noexcept {
 IndexKind parse_index_kind(std::string_view name) {
   if (name == "exact") return IndexKind::kExact;
   if (name == "coarse") return IndexKind::kCoarse;
-  if (name == "rproj") return IndexKind::kRproj;
   throw std::invalid_argument("index: unknown kind \"" + std::string(name) +
-                              "\" (want exact, coarse, or rproj)");
+                              "\" (want exact or coarse)");
 }
 
 std::unique_ptr<Index> make_index(const IndexConfig& config) {
@@ -438,7 +308,6 @@ std::unique_ptr<Index> make_index(const IndexConfig& config) {
   switch (config.kind) {
     case IndexKind::kExact: return std::make_unique<ExactIndex>();
     case IndexKind::kCoarse: return std::make_unique<CoarseIndex>(config);
-    case IndexKind::kRproj: return std::make_unique<RprojIndex>(config);
   }
   throw std::invalid_argument("index: unknown IndexKind");
 }

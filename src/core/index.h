@@ -41,35 +41,27 @@ namespace patchdb::core {
 enum class IndexKind {
   kExact,   // passthrough: every column shortlisted, nothing pending
   kCoarse,  // k-means coarse quantizer: probe clusters by centroid bound
-  kRproj,   // random-projection bucketing: probe 1-d interval buckets
 };
 
 std::string_view index_kind_name(IndexKind kind) noexcept;
 
-/// Parse "exact" / "coarse" / "rproj". Throws std::invalid_argument on
-/// anything else (strict, like the numeric CLI flags).
+/// Parse "exact" / "coarse". Throws std::invalid_argument on anything
+/// else (strict, like the numeric CLI flags).
 IndexKind parse_index_kind(std::string_view name);
 
 struct IndexConfig {
   IndexKind kind = IndexKind::kExact;
 
-  /// Partitions probed per query row (clusters for kCoarse, buckets for
-  /// kRproj; ignored by kExact). Probing continues past nprobe only
-  /// until the shortlist reaches the requested candidate count. More
-  /// probes mean larger shortlists and a tighter pending bound — the
-  /// recall-vs-speed knob. Must be >= 1 for the approximate backends.
+  /// Clusters probed per query row (kCoarse; ignored by kExact).
+  /// Probing continues past nprobe only until the shortlist reaches the
+  /// requested candidate count. More probes mean larger shortlists and
+  /// a tighter pending bound — the recall-vs-speed knob. Must be >= 1
+  /// for kCoarse.
   std::size_t nprobe = 8;
 
   /// kCoarse: cluster count. 0 = automatic (~sqrt(n), capped so the
   /// one-off assignment pass stays well under one exact phase-1 sweep).
   std::size_t clusters = 0;
-
-  /// kRproj: projection bucket count. 0 = automatic (~n/64).
-  std::size_t buckets = 0;
-
-  /// Seed for the projection direction (kRproj). Builds are otherwise
-  /// fully deterministic for fixed inputs and config.
-  std::uint64_t seed = 0x51ab5u;
 };
 
 /// What one shortlist() call covered and what it proved about the rest.
@@ -118,7 +110,7 @@ class Index {
 };
 
 /// Construct the backend `config.kind` names. Throws
-/// std::invalid_argument when nprobe == 0 for an approximate backend.
+/// std::invalid_argument when nprobe == 0 for kCoarse.
 std::unique_ptr<Index> make_index(const IndexConfig& config);
 
 }  // namespace patchdb::core

@@ -1,8 +1,17 @@
-// Nearest link search (Algorithm 1 of the paper) plus two comparators:
-// an exact rectangular assignment solver (Jonker-Volgenant style
-// shortest augmenting paths) for ablating the greedy approximation, and
-// plain per-row nearest neighbor (KNN, K=1 with reuse allowed) to
-// demonstrate why nearest link is not KNN (Section III-B.3).
+// Nearest link search (Algorithm 1 of the paper) over a materialized
+// distance matrix, plus two comparators: an exact rectangular
+// assignment solver (Jonker-Volgenant style shortest augmenting paths)
+// for ablating the greedy approximation, and plain per-row nearest
+// neighbor (KNN, K=1 with reuse allowed) to demonstrate why nearest
+// link is not KNN (Section III-B.3).
+//
+// This dense pair (distance_matrix + nearest_link_search) is not a
+// production path. The pipeline links through streaming_nearest_link
+// (core/streaming_link.h), which returns the same LinkResult bit for
+// bit without holding the M x N matrix. The functions here remain as
+// the tests' oracle, for the ablation arms that need the whole matrix
+// (bench/ablation_nearest_link §1 and §4), and for micro_core's dense
+// arms and --link-check.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +41,4 @@ LinkResult row_argmin(const DistanceMatrix& d);
 
 }  // namespace patchdb::core
 
-// The streaming tiled engine (core/streaming_link.h) produces the same
-// LinkResult as nearest_link_search over a materialized matrix without
-// ever holding the M x N matrix — callers that only need Algorithm 1's
-// output at scale should prefer streaming_nearest_link.
 #include "core/streaming_link.h"  // IWYU pragma: export

@@ -21,10 +21,9 @@ struct BuildOptions {
   AugmentOptions augment;             // rounds / stop threshold
   synth::SynthesisOptions synthesis;  // oversampling knobs
   bool run_synthesis = true;
-  /// Candidate selection through the streaming tiled engine instead of
-  /// the dense matrix (bit-identical rounds, memory capped by the
-  /// config). The default stays dense for small builds.
-  bool use_streaming_link = false;
+  /// Resources of the nearest-link engine the rounds run on: memory
+  /// cap, threads, and the optional phase-0 index. No setting changes
+  /// the result.
   StreamingLinkConfig streaming_link;
 
   /// Round-boundary checkpoint directory (empty = no checkpointing)

@@ -459,82 +459,58 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   }
 
   // Exact full-row re-scan over the ORIGINAL (unpermuted) pool,
-  // identical to the dense path's collision handling. Fixed column
-  // ranges scan in parallel, each with the serial loop's first-win `<`;
-  // merging the range minima in range order keeps the lowest column
-  // among the global minima, so the parallel re-scan is deterministic
-  // and matches the serial one. (l2_cell returns float, so every value
-  // compared here is a float the dense matrix also holds, merely
-  // widened.)
+  // identical to the dense path's collision handling. It runs through
+  // the blocked SIMD kernel: l2_cell_block is per-lane bit-identical to
+  // the scalar l2_cell, so a first-win `<` scan over its output in
+  // ascending column order picks the exact column the dense loop would
+  // (every value compared is a float the dense matrix also holds,
+  // merely widened). Fixed group ranges scan in parallel; merging the
+  // range minima in range order keeps the lowest column among the
+  // global minima, so the parallel re-scan is deterministic. The
+  // dim-major pack of the pool is built on the first re-scan — it is
+  // input-sized (like the scaled feature copies) and never allocated
+  // when every pick comes from a heap.
   std::vector<char> used(n, 0);
-
-  // Index-path rescans can touch most rows (the pre-pass scans every
-  // row whose pending bound fails), so they run through the blocked
-  // SIMD kernel instead of scalar l2_cell. l2_cell_block is per-lane
-  // bit-identical to l2_cell, so the first-win scan over its output in
-  // ascending column order picks the exact column the scalar loop
-  // would. The dim-major pack of the ORIGINAL (unpermuted) pool is
-  // built lazily on the first rescan — it is input-sized (like the
-  // scaled feature copies) and never allocated when every row's
-  // pending proof holds.
   const std::size_t rescan_groups = (n + kLinkGroupCols - 1) / kLinkGroupCols;
   std::vector<float> rescan_pack;
-  auto ensure_rescan_pack = [&] {
-    if (!rescan_pack.empty() || rescan_groups == 0) return;
-    rescan_pack.resize(rescan_groups * kLinkGroupCols * dims);
-    util::default_pool().parallel_for(
-        rescan_groups, [&](std::size_t g_begin, std::size_t g_end) {
-          for (std::size_t g = g_begin; g < g_end; ++g) {
-            const std::size_t c0 = g * kLinkGroupCols;
-            const std::size_t w = std::min(kLinkGroupCols, n - c0);
-            pack_cols_dim_major(wld.data() + c0 * dims, w, dims,
-                                kLinkGroupCols,
-                                rescan_pack.data() + g * kLinkGroupCols * dims);
-          }
-        });
-  };
+  std::size_t rescans = 0;
 
   auto full_row_rescan = [&](std::size_t r) {
+    if (rescan_pack.empty()) {
+      rescan_pack.resize(rescan_groups * kLinkGroupCols * dims);
+      util::default_pool().parallel_for(
+          rescan_groups, [&](std::size_t g_begin, std::size_t g_end) {
+            for (std::size_t g = g_begin; g < g_end; ++g) {
+              const std::size_t c0 = g * kLinkGroupCols;
+              const std::size_t w = std::min(kLinkGroupCols, n - c0);
+              pack_cols_dim_major(wld.data() + c0 * dims, w, dims,
+                                  kLinkGroupCols, rescan_pack.data() + c0 * dims);
+            }
+          });
+    }
+    ++rescans;
     const float* a = sec.data() + r * dims;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::vector<std::pair<double, std::size_t>> range_best(shards, {kInf, 0});
-    if (use_index) ensure_rescan_pack();
     util::default_pool().parallel_for(
         shards, [&](std::size_t range_begin, std::size_t range_end) {
           for (std::size_t s = range_begin; s < range_end; ++s) {
             double best = kInf;
             std::size_t best_col = 0;
-            if (use_index) {
-              // Fixed group ranges per shard; within a shard the scan
-              // is serial over ascending columns, so the merge below
-              // is deterministic and order-equivalent to the scalar
-              // loop.
-              const std::size_t g_lo = s * rescan_groups / shards;
-              const std::size_t g_hi = (s + 1) * rescan_groups / shards;
-              float block[kLinkGroupCols];
-              for (std::size_t g = g_lo; g < g_hi; ++g) {
-                const std::size_t c0 = g * kLinkGroupCols;
-                const std::size_t w = std::min(kLinkGroupCols, n - c0);
-                l2_cell_block(a, rescan_pack.data() + g * kLinkGroupCols * dims,
-                              dims, kLinkGroupCols, kLinkGroupCols, block);
-                for (std::size_t c = 0; c < w; ++c) {
-                  if (used[c0 + c]) continue;
-                  const double d = static_cast<double>(block[c]);
-                  if (d < best) {
-                    best = d;
-                    best_col = c0 + c;
-                  }
-                }
-              }
-            } else {
-              const std::size_t c_lo = s * n / shards;
-              const std::size_t c_hi = (s + 1) * n / shards;
-              for (std::size_t c = c_lo; c < c_hi; ++c) {
-                if (used[c]) continue;
-                const double d = l2_cell(a, wld.data() + c * dims, dims);
+            const std::size_t g_lo = s * rescan_groups / shards;
+            const std::size_t g_hi = (s + 1) * rescan_groups / shards;
+            float block[kLinkGroupCols];
+            for (std::size_t g = g_lo; g < g_hi; ++g) {
+              const std::size_t c0 = g * kLinkGroupCols;
+              const std::size_t w = std::min(kLinkGroupCols, n - c0);
+              l2_cell_block(a, rescan_pack.data() + g * kLinkGroupCols * dims,
+                            dims, kLinkGroupCols, kLinkGroupCols, block);
+              for (std::size_t c = 0; c < w; ++c) {
+                if (used[c0 + c]) continue;
+                const double d = static_cast<double>(block[c]);
                 if (d < best) {
                   best = d;
-                  best_col = c;
+                  best_col = c0 + c;
                 }
               }
             }
@@ -645,6 +621,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("distance.flops", exact_total * (3 * dims + 1));
   PATCHDB_COUNTER_ADD("nearest_link.topk_hits", topk_hits);
   PATCHDB_COUNTER_ADD("nearest_link.fallback_rescans", fallbacks);
+  PATCHDB_COUNTER_ADD("nearest_link.rescans", rescans);
   PATCHDB_COUNTER_ADD("nearest_link.streaming.pruned_cells", pruned_total);
 
   std::uint64_t probes_total = 0;

@@ -1,5 +1,7 @@
 // Streaming tiled nearest-link engine: Algorithm 1 without the dense
-// M x N distance matrix (Section III-B at corpus scale).
+// M x N distance matrix (Section III-B at corpus scale). This is the
+// one engine the augmentation loop runs; the dense pair in
+// core/nearest_link.h stays as the tests' oracle and for ablations.
 //
 // The dense path materializes every distance (~3.3 GB at the paper's
 // 4076 x 200K shape) and the greedy link re-scans full O(N) rows on
@@ -24,8 +26,9 @@
 //      row's cached minimum instead of the dense path's O(M^2) linear
 //      argmin sweep. When a row's heap is fully consumed by earlier
 //      links the engine falls back to a tracked full-row re-scan
-//      (counter `nearest_link.fallback_rescans`), itself parallelized
-//      over fixed column ranges with a deterministic in-order merge.
+//      (counter `nearest_link.fallback_rescans`) through the same
+//      blocked kernel, parallelized over fixed column-group ranges
+//      with a deterministic in-order merge.
 //
 // Results are bit-identical to
 //   nearest_link_search(distance_matrix(security, wild, weights))
@@ -83,9 +86,9 @@ struct StreamingLinkConfig {
   std::size_t memory_cap_bytes = 0;
 
   /// Phase-0 candidate retrieval. kExact (the default) streams every
-  /// column, byte-for-byte the pre-index engine. kCoarse / kRproj
-  /// shortlist partitions per row and prove or rescan every pick —
-  /// same LinkResult, fewer exact cells (see core/index.h).
+  /// column, byte-for-byte the pre-index engine. kCoarse shortlists
+  /// partitions per row and proves or rescans every pick — same
+  /// LinkResult, fewer exact cells (see core/index.h).
   IndexConfig index;
 
   struct Resolved {

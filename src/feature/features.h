@@ -134,6 +134,14 @@ class FeatureMatrix {
     ++rows_;
   }
 
+  /// Keep the first `rows` rows in place and drop the rest (no-op when
+  /// the matrix has no more than `rows`).
+  void truncate(std::size_t rows) {
+    if (rows >= rows_) return;
+    rows_ = rows;
+    data_.resize(rows * cols_);
+  }
+
   void set_row(std::size_t i, std::span<const double> row) {
     std::copy(row.begin(), row.end(), data_.begin() + static_cast<std::ptrdiff_t>(i * cols_));
   }

@@ -16,7 +16,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v1";
+constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v2";
 
 void append_u64(std::string& out, std::uint64_t value) {
   out += std::to_string(value);
@@ -48,10 +48,11 @@ std::string_view checkpoint_version_line() { return kVersionLine; }
 fs::path checkpoint_path(const fs::path& dir) { return dir / "checkpoint.csv"; }
 
 std::uint64_t build_fingerprint(const core::BuildOptions& options) {
-  // Everything the simulated world and the candidate selection depend
-  // on. Synthesis and round-count knobs are excluded on purpose: they
-  // run after (or extend) the checkpointed rounds without invalidating
-  // them.
+  // Everything the simulated world depends on. Synthesis and
+  // round-count knobs are excluded on purpose: they run after (or
+  // extend) the checkpointed rounds without invalidating them. So are
+  // the link engine's settings: every one of them selects the same
+  // candidates.
   std::string canon;
   const corpus::WorldConfig& w = options.world;
   append_u64(canon, w.repos);
@@ -72,10 +73,6 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
   append_double(canon, w.commit.bundle_cleanup_prob);
   append_double(canon, w.commit.euphemize_prob);
   append_u64(canon, w.seed);
-  append_u64(canon, options.use_streaming_link ? 1 : 0);
-  append_u64(canon, options.streaming_link.top_k);
-  append_u64(canon, options.streaming_link.tile_cols);
-  append_u64(canon, options.streaming_link.memory_cap_bytes);
   return util::fnv1a64(canon);
 }
 
@@ -138,7 +135,7 @@ core::LoopCheckpoint read_checkpoint(const fs::path& dir,
       if (expected_fingerprint != kAnyFingerprint &&
           recorded != expected_fingerprint) {
         corrupt("was written by a build with different options "
-                "(world/seed/streaming mismatch); refusing to resume");
+                "(world/seed mismatch); refusing to resume");
       }
       saw_fingerprint = true;
     } else if (tag == "rounds_run") {

@@ -26,17 +26,19 @@
 
 namespace patchdb::store {
 
-/// First line of a checkpoint file ("#patchdb.checkpoint.v1").
+/// First line of a checkpoint file ("#patchdb.checkpoint.v2"). v1
+/// files also hashed link-engine knobs into the fingerprint; they are
+/// refused as an unsupported version.
 std::string_view checkpoint_version_line();
 
 /// `<dir>/checkpoint.csv`.
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 
-/// Fingerprint of every option that determines the simulated world and
-/// the candidate-selection behavior. A checkpoint written under one
-/// fingerprint refuses to resume under another: the commits it names
-/// would no longer exist (different world) or the remaining rounds
-/// would diverge (different selection engine).
+/// Fingerprint of every option that determines the simulated world. A
+/// checkpoint written under one fingerprint refuses to resume under
+/// another: the commits it names would no longer exist. Link-engine
+/// settings (memory cap, threads, index) are left out because none of
+/// them changes which candidates a round selects.
 std::uint64_t build_fingerprint(const core::BuildOptions& options);
 
 /// Atomically (re)write `<dir>/checkpoint.csv`.

@@ -71,9 +71,14 @@ TEST_F(CheckpointTest, FingerprintCoversWorldNotRoundKnobs) {
   b.world.seed = 78;
   EXPECT_NE(store::build_fingerprint(a), store::build_fingerprint(b));
 
+  // Link-engine settings never change which candidates a round picks,
+  // so a checkpoint stays valid across them.
   b = small_options();
-  b.use_streaming_link = true;
-  EXPECT_NE(store::build_fingerprint(a), store::build_fingerprint(b));
+  b.streaming_link.memory_cap_bytes = std::size_t{64} << 20;
+  EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
+  b = small_options();
+  b.streaming_link.index.kind = core::IndexKind::kCoarse;
+  EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
 
   // Round-count and synthesis knobs extend a checkpointed run without
   // invalidating it, so they stay out of the fingerprint.
@@ -211,6 +216,72 @@ TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
 
   const store::FsckReport report = store::fsck(dir("ckpt"));
   EXPECT_FALSE(report.ok());
+}
+
+// A checkpoint from before the link-engine knobs left the fingerprint
+// carries the v1 version line. It must be refused as an unsupported
+// version, not misread as "written by a build with different options".
+TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
+  core::BuildOptions options = small_options();
+  options.checkpoint_dir = dir("ckpt");
+  store::build_with_checkpoints(options);
+  const fs::path path = store::checkpoint_path(dir("ckpt"));
+  std::string body(
+      store::strip_checksum_trailer(store::read_file(path), "checkpoint.csv"));
+  const std::string v2 = std::string(store::checkpoint_version_line());
+  ASSERT_EQ(body.rfind(v2 + "\n", 0), 0u);
+  body.replace(0, v2.size(), "#patchdb.checkpoint.v1");
+  std::ofstream(path, std::ios::binary)
+      << store::with_checksum_trailer(std::move(body));
+
+  options.resume = true;
+  try {
+    store::build_with_checkpoints(options);
+    ADD_FAILURE() << "resumed from a v1 checkpoint";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const store::FsckReport report = store::fsck(dir("ckpt"));
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.errors[0].find("unsupported version"), std::string::npos)
+      << report.errors[0];
+}
+
+// The other half of leaving link settings out of the fingerprint: a
+// build killed under one memory cap resumes under another (and under
+// the coarse index) to the uninterrupted export, byte for byte.
+TEST_F(CheckpointTest, ResumeUnderOtherLinkSettingsIsBitIdentical) {
+  core::BuildOptions options = small_options();
+  store::export_patchdb(core::build_patchdb(options), dir("plain"));
+
+  options.checkpoint_dir = dir("ckpt");
+  store::FaultPlan plan;
+  plan.fail_write = 1;  // die at the second round boundary
+  store::set_fault_plan(plan);
+  EXPECT_THROW(store::build_with_checkpoints(options), store::FaultInjected);
+  store::clear_fault_plan();
+
+  options.resume = true;
+  options.streaming_link.memory_cap_bytes = 48 * 1024;
+  options.streaming_link.index.kind = core::IndexKind::kCoarse;
+  const core::StreamingLinkConfig uncapped;
+  ASSERT_LT(options.streaming_link.resolve(20, 300, feature::kFeatureCount)
+                .working_set_bytes,
+            uncapped.resolve(20, 300, feature::kFeatureCount)
+                .working_set_bytes)
+      << "the cap must bind for the resume to run under other knobs";
+
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* previous = obs::install_registry(&registry);
+  const core::PatchDb resumed = store::build_with_checkpoints(options);
+  obs::install_registry(previous);
+  EXPECT_EQ(registry.snapshot().counter("store.resumes"), 1u);
+
+  store::export_patchdb(resumed, dir("resumed"));
+  EXPECT_EQ(dir_contents(dir("plain")), dir_contents(dir("resumed")));
 }
 
 TEST_F(CheckpointTest, ResumeWithoutCheckpointStartsFresh) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "corpus/mutate.h"
 #include "corpus/repo.h"
@@ -172,6 +173,26 @@ TEST(Features, ExtractAllMatchesSingleExtraction) {
     const feature::FeatureVector v = feature::extract(patches[i]);
     EXPECT_TRUE(std::equal(matrix[i].begin(), matrix[i].end(), v.begin()));
   }
+}
+
+TEST(FeatureMatrix, TruncateKeepsLeadingRowsInPlace) {
+  feature::FeatureMatrix m(4, 3);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      m[i][j] = static_cast<double>(10 * i + j);
+    }
+  }
+  m.truncate(9);  // longer than the matrix: no-op
+  ASSERT_EQ(m.rows(), 4u);
+  m.truncate(2);
+  ASSERT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_EQ(m[1][2], 12.0);
+  m.push_back(std::vector<double>{7.0, 8.0, 9.0});  // appends after row 1
+  ASSERT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m[2][0], 7.0);
+  m.truncate(0);
+  EXPECT_EQ(m.rows(), 0u);
 }
 
 }  // namespace

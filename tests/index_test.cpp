@@ -164,16 +164,9 @@ TEST(IndexCoarse, PendingBoundIsConservative) {
                       8, 2);
 }
 
-TEST(IndexRproj, PendingBoundIsConservative) {
-  check_pending_bound(core::IndexKind::kRproj, 300, 16, 9, 2);
-  check_pending_bound(core::IndexKind::kRproj, 300, feature::kFeatureCount,
-                      10, 2);
-}
-
 TEST(IndexBackends, EmptyAndSingleColumnDatasets) {
   for (const core::IndexKind kind :
-       {core::IndexKind::kExact, core::IndexKind::kCoarse,
-        core::IndexKind::kRproj}) {
+       {core::IndexKind::kExact, core::IndexKind::kCoarse}) {
     core::IndexConfig config;
     config.kind = kind;
     const auto index = core::make_index(config);
@@ -203,19 +196,17 @@ TEST(IndexConfigParsing, RejectsNprobeZeroAndUnknownKinds) {
   config.nprobe = 0;
   config.kind = core::IndexKind::kCoarse;
   EXPECT_THROW(core::make_index(config), std::invalid_argument);
-  config.kind = core::IndexKind::kRproj;
-  EXPECT_THROW(core::make_index(config), std::invalid_argument);
   config.kind = core::IndexKind::kExact;  // passthrough ignores nprobe
   EXPECT_NO_THROW(core::make_index(config));
 
   EXPECT_EQ(core::parse_index_kind("exact"), core::IndexKind::kExact);
   EXPECT_EQ(core::parse_index_kind("coarse"), core::IndexKind::kCoarse);
-  EXPECT_EQ(core::parse_index_kind("rproj"), core::IndexKind::kRproj);
   EXPECT_THROW(core::parse_index_kind("ivf"), std::invalid_argument);
   EXPECT_THROW(core::parse_index_kind(""), std::invalid_argument);
+  // "rproj" names a deleted backend and must not parse.
+  EXPECT_THROW(core::parse_index_kind("rproj"), std::invalid_argument);
   for (const core::IndexKind kind :
-       {core::IndexKind::kExact, core::IndexKind::kCoarse,
-        core::IndexKind::kRproj}) {
+       {core::IndexKind::kExact, core::IndexKind::kCoarse}) {
     EXPECT_EQ(core::parse_index_kind(core::index_kind_name(kind)), kind);
   }
 }
@@ -239,10 +230,10 @@ TEST(IndexStreamingLink, ExactBackendMatchesPlainStreaming) {
   EXPECT_EQ(stats.index_fallback_rescans, 0u);
 }
 
-TEST(IndexStreamingLink, CoarseAndRprojBitIdenticalAcrossSweep) {
-  // The tentpole contract: every backend x nprobe x threads x tile
-  // produces the dense LinkResult bitwise. Approximation quality only
-  // moves the probe/screen/fallback counters.
+TEST(IndexStreamingLink, CoarseBitIdenticalAcrossSweep) {
+  // The tentpole contract: every nprobe x threads x tile produces the
+  // dense LinkResult bitwise. Approximation quality only moves the
+  // probe/screen/fallback counters.
   const std::size_t m = 25;
   const std::size_t n = 400;
   const auto sec = clustered_features(m, 8, 51);
@@ -250,31 +241,27 @@ TEST(IndexStreamingLink, CoarseAndRprojBitIdenticalAcrossSweep) {
   const std::vector<double> w = core::maxabs_weights(sec, wild);
   const core::LinkResult dense = dense_link(sec, wild, w);
 
-  for (const core::IndexKind kind :
-       {core::IndexKind::kCoarse, core::IndexKind::kRproj}) {
-    for (const std::size_t nprobe : {1UL, 4UL}) {
-      for (const std::size_t threads : {1UL, 4UL}) {
-        for (const std::size_t tile : {64UL, 257UL}) {
-          core::StreamingLinkConfig config;
-          config.top_k = 8;
-          config.tile_cols = tile;
-          config.threads = threads;
-          config.index.kind = kind;
-          config.index.nprobe = nprobe;
-          core::StreamingLinkStats stats;
-          const core::LinkResult stream =
-              core::streaming_nearest_link(sec, wild, w, config, &stats);
-          const auto label = [&] {
-            return std::string(core::index_kind_name(kind)) + " nprobe=" +
-                   std::to_string(nprobe) + " threads=" +
-                   std::to_string(threads) + " tile=" + std::to_string(tile);
-          };
-          EXPECT_EQ(dense.candidate, stream.candidate) << label();
-          EXPECT_EQ(dense.total_distance, stream.total_distance) << label();
-          EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m) << label();
-          EXPECT_GE(stats.index_probes, m) << label();  // >= 1 probe per row
-          EXPECT_GE(stats.index_shortlist_cols, m) << label();
-        }
+  for (const std::size_t nprobe : {1UL, 4UL}) {
+    for (const std::size_t threads : {1UL, 4UL}) {
+      for (const std::size_t tile : {64UL, 257UL}) {
+        core::StreamingLinkConfig config;
+        config.top_k = 8;
+        config.tile_cols = tile;
+        config.threads = threads;
+        config.index.kind = core::IndexKind::kCoarse;
+        config.index.nprobe = nprobe;
+        core::StreamingLinkStats stats;
+        const core::LinkResult stream =
+            core::streaming_nearest_link(sec, wild, w, config, &stats);
+        const auto label = [&] {
+          return "nprobe=" + std::to_string(nprobe) + " threads=" +
+                 std::to_string(threads) + " tile=" + std::to_string(tile);
+        };
+        EXPECT_EQ(dense.candidate, stream.candidate) << label();
+        EXPECT_EQ(dense.total_distance, stream.total_distance) << label();
+        EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m) << label();
+        EXPECT_GE(stats.index_probes, m) << label();  // >= 1 probe per row
+        EXPECT_GE(stats.index_shortlist_cols, m) << label();
       }
     }
   }
@@ -328,28 +315,23 @@ TEST(IndexStreamingLink, DeterministicAcrossThreadsTilesAndCaps) {
   const std::vector<double> w = core::maxabs_weights(sec, wild);
   const core::LinkResult dense = dense_link(sec, wild, w);
 
-  for (const core::IndexKind kind :
-       {core::IndexKind::kCoarse, core::IndexKind::kRproj}) {
-    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-      for (const std::size_t cap : {0UL, 96UL * 1024UL}) {
-        core::StreamingLinkConfig config;
-        config.top_k = 8;
-        config.tile_cols = 257;
-        config.threads = threads;
-        config.memory_cap_bytes = cap;
-        config.index.kind = kind;
-        core::StreamingLinkStats stats;
-        const core::LinkResult stream =
-            core::streaming_nearest_link(sec, wild, w, config, &stats);
-        EXPECT_EQ(dense.candidate, stream.candidate)
-            << core::index_kind_name(kind) << " threads=" << threads
-            << " cap=" << cap;
-        EXPECT_EQ(dense.total_distance, stream.total_distance)
-            << core::index_kind_name(kind) << " threads=" << threads
-            << " cap=" << cap;
-        if (cap > 0) {
-          EXPECT_LE(stats.working_set_bytes, cap);
-        }
+  for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+    for (const std::size_t cap : {0UL, 96UL * 1024UL}) {
+      core::StreamingLinkConfig config;
+      config.top_k = 8;
+      config.tile_cols = 257;
+      config.threads = threads;
+      config.memory_cap_bytes = cap;
+      config.index.kind = core::IndexKind::kCoarse;
+      core::StreamingLinkStats stats;
+      const core::LinkResult stream =
+          core::streaming_nearest_link(sec, wild, w, config, &stats);
+      EXPECT_EQ(dense.candidate, stream.candidate)
+          << "threads=" << threads << " cap=" << cap;
+      EXPECT_EQ(dense.total_distance, stream.total_distance)
+          << "threads=" << threads << " cap=" << cap;
+      if (cap > 0) {
+        EXPECT_LE(stats.working_set_bytes, cap);
       }
     }
   }

@@ -1,15 +1,18 @@
 // Tests for the ML substrate: datasets, metrics, scalers, the ten-member
-// classifier panel, SMOTE, and the consensus ensemble.
+// classifier panel, SMOTE, the consensus ensemble, and k-fold cross
+// validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 
 #include "ml/bayes.h"
 #include "ml/classifier.h"
+#include "ml/crossval.h"
 #include "ml/data.h"
 #include "ml/ensemble.h"
 #include "ml/forest.h"
@@ -175,6 +178,10 @@ struct PanelCase {
   std::function<std::unique_ptr<ml::Classifier>()> make;
   double min_accuracy;
 };
+
+// Without this, gtest prints the raw bytes of the case, heap pointers
+// included, into every test name, so the names change from run to run.
+void PrintTo(const PanelCase& c, std::ostream* os) { *os << c.name; }
 
 class PanelSeparable : public ::testing::TestWithParam<PanelCase> {};
 
@@ -352,6 +359,37 @@ TEST(Ensemble, UnanimousOnCleanData) {
   std::vector<double> clearly_neg(6, -4.0);
   EXPECT_TRUE(ensemble.unanimous(clearly_pos));
   EXPECT_EQ(ensemble.agreement(clearly_neg), 0u);
+}
+
+// ---------------------------------------------------------- crossval --
+
+TEST(CrossVal, FiveFoldOnSeparableData) {
+  const Dataset data = blobs(300, 3, 2.0, 4);
+  const ml::CrossValResult result = ml::cross_validate(
+      data, 5, [] { return std::make_unique<ml::RandomForest>(); }, 7);
+  ASSERT_EQ(result.folds.size(), 5u);
+  EXPECT_GT(result.mean_accuracy(), 0.9);
+  EXPECT_GT(result.mean_precision(), 0.9);
+  EXPECT_GT(result.mean_recall(), 0.9);
+  EXPECT_GT(result.mean_f1(), 0.9);
+}
+
+TEST(CrossVal, FoldsCoverEveryRowOnce) {
+  const Dataset data = blobs(100, 5, 2.0, 4);
+  const ml::CrossValResult result = ml::cross_validate(
+      data, 4, [] { return std::make_unique<ml::RandomForest>(); }, 9);
+  std::size_t tested = 0;
+  for (const ml::Confusion& c : result.folds) {
+    tested += c.tp + c.fp + c.tn + c.fn;
+  }
+  EXPECT_EQ(tested, data.size());
+}
+
+TEST(CrossVal, RejectsBadK) {
+  const Dataset data = blobs(10, 7, 2.0, 4);
+  const auto factory = [] { return std::make_unique<ml::RandomForest>(); };
+  EXPECT_THROW(ml::cross_validate(data, 1, factory, 1), std::invalid_argument);
+  EXPECT_THROW(ml::cross_validate(data, 11, factory, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 // inputs, and heap-exhausted fallback storms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/augment.h"
@@ -319,33 +322,74 @@ TEST(StreamingLinkParallel, FallbackRescanDeterministicAcrossThreads) {
 }
 
 TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
+  // The loop links only through the streaming engine. Replay its first
+  // two rounds in test code on the dense oracle — the full matrix and
+  // greedy link, oracle verification, and the loop's highest-index-first
+  // swap-erase — and require the same verified and rejected commits.
+  // Each side gets its own copy of the world, so neither oracle sees
+  // the other's queries.
   corpus::WorldConfig config;
   config.repos = 6;
   config.nvd_security = 25;
   config.wild_pool = 250;
   config.wild_security_rate = 0.12;
   config.seed = 4242;
-  corpus::World world = corpus::build_world(config);
-
-  auto run = [&world](bool streaming) {
-    std::vector<const corpus::CommitRecord*> seed;
-    for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
-    std::vector<const corpus::CommitRecord*> pool;
-    for (const corpus::CommitRecord& r : world.wild) pool.push_back(&r);
-    core::AugmentationLoop loop(std::move(seed), world.oracle);
-    if (streaming) loop.use_streaming();
-    loop.set_pool(std::move(pool));
-    core::AugmentOptions options;
-    options.max_rounds = 2;
-    options.stop_ratio = 0.0;
-    loop.run(options);
-    return loop.wild_security();
+  corpus::World loop_world = corpus::build_world(config);
+  corpus::World replay_world = corpus::build_world(config);
+  const auto commits = [](const std::vector<const corpus::CommitRecord*>& rs) {
+    std::vector<std::string> out;
+    for (const corpus::CommitRecord* r : rs) out.push_back(r->patch.commit);
+    return out;
+  };
+  const auto pointers = [](const std::vector<corpus::CommitRecord>& rs) {
+    std::vector<const corpus::CommitRecord*> out;
+    for (const corpus::CommitRecord& r : rs) out.push_back(&r);
+    return out;
   };
 
-  const auto dense_found = run(false);
-  const auto stream_found = run(true);
-  ASSERT_FALSE(dense_found.empty());
-  EXPECT_EQ(dense_found, stream_found);
+  core::AugmentationLoop loop(pointers(loop_world.nvd_security),
+                              loop_world.oracle);
+  loop.set_pool(pointers(loop_world.wild));
+  core::AugmentOptions options;
+  options.max_rounds = 2;
+  loop.run(options);
+
+  feature::FeatureMatrix security(0);
+  for (const corpus::CommitRecord& r : replay_world.nvd_security) {
+    security.push_back(feature::extract(r.patch));
+  }
+  std::vector<const corpus::CommitRecord*> pool = pointers(replay_world.wild);
+  std::vector<std::string> found;
+  std::vector<std::string> rejected;
+  for (int round = 0; round < 2; ++round) {
+    feature::FeatureMatrix pool_features(0);
+    for (const corpus::CommitRecord* r : pool) {
+      pool_features.push_back(feature::extract(r->patch));
+    }
+    ASSERT_GT(pool.size(), security.rows());  // the link path, not take-all
+    const core::LinkResult link = core::nearest_link_search(
+        core::distance_matrix(security, pool_features));
+    for (const std::size_t idx : link.candidate) {
+      const std::string& commit = pool[idx]->patch.commit;
+      if (replay_world.oracle.verify_security(commit)) {
+        found.push_back(commit);
+        security.push_back(pool_features[idx]);
+      } else {
+        rejected.push_back(commit);
+      }
+    }
+    std::vector<std::size_t> order = link.candidate;
+    std::sort(order.begin(), order.end(), std::greater<>());
+    for (const std::size_t idx : order) {
+      pool[idx] = pool.back();
+      pool.pop_back();
+    }
+  }
+
+  ASSERT_FALSE(found.empty());
+  EXPECT_EQ(commits(loop.wild_security()), found);
+  EXPECT_EQ(commits(loop.nonsecurity()), rejected);
+  EXPECT_EQ(loop.pool_remaining(), pool.size());
 }
 
 }  // namespace

@@ -53,12 +53,34 @@ inline std::size_t parse_size(const std::string& tool, const std::string& flag,
 
 /// `--flag value` parser over argv[first..]. Numeric lookups are
 /// strict: a malformed value is a usage error (exit 2), never an
-/// exception or a silent truncation.
+/// exception or a silent truncation. A command that declares its flags
+/// through accept() also rejects every flag it does not know.
 class Flags {
  public:
   Flags(int argc, char** argv, int first, std::string tool = "patchdb")
       : tool_(std::move(tool)) {
     for (int i = first; i < argc; ++i) args_.emplace_back(argv[i]);
+  }
+
+  /// Declare the command's flags: each of `values` takes the next
+  /// argument, each of `switches` stands alone. Returns false after
+  /// naming the first argument that starts with "--" and is in neither
+  /// list (the caller exits 2). positional() then skips a value only
+  /// after a value flag.
+  bool accept(const std::vector<std::string>& values,
+              std::vector<std::string> switches) {
+    switches_ = std::move(switches);
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      const std::string& a = args_[i];
+      if (a.rfind("--", 0) != 0 || is_switch(a)) continue;
+      if (std::find(values.begin(), values.end(), a) == values.end()) {
+        std::fprintf(stderr, "%s: unknown flag \"%s\"\n", tool_.c_str(),
+                     a.c_str());
+        return false;
+      }
+      ++i;  // the flag's value
+    }
+    return true;
   }
 
   std::string value(const std::string& name, std::string fallback) const {
@@ -80,11 +102,12 @@ class Flags {
     return false;
   }
 
-  /// First argument that is not a flag or a flag value.
+  /// First argument that is not a flag or a flag value. Without an
+  /// accept() declaration every flag is taken to have a value.
   std::string positional() const {
     for (std::size_t i = 0; i < args_.size(); ++i) {
       if (args_[i].rfind("--", 0) == 0) {
-        ++i;  // skip the flag's value
+        if (!is_switch(args_[i])) ++i;  // skip the flag's value
         continue;
       }
       return args_[i];
@@ -95,8 +118,14 @@ class Flags {
   const std::string& tool() const noexcept { return tool_; }
 
  private:
+  bool is_switch(const std::string& arg) const {
+    return std::find(switches_.begin(), switches_.end(), arg) !=
+           switches_.end();
+  }
+
   std::string tool_;
   std::vector<std::string> args_;
+  std::vector<std::string> switches_;
 };
 
 /// Shared observability plumbing for the pipeline commands: applies

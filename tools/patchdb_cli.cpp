@@ -1,8 +1,9 @@
 // patchdb — command-line front end for the PatchDB library.
 //
 //   patchdb build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]
-//           [--threads N] [--checkpoint-dir D] [--resume] [--trace-out FILE]
-//           [--progress]
+//           [--threads N] [--link-mem-mb MB] [--index exact|coarse]
+//           [--index-nprobe N] [--checkpoint-dir D] [--resume]
+//           [--trace-out FILE] [--progress]
 //       Build a simulated PatchDB (NVD crawl -> nearest-link augmentation
 //       -> synthesis) and export it to DIR in the release layout. With
 //       --checkpoint-dir the augmentation state is persisted after every
@@ -10,13 +11,13 @@
 //       checkpoint and produces a bit-identical export. --threads N
 //       sizes the worker pool the streaming nearest-link engine shards
 //       across (wins over PATCHDB_THREADS; default: hardware
-//       concurrency). The export is bit-identical for every worker
-//       count. --index {exact,coarse,rproj} [--index-nprobe N] enables
-//       the phase-0 shortlist index in front of the streaming engine
-//       (implies --streaming; results stay bit-identical — the index
-//       only trades probes/rescans for wall-clock). --trace-out
-//       writes a Chrome trace of the run (load in Perfetto); --progress
-//       prints heartbeat lines from the long loops.
+//       concurrency). --link-mem-mb caps the engine's working set.
+//       --index coarse [--index-nprobe N] puts the phase-0 shortlist
+//       index in front of the engine (the index only trades
+//       probes/rescans for wall-clock). The export is bit-identical for
+//       every one of these settings. --trace-out writes a Chrome trace
+//       of the run (load in Perfetto); --progress prints heartbeat
+//       lines from the long loops.
 //   patchdb stats DIR
 //       Summarize an exported dataset: component sizes, Table V type
 //       distribution, categorizer agreement.
@@ -43,8 +44,9 @@
 //       Patch presence test (Sec. V-A.1): is the fix already applied in
 //       the target file? Prints patched/vulnerable/partial/unknown.
 //   patchdb metrics [--nvd N] [--wild N] [--rounds R] [--seed S]
-//           [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
-//           [--progress]
+//           [--threads N] [--link-mem-mb MB] [--index exact|coarse]
+//           [--index-nprobe N] [--metrics-out FILE] [--trace-out FILE]
+//           [--sample-ms N] [--progress]
 //       Run the build pipeline under an observability session and print
 //       the metrics/span report; --metrics-out also writes the JSON
 //       artifact (schema patchdb.obs.v2, with a resource timeline when
@@ -53,6 +55,9 @@
 //       Parse a --metrics-out artifact, check the schema (v1 and v2
 //       both accepted) and JSON round-trip, and print a summary. Exit 1
 //       when malformed.
+//
+// Every command except `variants` (whose argument is C code) rejects a
+// flag it does not take with exit 2.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -61,6 +66,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,9 +101,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: patchdb <command> [args]\n"
                "  build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "        [--threads N]\n"
-               "        [--streaming] [--link-topk K] [--link-tile N] [--link-mem-mb MB]\n"
-               "        [--index exact|coarse|rproj] [--index-nprobe N]\n"
+               "        [--threads N] [--link-mem-mb MB]\n"
+               "        [--index exact|coarse] [--index-nprobe N]\n"
                "        [--checkpoint-dir D] [--resume]\n"
                "        [--trace-out FILE] [--sample-ms N] [--progress] [--progress-ms N]\n"
                "  stats DIR\n"
@@ -109,10 +114,8 @@ int usage() {
                "  variants \"CONDITION\"\n"
                "  presence FILE.patch TARGET_SOURCE_FILE\n"
                "  metrics [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "          [--threads N]\n"
-               "          [--streaming] [--link-topk K] [--link-tile N]"
-               " [--link-mem-mb MB]\n"
-               "          [--index exact|coarse|rproj] [--index-nprobe N]\n"
+               "          [--threads N] [--link-mem-mb MB]\n"
+               "          [--index exact|coarse] [--index-nprobe N]\n"
                "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
                "          [--progress] [--progress-ms N]\n"
                "  metrics --validate FILE.json\n");
@@ -151,20 +154,12 @@ bool apply_threads_flag(const Flags& flags) {
   return true;
 }
 
-/// `--streaming [--link-topk K] [--link-tile N] [--link-mem-mb MB]`
-/// routes the augmentation rounds through the streaming tiled
-/// nearest-link engine (bit-identical results, bounded memory).
-/// `--index {exact,coarse,rproj} [--index-nprobe N]` adds the phase-0
-/// shortlist index on top (still bit-identical; implies --streaming).
-/// Returns false on a usage error (the caller exits 2).
+/// `--link-mem-mb MB` caps the nearest-link engine's working set;
+/// `--index {exact,coarse} [--index-nprobe N]` puts the phase-0
+/// shortlist index in front of it. Neither changes the result. Returns
+/// false on a usage error (the caller exits 2).
 bool apply_link_flags(const Flags& flags, core::BuildOptions& options) {
   const std::string index_kind = flags.value("--index", std::string());
-  if (!flags.has("--streaming") && index_kind.empty()) return true;
-  options.use_streaming_link = true;
-  options.streaming_link.top_k =
-      flags.value("--link-topk", options.streaming_link.top_k);
-  options.streaming_link.tile_cols =
-      flags.value("--link-tile", options.streaming_link.tile_cols);
   const std::size_t cap_mb = flags.value("--link-mem-mb", std::size_t{0});
   if (cap_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
     std::fprintf(stderr, "%s: --link-mem-mb %zu overflows a byte count\n",
@@ -210,11 +205,10 @@ int cmd_build(const Flags& flags) {
   options.resume = flags.has("--resume");
   if (!apply_link_flags(flags, options)) return 2;
 
-  std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s%s\n",
+  std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s\n",
               options.world.nvd_security, options.world.wild_pool,
               options.augment.max_rounds,
               static_cast<std::size_t>(options.world.seed),
-              options.use_streaming_link ? " (streaming nearest link)" : "",
               options.checkpoint_dir.empty() ? "" : " (checkpointed)");
   CliObs cli_obs("patchdb build", flags);
   const core::PatchDb db = store::build_with_checkpoints(options);
@@ -463,12 +457,53 @@ int cmd_variants(const std::string& condition) {
   return 0;
 }
 
+/// The flags one command takes: `values` each take the next argument,
+/// `switches` stand alone.
+struct CommandFlags {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
+/// nullopt for `variants`, whose argument is C code and may start with
+/// "--"; no flags at all for the commands that take only paths.
+std::optional<CommandFlags> command_flags(const std::string& command) {
+  // CliObs reads these on the pipeline commands.
+  const std::vector<std::string> obs_values = {"--trace-out", "--metrics-out",
+                                               "--sample-ms", "--progress-ms"};
+  // The world, round and link knobs build and metrics share.
+  std::vector<std::string> pipeline = {
+      "--nvd",     "--wild",        "--rounds", "--seed",         "--synth",
+      "--threads", "--link-mem-mb", "--index",  "--index-nprobe"};
+  pipeline.insert(pipeline.end(), obs_values.begin(), obs_values.end());
+  if (command == "build") {
+    pipeline.insert(pipeline.end(), {"--out", "--checkpoint-dir"});
+    return CommandFlags{pipeline, {"--resume", "--progress"}};
+  }
+  if (command == "metrics") {
+    pipeline.emplace_back("--validate");
+    return CommandFlags{pipeline, {"--progress"}};
+  }
+  if (command == "analyze") {
+    return CommandFlags{obs_values,
+                        {"--unchanged", "--interproc", "--progress"}};
+  }
+  if (command == "features") {
+    return CommandFlags{{}, {"--all", "--semantic", "--interproc"}};
+  }
+  if (command == "variants") return std::nullopt;
+  return CommandFlags{};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
+  Flags flags(argc, argv, 2, "patchdb " + command);
+  const std::optional<CommandFlags> accepted = command_flags(command);
+  if (accepted && !flags.accept(accepted->values, accepted->switches)) {
+    return 2;
+  }
   try {
     if (command == "build") return cmd_build(flags);
     if (command == "stats") return cmd_stats(flags.positional());
@@ -480,7 +515,9 @@ int main(int argc, char** argv) {
     if (command == "analyze") return cmd_analyze(flags);
     if (command == "categorize") return cmd_categorize(flags.positional());
     if (command == "tokens") return cmd_tokens(flags.positional());
-    if (command == "variants") return cmd_variants(flags.positional());
+    if (command == "variants") {
+      return cmd_variants(argc >= 3 ? argv[2] : std::string());
+    }
     if (command == "presence" && argc >= 4) {
       return cmd_presence(argv[2], argv[3]);
     }
