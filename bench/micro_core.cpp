@@ -19,6 +19,7 @@
 #include "core/nearest_link.h"
 #include "core/streaming_link.h"
 #include "corpus/repo.h"
+#include "corpus/world.h"
 #include "diff/myers.h"
 #include "feature/features.h"
 #include "lang/lexer.h"
@@ -32,6 +33,7 @@
 #include "synth/synthesize.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -262,6 +264,55 @@ bool run_link_check(std::size_t m, std::size_t n) {
   return identical;
 }
 
+// Pipeline-shaped panel of the --link-check gate: Table I features of a
+// small simulated world (300 NVD entries, which yield 221 seeds, against
+// a 20K wild pool). Unlike
+// the uniform panel, its commits repeat feature vectors, so the engine
+// links groups of identical rows — the path real builds take. Records
+// nearest_link.bench.pipeline_identical and the pool's distinct share.
+bool run_pipeline_link_check() {
+  corpus::WorldConfig config;
+  config.nvd_security = 300;
+  config.wild_pool = 20000;
+  const corpus::World world = corpus::build_world(config);
+  const auto features = [](const std::vector<corpus::CommitRecord>& records) {
+    feature::FeatureMatrix m(records.size());
+    util::default_pool().parallel_for(
+        records.size(), [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            m.set_row(i, feature::extract(records[i].patch));
+          }
+        });
+    return m;
+  };
+  const feature::FeatureMatrix sec = features(world.nvd_security);
+  const feature::FeatureMatrix wild = features(world.wild);
+  const std::vector<double> w = core::maxabs_weights(sec, wild);
+  const auto t0 = std::chrono::steady_clock::now();
+  const core::LinkResult dense =
+      core::nearest_link_search(core::distance_matrix(sec, wild, w));
+  const auto t1 = std::chrono::steady_clock::now();
+  core::StreamingLinkStats stats;
+  const core::LinkResult streamed =
+      core::streaming_nearest_link(sec, wild, w, {}, &stats);
+  const auto t2 = std::chrono::steady_clock::now();
+  const bool identical = dense.candidate == streamed.candidate &&
+                         dense.total_distance == streamed.total_distance;
+  const double share = static_cast<double>(stats.distinct_cols) /
+                       static_cast<double>(wild.rows());
+  obs::gauge_set("nearest_link.bench.pipeline_identical", identical ? 1.0 : 0.0);
+  obs::gauge_set("nearest_link.bench.distinct_col_share", share);
+  std::printf(
+      "link-check pipeline %zux%zu: dense %.1f ms, streaming %.1f ms, "
+      "%zu distinct seeds, %zu distinct pool rows (%.1f%%), results %s\n",
+      sec.rows(), wild.rows(),
+      std::chrono::duration<double, std::milli>(t1 - t0).count(),
+      std::chrono::duration<double, std::milli>(t2 - t1).count(),
+      stats.distinct_rows, stats.distinct_cols, 100.0 * share,
+      identical ? "identical" : "DIVERGED");
+  return identical;
+}
+
 // Gaussian-mixture features: uniform data defeats every pruning bound
 // (the committed baseline records pruned_cells: 0 on it), so the index
 // probe uses clustered columns where a coarse partition actually
@@ -437,7 +488,8 @@ int main(int argc, char** argv) {
       continue;
     }
     // --link-check[=MxN]: run the dense-vs-streaming identity/speedup
-    // probe after the benchmarks (default shape 250x25000).
+    // probe after the benchmarks (default shape 250x25000), then the
+    // fixed-shape pipeline panel.
     if (arg == "--link-check") {
       link_check = true;
       continue;
@@ -489,7 +541,10 @@ int main(int argc, char** argv) {
       sampler.start();
     }
     benchmark::RunSpecifiedBenchmarks();
-    if (link_check) link_ok = run_link_check(link_m, link_n);
+    if (link_check) {
+      link_ok = run_link_check(link_m, link_n);
+      if (!run_pipeline_link_check()) link_ok = false;
+    }
     if (index_check && !run_index_check(index_m, index_n)) link_ok = false;
     sampler.stop();
     if (want_artifacts) {

@@ -43,16 +43,38 @@ double weighted_distance(std::span<const double> a, std::span<const double> b,
   return std::sqrt(total);
 }
 
+namespace {
+
+void scale_row(std::span<const double> row, std::span<const double> weights,
+               float* out) noexcept {
+  for (std::size_t j = 0; j < weights.size(); ++j) {
+    out[j] = static_cast<float>(row[j] * weights[j]);
+  }
+}
+
+}  // namespace
+
 std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
                                   std::span<const double> weights) {
   const std::size_t dims = weights.size();
   std::vector<float> out(matrix.rows() * dims);
   for (std::size_t i = 0; i < matrix.rows(); ++i) {
-    const std::span<const double> row = matrix[i];
-    for (std::size_t j = 0; j < dims; ++j) {
-      out[i * dims + j] = static_cast<float>(row[j] * weights[j]);
-    }
+    scale_row(matrix[i], weights, out.data() + i * dims);
   }
+  return out;
+}
+
+std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
+                                  std::span<const double> weights,
+                                  std::span<const std::uint32_t> rows) {
+  const std::size_t dims = weights.size();
+  std::vector<float> out(rows.size() * dims);
+  util::default_pool().parallel_for(
+      rows.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          scale_row(matrix[rows[i]], weights, out.data() + i * dims);
+        }
+      });
   return out;
 }
 

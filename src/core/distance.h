@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -70,6 +71,13 @@ double weighted_distance(std::span<const double> a, std::span<const double> b,
 /// materialized matrix.
 std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
                                   std::span<const double> weights);
+
+/// scale_features over the listed rows only (parallel): output row i is
+/// input row rows[i], through the same arithmetic, so it is
+/// bit-identical to that row of the full scale_features buffer.
+std::vector<float> scale_features(const feature::FeatureMatrix& matrix,
+                                  std::span<const double> weights,
+                                  std::span<const std::uint32_t> rows);
 
 /// The scalar distance cell both paths agree on: sequential float
 /// accumulation of (a[j]-b[j])^2 followed by a float sqrt. Deliberately

@@ -2,16 +2,38 @@
 
 #include <algorithm>
 
+#include "core/link_kernel.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace patchdb::core {
 
-std::vector<KnnHit> knn_query(std::span<const float> scaled, std::size_t dims,
+PackedCorpus pack_corpus(std::span<const float> scaled, std::size_t dims) {
+  PackedCorpus corpus;
+  if (dims == 0) return corpus;
+  corpus.rows = scaled.size() / dims;
+  corpus.dims = dims;
+  const std::size_t blocks = (corpus.rows + kLinkGroupCols - 1) / kLinkGroupCols;
+  corpus.blocks.resize(blocks * kLinkGroupCols * dims);
+  util::default_pool().parallel_for(
+      blocks, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; ++b) {
+          const std::size_t r0 = b * kLinkGroupCols;
+          pack_cols_dim_major(scaled.data() + r0 * dims,
+                              std::min(kLinkGroupCols, corpus.rows - r0),
+                              dims, kLinkGroupCols,
+                              corpus.blocks.data() + r0 * dims);
+        }
+      });
+  return corpus;
+}
+
+std::vector<KnnHit> knn_query(const PackedCorpus& corpus,
                               std::span<const float> query, std::size_t k) {
   std::vector<KnnHit> hits;
-  if (dims == 0 || query.size() != dims || k == 0) return hits;
-  const std::size_t rows = scaled.size() / dims;
-  if (rows == 0) return hits;
+  const std::size_t dims = corpus.dims;
+  const std::size_t rows = corpus.rows;
+  if (dims == 0 || query.size() != dims || k == 0 || rows == 0) return hits;
 
   // Bounded worst-first heap: O(rows log k), no full-corpus sort. The
   // comparator orders by (distance, index) so the heap top is the hit
@@ -22,15 +44,21 @@ std::vector<KnnHit> knn_query(std::span<const float> scaled, std::size_t dims,
     return a.index < b.index;
   };
   hits.reserve(std::min(k, rows));
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float d = l2_cell(query.data(), scaled.data() + r * dims, dims);
-    if (hits.size() < k) {
-      hits.push_back({r, d});
-      std::push_heap(hits.begin(), hits.end(), worse);
-    } else if (worse({r, d}, hits.front())) {
-      std::pop_heap(hits.begin(), hits.end(), worse);
-      hits.back() = {r, d};
-      std::push_heap(hits.begin(), hits.end(), worse);
+  float lane[kLinkGroupCols];
+  for (std::size_t r0 = 0; r0 < rows; r0 += kLinkGroupCols) {
+    l2_cell_block(query.data(), corpus.blocks.data() + r0 * dims, dims,
+                  kLinkGroupCols, kLinkGroupCols, lane);
+    const std::size_t width = std::min(kLinkGroupCols, rows - r0);
+    for (std::size_t c = 0; c < width; ++c) {
+      const KnnHit hit{r0 + c, lane[c]};
+      if (hits.size() < k) {
+        hits.push_back(hit);
+        std::push_heap(hits.begin(), hits.end(), worse);
+      } else if (worse(hit, hits.front())) {
+        std::pop_heap(hits.begin(), hits.end(), worse);
+        hits.back() = hit;
+        std::push_heap(hits.begin(), hits.end(), worse);
+      }
     }
   }
   std::sort_heap(hits.begin(), hits.end(), worse);

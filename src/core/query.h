@@ -1,12 +1,14 @@
 // Point queries over a pre-scaled feature corpus — the online entry
-// point the serve subsystem exposes over the wire. A KnnQuery owns
-// nothing: it views a packed row-major float buffer produced by
-// core::scale_features and answers "k nearest rows to this scaled
-// vector" with the exact same core::l2_cell kernel the dense matrix and
-// the streaming link engine run, so served distances are bit-identical
-// to the offline paths (same float accumulation order, same rounding).
-// Ties break toward the lowest row index, matching nearest_link_search
-// and the streaming engine's selection order.
+// point the serve subsystem exposes over the wire. The corpus is the
+// row-major float buffer core::scale_features produces, packed once
+// dim-major in kLinkGroupCols-row blocks; knn_query answers "k nearest
+// rows to this scaled vector" by running the blocked l2_cell_block
+// kernel over it. Each lane of that kernel is bit-identical to the
+// scalar core::l2_cell the dense matrix and the streaming link engine
+// run, so served distances equal the offline ones (same float
+// accumulation order, same rounding). Ties break toward the lowest row
+// index, matching nearest_link_search and the streaming engine's
+// selection order.
 #pragma once
 
 #include <cstddef>
@@ -24,12 +26,26 @@ struct KnnHit {
   friend bool operator==(const KnnHit&, const KnnHit&) = default;
 };
 
+/// A scaled corpus in the blocked kernel's layout: block b holds rows
+/// [b*kLinkGroupCols, (b+1)*kLinkGroupCols), dim j of its row c at
+/// blocks[(b*dims + j)*kLinkGroupCols + c]; the last block is
+/// zero-padded. Served nearest queries and the link engine's full-row
+/// re-scans scan this layout.
+struct PackedCorpus {
+  std::vector<float> blocks;
+  std::size_t rows = 0;
+  std::size_t dims = 0;
+};
+
+/// Pack the rows x dims row-major buffer from core::scale_features
+/// (parallel over blocks).
+PackedCorpus pack_corpus(std::span<const float> scaled, std::size_t dims);
+
 /// The `k` corpus rows nearest to `query` (a scaled row of the same
-/// width), ascending by (distance, index). `scaled` is the packed
-/// rows x dims buffer from core::scale_features. Returns fewer than `k`
-/// hits when the corpus is smaller than `k`; an empty corpus or an
-/// empty query yields no hits.
-std::vector<KnnHit> knn_query(std::span<const float> scaled, std::size_t dims,
+/// width), ascending by (distance, index). Returns fewer than `k` hits
+/// when the corpus is smaller than `k`; an empty corpus or an empty
+/// query yields no hits.
+std::vector<KnnHit> knn_query(const PackedCorpus& corpus,
                               std::span<const float> query, std::size_t k);
 
 /// Scale one raw feature vector by per-dimension weights through the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/link_kernel.h"
+#include "core/query.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -63,6 +65,99 @@ struct alignas(64) ShardTally {
   std::uint64_t tiles = 0;
   std::uint64_t screened = 0;  // cells skipped by index group masks
 };
+
+/// Bit-identical feature rows collapsed into groups. Ids follow first
+/// occurrence, so a group's id order is the order of its lowest member;
+/// each group lists its members in ascending row order.
+struct RowGroups {
+  std::vector<std::uint32_t> group_of;  // row -> group
+  std::vector<std::uint32_t> start;     // group g: members[start[g], start[g+1])
+  std::vector<std::uint32_t> members;
+
+  std::size_t size() const noexcept { return start.size() - 1; }
+  std::uint32_t first(std::size_t g) const noexcept { return members[start[g]]; }
+};
+
+/// Hash of a row's bit pattern. Only speed depends on it: equal hashes
+/// are confirmed by content.
+std::uint64_t hash_row(std::span<const double> row) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const double v : row) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = (h ^ bits) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+/// Group the raw double rows: hash every row in parallel, then one pass
+/// in row order over an open-addressing table of each group's first
+/// row, comparing content on equal hashes.
+RowGroups group_rows(const feature::FeatureMatrix& matrix) {
+  PATCHDB_TRACE_SPAN("nearest_link.group");
+  const std::size_t n = matrix.rows();
+  const std::size_t bytes = matrix.cols() * sizeof(double);
+  std::vector<std::uint64_t> hash(n);
+  util::default_pool().parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) hash[i] = hash_row(matrix[i]);
+  });
+
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t mask = 1;
+  while (mask < 2 * n) mask <<= 1;  // at most half full
+  std::vector<std::uint32_t> table(mask--, kEmpty);
+  RowGroups g;
+  g.group_of.resize(n);
+  g.start.assign(1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t slot = hash[i] & mask;
+    for (; table[slot] != kEmpty; slot = (slot + 1) & mask) {
+      const std::uint32_t first = table[slot];
+      if (hash[first] == hash[i] &&
+          std::memcmp(matrix[i].data(), matrix[first].data(), bytes) == 0) {
+        break;
+      }
+    }
+    if (table[slot] == kEmpty) {
+      table[slot] = static_cast<std::uint32_t>(i);
+      g.group_of[i] = static_cast<std::uint32_t>(g.start.size() - 1);
+      g.start.push_back(0);
+    } else {
+      g.group_of[i] = g.group_of[table[slot]];
+    }
+    ++g.start[g.group_of[i] + 1];
+  }
+  for (std::size_t k = 1; k < g.start.size(); ++k) g.start[k] += g.start[k - 1];
+  g.members.resize(n);
+  std::vector<std::uint32_t> fill(g.start.begin(), g.start.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    g.members[fill[g.group_of[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  return g;
+}
+
+/// The scaled rows of each group's first member, through
+/// scale_features' arithmetic.
+std::vector<float> scale_groups(const feature::FeatureMatrix& matrix,
+                                std::span<const double> weights,
+                                const RowGroups& groups) {
+  std::vector<std::uint32_t> firsts(groups.size());
+  for (std::size_t g = 0; g < firsts.size(); ++g) firsts[g] = groups.first(g);
+  return scale_features(matrix, weights, firsts);
+}
+
+/// A greedy pick: the distance, the pool column, and its group.
+/// Candidates compare by (d, member) — the dense scan's first-win order.
+struct Pick {
+  float d = std::numeric_limits<float>::infinity();
+  std::uint32_t member = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t group = 0;
+};
+
+bool pick_less(const Pick& a, const Pick& b) noexcept {
+  return a.d < b.d || (a.d == b.d && a.member < b.member);
+}
 
 }  // namespace
 
@@ -165,31 +260,43 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_TRACE_SPAN("nearest_link.streaming");
   PATCHDB_COUNTER_ADD("nearest_link.links", m);
 
-  const StreamingLinkConfig::Resolved rc = config.resolve(m, n, dims);
+  // ---- Distinct vectors. Bit-identical rows give bit-identical cells,
+  // so phase 0, pass 1, the merge and every re-scan run over distinct
+  // seeds (mu) x distinct pool vectors (nu). Heap entries, masks and
+  // pending bounds are indexed by group, not by row or column; only the
+  // greedy below walks the original rows and columns.
+  const RowGroups rows = group_rows(security);
+  const RowGroups cols = group_rows(wild);
+  const std::size_t mu = rows.size();
+  const std::size_t nu = cols.size();
+  PATCHDB_COUNTER_ADD("nearest_link.distinct_rows", mu);
+  PATCHDB_COUNTER_ADD("nearest_link.distinct_cols", nu);
+
+  const StreamingLinkConfig::Resolved rc = config.resolve(mu, nu, dims);
   const std::size_t k = rc.top_k;
   const std::size_t tile = rc.tile_cols;
   const std::size_t shards = rc.threads;
   const std::size_t stride = round_up_groups(tile);
-  const std::size_t tiles_total = (n + tile - 1) / tile;
+  const std::size_t tiles_total = (nu + tile - 1) / tile;
 
   // Same scale-then-cast as the dense kernel: identical float inputs.
-  const std::vector<float> sec = scale_features(security, weights);
-  const std::vector<float> wld = scale_features(wild, weights);
+  const std::vector<float> sec = scale_groups(security, weights, rows);
+  const std::vector<float> wld = scale_groups(wild, weights, cols);
 
   // ---- Phase 0 (optional): build the index over the scaled pool,
   // stream a partition-grouped permutation of it so each row's
   // shortlist becomes a handful of contiguous SIMD-group runs, and
   // record per-row group bitmasks plus the pending bound pass 2 uses to
-  // prove or rescan every pick. Heap entries store ORIGINAL column ids,
-  // so the merge order, tie-breaking, and the result are untouched.
+  // prove or rescan every pick. Heap entries store unpermuted group
+  // ids, so the merge order, tie-breaking, and the result are untouched.
   const bool use_index = config.index.kind != IndexKind::kExact;
   std::unique_ptr<Index> index;
   std::vector<float> wld_perm;
   std::span<const std::uint32_t> ord;
   const std::size_t groups_per_tile = stride / kLinkGroupCols;
   std::size_t mask_words = 0;
-  std::vector<std::uint64_t> mask;  // m x mask_words group bitmasks
-  std::vector<double> pending(m, std::numeric_limits<double>::infinity());
+  std::vector<std::uint64_t> mask;  // mu x mask_words group bitmasks
+  std::vector<double> pending(mu, std::numeric_limits<double>::infinity());
   std::vector<std::uint64_t> row_probes;
   std::vector<std::uint64_t> row_shortlist;
   const float* pool = wld.data();  // what pass 1 streams
@@ -207,16 +314,16 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       // scale.
       icfg.clusters = std::clamp<std::size_t>(
           std::min(static_cast<std::size_t>(
-                       std::sqrt(static_cast<double>(n))),
+                       std::sqrt(static_cast<double>(nu))),
                    8 * icfg.nprobe),
-          1, std::max<std::size_t>(1, m / 3));
+          1, std::max<std::size_t>(1, mu / 3));
     }
     index = make_index(icfg);
-    index->build(wld.data(), n, dims);
+    index->build(wld.data(), nu, dims);
     ord = index->ordering();
-    wld_perm.resize(n * dims);
+    wld_perm.resize(nu * dims);
     util::default_pool().parallel_for(
-        n, [&](std::size_t begin, std::size_t end) {
+        nu, [&](std::size_t begin, std::size_t end) {
           for (std::size_t p = begin; p < end; ++p) {
             std::copy_n(wld.data() + ord[p] * dims, dims,
                         wld_perm.data() + p * dims);
@@ -225,11 +332,11 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     pool = wld_perm.data();
 
     mask_words = (tiles_total * groups_per_tile + 63) / 64;
-    mask.assign(m * mask_words, 0);
-    row_probes.assign(m, 0);
-    row_shortlist.assign(m, 0);
+    mask.assign(mu * mask_words, 0);
+    row_probes.assign(mu, 0);
+    row_shortlist.assign(mu, 0);
     util::default_pool().parallel_for(
-        m, [&](std::size_t begin, std::size_t end) {
+        mu, [&](std::size_t begin, std::size_t end) {
           std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
           // Position p sits in tile p/tile, group (p%tile)/64 — a slot
           // id that is monotone in p with +1 steps, so a contiguous
@@ -257,8 +364,8 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
         });
   }
 
-  std::vector<double> row_norm(m);  // ||a||
-  util::default_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
+  std::vector<double> row_norm(mu);  // ||a||
+  util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       row_norm[r] = row_norm_s(sec.data() + r * dims, dims);
     }
@@ -283,8 +390,8 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       const std::size_t tile_hi = (s + 1) * tiles_total / shards;
       std::vector<Entry>& entries = shard_entries[s];
       std::vector<std::uint32_t>& heap_size = shard_sizes[s];
-      entries.resize(m * (k + 1));
-      heap_size.assign(m, 0);
+      entries.resize(mu * (k + 1));
+      heap_size.assign(mu, 0);
 
       std::vector<float> pack(stride * dims);
       std::vector<float> lane(kLinkGroupCols);
@@ -298,7 +405,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
 
       for (std::size_t t = tile_lo; t < tile_hi; ++t) {
         const std::size_t col0 = t * tile;
-        const std::size_t width = std::min(col0 + tile, n) - col0;
+        const std::size_t width = std::min(col0 + tile, nu) - col0;
         pack_cols_dim_major(pool + col0 * dims, width, dims, stride,
                             pack.data());
         for (std::size_t i = 0; i < width; ++i) {
@@ -318,7 +425,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
           group_hi[g] = mx;
         }
 
-        for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t r = 0; r < mu; ++r) {
           const float* a = sec.data() + r * dims;
           const double na_s = row_norm[r];
           Entry* h = entries.data() + r * (k + 1);
@@ -429,9 +536,9 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // order — the merged list is the same for every shard count, and it
   // equals the serial top-k because an entry among the k global minima
   // is always inside its own shard's top-k.
-  std::vector<Entry> entries(m * (k + 1));
-  std::vector<std::uint32_t> heap_size(m, 0);
-  util::default_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
+  std::vector<Entry> entries(mu * (k + 1));
+  std::vector<std::uint32_t> heap_size(mu, 0);
+  util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
     std::vector<Entry> scratch;
     scratch.reserve(shards * k);
     for (std::size_t r = begin; r < end; ++r) {
@@ -458,162 +565,158 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     screened_total += t.screened;
   }
 
-  // Exact full-row re-scan over the ORIGINAL (unpermuted) pool,
-  // identical to the dense path's collision handling. It runs through
-  // the blocked SIMD kernel: l2_cell_block is per-lane bit-identical to
-  // the scalar l2_cell, so a first-win `<` scan over its output in
-  // ascending column order picks the exact column the dense loop would
-  // (every value compared is a float the dense matrix also holds,
-  // merely widened). Fixed group ranges scan in parallel; merging the
-  // range minima in range order keeps the lowest column among the
-  // global minima, so the parallel re-scan is deterministic. The
-  // dim-major pack of the pool is built on the first re-scan — it is
-  // input-sized (like the scaled feature copies) and never allocated
-  // when every pick comes from a heap.
-  std::vector<char> used(n, 0);
-  const std::size_t rescan_groups = (n + kLinkGroupCols - 1) / kLinkGroupCols;
-  std::vector<float> rescan_pack;
+  // Pool group g's unused columns are members[next[g], start[g+1]):
+  // members of a group tie for every row, so the dense first-win scan
+  // takes them in ascending order and a cursor replaces used[].
+  std::vector<std::uint32_t> next(cols.start.begin(), cols.start.end() - 1);
+  const auto live = [&](std::uint32_t g) {
+    return next[g] < cols.start[g + 1];
+  };
+
+  // Exact full-row re-scan over the ORIGINAL (unpermuted) distinct
+  // pool, identical to the dense path's collision handling: the minimum
+  // of (distance, lowest unused member) over the live groups, which is
+  // the (distance, column) minimum over the unused columns. It runs
+  // through the blocked SIMD kernel: l2_cell_block is per-lane
+  // bit-identical to the scalar l2_cell, so every value compared is a
+  // float the dense matrix also holds. Fixed group ranges scan in
+  // parallel and merge under the same total order, so the parallel
+  // re-scan is deterministic. The blocked pack of the pool is built on
+  // the first re-scan — it is input-sized (like the scaled feature
+  // copies) and never allocated when every pick comes from a heap.
+  const std::size_t rescan_groups = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
+  PackedCorpus rescan_pack;
   std::size_t rescans = 0;
 
   auto full_row_rescan = [&](std::size_t r) {
-    if (rescan_pack.empty()) {
-      rescan_pack.resize(rescan_groups * kLinkGroupCols * dims);
-      util::default_pool().parallel_for(
-          rescan_groups, [&](std::size_t g_begin, std::size_t g_end) {
-            for (std::size_t g = g_begin; g < g_end; ++g) {
-              const std::size_t c0 = g * kLinkGroupCols;
-              const std::size_t w = std::min(kLinkGroupCols, n - c0);
-              pack_cols_dim_major(wld.data() + c0 * dims, w, dims,
-                                  kLinkGroupCols, rescan_pack.data() + c0 * dims);
-            }
-          });
-    }
+    if (rescan_pack.rows == 0) rescan_pack = pack_corpus(wld, dims);
     ++rescans;
     const float* a = sec.data() + r * dims;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<std::pair<double, std::size_t>> range_best(shards, {kInf, 0});
+    std::vector<Pick> range_best(shards);
     util::default_pool().parallel_for(
         shards, [&](std::size_t range_begin, std::size_t range_end) {
           for (std::size_t s = range_begin; s < range_end; ++s) {
-            double best = kInf;
-            std::size_t best_col = 0;
+            Pick best;
             const std::size_t g_lo = s * rescan_groups / shards;
             const std::size_t g_hi = (s + 1) * rescan_groups / shards;
             float block[kLinkGroupCols];
             for (std::size_t g = g_lo; g < g_hi; ++g) {
               const std::size_t c0 = g * kLinkGroupCols;
-              const std::size_t w = std::min(kLinkGroupCols, n - c0);
-              l2_cell_block(a, rescan_pack.data() + g * kLinkGroupCols * dims,
-                            dims, kLinkGroupCols, kLinkGroupCols, block);
+              const std::size_t w = std::min(kLinkGroupCols, nu - c0);
+              l2_cell_block(a, rescan_pack.blocks.data() + c0 * dims, dims,
+                            kLinkGroupCols, kLinkGroupCols, block);
               for (std::size_t c = 0; c < w; ++c) {
-                if (used[c0 + c]) continue;
-                const double d = static_cast<double>(block[c]);
-                if (d < best) {
-                  best = d;
-                  best_col = c0 + c;
-                }
+                const auto id = static_cast<std::uint32_t>(c0 + c);
+                if (block[c] > best.d || !live(id)) continue;
+                const Pick cand{block[c], cols.members[next[id]], id};
+                if (pick_less(cand, best)) best = cand;
               }
             }
-            range_best[s] = {best, best_col};
+            range_best[s] = best;
           }
         });
-    std::pair<double, std::size_t> out{kInf, 0};
-    for (const auto& rb : range_best) {
-      if (rb.first < out.first) out = rb;
+    Pick out;
+    for (const Pick& rb : range_best) {
+      if (pick_less(rb, out)) out = rb;
     }
     return out;
   };
 
   // Index pre-pass: a row whose pending bound cannot strictly prove its
   // cached minimum beats every non-shortlisted column gets one verified
-  // full-row scan now, while used[] is still all-false — which is
+  // full-row scan now, while every group is whole — which yields
   // exactly the static minimum u the dense greedy orders rows by. The
-  // verified head stays valid at pick time as long as its column is
-  // unused: the global first-win minimum, while unused, is also the
-  // first-win minimum over the unused columns.
+  // verified head stays valid at pick time while its column is still
+  // its group's cursor: the global first-win minimum, while unused, is
+  // also the first-win minimum over the unused columns.
   std::size_t index_rescans = 0;
-  std::vector<double> head_d;
-  std::vector<std::uint32_t> head_col;
+  std::vector<Pick> head;
   std::vector<char> has_head;
   if (use_index) {
-    head_d.assign(m, 0.0);
-    head_col.assign(m, 0);
-    has_head.assign(m, 0);
-    for (std::size_t r = 0; r < m; ++r) {
+    head.assign(mu, Pick{});
+    has_head.assign(mu, 0);
+    for (std::size_t r = 0; r < mu; ++r) {
       const Entry* h = entries.data() + r * (k + 1);
       if (heap_size[r] > 0 &&
           pending[r] > static_cast<double>(h[0].d)) {
         continue;  // proven: the cached minimum is the true minimum
       }
-      const auto [best, col] = full_row_rescan(r);
-      head_d[r] = best;
-      head_col[r] = static_cast<std::uint32_t>(col);
+      head[r] = full_row_rescan(r);
       has_head[r] = 1;
       ++index_rescans;
     }
   }
 
-  // ---- Pass 2: heap-driven greedy selection (Algorithm 1 lines 5-17).
-  // The dense loop's argmin over unassigned rows uses each row's
-  // ORIGINAL full-row minimum (u is never refreshed on collisions), so
-  // the processing order is static: ascending (u, row). A binary heap
-  // replaces the O(M^2) linear sweep. Rows the index could not prove
-  // use their verified head as u — the exact value dense would use.
-  std::vector<std::pair<double, std::size_t>> order(m);
+  // ---- Pass 2: greedy selection (Algorithm 1 lines 5-17) over the
+  // original rows. The dense loop's argmin over unassigned rows uses
+  // each row's ORIGINAL full-row minimum (u is never refreshed on
+  // collisions), so the processing order is static: ascending
+  // (u, row), where u is the row's distinct list head — or its
+  // verified head, the exact value dense would use, when the index
+  // could not prove the list.
+  std::vector<std::pair<float, std::uint32_t>> order(m);
   for (std::size_t r = 0; r < m; ++r) {
-    const double u = use_index && has_head[r]
-                         ? head_d[r]
-                         : static_cast<double>(entries[r * (k + 1)].d);
-    order[r] = {u, r};
+    const std::uint32_t u = rows.group_of[r];
+    order[r] = {use_index && has_head[u] ? head[u].d : entries[u * (k + 1)].d,
+                static_cast<std::uint32_t>(r)};
   }
-  std::make_heap(order.begin(), order.end(), std::greater<>());
+  std::sort(order.begin(), order.end());
 
-  std::vector<std::uint32_t> cursor(m, 0);
+  std::vector<std::uint32_t> cursor(mu, 0);
   result.candidate.assign(m, 0);
   std::size_t topk_hits = 0;
   std::size_t fallbacks = 0;
 
-  while (!order.empty()) {
-    std::pop_heap(order.begin(), order.end(), std::greater<>());
-    const std::size_t r = order.back().second;
-    order.pop_back();
+  for (const auto& step : order) {
+    const std::uint32_t r = step.second;
+    const std::uint32_t u = rows.group_of[r];
+    const Entry* h = entries.data() + u * (k + 1);
+    const std::uint32_t sz = heap_size[u];
+    std::uint32_t pos = cursor[u];
+    while (pos < sz && !live(h[pos].col)) ++pos;
+    cursor[u] = pos;
 
-    const Entry* h = entries.data() + r * (k + 1);
-    std::uint32_t pos = cursor[r];
-    while (pos < heap_size[r] && used[h[pos].col]) ++pos;
-    cursor[r] = pos;
-
-    float chosen_d;
-    std::size_t chosen_col;
-    if (pos < heap_size[r] &&
-        (!use_index || pending[r] > static_cast<double>(h[pos].d))) {
-      // Cached candidate: every computed-but-dropped column is
-      // lexicographically >= the heap's worst entry >= h[pos], and with
-      // an index the strict pending bound excludes every never-computed
-      // column too, so the first unused cached entry IS the row's
-      // minimum over unused columns. (Unproven rows never take this
-      // branch: pending <= h[0].d <= h[pos].d.)
-      chosen_d = h[pos].d;
-      chosen_col = h[pos].col;
+    // The list's best live candidate: the lowest unused member among
+    // the live groups tied at the first live distance.
+    Pick pick;
+    for (std::uint32_t i = pos; i < sz && h[i].d == h[pos].d; ++i) {
+      if (!live(h[i].col)) continue;
+      const Pick cand{h[i].d, cols.members[next[h[i].col]], h[i].col};
+      if (pick_less(cand, pick)) pick = cand;
+    }
+    // It is the minimum over every unused column when no group outside
+    // the list can beat it. Outside groups order at or after the list's
+    // last entry under (distance, group id); group ids follow first
+    // members, so an outside group tied at that distance has only
+    // members above the last entry's first member. A list that holds
+    // every group (or, with an index, every streamed group) has no
+    // outside. With an index, the strict pending bound excludes the
+    // never-streamed groups too. (Unproven rows never pass: pending <=
+    // h[0].d <= pick.d.)
+    const bool whole = sz < k || sz == nu;
+    const bool decided =
+        pos < sz &&
+        (whole || !pick_less(Pick{h[sz - 1].d, cols.first(h[sz - 1].col)},
+                             pick)) &&
+        (!use_index || pending[u] > static_cast<double>(pick.d));
+    if (decided) {
       ++topk_hits;
-    } else if (use_index && has_head[r] && !used[head_col[r]]) {
+    } else if (use_index && has_head[u] &&
+               next[head[u].group] == cols.start[head[u].group]) {
       // The pre-pass already scanned this row and its verified global
       // minimum is still unused, hence still the minimum over unused.
-      chosen_d = static_cast<float>(head_d[r]);
-      chosen_col = head_col[r];
+      pick = head[u];
       ++fallbacks;
     } else {
-      // Heap exhausted by earlier links (or the pending bound can no
-      // longer prove the next cached entry): tracked full-row re-scan.
+      // List exhausted by earlier links, or it cannot rule out a tie
+      // outside it: tracked full-row re-scan.
       ++fallbacks;
       if (use_index) ++index_rescans;
-      const auto [best, col] = full_row_rescan(r);
-      chosen_d = static_cast<float>(best);
-      chosen_col = col;
+      pick = full_row_rescan(u);
     }
-    result.candidate[r] = chosen_col;
-    result.total_distance += static_cast<double>(chosen_d);
-    used[chosen_col] = 1;
+    result.candidate[r] = pick.member;
+    result.total_distance += static_cast<double>(pick.d);
+    ++next[pick.group];
   }
 
   PATCHDB_COUNTER_ADD("distance.tiles", tiles);
@@ -627,7 +730,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   std::uint64_t probes_total = 0;
   std::uint64_t shortlist_total = 0;
   if (use_index) {
-    for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t r = 0; r < mu; ++r) {
       probes_total += row_probes[r];
       shortlist_total += row_shortlist[r];
     }
@@ -647,6 +750,8 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     stats->index_shortlist_cols = shortlist_total;
     stats->index_screened_cells = use_index ? screened_total : 0;
     stats->index_fallback_rescans = index_rescans;
+    stats->distinct_rows = mu;
+    stats->distinct_cols = nu;
     stats->top_k = k;
     stats->tile_cols = tile;
     stats->threads = shards;

@@ -7,6 +7,11 @@
 // 4076 x 200K shape) and the greedy link re-scans full O(N) rows on
 // candidate collisions. This engine instead
 //
+//   0. groups bit-identical feature rows on both sides — Table I
+//      features are small counts, so patches repeat — and runs every
+//      step below over distinct seeds x distinct pool vectors; the
+//      greedy maps each pick back to the lowest unused member of the
+//      tied groups (DESIGN.md §3d has the exactness argument);
 //   1. shards the wild set across the thread pool: each worker owns a
 //      contiguous range of column tiles and fills *private* per-row
 //      top-k candidate heaps with private prune/flop counters, so the
@@ -22,20 +27,22 @@
 //      smallest. The order is total (columns are unique), so the merge
 //      is deterministic for every shard count and equals the top-k a
 //      serial scan produces; and
-//   4. drives the greedy selection with a priority queue keyed on each
-//      row's cached minimum instead of the dense path's O(M^2) linear
-//      argmin sweep. When a row's heap is fully consumed by earlier
-//      links the engine falls back to a tracked full-row re-scan
-//      (counter `nearest_link.fallback_rescans`) through the same
-//      blocked kernel, parallelized over fixed column-group ranges
-//      with a deterministic in-order merge.
+//   4. drives the greedy selection in the static order of each row's
+//      cached minimum instead of the dense path's O(M^2) linear
+//      argmin sweep. When a row's cached list cannot prove its pick
+//      (used up by earlier links, or a tie may lie outside it) the
+//      engine falls back to a tracked full-row re-scan (counter
+//      `nearest_link.fallback_rescans`) through the same blocked
+//      kernel, parallelized over fixed column-group ranges with a
+//      deterministic merge.
 //
 // Results are bit-identical to
 //   nearest_link_search(distance_matrix(security, wild, weights))
 // on equal inputs: every computed cell runs the exact arithmetic of the
 // scalar kernel (core::l2_cell) lane-parallel (see link_kernel.h for
-// why vectorizing across columns preserves each lane bit-for-bit), ties
-// break toward the lowest column index, and the screening bounds carry
+// why vectorizing across columns preserves each lane bit-for-bit),
+// identical rows give identical cells, ties break toward the lowest
+// unused column index, and the screening bounds carry
 // conservative error margins so no cell that could enter a heap is ever
 // pruned. Pruning and shard counts therefore affect speed and counters,
 // never the LinkResult.
@@ -100,7 +107,8 @@ struct StreamingLinkConfig {
   };
   /// The effective knobs for an M x N problem over `dims` feature
   /// dimensions, after clamping to the matrix shape, the pool size,
-  /// and the memory cap.
+  /// and the memory cap. The engine passes its distinct counts: M
+  /// distinct seed rows, N distinct pool rows.
   Resolved resolve(std::size_t rows, std::size_t cols,
                    std::size_t dims) const;
 };
@@ -121,6 +129,8 @@ struct StreamingLinkStats {
   std::size_t index_screened_cells = 0;  // cells skipped by index masks
   std::size_t index_fallback_rescans = 0;  // full-row scans the pending
                                            // bound could not avoid
+  std::size_t distinct_rows = 0;     // seed rows, identical ones as one
+  std::size_t distinct_cols = 0;     // pool rows, identical ones as one
   std::size_t top_k = 0;             // effective k after the cap
   std::size_t tile_cols = 0;         // effective tile width
   std::size_t threads = 0;           // effective pass-1 shard count

@@ -104,6 +104,7 @@ void ServedDataset::index_and_precompute() {
   if (natural_rows_ > 0) {
     weights_ = core::maxabs_weights(natural_features_, natural_features_);
     scaled_ = core::scale_features(natural_features_, weights_);
+    corpus_ = core::pack_corpus(scaled_, dims_);
   }
 
   // Table V composition over the labeled security patches, the same
@@ -237,7 +238,7 @@ Response ServedDataset::nearest(const NearestRequest& request) const {
   }
 
   const std::vector<core::KnnHit> hits =
-      core::knn_query(scaled_, dims_, query, request.k);
+      core::knn_query(corpus_, query, request.k);
   Response response;
   response.nearest.hits.reserve(hits.size());
   for (const core::KnnHit& hit : hits) {

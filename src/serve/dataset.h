@@ -10,9 +10,9 @@
 //   - an id -> patch index over every component,
 //   - the Table I feature matrix of the natural patches, the max-abs
 //     weights learned over it, and the weight-scaled float rows the
-//     nearest-link kernels operate on (core::scale_features), so
-//     k-nearest answers are bit-identical to the offline dense and
-//     streaming link paths,
+//     nearest-link kernels operate on (core::scale_features), packed
+//     once for the blocked kernel, so k-nearest answers are
+//     bit-identical to the offline dense and streaming link paths,
 //   - the Table V composition (ground-truth and categorizer counts).
 //
 // Synthetic patches are looked up and featurized like natural ones but
@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/query.h"
 #include "corpus/repo.h"
 #include "feature/features.h"
 #include "serve/protocol.h"
@@ -104,12 +105,14 @@ class ServedDataset {
   std::unordered_map<std::string_view, std::size_t> by_id_;
 
   /// Natural patches occupy patches_[0 .. natural_rows_); their scaled
-  /// feature rows (natural_rows_ x dims) back the nearest queries.
+  /// feature rows (natural_rows_ x dims) are the by-id query vectors,
+  /// and their blocked pack backs the nearest scans.
   std::size_t natural_rows_ = 0;
   std::size_t dims_ = 0;
   feature::FeatureMatrix natural_features_;
   std::vector<double> weights_;
   std::vector<float> scaled_;
+  core::PackedCorpus corpus_;
 
   StatsResponse stats_;
 };

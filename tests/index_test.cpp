@@ -22,6 +22,7 @@
 #include "core/streaming_link.h"
 #include "feature/features.h"
 #include "obs/metrics.h"
+#include "palette_features.h"
 #include "util/rng.h"
 
 namespace {
@@ -302,6 +303,49 @@ TEST(IndexStreamingLink, FallbackStormStaysBitIdenticalAndCounted) {
   EXPECT_EQ(snap.counter("index.probes"), stats.index_probes);
   EXPECT_EQ(snap.counter("index.shortlist_cols"), stats.index_shortlist_cols);
   EXPECT_EQ(snap.counter("index.screened_cells"), stats.index_screened_cells);
+}
+
+TEST(IndexStreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
+  // Phase 0 indexes distinct pool vectors and bounds distinct seeds, so
+  // on duplicate-heavy rows the pending bound, the verified heads and
+  // the group-aware pick must still give the dense answer bitwise.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {3, 8}, {20, 25}, {60, 700}, {120, 150}, {120, 1500}};
+  for (const std::size_t size : {1UL, 2UL, 5UL, 17UL, 300UL}) {
+    const test_util::Palette seeds = test_util::make_palette(size, 700 + size);
+    const test_util::Palette pool = test_util::make_palette(size, 600 + size);
+    for (const auto& [m, n] : shapes) {
+      const auto sec = test_util::palette_features(seeds, m, 41 * m + size);
+      const auto wild = test_util::palette_features(pool, n, 43 * n + size);
+      const std::vector<double> w = core::maxabs_weights(sec, wild);
+      const core::LinkResult dense = dense_link(sec, wild, w);
+      for (const std::size_t k : {1UL, 2UL, 24UL}) {
+        for (const std::size_t nprobe : {1UL, 4UL}) {
+          for (const std::size_t threads : {1UL, 8UL}) {
+            core::StreamingLinkConfig config;
+            config.top_k = k;
+            config.threads = threads;
+            config.tile_cols = 64;
+            config.index.kind = core::IndexKind::kCoarse;
+            config.index.nprobe = nprobe;
+            core::StreamingLinkStats stats;
+            const core::LinkResult stream =
+                core::streaming_nearest_link(sec, wild, w, config, &stats);
+            const auto label = [&] {
+              return "palette=" + std::to_string(size) + " m=" +
+                     std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k) + " nprobe=" +
+                     std::to_string(nprobe) + " threads=" +
+                     std::to_string(threads);
+            };
+            EXPECT_EQ(dense.candidate, stream.candidate) << label();
+            EXPECT_EQ(dense.total_distance, stream.total_distance) << label();
+            EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m) << label();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(IndexStreamingLink, DeterministicAcrossThreadsTilesAndCaps) {

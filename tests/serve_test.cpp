@@ -11,12 +11,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/categorize.h"
@@ -31,6 +33,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "store/export.h"
+#include "util/rng.h"
 
 namespace patchdb {
 namespace {
@@ -258,6 +261,41 @@ TEST(ServeDataset, NearestIsBitIdenticalToOfflineKernels) {
       // Bit-exact float equality, not near-equality: the served path
       // must run the same kernel over the same scaled rows.
       EXPECT_EQ(response.nearest.hits[i].distance, all[i].first);
+    }
+  }
+}
+
+TEST(KnnQuery, BlockedScanMatchesScalarCellsAtBlockEdges) {
+  // Corpus sizes around the kernel's 64-row blocks, with every third
+  // row a copy of an earlier one so exact distance ties occur: the
+  // blocked scan must return the brute-force scalar top-k, ties to the
+  // lower index, including k larger than the corpus.
+  util::Rng rng(77);
+  const std::size_t dims = feature::kFeatureCount;
+  for (const std::size_t rows : {1UL, 63UL, 64UL, 65UL, 130UL}) {
+    std::vector<float> scaled(rows * dims);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < dims; ++j) {
+        scaled[r * dims + j] =
+            r % 3 == 2 ? scaled[(r / 2) * dims + j]
+                       : static_cast<float>(rng.uniform(-2, 2));
+      }
+    }
+    const core::PackedCorpus corpus = core::pack_corpus(scaled, dims);
+    std::vector<float> query(scaled.begin(), scaled.begin() + dims);
+    for (const std::size_t k : {1UL, 5UL, 200UL}) {
+      const std::vector<core::KnnHit> hits = core::knn_query(corpus, query, k);
+      std::vector<std::pair<float, std::size_t>> all;
+      for (std::size_t r = 0; r < rows; ++r) {
+        all.emplace_back(
+            core::l2_cell(query.data(), scaled.data() + r * dims, dims), r);
+      }
+      std::sort(all.begin(), all.end());
+      ASSERT_EQ(hits.size(), std::min(k, rows)) << "rows=" << rows;
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].index, all[i].second) << "rows=" << rows;
+        EXPECT_EQ(hits[i].distance, all[i].first) << "rows=" << rows;
+      }
     }
   }
 }

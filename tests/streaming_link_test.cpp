@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -23,11 +24,15 @@
 #include "corpus/world.h"
 #include "feature/features.h"
 #include "obs/metrics.h"
+#include "palette_features.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace patchdb;
+using test_util::make_palette;
+using test_util::Palette;
+using test_util::palette_features;
 
 feature::FeatureMatrix random_features(std::size_t rows, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -107,6 +112,116 @@ TEST(StreamingLink, TiesBreakTowardLowestColumn) {
   EXPECT_EQ(stream.candidate, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+TEST(StreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
+  // Uniform random features never repeat, so the sweeps above never
+  // reach a group of more than one row. Palette features do: seeds and
+  // pool columns collapse into a few distinct vectors, members of a
+  // group are taken one by one, and distinct groups tie all the time.
+  // Seeds and pool draw from different palettes, so most seeds have no
+  // exact match, and the tight shapes use up whole groups.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {3, 8}, {20, 25}, {60, 700}, {120, 150}, {120, 1500}};
+  const std::size_t ks[] = {1, 2, 24};
+  const std::size_t tiles[] = {7, 64, 4096};
+  const std::size_t threads[] = {1, 2, 8};
+  std::size_t caps_bound = 0;
+
+  for (const std::size_t size : {1UL, 2UL, 5UL, 17UL, 300UL}) {
+    const Palette seeds = make_palette(size, 900 + size);
+    const Palette pool = make_palette(size, 800 + size);
+    for (const auto& [m, n] : shapes) {
+      const auto sec = palette_features(seeds, m, 31 * m + size);
+      const auto wild = palette_features(pool, n, 37 * n + size);
+      const std::vector<double> w = core::maxabs_weights(sec, wild);
+      const core::LinkResult dense = dense_link(sec, wild, w);
+      const auto label = [&](std::size_t k, std::size_t tile,
+                             std::size_t t) {
+        return "palette=" + std::to_string(size) + " m=" + std::to_string(m) +
+               " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+               " tile=" + std::to_string(tile) + " threads=" +
+               std::to_string(t);
+      };
+
+      core::StreamingLinkStats stats;
+      for (const std::size_t k : ks) {
+        for (const std::size_t tile : tiles) {
+          for (const std::size_t t : threads) {
+            core::StreamingLinkConfig config;
+            config.top_k = k;
+            config.tile_cols = tile;
+            config.threads = t;
+            const core::LinkResult stream =
+                core::streaming_nearest_link(sec, wild, w, config, &stats);
+            EXPECT_EQ(dense.candidate, stream.candidate) << label(k, tile, t);
+            EXPECT_EQ(dense.total_distance, stream.total_distance)
+                << label(k, tile, t);
+            EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m)
+                << label(k, tile, t);
+          }
+        }
+      }
+      EXPECT_EQ(stats.distinct_rows, std::min(m, size));
+      EXPECT_EQ(stats.distinct_cols, std::min(n, size));
+
+      // A cap that binds: the floor tile and one shard at k = 2.
+      core::StreamingLinkConfig floor_config;
+      floor_config.top_k = 2;
+      floor_config.tile_cols = 64;
+      floor_config.threads = 1;
+      core::StreamingLinkConfig config;
+      config.threads = 8;
+      config.memory_cap_bytes =
+          floor_config
+              .resolve(stats.distinct_rows, stats.distinct_cols,
+                       feature::kFeatureCount)
+              .working_set_bytes;
+      const std::size_t uncapped =
+          core::StreamingLinkConfig{}
+              .resolve(stats.distinct_rows, stats.distinct_cols,
+                       feature::kFeatureCount)
+              .working_set_bytes;
+      const core::LinkResult capped =
+          core::streaming_nearest_link(sec, wild, w, config, &stats);
+      EXPECT_LE(stats.working_set_bytes, config.memory_cap_bytes);
+      if (config.memory_cap_bytes < uncapped) ++caps_bound;
+      EXPECT_EQ(dense.candidate, capped.candidate) << label(24, 2048, 8);
+      EXPECT_EQ(dense.total_distance, capped.total_distance)
+          << label(24, 2048, 8);
+    }
+  }
+  EXPECT_GT(caps_bound, 0u);
+}
+
+TEST(StreamingLink, EquidistantGroupsTieToLowestUnusedMember) {
+  // Three all-zero seeds against pool columns [+e1, -e1, -e1, +e1]:
+  // groups A = {0, 3} and B = {1, 2}, and every distance is exactly 1.
+  // Dense takes columns 0, 1, 2. Once column 0 is gone, B's member 1
+  // must beat A's member 3 — a pick that preferred the lowest group id
+  // would take column 3 for the second seed.
+  const feature::FeatureMatrix sec(3);
+  feature::FeatureMatrix wild(4);
+  wild[0][0] = 1.0;
+  wild[1][0] = -1.0;
+  wild[2][0] = -1.0;
+  wild[3][0] = 1.0;
+  const std::vector<double> w = core::maxabs_weights(sec, wild);
+  const core::LinkResult dense = dense_link(sec, wild, w);
+  ASSERT_EQ(dense.candidate, (std::vector<std::size_t>{0, 1, 2}));
+
+  // k = 24 holds both groups; k = 1 sends the later picks to re-scans.
+  for (const std::size_t k : {1UL, 24UL}) {
+    core::StreamingLinkConfig config;
+    config.top_k = k;
+    core::StreamingLinkStats stats;
+    const core::LinkResult stream =
+        core::streaming_nearest_link(sec, wild, w, config, &stats);
+    EXPECT_EQ(dense.candidate, stream.candidate) << "k=" << k;
+    EXPECT_EQ(dense.total_distance, stream.total_distance) << "k=" << k;
+    EXPECT_EQ(stats.distinct_rows, 1u);
+    EXPECT_EQ(stats.distinct_cols, 2u);
+  }
+}
+
 TEST(StreamingLink, HeapExhaustedFallbackStillBitIdentical) {
   // Identical security rows share one top-k list; with k=2 and 12 rows,
   // ten rows find their whole heap consumed by earlier links and must
@@ -151,6 +266,20 @@ TEST(StreamingLink, RecordsObsCounters) {
                 snap.counter("nearest_link.fallback_rescans"),
             8u);
   EXPECT_EQ(snap.counter("nearest_link.links"), 8u);
+  // Uniform rows never repeat; palette rows collapse to the palette.
+  EXPECT_EQ(snap.counter("nearest_link.distinct_rows"), 8u);
+  EXPECT_EQ(snap.counter("nearest_link.distinct_cols"), 300u);
+
+  obs::MetricsRegistry palette_registry;
+  previous = obs::install_registry(&palette_registry);
+  const Palette palette = make_palette(5, 17);
+  core::streaming_nearest_link(palette_features(palette, 8, 5),
+                               palette_features(palette, 300, 6), config);
+  obs::install_registry(previous);
+  const obs::MetricsSnapshot palette_snap = palette_registry.snapshot();
+  EXPECT_EQ(palette_snap.counter("nearest_link.distinct_rows"), 5u);
+  EXPECT_EQ(palette_snap.counter("nearest_link.distinct_cols"), 5u);
+  EXPECT_EQ(palette_snap.counter("nearest_link.links"), 8u);
 }
 
 TEST(StreamingLink, MemoryCapShrinksKnobsButNotResults) {
@@ -321,19 +450,13 @@ TEST(StreamingLinkParallel, FallbackRescanDeterministicAcrossThreads) {
   }
 }
 
-TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
-  // The loop links only through the streaming engine. Replay its first
-  // two rounds in test code on the dense oracle — the full matrix and
-  // greedy link, oracle verification, and the loop's highest-index-first
-  // swap-erase — and require the same verified and rejected commits.
-  // Each side gets its own copy of the world, so neither oracle sees
-  // the other's queries.
-  corpus::WorldConfig config;
-  config.repos = 6;
-  config.nvd_security = 25;
-  config.wild_pool = 250;
-  config.wild_security_rate = 0.12;
-  config.seed = 4242;
+/// Run the loop for `rounds` rounds, replay them in test code on the
+/// dense oracle — the full matrix and greedy link, oracle verification,
+/// and the loop's highest-index-first swap-erase — and require the same
+/// verified and rejected commits. Each side gets its own copy of the
+/// world, so neither oracle sees the other's queries.
+void expect_loop_matches_dense_replay(const corpus::WorldConfig& config,
+                                      int rounds) {
   corpus::World loop_world = corpus::build_world(config);
   corpus::World replay_world = corpus::build_world(config);
   const auto commits = [](const std::vector<const corpus::CommitRecord*>& rs) {
@@ -351,7 +474,7 @@ TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
                               loop_world.oracle);
   loop.set_pool(pointers(loop_world.wild));
   core::AugmentOptions options;
-  options.max_rounds = 2;
+  options.max_rounds = static_cast<std::size_t>(rounds);
   loop.run(options);
 
   feature::FeatureMatrix security(0);
@@ -361,7 +484,7 @@ TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
   std::vector<const corpus::CommitRecord*> pool = pointers(replay_world.wild);
   std::vector<std::string> found;
   std::vector<std::string> rejected;
-  for (int round = 0; round < 2; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     feature::FeatureMatrix pool_features(0);
     for (const corpus::CommitRecord* r : pool) {
       pool_features.push_back(feature::extract(r->patch));
@@ -390,6 +513,37 @@ TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
   EXPECT_EQ(commits(loop.wild_security()), found);
   EXPECT_EQ(commits(loop.nonsecurity()), rejected);
   EXPECT_EQ(loop.pool_remaining(), pool.size());
+}
+
+TEST(StreamingLink, AugmentationLoopStreamingMatchesDense) {
+  // The loop links only through the streaming engine; two rounds of it
+  // must match the dense replay.
+  corpus::WorldConfig config;
+  config.repos = 6;
+  config.nvd_security = 25;
+  config.wild_pool = 250;
+  config.wild_security_rate = 0.12;
+  config.seed = 4242;
+  expect_loop_matches_dense_replay(config, 2);
+}
+
+TEST(StreamingLink, AugmentationLoopFiveRoundsOnDuplicatePoolMatchesDense) {
+  // A pipeline-shaped world: simulated commits repeat feature vectors,
+  // so every round links groups of identical seeds and pool columns.
+  corpus::WorldConfig config;
+  config.repos = 8;
+  config.nvd_security = 60;
+  config.wild_pool = 1500;
+  config.seed = 2020;
+  const corpus::World world = corpus::build_world(config);
+  std::set<std::vector<double>> distinct;
+  for (const corpus::CommitRecord& r : world.wild) {
+    const feature::FeatureVector v = feature::extract(r.patch);
+    distinct.emplace(v.begin(), v.end());
+  }
+  ASSERT_LT(distinct.size(), world.wild.size() * 3 / 4)
+      << "the pool should hold many duplicate feature vectors";
+  expect_loop_matches_dense_replay(config, 5);
 }
 
 }  // namespace

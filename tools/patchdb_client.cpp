@@ -11,7 +11,8 @@
 //     ids [--component nvd|wild|nonsecurity|synthetic] [--limit N]
 //
 // Exit 0 on a kOk response, 1 on a server-reported error or transport
-// failure, 2 on usage errors. Put positional arguments before flags.
+// failure, 2 on usage errors, including a flag the command does not
+// take.
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -63,6 +64,18 @@ int report_error(const serve::Response& response) {
                std::string(serve::status_name(response.status)).c_str(),
                response.error.c_str());
   return 1;
+}
+
+/// Declare `command`'s flags; false (after naming the flag) when an
+/// argument is a flag it does not take.
+bool accept_flags(const std::string& command, cli::Flags& flags) {
+  std::vector<std::string> values = {"--host", "--port"};
+  std::vector<std::string> switches;
+  if (command == "features") switches = {"--semantic", "--interproc"};
+  if (command == "nearest") values.insert(values.end(), {"--k", "--vector"});
+  if (command == "analyze") switches = {"--interproc"};
+  if (command == "ids") values.insert(values.end(), {"--component", "--limit"});
+  return flags.accept(values, switches);
 }
 
 int run(const std::string& command, const cli::Flags& flags) {
@@ -227,7 +240,8 @@ int run(const std::string& command, const cli::Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const cli::Flags flags(argc, argv, 2, "patchdb_client");
+  cli::Flags flags(argc, argv, 2, "patchdb_client");
+  if (!accept_flags(command, flags)) return 2;
   try {
     return run(command, flags);
   } catch (const std::exception& e) {

@@ -9,6 +9,7 @@
 //            [--max-pending N] [--read-timeout-ms N] [--port-file FILE]
 //            [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
 //
+// An unknown flag is a usage error (exit 2).
 // --port 0 (the default) binds an ephemeral port; --port-file writes
 // the bound port for scripts that need to find the daemon. SIGINT or
 // SIGTERM drains gracefully: accepting stops, in-flight requests
@@ -55,7 +56,14 @@ void on_signal(int signo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Flags flags(argc, argv, 1, "patchdbd");
+  cli::Flags flags(argc, argv, 1, "patchdbd");
+  if (!flags.accept({"--data", "--bind", "--port", "--threads",
+                     "--max-pending", "--read-timeout-ms", "--port-file",
+                     "--metrics-out", "--trace-out", "--sample-ms",
+                     "--progress-ms"},
+                    {"--progress"})) {
+    return 2;
+  }
   const std::string data_dir = flags.value("--data", std::string());
   if (data_dir.empty()) return usage();
 
