@@ -12,12 +12,8 @@
 //   4. Dense vs streaming engine — wall time and peak working set of
 //      the materialized M x N matrix against the tiled top-k engine on
 //      a 1000 x 100000 synthetic pool, with a bitwise equality check.
-//   5. Two-phase index retrieval — the coarse shortlist backend against
-//      streaming-exact on a clustered Gaussian-mixture pool (uniform
-//      data defeats every pruning bound), with an nprobe sweep and a
-//      bitwise equality check on each arm.
 //
-// Arms 1 and 4 need the whole matrix; 2, 3 and 5 link through the
+// Arms 1 and 4 need the whole matrix; 2 and 3 link through the
 // streaming engine, as the pipeline does.
 #include <cmath>
 #include <cstdio>
@@ -25,7 +21,6 @@
 
 #include "bench_common.h"
 #include "core/distance.h"
-#include "core/index.h"
 #include "core/nearest_link.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -249,119 +244,6 @@ int main(int argc, char** argv) {
     PATCHDB_GAUGE_SET("nearest_link.bench.identical", identical ? 1.0 : 0.0);
     if (!identical) {
       std::printf("  ERROR: streaming result diverged from dense\n");
-      return 1;
-    }
-  }
-
-  // ---- 5. Two-phase index retrieval (acceptance scale, clustered data).
-  //
-  // The index only pays off when the pool has structure — on uniform
-  // synthetic data every pruning bound collapses (the committed
-  // baseline records pruned_cells: 0), so this arm draws columns from a
-  // Gaussian mixture where a coarse partition genuinely separates
-  // distances. Every arm must stay bitwise identical to streaming-exact;
-  // the interesting axis is wall time vs shortlist coverage as nprobe
-  // shrinks.
-  {
-    const std::size_t m = bench::scaled(1000, scale);
-    const std::size_t n = bench::scaled(100000, scale);
-    // Queries and pool share the mixture centers — the workload the
-    // two-phase engine targets is security seeds sitting near wild
-    // variants, not seeds disjoint from every pool cluster (the
-    // pending proof degenerates there and every row re-scans).
-    std::vector<std::vector<double>> centers(
-        16, std::vector<double>(feature::kFeatureCount));
-    {
-      util::Rng rng(8100);
-      for (auto& center : centers) {
-        for (double& v : center) v = rng.uniform(-10, 10);
-      }
-    }
-    auto clustered = [&centers](std::size_t rows, std::uint64_t seed) {
-      util::Rng rng(seed);
-      feature::FeatureMatrix out(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const auto& center = centers[i % centers.size()];
-        for (std::size_t j = 0; j < feature::kFeatureCount; ++j) {
-          out[i][j] = center[j] + rng.uniform(-1, 1) * 0.5;
-        }
-      }
-      return out;
-    };
-    const feature::FeatureMatrix big_sec = clustered(m, 8101);
-    const feature::FeatureMatrix big_pool = clustered(n, 8102);
-    const std::vector<double> weights = core::maxabs_weights(big_sec, big_pool);
-
-    core::StreamingLinkStats exact_stats;
-    core::LinkResult exact_link;
-    const double exact_ms = bench::timed_ms("ablation.index_exact", [&] {
-      exact_link = core::streaming_nearest_link(
-          big_sec, big_pool, weights, core::StreamingLinkConfig{},
-          &exact_stats);
-    });
-    session.add_items(m);
-
-    util::Table table("Two-phase index vs streaming-exact (" +
-                      util::human_count(m) + " x " + util::human_count(n) +
-                      ", clustered pool)");
-    table.set_header({"Backend", "nprobe", "Time (ms)", "Speedup",
-                      "Shortlist %", "Fallback rescans", "Identical"});
-    table.add_row({"exact (phase 1 only)", "—",
-                   util::format_double(exact_ms, 1), "1.00", "100.0", "0",
-                   "—"});
-
-    bool all_identical = true;
-    double default_ms = exact_ms;
-    double default_fallbacks = 0.0;
-    double default_probes = 0.0;
-    for (const std::size_t nprobe : {2ul, 4ul, 8ul}) {
-      core::StreamingLinkConfig cfg;
-      cfg.index.kind = core::IndexKind::kCoarse;
-      cfg.index.nprobe = nprobe;
-      core::StreamingLinkStats stats;
-      core::LinkResult link;
-      const double ms = bench::timed_ms("ablation.index_arm", [&] {
-        link = core::streaming_nearest_link(big_sec, big_pool, weights, cfg,
-                                            &stats);
-      });
-      const bool identical = exact_link.candidate == link.candidate &&
-                             exact_link.total_distance == link.total_distance;
-      all_identical = all_identical && identical;
-      const double total_cells =
-          static_cast<double>(m) * static_cast<double>(n);
-      const double shortlist_pct =
-          total_cells > 0.0
-              ? 100.0 * static_cast<double>(stats.index_shortlist_cols) /
-                    total_cells
-              : 0.0;
-      table.add_row({"coarse", std::to_string(nprobe),
-                     util::format_double(ms, 1),
-                     util::format_double(ms > 0.0 ? exact_ms / ms : 0.0, 2),
-                     util::format_double(shortlist_pct, 1),
-                     std::to_string(stats.index_fallback_rescans),
-                     identical ? "yes (bitwise)" : "NO — MISMATCH"});
-      if (nprobe == 8) {
-        default_ms = ms;
-        default_fallbacks = static_cast<double>(stats.index_fallback_rescans);
-        default_probes = static_cast<double>(stats.index_probes);
-      }
-      session.add_items(m);
-    }
-    std::printf("%s", table.render().c_str());
-    std::printf("  every arm re-verifies its shortlist through the exact blocked\n"
-                "  kernel, so the LinkResult is the dense answer regardless of\n"
-                "  nprobe — only wall time and rescan count move\n");
-
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_exact_ms", exact_ms);
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_ms", default_ms);
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_speedup",
-                      default_ms > 0.0 ? exact_ms / default_ms : 0.0);
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_identical",
-                      all_identical ? 1.0 : 0.0);
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_fallbacks", default_fallbacks);
-    PATCHDB_GAUGE_SET("nearest_link.bench.index_probes", default_probes);
-    if (!all_identical) {
-      std::printf("  ERROR: an index arm diverged from streaming-exact\n");
       return 1;
     }
   }

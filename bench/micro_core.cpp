@@ -4,7 +4,6 @@
 // diff, commit fabrication, patch synthesis, and GRU inference.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -313,93 +312,6 @@ bool run_pipeline_link_check() {
   return identical;
 }
 
-// Gaussian-mixture features: uniform data defeats every pruning bound
-// (the committed baseline records pruned_cells: 0 on it), so the index
-// probe uses clustered columns where a coarse partition actually
-// separates distances.
-std::vector<std::array<double, feature::kFeatureCount>> mixture_centers(
-    std::size_t centers, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::array<double, feature::kFeatureCount>> c(centers);
-  for (auto& center : c) {
-    for (std::size_t j = 0; j < feature::kFeatureCount; ++j) {
-      center[j] = rng.uniform(-10, 10);
-    }
-  }
-  return c;
-}
-
-feature::FeatureMatrix clustered_features(
-    const std::vector<std::array<double, feature::kFeatureCount>>& centers,
-    std::size_t rows, std::uint64_t seed) {
-  util::Rng rng(seed);
-  feature::FeatureMatrix m(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto& center = centers[i % centers.size()];
-    for (std::size_t j = 0; j < feature::kFeatureCount; ++j) {
-      m[i][j] = center[j] + rng.uniform(-1, 1) * 0.5;
-    }
-  }
-  return m;
-}
-
-// Index probe for the CI gate: dense reference, streaming-exact, and
-// streaming-coarse over the same clustered inputs. The verdict lands as
-// nearest_link.bench.index_* gauges; bench_diff requires
-// index_identical = 1 and a speedup floor on coarse vs streaming-exact.
-bool run_index_check(std::size_t m, std::size_t n) {
-  // Queries share the pool's mixture centers: the engine's target
-  // workload is seeds near wild variants, and the pending proof only
-  // bites when the query actually has a nearby cluster.
-  const auto centers = mixture_centers(12, 106);
-  const auto sec = clustered_features(centers, m, 107);
-  const auto wild = clustered_features(centers, n, 108);
-  const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::DistanceMatrix d = core::distance_matrix(sec, wild, w);
-  const core::LinkResult dense = core::nearest_link_search(d);
-  const auto t1 = std::chrono::steady_clock::now();
-  core::StreamingLinkConfig exact_cfg;
-  core::StreamingLinkStats exact_stats;
-  const core::LinkResult exact =
-      core::streaming_nearest_link(sec, wild, w, exact_cfg, &exact_stats);
-  const auto t2 = std::chrono::steady_clock::now();
-  core::StreamingLinkConfig coarse_cfg;
-  coarse_cfg.index.kind = core::IndexKind::kCoarse;
-  core::StreamingLinkStats coarse_stats;
-  const core::LinkResult coarse =
-      core::streaming_nearest_link(sec, wild, w, coarse_cfg, &coarse_stats);
-  const auto t3 = std::chrono::steady_clock::now();
-  const double dense_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double exact_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  const double index_ms =
-      std::chrono::duration<double, std::milli>(t3 - t2).count();
-  const bool identical = dense.candidate == exact.candidate &&
-                         dense.total_distance == exact.total_distance &&
-                         dense.candidate == coarse.candidate &&
-                         dense.total_distance == coarse.total_distance;
-  const double speedup = index_ms > 0.0 ? exact_ms / index_ms : 0.0;
-  obs::gauge_set("nearest_link.bench.index_ms", index_ms);
-  obs::gauge_set("nearest_link.bench.index_exact_ms", exact_ms);
-  obs::gauge_set("nearest_link.bench.index_dense_ms", dense_ms);
-  obs::gauge_set("nearest_link.bench.index_speedup", speedup);
-  obs::gauge_set("nearest_link.bench.index_identical", identical ? 1.0 : 0.0);
-  obs::gauge_set("nearest_link.bench.index_fallbacks",
-                 static_cast<double>(coarse_stats.index_fallback_rescans));
-  obs::gauge_set("nearest_link.bench.index_probes",
-                 static_cast<double>(coarse_stats.index_probes));
-  std::printf(
-      "index-check %zux%zu: dense %.1f ms, streaming-exact %.1f ms, "
-      "streaming-coarse %.1f ms (%.2fx vs exact, %llu fallback rescans), "
-      "results %s\n",
-      m, n, dense_ms, exact_ms, index_ms, speedup,
-      static_cast<unsigned long long>(coarse_stats.index_fallback_rescans),
-      identical ? "identical" : "DIVERGED");
-  return identical;
-}
-
 void BM_GruInference(benchmark::State& state) {
   nn::SequenceDataset train;
   util::Rng rng(31);
@@ -426,12 +338,11 @@ BENCHMARK(BM_GruInference);
 
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark aborts on
 // flags it does not know, so the obs flags (--metrics-out, --trace-out,
-// --sample-ms), --link-check[=MxN], and --index-check[=MxN] are peeled
-// off argv first. When given, the whole run
-// executes under an ObsSession with a ResourceSampler and the
-// counters/spans the kernels record (distance.tiles, nearest_link.*)
-// land in machine-readable artifacts — this is what the CI bench-smoke
-// job uploads.
+// --sample-ms) and --link-check[=MxN] are peeled off argv first. When
+// given, the whole run executes under an ObsSession with a
+// ResourceSampler and the counters/spans the kernels record
+// (distance.tiles, nearest_link.*) land in machine-readable artifacts —
+// this is what the CI bench-smoke job uploads.
 int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
@@ -439,14 +350,11 @@ int main(int argc, char** argv) {
   bool link_check = false;
   std::size_t link_m = 250;
   std::size_t link_n = 25000;
-  bool index_check = false;
-  std::size_t index_m = 250;
-  std::size_t index_n = 25000;
   std::vector<char*> args;
   // Strict MxN parse: rejects overflow (ERANGE wraps strtoull to
   // ULLONG_MAX silently otherwise), trailing junk, and zero extents.
-  const auto parse_shape = [](std::string_view flag, const std::string& shape,
-                              std::size_t& out_m, std::size_t& out_n) {
+  const auto parse_shape = [](const std::string& shape, std::size_t& out_m,
+                              std::size_t& out_n) {
     char* end = nullptr;
     errno = 0;
     const unsigned long long m_val = std::strtoull(shape.c_str(), &end, 10);
@@ -458,9 +366,9 @@ int main(int argc, char** argv) {
     if (!m_ok || end == n_text || *end != '\0' || n_val == 0 ||
         errno == ERANGE) {
       std::fprintf(stderr,
-                   "micro_core: bad %.*s shape \"%s\" (want MxN, e.g. "
-                   "250x25000)\n",
-                   static_cast<int>(flag.size()), flag.data(), shape.c_str());
+                   "micro_core: bad --link-check shape \"%s\" (want MxN, "
+                   "e.g. 250x25000)\n",
+                   shape.c_str());
       return false;
     }
     out_m = static_cast<std::size_t>(m_val);
@@ -497,19 +405,7 @@ int main(int argc, char** argv) {
     if (arg.rfind("--link-check=", 0) == 0) {
       link_check = true;
       const std::string shape(arg.substr(std::strlen("--link-check=")));
-      if (!parse_shape("--link-check", shape, link_m, link_n)) return 2;
-      continue;
-    }
-    // --index-check[=MxN]: run the two-phase index identity/speedup
-    // probe after the benchmarks (default shape 250x25000).
-    if (arg == "--index-check") {
-      index_check = true;
-      continue;
-    }
-    if (arg.rfind("--index-check=", 0) == 0) {
-      index_check = true;
-      const std::string shape(arg.substr(std::strlen("--index-check=")));
-      if (!parse_shape("--index-check", shape, index_m, index_n)) return 2;
+      if (!parse_shape(shape, link_m, link_n)) return 2;
       continue;
     }
     if (peel(arg, "sample-ms", i, sample_value)) {
@@ -545,7 +441,6 @@ int main(int argc, char** argv) {
       link_ok = run_link_check(link_m, link_n);
       if (!run_pipeline_link_check()) link_ok = false;
     }
-    if (index_check && !run_index_check(index_m, index_n)) link_ok = false;
     sampler.stop();
     if (want_artifacts) {
       const patchdb::obs::RunReport report = session.report();
@@ -560,7 +455,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (!link_ok) {
     std::fprintf(stderr,
-                 "micro_core: link/index check FAILED (a streaming result "
+                 "micro_core: link check FAILED (a streaming result "
                  "diverged from dense)\n");
     return 1;
   }

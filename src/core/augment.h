@@ -62,9 +62,9 @@ using CommitIndex =
 class AugmentationLoop {
  public:
   /// `seed_security` are the already-verified patches (the NVD-based
-  /// dataset). The loop never re-verifies them. `link` bounds the
-  /// nearest-link engine's resources (memory cap, threads, index); no
-  /// setting changes which candidates a round selects.
+  /// dataset). The loop never re-verifies them. `link` sets the
+  /// nearest-link engine's knobs (threads, k, tile width); no setting
+  /// changes which candidates a round selects.
   AugmentationLoop(std::vector<const corpus::CommitRecord*> seed_security,
                    corpus::Oracle& oracle,
                    const StreamingLinkConfig& link = {});

@@ -6,9 +6,9 @@
 // link is not KNN (Section III-B.3).
 //
 // This dense pair (distance_matrix + nearest_link_search) is not a
-// production path. The pipeline links through streaming_nearest_link
-// (core/streaming_link.h), which returns the same LinkResult bit for
-// bit without holding the M x N matrix. The functions here remain as
+// production path. The pipeline's one link path is
+// streaming_nearest_link (core/streaming_link.h), which returns the
+// same LinkResult bit for bit without holding the M x N matrix. The functions here remain as
 // the tests' oracle, for the ablation arms that need the whole matrix
 // (bench/ablation_nearest_link §1 and §4), and for micro_core's dense
 // arms and --link-check.

@@ -21,9 +21,8 @@ struct BuildOptions {
   AugmentOptions augment;             // rounds / stop threshold
   synth::SynthesisOptions synthesis;  // oversampling knobs
   bool run_synthesis = true;
-  /// Resources of the nearest-link engine the rounds run on: memory
-  /// cap, threads, and the optional phase-0 index. No setting changes
-  /// the result.
+  /// Knobs of the nearest-link engine the rounds run on: threads, k and
+  /// tile width. No setting changes the result.
   StreamingLinkConfig streaming_link;
 
   /// Round-boundary checkpoint directory (empty = no checkpointing)

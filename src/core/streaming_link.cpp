@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,7 +61,6 @@ struct alignas(64) ShardTally {
   std::uint64_t pruned = 0;
   std::uint64_t exact = 0;
   std::uint64_t tiles = 0;
-  std::uint64_t screened = 0;  // cells skipped by index group masks
 };
 
 /// Bit-identical feature rows collapsed into groups. Ids follow first
@@ -171,72 +168,26 @@ StreamingLinkConfig::Resolved StreamingLinkConfig::resolve(
   r.threads = threads > 0 ? threads : util::default_pool_threads();
   r.threads = std::clamp<std::size_t>(r.threads, 1, 1024);
 
-  const bool use_index = index.kind != IndexKind::kExact;
-  auto working_set = [rows, cols, dims, use_index](std::size_t k,
-                                                   std::size_t tile,
-                                                   std::size_t shards) {
-    const std::size_t stride = round_up_groups(tile);
-    const std::size_t groups = stride / kLinkGroupCols;
-    // Shard-private heaps plus the merged array pass 2 consumes.
-    const std::size_t heap_bytes = (shards + 1) * rows * (k + 1) * sizeof(Entry);
-    const std::size_t size_bytes = (shards + 1) * rows * sizeof(std::uint32_t);
-    const std::size_t cursor_bytes = rows * sizeof(std::uint32_t);
-    const std::size_t row_norm_bytes = rows * sizeof(double);
-    const std::size_t shard_tile_bytes =
-        shards * (stride * dims * sizeof(float)        // dim-major pack
-                  + tile * sizeof(double)              // column norms
-                  + groups * 2 * sizeof(double)        // group norm bounds
-                  + kLinkGroupCols * sizeof(float));   // kernel output lanes
-    std::size_t index_bytes = 0;
-    if (use_index) {
-      // Per-row group-skip bitmasks, one slot per SIMD group of every
-      // tile, plus the pending bound and the verified-head slot. (The
-      // permuted pool copy is input-sized, like the scaled features the
-      // cap has never counted.)
-      const std::size_t tiles =
-          (std::max<std::size_t>(cols, 1) + tile - 1) / tile;
-      const std::size_t slots = tiles * groups;
-      const std::size_t words = (slots + 63) / 64;
-      index_bytes = rows * (words * sizeof(std::uint64_t) +
-                            2 * sizeof(double) + sizeof(std::uint32_t) + 1);
-    }
-    return heap_bytes + size_bytes + cursor_bytes + row_norm_bytes +
-           shard_tile_bytes + index_bytes;
-  };
-
-  if (memory_cap_bytes > 0) {
-    // Shrink the tile first (it only trades dispatch overhead), then the
-    // heaps (they trade fallback re-scans), then the shard count (it
-    // trades parallelism), down to hard floors.
-    while (r.tile_cols > tile_floor &&
-           working_set(r.top_k, r.tile_cols, r.threads) > memory_cap_bytes) {
-      r.tile_cols = std::max(tile_floor, r.tile_cols / 2);
-    }
-    while (r.top_k > 1 &&
-           working_set(r.top_k, r.tile_cols, r.threads) > memory_cap_bytes) {
-      r.top_k = std::max<std::size_t>(1, r.top_k / 2);
-    }
-    while (r.threads > 1 &&
-           working_set(r.top_k, r.tile_cols, r.threads) > memory_cap_bytes) {
-      r.threads = std::max<std::size_t>(1, r.threads / 2);
-    }
-  }
   // No point sharding finer than one tile per worker.
   const std::size_t tiles =
       (std::max<std::size_t>(cols, 1) + r.tile_cols - 1) / r.tile_cols;
   r.threads = std::min(r.threads, tiles);
-  r.working_set_bytes = working_set(r.top_k, r.tile_cols, r.threads);
-  if (memory_cap_bytes > 0 && r.working_set_bytes > memory_cap_bytes) {
-    // Every knob is at its floor and the pack/heap buffers still do not
-    // fit. Exceeding the cap silently would defeat its purpose, so fail
-    // loudly and let the caller raise it.
-    throw std::invalid_argument(
-        "streaming_link: memory_cap_bytes=" + std::to_string(memory_cap_bytes) +
-        " is below the floor working set (" +
-        std::to_string(r.working_set_bytes) + " bytes at tile_cols=" +
-        std::to_string(r.tile_cols) + ", top_k=" + std::to_string(r.top_k) +
-        ", threads=" + std::to_string(r.threads) + "); raise the cap");
-  }
+
+  const std::size_t stride = round_up_groups(r.tile_cols);
+  const std::size_t groups = stride / kLinkGroupCols;
+  // Shard-private heaps plus the merged array pass 2 consumes.
+  const std::size_t heap_bytes =
+      (r.threads + 1) * rows * (r.top_k + 1) * sizeof(Entry);
+  const std::size_t size_bytes = (r.threads + 1) * rows * sizeof(std::uint32_t);
+  const std::size_t cursor_bytes = rows * sizeof(std::uint32_t);
+  const std::size_t row_norm_bytes = rows * sizeof(double);
+  const std::size_t shard_tile_bytes =
+      r.threads * (stride * dims * sizeof(float)        // dim-major pack
+                   + r.tile_cols * sizeof(double)       // column norms
+                   + groups * 2 * sizeof(double)        // group norm bounds
+                   + kLinkGroupCols * sizeof(float));   // kernel output lanes
+  r.working_set_bytes = heap_bytes + size_bytes + cursor_bytes +
+                        row_norm_bytes + shard_tile_bytes;
   return r;
 }
 
@@ -261,10 +212,10 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("nearest_link.links", m);
 
   // ---- Distinct vectors. Bit-identical rows give bit-identical cells,
-  // so phase 0, pass 1, the merge and every re-scan run over distinct
-  // seeds (mu) x distinct pool vectors (nu). Heap entries, masks and
-  // pending bounds are indexed by group, not by row or column; only the
-  // greedy below walks the original rows and columns.
+  // so pass 1, the merge and every re-scan run over distinct seeds (mu)
+  // x distinct pool vectors (nu). Heap entries are indexed by group,
+  // not by row or column; only the greedy below walks the original rows
+  // and columns.
   const RowGroups rows = group_rows(security);
   const RowGroups cols = group_rows(wild);
   const std::size_t mu = rows.size();
@@ -282,87 +233,6 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // Same scale-then-cast as the dense kernel: identical float inputs.
   const std::vector<float> sec = scale_groups(security, weights, rows);
   const std::vector<float> wld = scale_groups(wild, weights, cols);
-
-  // ---- Phase 0 (optional): build the index over the scaled pool,
-  // stream a partition-grouped permutation of it so each row's
-  // shortlist becomes a handful of contiguous SIMD-group runs, and
-  // record per-row group bitmasks plus the pending bound pass 2 uses to
-  // prove or rescan every pick. Heap entries store unpermuted group
-  // ids, so the merge order, tie-breaking, and the result are untouched.
-  const bool use_index = config.index.kind != IndexKind::kExact;
-  std::unique_ptr<Index> index;
-  std::vector<float> wld_perm;
-  std::span<const std::uint32_t> ord;
-  const std::size_t groups_per_tile = stride / kLinkGroupCols;
-  std::size_t mask_words = 0;
-  std::vector<std::uint64_t> mask;  // mu x mask_words group bitmasks
-  std::vector<double> pending(mu, std::numeric_limits<double>::infinity());
-  std::vector<std::uint64_t> row_probes;
-  std::vector<std::uint64_t> row_shortlist;
-  const float* pool = wld.data();  // what pass 1 streams
-  if (use_index) {
-    PATCHDB_TRACE_SPAN("nearest_link.index_build");
-    IndexConfig icfg = config.index;
-    if (icfg.kind == IndexKind::kCoarse && icfg.clusters == 0) {
-      // Auto-size against two failure modes: the one-off n x C
-      // assignment pass must stay well under one exact m x n sweep
-      // (cap at m/3), and the partition must not be finer than nprobe
-      // can cover — a query whose natural neighborhood splits across
-      // more than nprobe clusters leaves a near cluster unprobed,
-      // the pending bound collapses, and every such row re-scans.
-      // 8*nprobe keeps the probed fraction around 1/8 regardless of
-      // scale.
-      icfg.clusters = std::clamp<std::size_t>(
-          std::min(static_cast<std::size_t>(
-                       std::sqrt(static_cast<double>(nu))),
-                   8 * icfg.nprobe),
-          1, std::max<std::size_t>(1, mu / 3));
-    }
-    index = make_index(icfg);
-    index->build(wld.data(), nu, dims);
-    ord = index->ordering();
-    wld_perm.resize(nu * dims);
-    util::default_pool().parallel_for(
-        nu, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t p = begin; p < end; ++p) {
-            std::copy_n(wld.data() + ord[p] * dims, dims,
-                        wld_perm.data() + p * dims);
-          }
-        });
-    pool = wld_perm.data();
-
-    mask_words = (tiles_total * groups_per_tile + 63) / 64;
-    mask.assign(mu * mask_words, 0);
-    row_probes.assign(mu, 0);
-    row_shortlist.assign(mu, 0);
-    util::default_pool().parallel_for(
-        mu, [&](std::size_t begin, std::size_t end) {
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
-          // Position p sits in tile p/tile, group (p%tile)/64 — a slot
-          // id that is monotone in p with +1 steps, so a contiguous
-          // position range covers exactly the slots of its endpoints.
-          const auto slot_of = [&](std::size_t p) {
-            return (p / tile) * groups_per_tile +
-                   (p % tile) / kLinkGroupCols;
-          };
-          for (std::size_t r = begin; r < end; ++r) {
-            ranges.clear();
-            const IndexShortlist sl =
-                index->shortlist(sec.data() + r * dims, k, ranges);
-            pending[r] = sl.pending_lb;
-            row_probes[r] = sl.probes;
-            row_shortlist[r] = sl.cols;
-            std::uint64_t* w = mask.data() + r * mask_words;
-            for (const auto& [p_lo, p_hi] : ranges) {
-              if (p_lo >= p_hi) continue;
-              for (std::size_t s = slot_of(p_lo); s <= slot_of(p_hi - 1);
-                   ++s) {
-                w[s >> 6] |= std::uint64_t{1} << (s & 63);
-              }
-            }
-          }
-        });
-  }
 
   std::vector<double> row_norm(mu);  // ||a||
   util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
@@ -401,15 +271,14 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       std::vector<double> group_hi(group_cap);
       std::uint64_t pruned = 0;
       std::uint64_t exact = 0;
-      std::uint64_t screened = 0;
 
       for (std::size_t t = tile_lo; t < tile_hi; ++t) {
         const std::size_t col0 = t * tile;
         const std::size_t width = std::min(col0 + tile, nu) - col0;
-        pack_cols_dim_major(pool + col0 * dims, width, dims, stride,
+        pack_cols_dim_major(wld.data() + col0 * dims, width, dims, stride,
                             pack.data());
         for (std::size_t i = 0; i < width; ++i) {
-          col_norm[i] = row_norm_s(pool + (col0 + i) * dims, dims);
+          col_norm[i] = row_norm_s(wld.data() + (col0 + i) * dims, dims);
         }
         const std::size_t groups = (width + kLinkGroupCols - 1) / kLinkGroupCols;
         for (std::size_t g = 0; g < groups; ++g) {
@@ -430,21 +299,9 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
           const double na_s = row_norm[r];
           Entry* h = entries.data() + r * (k + 1);
           std::uint32_t sz = heap_size[r];
-          const std::uint64_t* rmask =
-              use_index ? mask.data() + r * mask_words : nullptr;
           for (std::size_t g = 0; g < groups; ++g) {
             const std::size_t gc0 = g * kLinkGroupCols;
             const std::size_t gw = std::min(kLinkGroupCols, width - gc0);
-            if (rmask != nullptr) {
-              // Index screen: the whole group sits outside this row's
-              // shortlist — every column in it is covered by the
-              // pending bound, so phase 1 never has to score it.
-              const std::size_t slot = t * groups_per_tile + g;
-              if (((rmask[slot >> 6] >> (slot & 63)) & 1) == 0) {
-                screened += gw;
-                continue;
-              }
-            }
             if (sz == k) {
               // Hoisted Cauchy-Schwarz screen, one decision per group:
               // ||a-b||^2 >= (||a|| - ||b||)^2, and the gap from ||a||
@@ -506,10 +363,8 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                   continue;
                 }
               }
-              const std::size_t p = col0 + gc0 + i;
               const Entry e{std::sqrt(sq),
-                            use_index ? ord[p]
-                                      : static_cast<std::uint32_t>(p)};
+                            static_cast<std::uint32_t>(col0 + gc0 + i)};
               if (sz < k) {
                 h[sz++] = e;
                 std::push_heap(h, h + sz, lex_less);
@@ -527,7 +382,6 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       tally[s].pruned = pruned;
       tally[s].exact = exact;
       tally[s].tiles = tile_hi - tile_lo;
-      tally[s].screened = screened;
     }
   });
 
@@ -557,12 +411,10 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   std::uint64_t pruned_total = 0;
   std::uint64_t exact_total = 0;
   std::uint64_t tiles = 0;
-  std::uint64_t screened_total = 0;
   for (const ShardTally& t : tally) {
     pruned_total += t.pruned;
     exact_total += t.exact;
     tiles += t.tiles;
-    screened_total += t.screened;
   }
 
   // Pool group g's unused columns are members[next[g], start[g+1]):
@@ -573,24 +425,22 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     return next[g] < cols.start[g + 1];
   };
 
-  // Exact full-row re-scan over the ORIGINAL (unpermuted) distinct
-  // pool, identical to the dense path's collision handling: the minimum
-  // of (distance, lowest unused member) over the live groups, which is
-  // the (distance, column) minimum over the unused columns. It runs
-  // through the blocked SIMD kernel: l2_cell_block is per-lane
-  // bit-identical to the scalar l2_cell, so every value compared is a
-  // float the dense matrix also holds. Fixed group ranges scan in
-  // parallel and merge under the same total order, so the parallel
-  // re-scan is deterministic. The blocked pack of the pool is built on
-  // the first re-scan — it is input-sized (like the scaled feature
-  // copies) and never allocated when every pick comes from a heap.
+  // Exact full-row re-scan over the distinct pool, identical to the
+  // dense path's collision handling: the minimum of (distance, lowest
+  // unused member) over the live groups, which is the (distance,
+  // column) minimum over the unused columns. It runs through the
+  // blocked SIMD kernel: l2_cell_block is per-lane bit-identical to the
+  // scalar l2_cell, so every value compared is a float the dense matrix
+  // also holds. Fixed group ranges scan in parallel and merge under the
+  // same total order, so the parallel re-scan is deterministic. The
+  // blocked pack of the pool is built on the first re-scan — it is
+  // input-sized (like the scaled feature copies) and never allocated
+  // when every pick comes from a heap.
   const std::size_t rescan_groups = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
   PackedCorpus rescan_pack;
-  std::size_t rescans = 0;
 
   auto full_row_rescan = [&](std::size_t r) {
     if (rescan_pack.rows == 0) rescan_pack = pack_corpus(wld, dims);
-    ++rescans;
     const float* a = sec.data() + r * dims;
     std::vector<Pick> range_best(shards);
     util::default_pool().parallel_for(
@@ -622,42 +472,14 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     return out;
   };
 
-  // Index pre-pass: a row whose pending bound cannot strictly prove its
-  // cached minimum beats every non-shortlisted column gets one verified
-  // full-row scan now, while every group is whole — which yields
-  // exactly the static minimum u the dense greedy orders rows by. The
-  // verified head stays valid at pick time while its column is still
-  // its group's cursor: the global first-win minimum, while unused, is
-  // also the first-win minimum over the unused columns.
-  std::size_t index_rescans = 0;
-  std::vector<Pick> head;
-  std::vector<char> has_head;
-  if (use_index) {
-    head.assign(mu, Pick{});
-    has_head.assign(mu, 0);
-    for (std::size_t r = 0; r < mu; ++r) {
-      const Entry* h = entries.data() + r * (k + 1);
-      if (heap_size[r] > 0 &&
-          pending[r] > static_cast<double>(h[0].d)) {
-        continue;  // proven: the cached minimum is the true minimum
-      }
-      head[r] = full_row_rescan(r);
-      has_head[r] = 1;
-      ++index_rescans;
-    }
-  }
-
   // ---- Pass 2: greedy selection (Algorithm 1 lines 5-17) over the
   // original rows. The dense loop's argmin over unassigned rows uses
   // each row's ORIGINAL full-row minimum (u is never refreshed on
   // collisions), so the processing order is static: ascending
-  // (u, row), where u is the row's distinct list head — or its
-  // verified head, the exact value dense would use, when the index
-  // could not prove the list.
+  // (u, row), where u is the row's distinct list head.
   std::vector<std::pair<float, std::uint32_t>> order(m);
   for (std::size_t r = 0; r < m; ++r) {
-    const std::uint32_t u = rows.group_of[r];
-    order[r] = {use_index && has_head[u] ? head[u].d : entries[u * (k + 1)].d,
+    order[r] = {entries[rows.group_of[r] * (k + 1)].d,
                 static_cast<std::uint32_t>(r)};
   }
   std::sort(order.begin(), order.end());
@@ -689,29 +511,18 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     // last entry under (distance, group id); group ids follow first
     // members, so an outside group tied at that distance has only
     // members above the last entry's first member. A list that holds
-    // every group (or, with an index, every streamed group) has no
-    // outside. With an index, the strict pending bound excludes the
-    // never-streamed groups too. (Unproven rows never pass: pending <=
-    // h[0].d <= pick.d.)
+    // every group has no outside.
     const bool whole = sz < k || sz == nu;
     const bool decided =
         pos < sz &&
         (whole || !pick_less(Pick{h[sz - 1].d, cols.first(h[sz - 1].col)},
-                             pick)) &&
-        (!use_index || pending[u] > static_cast<double>(pick.d));
+                             pick));
     if (decided) {
       ++topk_hits;
-    } else if (use_index && has_head[u] &&
-               next[head[u].group] == cols.start[head[u].group]) {
-      // The pre-pass already scanned this row and its verified global
-      // minimum is still unused, hence still the minimum over unused.
-      pick = head[u];
-      ++fallbacks;
     } else {
       // List exhausted by earlier links, or it cannot rule out a tie
       // outside it: tracked full-row re-scan.
       ++fallbacks;
-      if (use_index) ++index_rescans;
       pick = full_row_rescan(u);
     }
     result.candidate[r] = pick.member;
@@ -724,21 +535,9 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("distance.flops", exact_total * (3 * dims + 1));
   PATCHDB_COUNTER_ADD("nearest_link.topk_hits", topk_hits);
   PATCHDB_COUNTER_ADD("nearest_link.fallback_rescans", fallbacks);
-  PATCHDB_COUNTER_ADD("nearest_link.rescans", rescans);
+  // Every fallback is one full-row scan: the dense path's meaning.
+  PATCHDB_COUNTER_ADD("nearest_link.rescans", fallbacks);
   PATCHDB_COUNTER_ADD("nearest_link.streaming.pruned_cells", pruned_total);
-
-  std::uint64_t probes_total = 0;
-  std::uint64_t shortlist_total = 0;
-  if (use_index) {
-    for (std::size_t r = 0; r < mu; ++r) {
-      probes_total += row_probes[r];
-      shortlist_total += row_shortlist[r];
-    }
-    PATCHDB_COUNTER_ADD("index.probes", probes_total);
-    PATCHDB_COUNTER_ADD("index.shortlist_cols", shortlist_total);
-    PATCHDB_COUNTER_ADD("index.screened_cells", screened_total);
-    PATCHDB_COUNTER_ADD("index.fallback_rescans", index_rescans);
-  }
 
   if (stats != nullptr) {
     stats->tiles = tiles;
@@ -746,10 +545,6 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     stats->exact_cells = exact_total;
     stats->topk_hits = topk_hits;
     stats->fallback_rescans = fallbacks;
-    stats->index_probes = probes_total;
-    stats->index_shortlist_cols = shortlist_total;
-    stats->index_screened_cells = use_index ? screened_total : 0;
-    stats->index_fallback_rescans = index_rescans;
     stats->distinct_rows = mu;
     stats->distinct_cols = nu;
     stats->top_k = k;

@@ -46,21 +46,11 @@
 // conservative error margins so no cell that could enter a heap is ever
 // pruned. Pruning and shard counts therefore affect speed and counters,
 // never the LinkResult.
-//
-// Optionally a swappable Index (core/index.h) runs as phase 0: it
-// shortlists, per row, the column partitions that could hold the
-// nearest neighbors, pass 1 streams a partition-grouped permutation of
-// the pool and skips whole SIMD groups outside the shortlist, and every
-// greedy pick the shortlist's pending bound cannot prove strictly goes
-// through the same exact full-row rescan. The LinkResult therefore
-// stays bitwise identical to the dense path for every backend; the
-// index only moves wall-clock and the index.* counters (DESIGN.md §3i).
 #pragma once
 
 #include <cstddef>
 #include <span>
 
-#include "core/index.h"
 #include "core/nearest_link.h"
 #include "feature/features.h"
 
@@ -83,32 +73,17 @@ struct StreamingLinkConfig {
   /// wall-clock and the private-state footprint change.
   std::size_t threads = 0;
 
-  /// Optional cap (bytes) on the engine-owned working set: the shard
-  /// heaps, merged heaps, dim-major pack buffers, and norm-bound
-  /// tables. 0 = uncapped. When the cap binds, tile_cols, then top_k,
-  /// then threads shrink (floors: 64 / 1 / 1) rather than allocating
-  /// past it; a cap the floor configuration still exceeds makes
-  /// resolve() throw std::invalid_argument instead of silently
-  /// allocating past the cap.
-  std::size_t memory_cap_bytes = 0;
-
-  /// Phase-0 candidate retrieval. kExact (the default) streams every
-  /// column, byte-for-byte the pre-index engine. kCoarse shortlists
-  /// partitions per row and proves or rescans every pick — same
-  /// LinkResult, fewer exact cells (see core/index.h).
-  IndexConfig index;
-
   struct Resolved {
     std::size_t top_k = 0;
     std::size_t tile_cols = 0;
     std::size_t threads = 0;
-    /// Engine-owned bytes under the cap: heaps, cursors, norms, packs.
+    /// Engine-owned bytes: heaps, cursors, norms, packs.
     std::size_t working_set_bytes = 0;
   };
   /// The effective knobs for an M x N problem over `dims` feature
-  /// dimensions, after clamping to the matrix shape, the pool size,
-  /// and the memory cap. The engine passes its distinct counts: M
-  /// distinct seed rows, N distinct pool rows.
+  /// dimensions, after clamping to the matrix shape and the pool size.
+  /// The engine passes its distinct counts: M distinct seed rows, N
+  /// distinct pool rows.
   Resolved resolve(std::size_t rows, std::size_t cols,
                    std::size_t dims) const;
 };
@@ -124,14 +99,9 @@ struct StreamingLinkStats {
   std::size_t exact_cells = 0;       // ran the blocked exact kernel
   std::size_t topk_hits = 0;         // links served from a row's heap
   std::size_t fallback_rescans = 0;  // links that re-scanned a full row
-  std::size_t index_probes = 0;          // partitions probed (phase 0)
-  std::size_t index_shortlist_cols = 0;  // columns shortlisted (phase 0)
-  std::size_t index_screened_cells = 0;  // cells skipped by index masks
-  std::size_t index_fallback_rescans = 0;  // full-row scans the pending
-                                           // bound could not avoid
   std::size_t distinct_rows = 0;     // seed rows, identical ones as one
   std::size_t distinct_cols = 0;     // pool rows, identical ones as one
-  std::size_t top_k = 0;             // effective k after the cap
+  std::size_t top_k = 0;             // effective k
   std::size_t tile_cols = 0;         // effective tile width
   std::size_t threads = 0;           // effective pass-1 shard count
   std::size_t working_set_bytes = 0; // engine-owned footprint

@@ -37,8 +37,8 @@ std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 /// Fingerprint of every option that determines the simulated world. A
 /// checkpoint written under one fingerprint refuses to resume under
 /// another: the commits it names would no longer exist. Link-engine
-/// settings (memory cap, threads, index) are left out because none of
-/// them changes which candidates a round selects.
+/// settings (threads, k, tile width) are left out because none of them
+/// changes which candidates a round selects.
 std::uint64_t build_fingerprint(const core::BuildOptions& options);
 
 /// Atomically (re)write `<dir>/checkpoint.csv`.

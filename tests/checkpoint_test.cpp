@@ -74,10 +74,11 @@ TEST_F(CheckpointTest, FingerprintCoversWorldNotRoundKnobs) {
   // Link-engine settings never change which candidates a round picks,
   // so a checkpoint stays valid across them.
   b = small_options();
-  b.streaming_link.memory_cap_bytes = std::size_t{64} << 20;
+  b.streaming_link.threads = 3;
   EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
   b = small_options();
-  b.streaming_link.index.kind = core::IndexKind::kCoarse;
+  b.streaming_link.top_k = 1;
+  b.streaming_link.tile_cols = 64;
   EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
 
   // Round-count and synthesis knobs extend a checkpointed run without
@@ -251,8 +252,8 @@ TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
 }
 
 // The other half of leaving link settings out of the fingerprint: a
-// build killed under one memory cap resumes under another (and under
-// the coarse index) to the uninterrupted export, byte for byte.
+// build killed under the default link settings resumes under other
+// threads, k and tile width to the uninterrupted export, byte for byte.
 TEST_F(CheckpointTest, ResumeUnderOtherLinkSettingsIsBitIdentical) {
   core::BuildOptions options = small_options();
   store::export_patchdb(core::build_patchdb(options), dir("plain"));
@@ -265,14 +266,9 @@ TEST_F(CheckpointTest, ResumeUnderOtherLinkSettingsIsBitIdentical) {
   store::clear_fault_plan();
 
   options.resume = true;
-  options.streaming_link.memory_cap_bytes = 48 * 1024;
-  options.streaming_link.index.kind = core::IndexKind::kCoarse;
-  const core::StreamingLinkConfig uncapped;
-  ASSERT_LT(options.streaming_link.resolve(20, 300, feature::kFeatureCount)
-                .working_set_bytes,
-            uncapped.resolve(20, 300, feature::kFeatureCount)
-                .working_set_bytes)
-      << "the cap must bind for the resume to run under other knobs";
+  options.streaming_link.threads = 3;
+  options.streaming_link.top_k = 1;
+  options.streaming_link.tile_cols = 64;
 
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* previous = obs::install_registry(&registry);

@@ -2,7 +2,7 @@
 // bit-identity — streaming_nearest_link must return the exact
 // LinkResult (candidates AND total_distance) that the dense
 // nearest_link_search(distance_matrix(...)) path returns, across
-// problem shapes, top-k budgets, tile widths, memory caps, tie-heavy
+// problem shapes, top-k budgets, tile widths, thread counts, tie-heavy
 // inputs, and heap-exhausted fallback storms.
 #include <gtest/gtest.h>
 
@@ -87,6 +87,38 @@ TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
       }
     }
   }
+
+  // Uniform columns all have about the same norm, so the group norm
+  // screen never fires above. Scaling pool row c by 1 + floor(c/64)
+  // gives every 64-column SIMD group its own norm band, and the screen
+  // must skip the far bands without changing a bit of the result.
+  for (const std::size_t n : {700UL, 2000UL}) {
+    const std::size_t m = 30;
+    const auto sec = random_features(m, 61);
+    auto wild = random_features(n, 62);
+    for (std::size_t c = 0; c < n; ++c) {
+      for (double& v : wild[c]) v *= static_cast<double>(1 + c / 64);
+    }
+    const std::vector<double> w = core::maxabs_weights(sec, wild);
+    const core::LinkResult dense = dense_link(sec, wild, w);
+    for (const std::size_t k : {1UL, 8UL, 24UL}) {
+      for (const std::size_t threads : {1UL, 8UL}) {
+        core::StreamingLinkConfig config;
+        config.top_k = k;
+        config.tile_cols = 257;
+        config.threads = threads;
+        core::StreamingLinkStats stats;
+        const core::LinkResult stream =
+            core::streaming_nearest_link(sec, wild, w, config, &stats);
+        EXPECT_EQ(dense.candidate, stream.candidate)
+            << "scaled n=" << n << " k=" << k << " threads=" << threads;
+        EXPECT_EQ(dense.total_distance, stream.total_distance)
+            << "scaled n=" << n << " k=" << k << " threads=" << threads;
+        EXPECT_GT(stats.pruned_cells, 0u)
+            << "scaled n=" << n << " k=" << k << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(StreamingLink, TiesBreakTowardLowestColumn) {
@@ -124,7 +156,6 @@ TEST(StreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
   const std::size_t ks[] = {1, 2, 24};
   const std::size_t tiles[] = {7, 64, 4096};
   const std::size_t threads[] = {1, 2, 8};
-  std::size_t caps_bound = 0;
 
   for (const std::size_t size : {1UL, 2UL, 5UL, 17UL, 300UL}) {
     const Palette seeds = make_palette(size, 900 + size);
@@ -162,34 +193,8 @@ TEST(StreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
       }
       EXPECT_EQ(stats.distinct_rows, std::min(m, size));
       EXPECT_EQ(stats.distinct_cols, std::min(n, size));
-
-      // A cap that binds: the floor tile and one shard at k = 2.
-      core::StreamingLinkConfig floor_config;
-      floor_config.top_k = 2;
-      floor_config.tile_cols = 64;
-      floor_config.threads = 1;
-      core::StreamingLinkConfig config;
-      config.threads = 8;
-      config.memory_cap_bytes =
-          floor_config
-              .resolve(stats.distinct_rows, stats.distinct_cols,
-                       feature::kFeatureCount)
-              .working_set_bytes;
-      const std::size_t uncapped =
-          core::StreamingLinkConfig{}
-              .resolve(stats.distinct_rows, stats.distinct_cols,
-                       feature::kFeatureCount)
-              .working_set_bytes;
-      const core::LinkResult capped =
-          core::streaming_nearest_link(sec, wild, w, config, &stats);
-      EXPECT_LE(stats.working_set_bytes, config.memory_cap_bytes);
-      if (config.memory_cap_bytes < uncapped) ++caps_bound;
-      EXPECT_EQ(dense.candidate, capped.candidate) << label(24, 2048, 8);
-      EXPECT_EQ(dense.total_distance, capped.total_distance)
-          << label(24, 2048, 8);
     }
   }
-  EXPECT_GT(caps_bound, 0u);
 }
 
 TEST(StreamingLink, EquidistantGroupsTieToLowestUnusedMember) {
@@ -282,65 +287,6 @@ TEST(StreamingLink, RecordsObsCounters) {
   EXPECT_EQ(palette_snap.counter("nearest_link.links"), 8u);
 }
 
-TEST(StreamingLink, MemoryCapShrinksKnobsButNotResults) {
-  const std::size_t m = 20;
-  const std::size_t n = 500;
-  core::StreamingLinkConfig config;
-  config.top_k = 24;
-  config.tile_cols = 4096;
-
-  // The floor working set includes one dim-major pack buffer per shard
-  // (64 cols x 60 dims x 4 bytes), so the cap must leave room for that.
-  const auto uncapped = config.resolve(m, n, feature::kFeatureCount);
-  config.memory_cap_bytes = 32 * 1024;
-  const auto capped = config.resolve(m, n, feature::kFeatureCount);
-
-  EXPECT_LE(capped.working_set_bytes, config.memory_cap_bytes);
-  EXPECT_LT(capped.working_set_bytes, uncapped.working_set_bytes);
-  EXPECT_LE(capped.tile_cols, uncapped.tile_cols);
-  EXPECT_GE(capped.top_k, 1u);
-  EXPECT_GE(capped.tile_cols, 64u);
-
-  const auto sec = random_features(m, 91);
-  const auto wild = random_features(n, 92);
-  const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const core::LinkResult dense = dense_link(sec, wild, w);
-  core::StreamingLinkStats stats;
-  const core::LinkResult stream =
-      core::streaming_nearest_link(sec, wild, w, config, &stats);
-
-  EXPECT_EQ(stats.working_set_bytes, capped.working_set_bytes);
-  EXPECT_EQ(dense.candidate, stream.candidate);
-  EXPECT_EQ(dense.total_distance, stream.total_distance);
-}
-
-TEST(StreamingLink, ResolveThrowsWhenCapBelowFloorWorkingSet) {
-  // Regression: a cap so small the shrink cascade bottoms out at the
-  // floors (tile=64, k=1, threads=1) used to be silently exceeded.
-  // Probe the exact floor footprint, then check the boundary: cap ==
-  // floor resolves, cap == floor - 1 throws.
-  const std::size_t m = 20;
-  const std::size_t n = 500;
-  core::StreamingLinkConfig floor_config;
-  floor_config.top_k = 1;
-  floor_config.tile_cols = 64;
-  floor_config.threads = 1;
-  const std::size_t floor_bytes =
-      floor_config.resolve(m, n, feature::kFeatureCount).working_set_bytes;
-
-  core::StreamingLinkConfig config;  // defaults, only the cap binds
-  config.memory_cap_bytes = floor_bytes;
-  const auto at_floor = config.resolve(m, n, feature::kFeatureCount);
-  EXPECT_LE(at_floor.working_set_bytes, floor_bytes);
-
-  config.memory_cap_bytes = floor_bytes - 1;
-  EXPECT_THROW(config.resolve(m, n, feature::kFeatureCount),
-               std::invalid_argument);
-  EXPECT_THROW(core::streaming_nearest_link(random_features(m, 1),
-                                            random_features(n, 2), config),
-               std::invalid_argument);
-}
-
 TEST(StreamingLink, LearnedWeightsOverloadMatchesDense) {
   const auto sec = random_features(6, 41);
   const auto wild = random_features(60, 42);
@@ -387,10 +333,10 @@ TEST(StreamingLinkKernel, BlockKernelMatchesScalarCellBitwise) {
   }
 }
 
-TEST(StreamingLinkParallel, DeterministicAcrossThreadsTilesAndCaps) {
-  // The tentpole contract: the worker-sharded pass 1 must produce the
-  // same LinkResult as the dense path for every shard count x tile
-  // width x memory cap, bitwise. Only counters may vary.
+TEST(StreamingLinkParallel, DeterministicAcrossThreadsAndTiles) {
+  // The worker-sharded pass 1 must produce the same LinkResult as the
+  // dense path for every shard count x tile width, bitwise. Only
+  // counters may vary.
   const std::size_t m = 30;
   const std::size_t n = 700;
   const auto sec = random_features(m, 101);
@@ -400,25 +346,19 @@ TEST(StreamingLinkParallel, DeterministicAcrossThreadsTilesAndCaps) {
 
   for (std::size_t threads : {1UL, 2UL, 8UL}) {
     for (std::size_t tile : {64UL, 257UL, 4096UL}) {
-      for (std::size_t cap : {0UL, 96UL * 1024UL}) {
-        core::StreamingLinkConfig config;
-        config.top_k = 8;
-        config.tile_cols = tile;
-        config.threads = threads;
-        config.memory_cap_bytes = cap;
-        core::StreamingLinkStats stats;
-        const core::LinkResult stream =
-            core::streaming_nearest_link(sec, wild, w, config, &stats);
-        EXPECT_EQ(dense.candidate, stream.candidate)
-            << "threads=" << threads << " tile=" << tile << " cap=" << cap;
-        EXPECT_EQ(dense.total_distance, stream.total_distance)
-            << "threads=" << threads << " tile=" << tile << " cap=" << cap;
-        EXPECT_GE(stats.threads, 1u);
-        EXPECT_LE(stats.threads, threads);
-        if (cap > 0) {
-          EXPECT_LE(stats.working_set_bytes, cap);
-        }
-      }
+      core::StreamingLinkConfig config;
+      config.top_k = 8;
+      config.tile_cols = tile;
+      config.threads = threads;
+      core::StreamingLinkStats stats;
+      const core::LinkResult stream =
+          core::streaming_nearest_link(sec, wild, w, config, &stats);
+      EXPECT_EQ(dense.candidate, stream.candidate)
+          << "threads=" << threads << " tile=" << tile;
+      EXPECT_EQ(dense.total_distance, stream.total_distance)
+          << "threads=" << threads << " tile=" << tile;
+      EXPECT_GE(stats.threads, 1u);
+      EXPECT_LE(stats.threads, threads);
     }
   }
 }

@@ -1,23 +1,21 @@
 // patchdb — command-line front end for the PatchDB library.
 //
 //   patchdb build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]
-//           [--threads N] [--link-mem-mb MB] [--index exact|coarse]
-//           [--index-nprobe N] [--checkpoint-dir D] [--resume]
-//           [--trace-out FILE] [--progress]
+//           [--synth N] [--threads N] [--checkpoint-dir D] [--resume]
+//           [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
+//           [--progress] [--progress-ms N]
 //       Build a simulated PatchDB (NVD crawl -> nearest-link augmentation
-//       -> synthesis) and export it to DIR in the release layout. With
-//       --checkpoint-dir the augmentation state is persisted after every
-//       round; --resume continues an interrupted build from the last
-//       checkpoint and produces a bit-identical export. --threads N
-//       sizes the worker pool the streaming nearest-link engine shards
-//       across (wins over PATCHDB_THREADS; default: hardware
-//       concurrency). --link-mem-mb caps the engine's working set.
-//       --index coarse [--index-nprobe N] puts the phase-0 shortlist
-//       index in front of the engine (the index only trades
-//       probes/rescans for wall-clock). The export is bit-identical for
-//       every one of these settings. --trace-out writes a Chrome trace
-//       of the run (load in Perfetto); --progress prints heartbeat
-//       lines from the long loops.
+//       -> synthesis) and export it to DIR in the release layout.
+//       --synth N caps the synthetic patches derived from one natural
+//       patch (default 4, 0 = no cap). With --checkpoint-dir the
+//       augmentation state is persisted after every round; --resume
+//       continues an interrupted build from the last checkpoint and
+//       produces a bit-identical export. --threads N sizes the worker pool the
+//       nearest-link engine shards across (wins over PATCHDB_THREADS;
+//       default: hardware concurrency); the export is bit-identical for
+//       every value. --metrics-out writes the JSON metrics artifact and
+//       --trace-out a Chrome trace of the run (load in Perfetto);
+//       --progress prints heartbeat lines from the long loops.
 //   patchdb stats DIR
 //       Summarize an exported dataset: component sizes, Table V type
 //       distribution, categorizer agreement.
@@ -44,9 +42,9 @@
 //       Patch presence test (Sec. V-A.1): is the fix already applied in
 //       the target file? Prints patched/vulnerable/partial/unknown.
 //   patchdb metrics [--nvd N] [--wild N] [--rounds R] [--seed S]
-//           [--threads N] [--link-mem-mb MB] [--index exact|coarse]
-//           [--index-nprobe N] [--metrics-out FILE] [--trace-out FILE]
-//           [--sample-ms N] [--progress]
+//           [--synth N] [--threads N] [--metrics-out FILE]
+//           [--trace-out FILE] [--sample-ms N] [--progress]
+//           [--progress-ms N]
 //       Run the build pipeline under an observability session and print
 //       the metrics/span report; --metrics-out also writes the JSON
 //       artifact (schema patchdb.obs.v2, with a resource timeline when
@@ -63,7 +61,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,10 +98,9 @@ int usage() {
   std::fprintf(stderr,
                "usage: patchdb <command> [args]\n"
                "  build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "        [--threads N] [--link-mem-mb MB]\n"
-               "        [--index exact|coarse] [--index-nprobe N]\n"
-               "        [--checkpoint-dir D] [--resume]\n"
-               "        [--trace-out FILE] [--sample-ms N] [--progress] [--progress-ms N]\n"
+               "        [--synth N] [--threads N] [--checkpoint-dir D] [--resume]\n"
+               "        [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
+               "        [--progress] [--progress-ms N]\n"
                "  stats DIR\n"
                "  fsck DIR\n"
                "  features FILE.patch [--all] [--semantic] [--interproc]\n"
@@ -114,8 +110,7 @@ int usage() {
                "  variants \"CONDITION\"\n"
                "  presence FILE.patch TARGET_SOURCE_FILE\n"
                "  metrics [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
-               "          [--threads N] [--link-mem-mb MB]\n"
-               "          [--index exact|coarse] [--index-nprobe N]\n"
+               "          [--synth N] [--threads N]\n"
                "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
                "          [--progress] [--progress-ms N]\n"
                "  metrics --validate FILE.json\n");
@@ -154,39 +149,6 @@ bool apply_threads_flag(const Flags& flags) {
   return true;
 }
 
-/// `--link-mem-mb MB` caps the nearest-link engine's working set;
-/// `--index {exact,coarse} [--index-nprobe N]` puts the phase-0
-/// shortlist index in front of it. Neither changes the result. Returns
-/// false on a usage error (the caller exits 2).
-bool apply_link_flags(const Flags& flags, core::BuildOptions& options) {
-  const std::string index_kind = flags.value("--index", std::string());
-  const std::size_t cap_mb = flags.value("--link-mem-mb", std::size_t{0});
-  if (cap_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
-    std::fprintf(stderr, "%s: --link-mem-mb %zu overflows a byte count\n",
-                 flags.tool().c_str(), cap_mb);
-    return false;
-  }
-  if (cap_mb > 0) options.streaming_link.memory_cap_bytes = cap_mb << 20;
-  if (!index_kind.empty()) {
-    try {
-      options.streaming_link.index.kind = core::parse_index_kind(index_kind);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: --index: %s\n", flags.tool().c_str(), e.what());
-      return false;
-    }
-  }
-  if (flags.has("--index-nprobe")) {
-    const std::size_t nprobe = flags.value("--index-nprobe", std::size_t{0});
-    if (nprobe == 0) {
-      std::fprintf(stderr, "%s: --index-nprobe expects a positive integer\n",
-                   flags.tool().c_str());
-      return false;
-    }
-    options.streaming_link.index.nprobe = nprobe;
-  }
-  return true;
-}
-
 int cmd_build(const Flags& flags) {
   if (!apply_threads_flag(flags)) return 2;
   const std::string out = flags.value("--out", std::string());
@@ -203,7 +165,6 @@ int cmd_build(const Flags& flags) {
   options.synthesis.max_per_patch = flags.value("--synth", std::size_t{4});
   options.checkpoint_dir = flags.value("--checkpoint-dir", std::string());
   options.resume = flags.has("--resume");
-  if (!apply_link_flags(flags, options)) return 2;
 
   std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s\n",
               options.world.nvd_security, options.world.wild_pool,
@@ -430,7 +391,6 @@ int cmd_metrics(const Flags& flags) {
   options.world.seed = flags.value("--seed", std::size_t{42});
   options.augment.max_rounds = flags.value("--rounds", std::size_t{3});
   options.synthesis.max_per_patch = flags.value("--synth", std::size_t{2});
-  if (!apply_link_flags(flags, options)) return 2;
 
   CliObs cli_obs("patchdb metrics", flags);
   const core::PatchDb db = core::build_patchdb(options);
@@ -470,10 +430,9 @@ std::optional<CommandFlags> command_flags(const std::string& command) {
   // CliObs reads these on the pipeline commands.
   const std::vector<std::string> obs_values = {"--trace-out", "--metrics-out",
                                                "--sample-ms", "--progress-ms"};
-  // The world, round and link knobs build and metrics share.
-  std::vector<std::string> pipeline = {
-      "--nvd",     "--wild",        "--rounds", "--seed",         "--synth",
-      "--threads", "--link-mem-mb", "--index",  "--index-nprobe"};
+  // The world, round and thread knobs build and metrics share.
+  std::vector<std::string> pipeline = {"--nvd",  "--wild",  "--rounds",
+                                       "--seed", "--synth", "--threads"};
   pipeline.insert(pipeline.end(), obs_values.begin(), obs_values.end());
   if (command == "build") {
     pipeline.insert(pipeline.end(), {"--out", "--checkpoint-dir"});
