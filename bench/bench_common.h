@@ -74,14 +74,14 @@ inline std::vector<const corpus::CommitRecord*> as_pointers(
   return out;
 }
 
-/// Table I features of a record set as a FeatureMatrix (optionally in
-/// the extended semantic space).
+/// Feature rows of a record set, in order, in `space`: one
+/// feature::extract_all batch.
 inline feature::FeatureMatrix features_of(
     const std::vector<const corpus::CommitRecord*>& records,
     feature::FeatureSpace space = feature::FeatureSpace::kSyntactic) {
-  std::vector<diff::Patch> patches;
+  std::vector<const diff::Patch*> patches;
   patches.reserve(records.size());
-  for (const corpus::CommitRecord* r : records) patches.push_back(r->patch);
+  for (const corpus::CommitRecord* r : records) patches.push_back(&r->patch);
   return feature::extract_all(patches, space);
 }
 
@@ -89,27 +89,15 @@ inline feature::FeatureMatrix features_of(
 inline ml::Dataset feature_dataset(
     const std::vector<const corpus::CommitRecord*>& records,
     feature::FeatureSpace space = feature::FeatureSpace::kSyntactic) {
+  const feature::FeatureMatrix rows = features_of(records, space);
   ml::Dataset data;
-  for (const corpus::CommitRecord* r : records) {
-    std::vector<double> row;
-    if (space == feature::FeatureSpace::kSyntactic) {
-      const feature::FeatureVector v = feature::extract(r->patch);
-      row.assign(v.begin(), v.end());
-    } else if (space == feature::FeatureSpace::kSemantic) {
-      const feature::ExtendedFeatureVector v = feature::extract_extended(r->patch);
-      row.assign(v.begin(), v.end());
-    } else {
-      const feature::InterprocFeatureVector v = feature::extract_interproc(r->patch);
-      row.assign(v.begin(), v.end());
-    }
-    data.push_back(std::move(row), r->truth.is_security ? 1 : 0);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    data.push_back({rows[i].begin(), rows[i].end()},
+                   records[i]->truth.is_security ? 1 : 0);
   }
   return data;
 }
 
-/// Fabricate `n` labeled non-security commits (the "cleaned non-security
-/// patches previously verified by experts" training sets of Tables III,
-/// IV and VI).
 /// Fabricate `n` labeled non-security commits (the "cleaned non-security
 /// patches previously verified by experts" training sets of Tables III,
 /// IV and VI). Cleaned sets skew toward unambiguous commits — ambiguous

@@ -32,7 +32,6 @@
 #include "synth/synthesize.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -59,17 +58,6 @@ void BM_Levenshtein(benchmark::State& state) {
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_Levenshtein)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_LevenshteinBounded(benchmark::State& state) {
-  util::Rng rng(2);
-  const std::string a = random_code_line(rng, 64);
-  const std::string b = random_code_line(rng, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::levenshtein_bounded(a, b, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_LevenshteinBounded)->Arg(8)->Arg(64);
 
 void BM_Lexer(benchmark::State& state) {
   util::Rng rng(3);
@@ -275,14 +263,9 @@ bool run_pipeline_link_check() {
   config.wild_pool = 20000;
   const corpus::World world = corpus::build_world(config);
   const auto features = [](const std::vector<corpus::CommitRecord>& records) {
-    feature::FeatureMatrix m(records.size());
-    util::default_pool().parallel_for(
-        records.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            m.set_row(i, feature::extract(records[i].patch));
-          }
-        });
-    return m;
+    std::vector<const diff::Patch*> patches;
+    for (const corpus::CommitRecord& r : records) patches.push_back(&r.patch);
+    return feature::extract_all(patches);
   };
   const feature::FeatureMatrix sec = features(world.nvd_security);
   const feature::FeatureMatrix wild = features(world.wild);

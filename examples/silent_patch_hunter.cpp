@@ -37,10 +37,10 @@ int main() {
               config.wild_security_rate * 100.0);
 
   // Features for both sides.
-  std::vector<diff::Patch> sec_patches;
-  for (const auto& r : world.nvd_security) sec_patches.push_back(r.patch);
-  std::vector<diff::Patch> wild_patches;
-  for (const auto& r : world.wild) wild_patches.push_back(r.patch);
+  std::vector<const diff::Patch*> sec_patches;
+  for (const auto& r : world.nvd_security) sec_patches.push_back(&r.patch);
+  std::vector<const diff::Patch*> wild_patches;
+  for (const auto& r : world.wild) wild_patches.push_back(&r.patch);
   const feature::FeatureMatrix sec = feature::extract_all(sec_patches);
   const feature::FeatureMatrix wild = feature::extract_all(wild_patches);
 

@@ -43,15 +43,11 @@ class CfgBuilder {
   }
 
   Cfg build(std::span<const lang::Token> tokens) {
-    // Strip comments/preprocessor and an outermost brace pair, if any.
+    // Strip preprocessor lines and an outermost brace pair, if any.
     std::vector<lang::Token> body;
     body.reserve(tokens.size());
     for (const lang::Token& t : tokens) {
-      if (t.kind == lang::TokenKind::kComment ||
-          t.kind == lang::TokenKind::kPreprocessor) {
-        continue;
-      }
-      body.push_back(t);
+      if (t.kind != lang::TokenKind::kPreprocessor) body.push_back(t);
     }
     std::span<const lang::Token> view = body;
     if (!view.empty() && view.front().text == "{") {
@@ -550,12 +546,9 @@ std::vector<Cfg> build_cfgs(std::string_view source) {
   std::vector<lang::Token> leftover;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     if (covered[i]) continue;
-    const lang::Token& t = tokens[i];
-    if (t.kind == lang::TokenKind::kComment ||
-        t.kind == lang::TokenKind::kPreprocessor) {
-      continue;
+    if (tokens[i].kind != lang::TokenKind::kPreprocessor) {
+      leftover.push_back(tokens[i]);
     }
-    leftover.push_back(t);
   }
   if (leftover.size() > 2) {
     out.push_back(build_cfg(leftover, "<fragment>"));

@@ -1,6 +1,7 @@
 #include "core/augment.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -8,27 +9,20 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace patchdb::core {
 
 namespace {
 
-feature::FeatureMatrix extract_records(
-    const std::vector<const corpus::CommitRecord*>& records) {
-  PATCHDB_TRACE_SPAN("augment.extract_features");
-  PATCHDB_COUNTER_ADD("augment.features_extracted", records.size());
-  feature::FeatureMatrix matrix(records.size());
-  util::default_pool().parallel_for(
-      records.size(), [&](std::size_t begin, std::size_t end) {
-        // Opened on the worker running the chunk, so traces grow one
-        // track per pool thread alongside the caller's.
-        PATCHDB_TRACE_SPAN("augment.extract_features.chunk");
-        for (std::size_t i = begin; i < end; ++i) {
-          matrix.set_row(i, feature::extract(records[i]->patch));
-        }
-      });
-  return matrix;
+/// Table I rows of `records`, in order: one feature::extract_all batch.
+feature::FeatureMatrix features_of(
+    std::span<const corpus::CommitRecord* const> records) {
+  std::vector<const diff::Patch*> patches;
+  patches.reserve(records.size());
+  for (const corpus::CommitRecord* record : records) {
+    patches.push_back(&record->patch);
+  }
+  return feature::extract_all(patches);
 }
 
 }  // namespace
@@ -40,12 +34,12 @@ AugmentationLoop::AugmentationLoop(
       seed_count_(seed_security.size()),
       link_config_(link),
       security_(std::move(seed_security)) {
-  security_features_ = extract_records(security_);
+  security_features_ = features_of(security_);
 }
 
 void AugmentationLoop::set_pool(std::vector<const corpus::CommitRecord*> pool) {
   pool_ = std::move(pool);
-  pool_features_ = extract_records(pool_);
+  pool_features_ = features_of(pool_);
 }
 
 RoundStats AugmentationLoop::run_round() {
@@ -179,9 +173,12 @@ void AugmentationLoop::restore(const LoopCheckpoint& checkpoint,
     return it->second;
   };
   for (const std::string& commit : checkpoint.wild_security) {
-    const corpus::CommitRecord* record = lookup(commit);
-    security_.push_back(record);
-    security_features_.push_back(feature::extract(record->patch));
+    security_.push_back(lookup(commit));
+  }
+  const feature::FeatureMatrix wild =
+      features_of(std::span(security_).subspan(seed_count_));
+  for (std::size_t i = 0; i < wild.rows(); ++i) {
+    security_features_.push_back(wild[i]);
   }
   nonsecurity_.reserve(checkpoint.nonsecurity.size());
   for (const std::string& commit : checkpoint.nonsecurity) {
@@ -191,7 +188,7 @@ void AugmentationLoop::restore(const LoopCheckpoint& checkpoint,
   for (const std::string& commit : checkpoint.pool) {
     pool_.push_back(lookup(commit));
   }
-  pool_features_ = extract_records(pool_);
+  pool_features_ = features_of(pool_);
   rounds_run_ = checkpoint.rounds_run;
   finished_ = checkpoint.finished;
   history_ = checkpoint.history;

@@ -6,8 +6,9 @@
 
 #include "analysis/analyze.h"
 #include "lang/abstract.h"
-#include "lang/lexer.h"
 #include "lang/taxonomy.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/levenshtein.h"
 #include "util/thread_pool.h"
 
@@ -64,38 +65,15 @@ constexpr std::array<std::string_view, kInterprocFeatureCount> kInterprocNames =
 };
 
 /// Write the added/removed/total/net quad for one syntactic category.
-void write_quad(FeatureVector& v, std::size_t base, double added, double removed) {
+void write_quad(std::span<double> v, std::size_t base, double added, double removed) {
   v[base] = added;
   v[base + 1] = removed;
   v[base + 2] = added + removed;
   v[base + 3] = added - removed;
 }
 
-}  // namespace
-
-std::span<const std::string_view> feature_names() { return kNames; }
-
-std::span<const std::string_view> feature_names(FeatureSpace space) {
-  if (space == FeatureSpace::kSyntactic) return kNames;
-  static const std::array<std::string_view, kInterprocExtendedFeatureCount> kAll =
-      [] {
-        std::array<std::string_view, kInterprocExtendedFeatureCount> all{};
-        std::copy(kNames.begin(), kNames.end(), all.begin());
-        std::copy(kSemanticNames.begin(), kSemanticNames.end(),
-                  all.begin() + kFeatureCount);
-        std::copy(kInterprocNames.begin(), kInterprocNames.end(),
-                  all.begin() + kExtendedFeatureCount);
-        return all;
-      }();
-  if (space == FeatureSpace::kSemantic) {
-    return {kAll.data(), kExtendedFeatureCount};
-  }
-  return kAll;
-}
-
-FeatureVector extract(const diff::Patch& patch, const RepoContext& repo) {
-  FeatureVector v{};
-
+/// Table I dimensions 0-59 of `patch` into v[0, 60).
+void write_syntactic(const diff::Patch& patch, std::span<double> v) {
   // Gather the added and removed text of the whole patch, and per hunk.
   std::string all_added;
   std::string all_removed;
@@ -194,88 +172,93 @@ FeatureVector extract(const diff::Patch& patch, const RepoContext& repo) {
   v[54] = static_cast<double>(same_raw);
   v[55] = static_cast<double>(same_abs);
 
+  // Within-patch fractions (features.h): files that carry hunks, and
+  // touched functions per hunk.
   const double files = static_cast<double>(patch.files.size());
+  double with_hunks = 0.0;
+  for (const diff::FileDiff& fd : patch.files) with_hunks += !fd.hunks.empty();
   v[56] = files;
-  if (repo.total_files > 0) {
-    v[57] = files / static_cast<double>(repo.total_files);
-  } else {
-    // Fallback: fraction of listed files that actually carry hunks.
-    double with_hunks = 0.0;
-    for (const diff::FileDiff& fd : patch.files) with_hunks += !fd.hunks.empty();
-    v[57] = files > 0.0 ? with_hunks / files : 0.0;
-  }
+  v[57] = files > 0.0 ? with_hunks / files : 0.0;
   v[58] = total_funcs;
-  if (repo.total_functions > 0) {
-    v[59] = total_funcs / static_cast<double>(repo.total_functions);
-  } else {
-    const double hunks = v[1];
-    v[59] = hunks > 0.0 ? total_funcs / hunks : 0.0;
-  }
-  return v;
+  v[59] = v[1] > 0.0 ? total_funcs / v[1] : 0.0;
 }
 
-FeatureVector extract(const diff::Patch& patch) { return extract(patch, RepoContext{}); }
-
-ExtendedFeatureVector extract_extended(const diff::Patch& patch,
-                                       const RepoContext& repo) {
-  ExtendedFeatureVector e{};
-  const FeatureVector base = extract(patch, repo);
-  std::copy(base.begin(), base.end(), e.begin());
-
+/// Semantic dimensions 60-71 of `patch` into v[60, 72).
+void write_semantic(const diff::Patch& patch, std::span<double> v) {
   const analysis::PatchAnalysis pa = analysis::analyze_patch(patch);
-  e[60] = static_cast<double>(pa.resolved.size());
-  e[61] = static_cast<double>(pa.introduced.size());
+  v[60] = static_cast<double>(pa.resolved.size());
+  v[61] = static_cast<double>(pa.introduced.size());
   for (std::size_t c = 0; c < analysis::kCheckerCount; ++c) {
-    e[62 + c] = static_cast<double>(pa.resolved_by_checker[c]) -
+    v[62 + c] = static_cast<double>(pa.resolved_by_checker[c]) -
                 static_cast<double>(pa.introduced_by_checker[c]);
   }
-  e[69] = static_cast<double>(pa.net_blocks);
-  e[70] = static_cast<double>(pa.net_edges);
-  e[71] = static_cast<double>(pa.net_cyclomatic);
-  return e;
+  v[69] = static_cast<double>(pa.net_blocks);
+  v[70] = static_cast<double>(pa.net_edges);
+  v[71] = static_cast<double>(pa.net_cyclomatic);
 }
 
-ExtendedFeatureVector extract_extended(const diff::Patch& patch) {
-  return extract_extended(patch, RepoContext{});
-}
-
-InterprocFeatureVector extract_interproc(const diff::Patch& patch,
-                                         const RepoContext& repo) {
-  InterprocFeatureVector v{};
-  const ExtendedFeatureVector base = extract_extended(patch, repo);
-  std::copy(base.begin(), base.end(), v.begin());
-
+/// Interprocedural dimensions 72-79 of `patch` into v[72, 80); reads the
+/// intraprocedural counts already at v[60] and v[61].
+void write_interproc(const diff::Patch& patch, std::span<double> v) {
   const analysis::PatchAnalysis ip =
       analysis::analyze_patch(patch, analysis::AnalyzeOptions{.interproc = true});
   v[72] = static_cast<double>(ip.resolved.size());
   v[73] = static_cast<double>(ip.introduced.size());
   // What only the cross-function view can see: interprocedural counts
   // minus the intraprocedural ones already sitting at dims 60/61.
-  v[74] = v[72] - base[60];
-  v[75] = v[73] - base[61];
+  v[74] = v[72] - v[60];
+  v[75] = v[73] - v[61];
   v[76] = static_cast<double>(ip.net_call_edges);
   v[77] = static_cast<double>(ip.changed_fan_in);
   v[78] = static_cast<double>(ip.changed_fan_out);
   v[79] = static_cast<double>(ip.summary_changes);
+}
+
+/// Fill the zeroed `row` of `patch`. Its width, feature_dims(space), picks
+/// the space: each space extends the one before it.
+void write_row(const diff::Patch& patch, std::span<double> row) {
+  write_syntactic(patch, row);
+  if (row.size() >= kExtendedFeatureCount) write_semantic(patch, row);
+  if (row.size() >= kInterprocExtendedFeatureCount) write_interproc(patch, row);
+}
+
+}  // namespace
+
+std::span<const std::string_view> feature_names(FeatureSpace space) {
+  static const std::array<std::string_view, kInterprocExtendedFeatureCount> kAll =
+      [] {
+        std::array<std::string_view, kInterprocExtendedFeatureCount> all{};
+        std::copy(kNames.begin(), kNames.end(), all.begin());
+        std::copy(kSemanticNames.begin(), kSemanticNames.end(),
+                  all.begin() + kFeatureCount);
+        std::copy(kInterprocNames.begin(), kInterprocNames.end(),
+                  all.begin() + kExtendedFeatureCount);
+        return all;
+      }();
+  return std::span<const std::string_view>(kAll).first(feature_dims(space));
+}
+
+FeatureVector extract(const diff::Patch& patch) {
+  FeatureVector v{};
+  write_row(patch, v);
   return v;
 }
 
-InterprocFeatureVector extract_interproc(const diff::Patch& patch) {
-  return extract_interproc(patch, RepoContext{});
+std::vector<double> extract(const diff::Patch& patch, FeatureSpace space) {
+  std::vector<double> row(feature_dims(space), 0.0);
+  write_row(patch, row);
+  return row;
 }
 
-FeatureMatrix extract_all(std::span<const diff::Patch> patches, FeatureSpace space) {
+FeatureMatrix extract_all(std::span<const diff::Patch* const> patches,
+                          FeatureSpace space) {
+  PATCHDB_TRACE_SPAN("feature.extract_all");
+  PATCHDB_COUNTER_ADD("feature.rows_extracted", patches.size());
   FeatureMatrix matrix(patches.size(), feature_dims(space));
   util::default_pool().parallel_for(
       patches.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          if (space == FeatureSpace::kSyntactic) {
-            matrix.set_row(i, extract(patches[i]));
-          } else if (space == FeatureSpace::kSemantic) {
-            matrix.set_row(i, extract_extended(patches[i]));
-          } else {
-            matrix.set_row(i, extract_interproc(patches[i]));
-          }
+          write_row(*patches[i], matrix[i]);
         }
       });
   return matrix;

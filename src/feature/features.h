@@ -1,7 +1,13 @@
-// The feature space of Table I, plus the semantic extension. The 60
-// syntactic dimensions are the representation the nearest link search,
-// the ML baselines (Table III) and the Random Forest classifier
-// (Table VI) all operate on.
+// The feature space of Table I, plus the semantic and interprocedural
+// extensions. The 60 syntactic dimensions are the representation the
+// nearest link search, the ML baselines (Table III) and the Random
+// Forest classifier (Table VI) all operate on.
+//
+// A patch becomes a row in exactly one way: extract(patch, space) for
+// one patch, extract_all(patches, space) for a batch on the default
+// pool. Both fill the row through the same code, so a batch row equals
+// the single-patch row bitwise, and the first 60 (or 72) values of a
+// wider space equal the narrower space's row.
 //
 // Layout (0-based index -> Table I row):
 //   0      #1    changed lines (added + removed)
@@ -22,11 +28,17 @@
 //   51-53  #52-54 mean/min/max Levenshtein distance within hunks (abstracted)
 //   54     #55   same hunks before token abstraction
 //   55     #56   same hunks after token abstraction
-//   56-57  #57-58 # and % of affected files
-//   58-59  #59-60 # and % of affected functions
+//   56-57  #57-58 # and share of affected files
+//   58-59  #59-60 # and share of affected functions
 //
 // "total" = added + removed; "net" = added - removed (may be negative —
 // the paper's max-abs weighting preserves sign, Section III-B.2).
+//
+// Features 57 and 59 are within-patch fractions, so a bare `.patch`
+// file has the same row as the pipeline computes: 57 is the share of
+// the patch's files that carry at least one hunk, 59 the touched
+// functions per hunk. The paper's percentages of the whole repository
+// would need repository totals, which no export records.
 //
 // FeatureSpace::kSemantic appends 12 dimensions computed by the
 // src/analysis CFG + checker layer from the BEFORE -> AFTER diagnostic
@@ -38,7 +50,6 @@
 //          int-overflow-size, missing-null-guard, uninit-use, format-string
 //   69-71  CFG shape deltas, AFTER minus BEFORE: basic blocks, edges,
 //          cyclomatic complexity
-// The default space stays bit-identical to the original 60 dimensions.
 //
 // FeatureSpace::kInterproc appends 8 more dimensions on top of the 72,
 // computed by the opt-in interprocedural engine (analysis/callgraph.h,
@@ -87,38 +98,16 @@ constexpr std::size_t feature_dims(FeatureSpace space) noexcept {
 }
 
 using FeatureVector = std::array<double, kFeatureCount>;
-using ExtendedFeatureVector = std::array<double, kExtendedFeatureCount>;
-using InterprocFeatureVector = std::array<double, kInterprocExtendedFeatureCount>;
 
-/// Human-readable names, index-aligned with the vector of the space.
-std::span<const std::string_view> feature_names();  // the 60 Table I names
-std::span<const std::string_view> feature_names(FeatureSpace space);
+/// Human-readable names, index-aligned with the row of the space.
+std::span<const std::string_view> feature_names(
+    FeatureSpace space = FeatureSpace::kSyntactic);
 
-/// Optional repository-level context. Percent-of-repo features (58, 60 in
-/// Table I numbering) need the denominator; without it the extractor
-/// falls back to within-patch fractions, which is still informative and
-/// keeps the extractor usable on a bare `.patch` file.
-struct RepoContext {
-  std::size_t total_files = 0;
-  std::size_t total_functions = 0;
-};
-
-/// Extract the Table I features from one patch.
+/// The Table I row of one patch (the kSyntactic row as an array).
 FeatureVector extract(const diff::Patch& patch);
-FeatureVector extract(const diff::Patch& patch, const RepoContext& repo);
 
-/// Extract the extended vector: dimensions 0-59 are bit-identical to
-/// extract(), 60-71 come from the BEFORE/AFTER checker diff.
-ExtendedFeatureVector extract_extended(const diff::Patch& patch);
-ExtendedFeatureVector extract_extended(const diff::Patch& patch,
-                                       const RepoContext& repo);
-
-/// Extract the interprocedural vector: dimensions 0-71 are bit-identical
-/// to extract_extended(), 72-79 diff an interprocedural analysis run
-/// against the intraprocedural one.
-InterprocFeatureVector extract_interproc(const diff::Patch& patch);
-InterprocFeatureVector extract_interproc(const diff::Patch& patch,
-                                         const RepoContext& repo);
+/// The row of one patch in `space`: feature_dims(space) values.
+std::vector<double> extract(const diff::Patch& patch, FeatureSpace space);
 
 /// Row-major feature matrix for a set of patches. Width is fixed per
 /// matrix (one FeatureSpace), chosen at construction.
@@ -162,8 +151,9 @@ class FeatureMatrix {
   std::vector<double> data_;
 };
 
-/// Extract features for many patches (parallel over the default pool).
-FeatureMatrix extract_all(std::span<const diff::Patch> patches,
+/// The rows of many patches, in input order, extracted in parallel on
+/// the default pool. Row i equals extract(*patches[i], space) bitwise.
+FeatureMatrix extract_all(std::span<const diff::Patch* const> patches,
                           FeatureSpace space = FeatureSpace::kSyntactic);
 
 }  // namespace patchdb::feature

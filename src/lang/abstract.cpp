@@ -1,20 +1,22 @@
 #include "lang/abstract.h"
 
 #include <unordered_map>
+#include <vector>
 
 #include "lang/lexer.h"
 
 namespace patchdb::lang {
 
-std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
-                                         const AbstractOptions& options) {
+namespace {
+
+std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens) {
   std::vector<std::string> out;
   out.reserve(tokens.size());
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     switch (t.kind) {
       case TokenKind::kIdentifier: {
-        const bool is_call = options.distinguish_calls && i + 1 < tokens.size() &&
+        const bool is_call = i + 1 < tokens.size() &&
                              tokens[i + 1].kind == TokenKind::kPunctuator &&
                              tokens[i + 1].text == "(";
         out.emplace_back(is_call ? "FUNC" : "ID");
@@ -29,7 +31,6 @@ std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
       case TokenKind::kCharLiteral:
         out.emplace_back("CHR");
         break;
-      case TokenKind::kComment:
       case TokenKind::kPreprocessor:
         break;  // dropped
       default:
@@ -39,6 +40,8 @@ std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
   }
   return out;
 }
+
+}  // namespace
 
 std::string alpha_abstract_code(std::string_view source) {
   const std::vector<Token> tokens = lex(source);
@@ -60,7 +63,6 @@ std::string alpha_abstract_code(std::string_view source) {
       case TokenKind::kNumber: append("NUM"); break;
       case TokenKind::kString: append("STR"); break;
       case TokenKind::kCharLiteral: append("CHR"); break;
-      case TokenKind::kComment:
       case TokenKind::kPreprocessor: break;
       default: append(t.text); break;
     }
@@ -68,9 +70,9 @@ std::string alpha_abstract_code(std::string_view source) {
   return out;
 }
 
-std::string abstract_code(std::string_view source, const AbstractOptions& options) {
+std::string abstract_code(std::string_view source) {
   const std::vector<Token> tokens = lex(source);
-  const std::vector<std::string> abstracted = abstract_tokens(tokens, options);
+  const std::vector<std::string> abstracted = abstract_tokens(tokens);
   std::string out;
   for (std::size_t i = 0; i < abstracted.size(); ++i) {
     if (i != 0) out += ' ';

@@ -7,30 +7,16 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "lang/token.h"
 
 namespace patchdb::lang {
 
-struct AbstractOptions {
-  // When true, identifiers that look like function calls (followed by a
-  // '(') get the distinct symbol FUNC instead of ID, preserving the
-  // call structure of the code.
-  bool distinguish_calls = true;
-};
-
-/// Abstract a token sequence in place order: identifiers -> "ID"/"FUNC",
-/// numbers -> "NUM", strings -> "STR", char literals -> "CHR"; keywords,
-/// operators and punctuation unchanged; comments/preprocessor dropped.
-std::vector<std::string> abstract_tokens(const std::vector<Token>& tokens,
-                                         const AbstractOptions& options = {});
-
 /// Lex then abstract, returning one space-joined canonical string. This
 /// is the "after token abstraction" text used for the Levenshtein
-/// features and same-hunk detection.
-std::string abstract_code(std::string_view source,
-                          const AbstractOptions& options = {});
+/// features and same-hunk detection: identifiers become "ID", or "FUNC"
+/// when a '(' follows (keeping the call structure), numbers "NUM",
+/// strings "STR", char literals "CHR"; keywords, operators and
+/// punctuation stay; preprocessor lines are dropped.
+std::string abstract_code(std::string_view source);
 
 /// Alpha-renaming abstraction: identifiers map to V1, V2, ... in first-
 /// occurrence order (consistently within the fragment), literals to

@@ -29,22 +29,6 @@ bool is_keyword(std::string_view word) {
   return kKeywords.contains(word);
 }
 
-const char* token_kind_name(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kIdentifier: return "identifier";
-    case TokenKind::kKeyword: return "keyword";
-    case TokenKind::kNumber: return "number";
-    case TokenKind::kString: return "string";
-    case TokenKind::kCharLiteral: return "char";
-    case TokenKind::kOperator: return "operator";
-    case TokenKind::kPunctuator: return "punctuator";
-    case TokenKind::kComment: return "comment";
-    case TokenKind::kPreprocessor: return "preprocessor";
-    case TokenKind::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 struct Scanner {
@@ -102,7 +86,7 @@ void scan_string(Scanner& s, char quote, std::string& out) {
 
 }  // namespace
 
-std::vector<Token> lex(std::string_view source, const LexOptions& options) {
+std::vector<Token> lex(std::string_view source) {
   std::vector<Token> tokens;
   Scanner s{source};
 
@@ -129,34 +113,25 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
         }
         text += s.advance();
       }
-      if (options.keep_preprocessor) {
-        tokens.push_back(Token{TokenKind::kPreprocessor, std::move(text), tok_line, tok_col});
-      }
+      tokens.push_back(Token{TokenKind::kPreprocessor, std::move(text), tok_line, tok_col});
       continue;
     }
 
+    // Comments are skipped (an unterminated /* runs to the end).
     if (c == '/' && s.peek(1) == '/') {
-      std::string text;
-      while (!s.done() && s.peek() != '\n') text += s.advance();
-      if (options.keep_comments) {
-        tokens.push_back(Token{TokenKind::kComment, std::move(text), tok_line, tok_col});
-      }
+      while (!s.done() && s.peek() != '\n') s.advance();
       continue;
     }
     if (c == '/' && s.peek(1) == '*') {
-      std::string text;
-      text += s.advance();
-      text += s.advance();
+      s.advance();
+      s.advance();
       while (!s.done()) {
         if (s.peek() == '*' && s.peek(1) == '/') {
-          text += s.advance();
-          text += s.advance();
+          s.advance();
+          s.advance();
           break;
         }
-        text += s.advance();
-      }
-      if (options.keep_comments) {
-        tokens.push_back(Token{TokenKind::kComment, std::move(text), tok_line, tok_col});
+        s.advance();
       }
       continue;
     }
@@ -233,9 +208,9 @@ std::vector<Token> lex(std::string_view source, const LexOptions& options) {
   return tokens;
 }
 
-std::vector<std::string> lex_texts(std::string_view source, const LexOptions& options) {
+std::vector<std::string> lex_texts(std::string_view source) {
   std::vector<std::string> out;
-  for (Token& t : lex(source, options)) out.push_back(std::move(t.text));
+  for (Token& t : lex(source)) out.push_back(std::move(t.text));
   return out;
 }
 

@@ -9,17 +9,13 @@
 
 namespace patchdb::lang {
 
-struct LexOptions {
-  bool keep_comments = false;       // drop comments by default
-  bool keep_preprocessor = true;    // keep # directives as single tokens
-};
-
-/// Tokenize a source fragment. Never throws: unrecognized bytes become
-/// kUnknown tokens so dirty patch content cannot break the pipeline.
-std::vector<Token> lex(std::string_view source, const LexOptions& options = {});
+/// Tokenize a source fragment. Comments are dropped; a # directive
+/// becomes one kPreprocessor token. Never throws: unrecognized bytes
+/// become kUnknown tokens so dirty patch content cannot break the
+/// pipeline.
+std::vector<Token> lex(std::string_view source);
 
 /// Tokenize and return only the token texts (the RNN input form).
-std::vector<std::string> lex_texts(std::string_view source,
-                                   const LexOptions& options = {});
+std::vector<std::string> lex_texts(std::string_view source);
 
 }  // namespace patchdb::lang

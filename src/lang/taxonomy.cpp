@@ -45,20 +45,6 @@ bool is_memory_operator(std::string_view name) {
   return kMemoryOps.contains(name);
 }
 
-SyntaxCounts& SyntaxCounts::operator+=(const SyntaxCounts& other) noexcept {
-  if_statements += other.if_statements;
-  loops += other.loops;
-  function_calls += other.function_calls;
-  arithmetic_ops += other.arithmetic_ops;
-  relational_ops += other.relational_ops;
-  logical_ops += other.logical_ops;
-  bitwise_ops += other.bitwise_ops;
-  memory_ops += other.memory_ops;
-  variables += other.variables;
-  function_defs += other.function_defs;
-  return *this;
-}
-
 SyntaxCounts count_syntax(const std::vector<Token>& tokens) {
   SyntaxCounts counts;
   std::unordered_set<std::string_view> seen_vars;

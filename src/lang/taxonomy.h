@@ -44,8 +44,6 @@ struct SyntaxCounts {
   std::size_t memory_ops = 0;
   std::size_t variables = 0;      // distinct non-call identifiers
   std::size_t function_defs = 0;  // heuristic: ident '(' ... ')' '{' at depth 0
-
-  SyntaxCounts& operator+=(const SyntaxCounts& other) noexcept;
 };
 
 /// Count syntactic categories in a fragment (e.g. the added lines of a

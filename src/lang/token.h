@@ -18,7 +18,6 @@ enum class TokenKind {
   kCharLiteral,
   kOperator,     // +, -, ==, &&, <<=, ...
   kPunctuator,   // ( ) { } [ ] ; , : :: ...
-  kComment,      // // or /* */ (single token, may span lines)
   kPreprocessor, // a whole # directive line
   kUnknown,
 };
@@ -35,7 +34,5 @@ struct Token {
 /// True for C/C++ keywords (the union of C11 and common C++ keywords;
 /// patches mix both).
 bool is_keyword(std::string_view word);
-
-const char* token_kind_name(TokenKind kind);
 
 }  // namespace patchdb::lang

@@ -18,6 +18,15 @@ namespace patchdb::serve {
 
 namespace {
 
+// The wire enumerators are feature::FeatureSpace's, in the same order, so
+// a decoded request converts with a cast.
+static_assert(static_cast<int>(WireFeatureSpace::kSyntactic) ==
+              static_cast<int>(feature::FeatureSpace::kSyntactic));
+static_assert(static_cast<int>(WireFeatureSpace::kSemantic) ==
+              static_cast<int>(feature::FeatureSpace::kSemantic));
+static_assert(static_cast<int>(WireFeatureSpace::kInterproc) ==
+              static_cast<int>(feature::FeatureSpace::kInterproc));
+
 ServedPatch make_served(corpus::CommitRecord&& record, WireComponent component) {
   ServedPatch served;
   served.id = record.patch.commit;
@@ -94,10 +103,10 @@ void ServedDataset::index_and_precompute() {
   // The nearest-query corpus: Table I features of the natural patches,
   // scaled by the max-abs weights learned over that same set — the
   // Section III-B.2 normalization with the served corpus as the union.
-  std::vector<diff::Patch> natural;
+  std::vector<const diff::Patch*> natural;
   natural.reserve(natural_rows_);
   for (std::size_t i = 0; i < natural_rows_; ++i) {
-    natural.push_back(patches_[i].patch);
+    natural.push_back(&patches_[i].patch);
   }
   natural_features_ = feature::extract_all(natural);
   dims_ = natural_features_.cols();
@@ -171,32 +180,15 @@ Response ServedDataset::features(const FeaturesRequest& request) const {
   Response response;
   // Syntactic vectors of natural patches come straight from the
   // precomputed matrix; the extended spaces (and synthetic patches)
-  // extract on demand — the extractors are pure, so either path yields
+  // extract on demand — the extractor is pure, so either path yields
   // the offline-identical vector.
-  if (request.space == WireFeatureSpace::kSyntactic && index < natural_rows_) {
+  const auto space = static_cast<feature::FeatureSpace>(request.space);
+  if (space == feature::FeatureSpace::kSyntactic && index < natural_rows_) {
     const std::span<const double> row = natural_features_[index];
     response.features.vector.assign(row.begin(), row.end());
     return response;
   }
-  const diff::Patch& patch = patches_[index].patch;
-  switch (request.space) {
-    case WireFeatureSpace::kSyntactic: {
-      const feature::FeatureVector v = feature::extract(patch);
-      response.features.vector.assign(v.begin(), v.end());
-      break;
-    }
-    case WireFeatureSpace::kSemantic: {
-      const feature::ExtendedFeatureVector v = feature::extract_extended(patch);
-      response.features.vector.assign(v.begin(), v.end());
-      break;
-    }
-    case WireFeatureSpace::kInterproc: {
-      const feature::InterprocFeatureVector v =
-          feature::extract_interproc(patch);
-      response.features.vector.assign(v.begin(), v.end());
-      break;
-    }
-  }
+  response.features.vector = feature::extract(patches_[index].patch, space);
   return response;
 }
 
@@ -220,10 +212,8 @@ Response ServedDataset::nearest(const NearestRequest& request) const {
       query = std::span<const float>(scaled_).subspan(index * dims_, dims_);
     } else {
       // Synthetic query patch: featurize on demand, scale identically.
-      const feature::FeatureVector v =
-          feature::extract(patches_[index].patch);
-      query_storage = core::scale_query(std::vector<double>(v.begin(), v.end()),
-                                        weights_);
+      query_storage = core::scale_query(
+          feature::extract(patches_[index].patch), weights_);
       query = query_storage;
     }
   } else {

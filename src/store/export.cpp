@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "diff/parse.h"
 #include "diff/render.h"
@@ -56,10 +58,13 @@ std::uint64_t write_patch_file(const fs::path& dir, const std::string& commit,
   return util::fnv1a64(content);
 }
 
+/// Write one natural component's patch files, manifest rows and feature
+/// rows. `rows` holds every natural patch's features in manifest order;
+/// `next_row` is this component's first row, and advances past it.
 void export_records(const std::vector<corpus::CommitRecord>& records,
                     const char* component, const fs::path& root,
-                    std::string& manifest, std::string& features,
-                    ExportStats& stats) {
+                    const feature::FeatureMatrix& rows, std::size_t& next_row,
+                    std::string& manifest, std::string& features) {
   const fs::path dir = root / component;
   fs::create_directories(dir);
   for (const corpus::CommitRecord& record : records) {
@@ -69,15 +74,12 @@ void export_records(const std::vector<corpus::CommitRecord>& records,
                              record.truth.is_security,
                              static_cast<int>(record.truth.type), record.repo,
                              "", 0, 0, checksum);
-    const feature::FeatureVector v = feature::extract(record.patch);
     features += record.patch.commit;
-    for (double value : v) {
+    for (double value : rows[next_row++]) {
       features += ',';
       features += util::format_double(value, 6);
     }
     features += '\n';
-    ++stats.feature_rows;
-    ++stats.patches_written;
   }
 }
 
@@ -151,9 +153,23 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   }
   features += '\n';
 
-  export_records(db.nvd_security, "nvd", root, manifest, features, stats);
-  export_records(db.wild_security, "wild", root, manifest, features, stats);
-  export_records(db.nonsecurity, "nonsecurity", root, manifest, features, stats);
+  // Every natural patch's row comes from one pool batch, in manifest
+  // order.
+  const std::pair<const char*, const std::vector<corpus::CommitRecord>*> natural[] = {
+      {"nvd", &db.nvd_security},
+      {"wild", &db.wild_security},
+      {"nonsecurity", &db.nonsecurity},
+  };
+  std::vector<const diff::Patch*> patches;
+  for (const auto& [component, records] : natural) {
+    for (const corpus::CommitRecord& record : *records) patches.push_back(&record.patch);
+  }
+  const feature::FeatureMatrix rows = feature::extract_all(patches);
+  for (const auto& [component, records] : natural) {
+    export_records(*records, component, root, rows, stats.feature_rows, manifest,
+                   features);
+  }
+  stats.patches_written = stats.feature_rows;
 
   const fs::path synth_dir = root / "synthetic";
   fs::create_directories(synth_dir);
@@ -190,6 +206,8 @@ LoadedPatchDb load_patchdb(const fs::path& root) {
   }
 
   LoadedPatchDb db;
+  // The commit is the served key: it must be unique across components.
+  std::unordered_map<std::string_view, std::size_t> first_row;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const auto& fields = rows[i];
     // Row numbers in errors count the version line and the header.
@@ -200,6 +218,11 @@ LoadedPatchDb load_patchdb(const fs::path& root) {
     }
     const std::string& commit = fields[0];
     check_commit_field(commit, row_no);
+    const auto [first, fresh] = first_row.emplace(commit, row_no);
+    if (!fresh) {
+      malformed(row_no, "duplicate commit " + commit + " (first listed at row " +
+                            std::to_string(first->second) + ")");
+    }
     const std::string& component = fields[1];
     if (component != "nvd" && component != "wild" && component != "nonsecurity" &&
         component != "synthetic") {

@@ -3,6 +3,7 @@
 #include <set>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 #include "corpus/taxonomy.h"
 #include "store/checkpoint.h"
@@ -101,6 +102,8 @@ FsckReport fsck_dataset(const fs::path& root) {
   }
 
   std::set<std::pair<std::string, std::string>> listed;  // (component, commit)
+  // The commit is the served key: it must be unique across components.
+  std::unordered_map<std::string_view, std::size_t> first_row;
   std::size_t natural_rows = 0;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const auto& fields = rows[i];
@@ -155,9 +158,12 @@ FsckReport fsck_dataset(const fs::path& root) {
     }
     if (!row_ok) continue;
     if (component != "synthetic") ++natural_rows;
-    if (!listed.emplace(component, commit).second) {
-      report.errors.push_back(where + ": duplicate entry " + component + "/" +
-                              commit);
+    listed.emplace(component, commit);
+    const auto [first, fresh] = first_row.emplace(commit, i + 2);
+    if (!fresh) {
+      report.errors.push_back(where + ": duplicate commit " + commit +
+                              " (first listed at row " +
+                              std::to_string(first->second) + ")");
       continue;
     }
 

@@ -1,7 +1,6 @@
 #include "util/levenshtein.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace patchdb::util {
@@ -25,44 +24,6 @@ std::size_t levenshtein(std::string_view a, std::string_view b) {
     }
   }
   return row[b.size()];
-}
-
-double levenshtein_normalized(std::string_view a, std::string_view b) {
-  const std::size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 0.0;
-  return static_cast<double>(levenshtein(a, b)) / static_cast<double>(longest);
-}
-
-std::size_t levenshtein_bounded(std::string_view a, std::string_view b,
-                                std::size_t bound) {
-  if (a.size() < b.size()) std::swap(a, b);
-  if (a.size() - b.size() > bound) return bound + 1;
-  if (b.empty()) return a.size();
-
-  constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max() / 2;
-  std::vector<std::size_t> row(b.size() + 1, kInf);
-  for (std::size_t j = 0; j <= std::min(b.size(), bound); ++j) row[j] = j;
-
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    // Cells outside the diagonal band [i-bound, i+bound] stay infinite.
-    const std::size_t lo = (i > bound) ? i - bound : 1;
-    const std::size_t hi = std::min(b.size(), i + bound);
-    std::size_t prev_diag = (lo == 1) ? row[0] : kInf;
-    if (lo == 1) row[0] = (i <= bound) ? i : kInf;
-    std::size_t band_min = kInf;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      const std::size_t prev_row = row[j];
-      const std::size_t subst = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      const std::size_t left = (j >= 1 && row[j - 1] < kInf) ? row[j - 1] + 1 : kInf;
-      const std::size_t up = (prev_row < kInf) ? prev_row + 1 : kInf;
-      row[j] = std::min({up, left, subst});
-      prev_diag = prev_row;
-      band_min = std::min(band_min, row[j]);
-    }
-    if (hi < b.size()) row[hi + 1] = kInf;  // seal the band edge
-    if (band_min > bound) return bound + 1;
-  }
-  return row[b.size()] <= bound ? row[b.size()] : bound + 1;
 }
 
 }  // namespace patchdb::util

@@ -12,13 +12,4 @@ namespace patchdb::util {
 /// Classic O(|a|*|b|) time, O(min) space edit distance with unit costs.
 std::size_t levenshtein(std::string_view a, std::string_view b);
 
-/// Edit distance normalized to [0, 1]: distance / max(|a|, |b|).
-/// Two empty strings have distance 0.
-double levenshtein_normalized(std::string_view a, std::string_view b);
-
-/// Banded variant: returns the exact distance if it is <= `bound`,
-/// otherwise returns `bound + 1`. Runs in O(bound * min(|a|,|b|)).
-std::size_t levenshtein_bounded(std::string_view a, std::string_view b,
-                                std::size_t bound);
-
 }  // namespace patchdb::util

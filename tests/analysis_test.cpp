@@ -481,7 +481,8 @@ TEST(FeatureSpace, DimsAndNames) {
 TEST(FeatureSpace, ExtendedVectorPreservesSyntacticPrefix) {
   const diff::Patch patch = diff::parse_patch(kGuardPatchText);
   const feature::FeatureVector base = feature::extract(patch);
-  const feature::ExtendedFeatureVector extended = feature::extract_extended(patch);
+  const std::vector<double> extended =
+      feature::extract(patch, feature::FeatureSpace::kSemantic);
   for (std::size_t i = 0; i < feature::kFeatureCount; ++i) {
     EXPECT_EQ(base[i], extended[i]) << "dim " << i << " not bit-identical";
   }
@@ -492,7 +493,8 @@ TEST(FeatureSpace, ExtendedVectorPreservesSyntacticPrefix) {
 }
 
 TEST(FeatureSpace, DefaultMatrixKeepsSeedLayout) {
-  const std::vector<diff::Patch> patches = {diff::parse_patch(kGuardPatchText)};
+  const diff::Patch patch = diff::parse_patch(kGuardPatchText);
+  const std::vector<const diff::Patch*> patches = {&patch};
   const feature::FeatureMatrix syntactic = feature::extract_all(patches);
   EXPECT_EQ(syntactic.cols(), feature::kFeatureCount);
   const feature::FeatureMatrix semantic =

@@ -1,12 +1,13 @@
 // Tests for the 60-dimension Table I feature extractor.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "corpus/mutate.h"
 #include "corpus/repo.h"
+#include "corpus/world.h"
 #include "diff/parse.h"
 #include "feature/features.h"
 #include "util/rng.h"
@@ -103,14 +104,9 @@ TEST(Features, SameHunkDetectionAfterAbstraction) {
 TEST(Features, AffectedFilesAndFunctions) {
   const feature::FeatureVector v = feature::extract(simple_patch());
   EXPECT_DOUBLE_EQ(v[56], 1.0);  // one file
+  EXPECT_DOUBLE_EQ(v[57], 1.0);  // within-patch: every file carries a hunk
   EXPECT_DOUBLE_EQ(v[58], 1.0);  // one function (from the section header)
-}
-
-TEST(Features, RepoContextChangesPercentages) {
-  const feature::RepoContext repo{.total_files = 10, .total_functions = 50};
-  const feature::FeatureVector v = feature::extract(simple_patch(), repo);
-  EXPECT_DOUBLE_EQ(v[57], 0.1);
-  EXPECT_DOUBLE_EQ(v[59], 1.0 / 50.0);
+  EXPECT_DOUBLE_EQ(v[59], 1.0);  // within-patch: one function per hunk
 }
 
 TEST(Features, EmptyPatchIsAllZero) {
@@ -150,7 +146,7 @@ TEST_P(FeatureQuadProperty, QuadConsistencyOnGeneratedCommits) {
   EXPECT_LE(v[52], v[51]);
   EXPECT_LE(v[51], v[53]);
 
-  // Percentages stay in [0, 1] without repo context.
+  // The within-patch file share stays in [0, 1].
   EXPECT_GE(v[57], 0.0);
   EXPECT_LE(v[57], 1.0);
   EXPECT_GE(v[59], 0.0);
@@ -160,19 +156,38 @@ INSTANTIATE_TEST_SUITE_P(GeneratedCommits, FeatureQuadProperty,
                          ::testing::Range<std::uint64_t>(0, 60));
 
 TEST(Features, ExtractAllMatchesSingleExtraction) {
-  util::Rng rng(5);
-  std::vector<diff::Patch> patches;
-  for (int i = 0; i < 8; ++i) {
-    patches.push_back(
-        corpus::make_commit(rng, "r", corpus::PatchType::kBoundCheck).patch);
+  corpus::WorldConfig config;
+  config.repos = 3;
+  config.nvd_security = 12;
+  config.wild_pool = 60;
+  config.seed = 5;
+  const corpus::World world = corpus::build_world(config);
+  std::vector<const diff::Patch*> patches;
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& r : *records) patches.push_back(&r.patch);
   }
-  const feature::FeatureMatrix matrix = feature::extract_all(patches);
-  ASSERT_EQ(matrix.rows(), patches.size());
-  ASSERT_EQ(matrix.cols(), feature::kFeatureCount);
-  for (std::size_t i = 0; i < patches.size(); ++i) {
-    const feature::FeatureVector v = feature::extract(patches[i]);
-    EXPECT_TRUE(std::equal(matrix[i].begin(), matrix[i].end(), v.begin()));
+  ASSERT_GT(patches.size(), 40u);
+
+  for (const feature::FeatureSpace space :
+       {feature::FeatureSpace::kSyntactic, feature::FeatureSpace::kSemantic,
+        feature::FeatureSpace::kInterproc}) {
+    const feature::FeatureMatrix matrix = feature::extract_all(patches, space);
+    ASSERT_EQ(matrix.rows(), patches.size());
+    ASSERT_EQ(matrix.cols(), feature::feature_dims(space));
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      const std::vector<double> row = feature::extract(*patches[i], space);
+      ASSERT_EQ(row.size(), matrix.cols());
+      EXPECT_EQ(std::memcmp(matrix[i].data(), row.data(),
+                            row.size() * sizeof(double)),
+                0)
+          << "row " << i << " space " << static_cast<int>(space);
+    }
   }
+  // The array form is the syntactic dispatch.
+  const feature::FeatureVector v = feature::extract(*patches.front());
+  const std::vector<double> row =
+      feature::extract(*patches.front(), feature::FeatureSpace::kSyntactic);
+  EXPECT_EQ(std::memcmp(v.data(), row.data(), sizeof(v)), 0);
 }
 
 TEST(FeatureMatrix, TruncateKeepsLeadingRowsInPlace) {

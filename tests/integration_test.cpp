@@ -226,19 +226,19 @@ TEST(Integration, SyntheticPatchesShiftFeaturesButKeepLabelSignal) {
   const auto synthetic = synth::synthesize_all(world.nvd_security, opt, 5);
   ASSERT_GT(synthetic.size(), 10u);
 
-  std::vector<diff::Patch> sec_patches;
-  for (const auto& r : world.nvd_security) sec_patches.push_back(r.patch);
+  std::vector<const diff::Patch*> sec_patches;
+  for (const auto& r : world.nvd_security) sec_patches.push_back(&r.patch);
   // Exclude security-mimicking hardening commits: they sit in the fix
   // clusters by construction, so "distance to non-security" would be
   // measuring distance to disguised fixes.
-  std::vector<diff::Patch> nonsec_patches;
+  std::vector<const diff::Patch*> nonsec_patches;
   for (const auto& r : world.wild) {
     if (r.truth.type == corpus::PatchType::kDefensive) continue;
-    nonsec_patches.push_back(r.patch);
+    nonsec_patches.push_back(&r.patch);
     if (nonsec_patches.size() >= 100) break;
   }
-  std::vector<diff::Patch> synth_patches;
-  for (const auto& s : synthetic) synth_patches.push_back(s.patch);
+  std::vector<const diff::Patch*> synth_patches;
+  for (const auto& s : synthetic) synth_patches.push_back(&s.patch);
 
   const feature::FeatureMatrix sec = feature::extract_all(sec_patches);
   const feature::FeatureMatrix nonsec = feature::extract_all(nonsec_patches);

@@ -422,9 +422,10 @@ TEST(InterprocFeatures, DimsAndNamesLineUp) {
 TEST(InterprocFeatures, DefaultSpacesStayBitIdentical) {
   const diff::Patch patch = diff::parse_patch(kWrapperFreePatch);
   const feature::FeatureVector syntactic = feature::extract(patch);
-  const feature::ExtendedFeatureVector semantic = feature::extract_extended(patch);
-  const feature::InterprocFeatureVector interproc =
-      feature::extract_interproc(patch);
+  const std::vector<double> semantic =
+      feature::extract(patch, feature::FeatureSpace::kSemantic);
+  const std::vector<double> interproc =
+      feature::extract(patch, feature::FeatureSpace::kInterproc);
   for (std::size_t i = 0; i < feature::kFeatureCount; ++i) {
     EXPECT_EQ(syntactic[i], semantic[i]) << i;
   }
@@ -434,8 +435,8 @@ TEST(InterprocFeatures, DefaultSpacesStayBitIdentical) {
 }
 
 TEST(InterprocFeatures, InterprocDimsSeeTheCrossFunctionFix) {
-  const feature::InterprocFeatureVector v =
-      feature::extract_interproc(diff::parse_patch(kWrapperFreePatch));
+  const std::vector<double> v = feature::extract(
+      diff::parse_patch(kWrapperFreePatch), feature::FeatureSpace::kInterproc);
   // The wrapper-free fix resolves strictly more under interproc than
   // under the intraprocedural pass (dim 74 is the resolved delta).
   EXPECT_GT(v[74], 0.0);
@@ -443,7 +444,8 @@ TEST(InterprocFeatures, InterprocDimsSeeTheCrossFunctionFix) {
 }
 
 TEST(InterprocFeatures, MatrixWidthMatchesSpace) {
-  const std::vector<diff::Patch> patches = {diff::parse_patch(kWrapperFreePatch)};
+  const diff::Patch patch = diff::parse_patch(kWrapperFreePatch);
+  const std::vector<const diff::Patch*> patches = {&patch};
   const feature::FeatureMatrix m =
       feature::extract_all(patches, feature::FeatureSpace::kInterproc);
   ASSERT_EQ(m.rows(), 1u);

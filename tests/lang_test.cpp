@@ -50,15 +50,6 @@ TEST(Lexer, CommentsDroppedByDefault) {
   EXPECT_EQ(texts(tokens), expected);
 }
 
-TEST(Lexer, CommentsKeptOnRequest) {
-  lang::LexOptions opt;
-  opt.keep_comments = true;
-  const auto tokens = lang::lex("// hi\nx;", opt);
-  ASSERT_GE(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].kind, TokenKind::kComment);
-  EXPECT_EQ(tokens[0].text, "// hi");
-}
-
 TEST(Lexer, StringAndCharLiteralsWithEscapes) {
   const auto tokens = lang::lex(R"(s = "a \"quoted\" str"; c = '\n';)");
   ASSERT_EQ(tokens.size(), 8u);
@@ -139,14 +130,6 @@ TEST(Abstract, RenamingInvariance) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Abstract, CallDistinctionToggle) {
-  lang::AbstractOptions no_calls;
-  no_calls.distinguish_calls = false;
-  const auto tokens = lang::lex("foo(bar);");
-  const auto plain = lang::abstract_tokens(tokens, no_calls);
-  EXPECT_EQ(plain[0], "ID");
-}
-
 // ---------------------------------------------------------- taxonomy --
 
 TEST(Taxonomy, OperatorClasses) {
@@ -187,15 +170,6 @@ TEST(Taxonomy, FunctionDefDetection) {
   EXPECT_EQ(counts.function_defs, 1u);
   const lang::SyntaxCounts call_only = lang::count_syntax("foo(1);");
   EXPECT_EQ(call_only.function_defs, 0u);
-}
-
-TEST(Taxonomy, AccumulateOperator) {
-  lang::SyntaxCounts a = lang::count_syntax("if (x) y();");
-  const lang::SyntaxCounts b = lang::count_syntax("while (x) z();");
-  a += b;
-  EXPECT_EQ(a.if_statements, 1u);
-  EXPECT_EQ(a.loops, 1u);
-  EXPECT_EQ(a.function_calls, 2u);
 }
 
 // ------------------------------------------------------------ parser --

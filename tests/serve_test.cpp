@@ -215,12 +215,12 @@ serve::ServedDataset make_dataset() {
 }
 
 /// The natural patches in served order (the nearest-query corpus).
-std::vector<diff::Patch> natural_patches() {
+std::vector<const diff::Patch*> natural_patches() {
   const core::PatchDb& db = shared_db();
-  std::vector<diff::Patch> out;
-  for (const corpus::CommitRecord& r : db.nvd_security) out.push_back(r.patch);
-  for (const corpus::CommitRecord& r : db.wild_security) out.push_back(r.patch);
-  for (const corpus::CommitRecord& r : db.nonsecurity) out.push_back(r.patch);
+  std::vector<const diff::Patch*> out;
+  for (const corpus::CommitRecord& r : db.nvd_security) out.push_back(&r.patch);
+  for (const corpus::CommitRecord& r : db.wild_security) out.push_back(&r.patch);
+  for (const corpus::CommitRecord& r : db.nonsecurity) out.push_back(&r.patch);
   return out;
 }
 
@@ -228,7 +228,7 @@ std::vector<diff::Patch> natural_patches() {
 
 TEST(ServeDataset, NearestIsBitIdenticalToOfflineKernels) {
   const serve::ServedDataset dataset = make_dataset();
-  const std::vector<diff::Patch> natural = natural_patches();
+  const std::vector<const diff::Patch*> natural = natural_patches();
 
   // The offline path: Table I features, max-abs weights over the corpus
   // union with itself, scaled rows, and l2_cell per pair.
@@ -241,7 +241,7 @@ TEST(ServeDataset, NearestIsBitIdenticalToOfflineKernels) {
   for (const std::size_t row : {std::size_t{0}, natural.size() / 2}) {
     serve::NearestRequest request;
     request.by_id = true;
-    request.id = natural[row].commit;
+    request.id = natural[row]->commit;
     request.k = 5;
     const serve::Response response = dataset.nearest(request);
     ASSERT_EQ(response.status, serve::Status::kOk);
@@ -257,7 +257,7 @@ TEST(ServeDataset, NearestIsBitIdenticalToOfflineKernels) {
     }
     std::sort(all.begin(), all.end());
     for (std::size_t i = 0; i < response.nearest.hits.size(); ++i) {
-      EXPECT_EQ(response.nearest.hits[i].id, natural[all[i].second].commit);
+      EXPECT_EQ(response.nearest.hits[i].id, natural[all[i].second]->commit);
       // Bit-exact float equality, not near-equality: the served path
       // must run the same kernel over the same scaled rows.
       EXPECT_EQ(response.nearest.hits[i].distance, all[i].first);
@@ -304,27 +304,32 @@ TEST(ServeDataset, FeatureVectorsMatchOfflineExtractor) {
   const serve::ServedDataset dataset = make_dataset();
   const core::PatchDb& db = shared_db();
 
-  const corpus::CommitRecord& record = db.wild_security.front();
-  serve::FeaturesRequest request;
-  request.id = record.patch.commit;
-  serve::Response response = dataset.features(request);
-  ASSERT_EQ(response.status, serve::Status::kOk);
-  const feature::FeatureVector offline = feature::extract(record.patch);
-  ASSERT_EQ(response.features.vector.size(), offline.size());
-  for (std::size_t i = 0; i < offline.size(); ++i) {
-    EXPECT_EQ(response.features.vector[i], offline[i]);
-  }
-
-  // Synthetic ids featurize on demand through the same extractor.
-  const synth::SyntheticPatch& synthetic = db.synthetic.front();
-  request.id = synthetic.patch.commit;
-  response = dataset.features(request);
-  ASSERT_EQ(response.status, serve::Status::kOk);
-  const feature::FeatureVector synth_offline =
-      feature::extract(synthetic.patch);
-  ASSERT_EQ(response.features.vector.size(), synth_offline.size());
-  for (std::size_t i = 0; i < synth_offline.size(); ++i) {
-    EXPECT_EQ(response.features.vector[i], synth_offline[i]);
+  // One natural id (its syntactic row is precomputed at load) and one
+  // synthetic id (featurized on demand), in every feature space: the
+  // served vector must equal the offline dispatch bit for bit.
+  const struct {
+    serve::WireFeatureSpace wire;
+    feature::FeatureSpace space;
+  } spaces[] = {
+      {serve::WireFeatureSpace::kSyntactic, feature::FeatureSpace::kSyntactic},
+      {serve::WireFeatureSpace::kSemantic, feature::FeatureSpace::kSemantic},
+      {serve::WireFeatureSpace::kInterproc, feature::FeatureSpace::kInterproc},
+  };
+  for (const diff::Patch* patch :
+       {&db.wild_security.front().patch, &db.synthetic.front().patch}) {
+    for (const auto& s : spaces) {
+      serve::FeaturesRequest request;
+      request.id = patch->commit;
+      request.space = s.wire;
+      const serve::Response response = dataset.features(request);
+      ASSERT_EQ(response.status, serve::Status::kOk);
+      const std::vector<double> offline = feature::extract(*patch, s.space);
+      ASSERT_EQ(response.features.vector.size(), feature::feature_dims(s.space));
+      EXPECT_EQ(std::memcmp(response.features.vector.data(), offline.data(),
+                            offline.size() * sizeof(double)),
+                0)
+          << patch->commit << " space " << static_cast<int>(s.space);
+    }
   }
 }
 
@@ -345,7 +350,6 @@ TEST(ServeDataset, StatsMatchOfflineCategorizerScan) {
   std::uint64_t agreement = 0;
   std::vector<std::uint64_t> labeled(corpus::kSecurityTypeCount, 0);
   std::vector<std::uint64_t> predicted(corpus::kSecurityTypeCount, 0);
-  const std::vector<diff::Patch> natural = natural_patches();
   std::vector<const corpus::CommitRecord*> records;
   for (const corpus::CommitRecord& r : db.nvd_security) records.push_back(&r);
   for (const corpus::CommitRecord& r : db.wild_security) records.push_back(&r);
@@ -405,7 +409,7 @@ TEST(ServeDataset, RejectsBadQueries) {
   nearest.vector = {1.0, 2.0};  // wrong dimensionality
   EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
   nearest.by_id = true;
-  nearest.id = natural_patches().front().commit;
+  nearest.id = natural_patches().front()->commit;
   nearest.k = 0;
   EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
 
@@ -423,8 +427,8 @@ TEST(ServeServer, Serves64ConcurrentConnectionsAcrossAllOps) {
   serve::Server server(dataset, options);
   server.start();
 
-  const std::vector<diff::Patch> natural = natural_patches();
-  const std::string query_id = natural.front().commit;
+  const std::vector<const diff::Patch*> natural = natural_patches();
+  const std::string query_id = natural.front()->commit;
 
   // Single-connection reference results; the concurrent storm must
   // reproduce them exactly (same immutable snapshot, same kernels).
@@ -448,7 +452,7 @@ TEST(ServeServer, Serves64ConcurrentConnectionsAcrossAllOps) {
       try {
         serve::Client client;
         client.connect("127.0.0.1", server.port());
-        const std::string& id = natural[t % natural.size()].commit;
+        const std::string& id = natural[t % natural.size()]->commit;
 
         const serve::Response lookup = client.lookup(query_id);
         const serve::Response features = client.features(id);

@@ -3,14 +3,20 @@
 // exports (flipped bytes, truncated files, tampered manifests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/patchdb.h"
 #include "diff/render.h"
+#include "feature/features.h"
 #include "store/csv.h"
 #include "store/export.h"
+#include "store/fsck.h"
 #include "store/io.h"
+#include "util/table.h"
 
 namespace patchdb {
 namespace {
@@ -48,6 +54,22 @@ class StoreTest : public ::testing::Test {
     body += rows;
     std::ofstream out(root_ / "manifest.csv", std::ios::binary);
     out << store::with_checksum_trailer(std::move(body));
+  }
+
+  /// Append a copy of the first patch row to the exported manifest and
+  /// re-seal it. Returns the copy's row number (rows count the version
+  /// line and the header, as the loaders' messages do).
+  std::size_t repeat_first_manifest_row() {
+    const std::string sealed = store::read_file(root_ / "manifest.csv");
+    std::string body(store::strip_checksum_trailer(sealed, "manifest.csv"));
+    const std::size_t first = body.find('\n', body.find('\n') + 1) + 1;
+    const std::size_t next = body.find('\n', first) + 1;
+    body += body.substr(first, next - first);
+    const auto rows =
+        static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
+    std::ofstream out(root_ / "manifest.csv", std::ios::binary | std::ios::trunc);
+    out << store::with_checksum_trailer(std::move(body));
+    return rows;
   }
 
   fs::path root_;
@@ -169,14 +191,32 @@ TEST_F(StoreTest, FeaturesCsvHasHeaderAndRows) {
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header.rfind("commit,changed_lines,", 0), 0u);
-  std::size_t rows = 0;
+
+  // Row i is record i of the manifest order (nvd, wild, nonsecurity):
+  // its commit, then its 60 Table I values at six decimals.
+  std::vector<std::string> expected;
+  for (const auto* records : {&db.nvd_security, &db.wild_security, &db.nonsecurity}) {
+    for (const corpus::CommitRecord& record : *records) {
+      std::string row = record.patch.commit;
+      for (double value : feature::extract(record.patch)) {
+        row += ',';
+        row += util::format_double(value, 6);
+      }
+      expected.push_back(std::move(row));
+    }
+  }
+  ASSERT_FALSE(db.wild_security.empty());
+  ASSERT_FALSE(db.nonsecurity.empty());
+  std::vector<std::string> rows;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;  // checksum trailer
-    ++rows;
+    rows.push_back(line);
   }
-  EXPECT_EQ(rows, db.nvd_security.size() + db.wild_security.size() +
-                      db.nonsecurity.size());
+  ASSERT_EQ(rows.size(), expected.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], expected[i]) << "features.csv data row " << i;
+  }
 }
 
 TEST_F(StoreTest, LoadMissingManifestThrows) {
@@ -299,6 +339,35 @@ TEST_F(StoreTest, ExportIsIdempotent) {
   EXPECT_GT(again.patches_written, 0u);
   const store::LoadedPatchDb loaded = store::load_patchdb(root_);
   EXPECT_EQ(loaded.nvd_security.size(), db.nvd_security.size());
+}
+
+TEST_F(StoreTest, LoadRejectsRepeatedCommit) {
+  store::export_patchdb(small_db(), root_);
+  const std::size_t row = repeat_first_manifest_row();
+  try {
+    store::load_patchdb(root_);
+    FAIL() << "a manifest listing one commit twice loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row " + std::to_string(row) + ": duplicate commit"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("first listed at row 3"), std::string::npos) << what;
+  }
+}
+
+TEST_F(StoreTest, FsckRejectsRepeatedCommit) {
+  store::export_patchdb(small_db(), root_);
+  ASSERT_TRUE(store::fsck_dataset(root_).ok());
+  const std::size_t row = repeat_first_manifest_row();
+  const store::FsckReport report = store::fsck_dataset(root_);
+  const std::string expected = "manifest.csv row " + std::to_string(row) +
+                               ": duplicate commit";
+  EXPECT_TRUE(std::any_of(report.errors.begin(), report.errors.end(),
+                          [&](const std::string& error) {
+                            return error.find(expected) != std::string::npos;
+                          }))
+      << "no error names row " << row;
 }
 
 }  // namespace

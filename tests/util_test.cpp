@@ -179,40 +179,6 @@ TEST_P(LevenshteinProperty, MetricAxiomsOnRandomStrings) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, LevenshteinProperty,
                          ::testing::Range<std::uint64_t>(0, 50));
 
-class LevenshteinBounded : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LevenshteinBounded, AgreesWithExactWithinBound) {
-  util::Rng rng(GetParam() * 977 + 5);
-  auto random_string = [&rng] {
-    std::string s;
-    const std::size_t n = rng.index(30);
-    for (std::size_t i = 0; i < n; ++i) {
-      s += static_cast<char>('a' + rng.index(5));
-    }
-    return s;
-  };
-  const std::string a = random_string();
-  const std::string b = random_string();
-  const std::size_t exact = util::levenshtein(a, b);
-  for (std::size_t bound : {0u, 1u, 3u, 8u, 40u}) {
-    const std::size_t got = util::levenshtein_bounded(a, b, bound);
-    if (exact <= bound) {
-      EXPECT_EQ(got, exact) << "a=" << a << " b=" << b << " bound=" << bound;
-    } else {
-      EXPECT_GT(got, bound);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, LevenshteinBounded,
-                         ::testing::Range<std::uint64_t>(0, 40));
-
-TEST(Levenshtein, NormalizedRange) {
-  EXPECT_DOUBLE_EQ(util::levenshtein_normalized("", ""), 0.0);
-  EXPECT_DOUBLE_EQ(util::levenshtein_normalized("ab", ""), 1.0);
-  EXPECT_NEAR(util::levenshtein_normalized("kitten", "sitting"), 3.0 / 7.0, 1e-12);
-}
-
 // -------------------------------------------------------------- stats --
 
 TEST(Stats, SummaryBasics) {

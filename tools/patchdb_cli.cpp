@@ -261,17 +261,7 @@ int cmd_features(const std::string& path, bool all, bool semantic,
       interproc ? feature::FeatureSpace::kInterproc
                 : semantic ? feature::FeatureSpace::kSemantic
                            : feature::FeatureSpace::kSyntactic;
-  std::vector<double> v;
-  if (interproc) {
-    const feature::InterprocFeatureVector e = feature::extract_interproc(patch);
-    v.assign(e.begin(), e.end());
-  } else if (semantic) {
-    const feature::ExtendedFeatureVector e = feature::extract_extended(patch);
-    v.assign(e.begin(), e.end());
-  } else {
-    const feature::FeatureVector e = feature::extract(patch);
-    v.assign(e.begin(), e.end());
-  }
+  const std::vector<double> v = feature::extract(patch, space);
   const auto names = feature::feature_names(space);
   std::printf("commit %s: %zu files, %zu hunks\n", patch.commit.c_str(),
               patch.files.size(), patch.hunk_count());
