@@ -57,7 +57,7 @@ void BM_Levenshtein(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.size() + b.size()));
 }
-BENCHMARK(BM_Levenshtein)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_Levenshtein)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_Lexer(benchmark::State& state) {
   util::Rng rng(3);

@@ -1,11 +1,13 @@
 #include "feature/features.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <unordered_set>
 
 #include "analysis/analyze.h"
 #include "lang/abstract.h"
+#include "lang/lexer.h"
 #include "lang/taxonomy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,11 +74,39 @@ void write_quad(std::span<double> v, std::size_t base, double added, double remo
   v[base + 3] = added - removed;
 }
 
+/// The removed or the added side of a patch, one hunk at a time. Each
+/// hunk side is lexed once: its tokens feed the abstraction, and appended
+/// in hunk order they are the tokens of `joined`, the hunk sides each
+/// followed by '\n', which count_syntax reads. When a hunk side ends
+/// open (lexer.h), `joined` is lexed as a whole instead.
+struct Side {
+  std::string joined;
+  std::vector<lang::Token> tokens;
+  bool open = false;
+
+  /// Append one hunk side; returns its abstracted text.
+  std::string add(const std::string& text) {
+    joined += text;
+    joined += '\n';
+    bool ends_open = false;
+    std::vector<lang::Token> hunk_tokens = lang::lex(text, ends_open);
+    open = open || ends_open;
+    std::string abstracted = lang::abstract_code(hunk_tokens);
+    tokens.insert(tokens.end(), std::make_move_iterator(hunk_tokens.begin()),
+                  std::make_move_iterator(hunk_tokens.end()));
+    return abstracted;
+  }
+
+  lang::SyntaxCounts counts() const {
+    if (open) return lang::count_syntax(joined);
+    return lang::count_syntax(tokens);
+  }
+};
+
 /// Table I dimensions 0-59 of `patch` into v[0, 60).
 void write_syntactic(const diff::Patch& patch, std::span<double> v) {
-  // Gather the added and removed text of the whole patch, and per hunk.
-  std::string all_added;
-  std::string all_removed;
+  Side added_side;
+  Side removed_side;
   std::size_t added_chars = 0;
   std::size_t removed_chars = 0;
 
@@ -92,17 +122,13 @@ void write_syntactic(const diff::Patch& patch, std::span<double> v) {
     for (const diff::Hunk& hunk : fd.hunks) {
       const std::string removed = hunk.removed_text();
       const std::string added = hunk.added_text();
-      all_removed += removed;
-      all_removed += '\n';
-      all_added += added;
-      all_added += '\n';
+      const std::string removed_abs = removed_side.add(removed);
+      const std::string added_abs = added_side.add(added);
       added_chars += added.size();
       removed_chars += removed.size();
 
       if (!(removed.empty() && added.empty())) {
         lev_raw.push_back(static_cast<double>(util::levenshtein(removed, added)));
-        const std::string removed_abs = lang::abstract_code(removed);
-        const std::string added_abs = lang::abstract_code(added);
         lev_abs.push_back(
             static_cast<double>(util::levenshtein(removed_abs, added_abs)));
         if (removed == added) ++same_raw;
@@ -119,8 +145,8 @@ void write_syntactic(const diff::Patch& patch, std::span<double> v) {
     }
   }
 
-  const lang::SyntaxCounts added = lang::count_syntax(all_added);
-  const lang::SyntaxCounts removed = lang::count_syntax(all_removed);
+  const lang::SyntaxCounts added = added_side.counts();
+  const lang::SyntaxCounts removed = removed_side.counts();
 
   const double added_lines = static_cast<double>(patch.added_lines());
   const double removed_lines = static_cast<double>(patch.removed_lines());

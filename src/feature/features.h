@@ -9,6 +9,12 @@
 // the single-patch row bitwise, and the first 60 (or 72) values of a
 // wider space equal the narrower space's row.
 //
+// Each hunk side is lexed once. Its tokens are abstracted for dims 51-53
+// and 55, and the tokens of all hunk sides, appended in hunk order, are
+// counted for dims 10-45 and 47: the counts of the sides joined by '\n'.
+// When a side ends open (lang::lex), the joined text is lexed whole
+// instead, so the row is the same bits either way.
+//
 // Layout (0-based index -> Table I row):
 //   0      #1    changed lines (added + removed)
 //   1      #2    hunks

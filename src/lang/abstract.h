@@ -5,8 +5,11 @@
 // hunks under both views (features 49-56).
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
+
+#include "lang/token.h"
 
 namespace patchdb::lang {
 
@@ -17,6 +20,11 @@ namespace patchdb::lang {
 /// strings "STR", char literals "CHR"; keywords, operators and
 /// punctuation stay; preprocessor lines are dropped.
 std::string abstract_code(std::string_view source);
+
+/// abstract_code over tokens already lexed: abstract_code(source) equals
+/// abstract_code(lex(source)). A '(' beyond the span's end does not make
+/// its last identifier a call.
+std::string abstract_code(std::span<const Token> tokens);
 
 /// Alpha-renaming abstraction: identifiers map to V1, V2, ... in first-
 /// occurrence order (consistently within the fragment), literals to

@@ -51,6 +51,15 @@ struct Scanner {
     }
     return c;
   }
+  /// Step over `n` bytes known to hold no newline.
+  void skip(std::size_t n) noexcept {
+    pos += n;
+    column += n;
+  }
+  /// The bytes from `start` to the current position.
+  std::string since(std::size_t start) const {
+    return std::string(src.substr(start, pos - start));
+  }
 };
 
 bool is_ident_start(char c) {
@@ -59,6 +68,7 @@ bool is_ident_start(char c) {
 bool is_ident_cont(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
 }
+bool is_exponent(char c) { return c == 'e' || c == 'E' || c == 'p' || c == 'P'; }
 
 // Multi-character operators, longest first within each leading char.
 constexpr std::array<std::string_view, 36> kOperators3Plus = {
@@ -69,34 +79,57 @@ constexpr std::array<std::string_view, 36> kOperators3Plus = {
 };
 
 constexpr std::string_view kSingleOps = "&|^~?.";
-constexpr std::string_view kPunct = "(){}[];,:#@";
+constexpr std::string_view kPunct = ":#";  // "::" and "##" are operators
 
-void scan_string(Scanner& s, char quote, std::string& out) {
-  out += s.advance();  // opening quote
+/// The punctuators that begin no operator: one byte is the whole token.
+bool is_plain_punct(char c) {
+  switch (c) {
+    case '(': case ')': case '{': case '}': case '[': case ']':
+    case ';': case ',': case '@':
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Scan a string or char literal up to its closing quote or the end of
+/// the line. Returns true when the source ends on the backslash of an
+/// escape, which a following newline would complete.
+bool scan_string(Scanner& s, char quote) {
+  s.advance();  // opening quote
   while (!s.done()) {
     const char c = s.advance();
-    out += c;
-    if (c == '\\' && !s.done()) {
-      out += s.advance();  // escaped char, even if it is the quote
+    if (c == '\\') {
+      if (s.done()) return true;
+      s.advance();  // escaped char, even if it is the quote
       continue;
     }
     if (c == quote || c == '\n') break;  // unterminated at EOL: stop
   }
+  return false;
 }
 
 }  // namespace
 
-std::vector<Token> lex(std::string_view source) {
+std::vector<Token> lex(std::string_view source, bool& ends_open) {
   std::vector<Token> tokens;
   Scanner s{source};
+  ends_open = false;
 
   while (!s.done()) {
     const char c = s.peek();
     const std::size_t tok_line = s.line;
     const std::size_t tok_col = s.column;
+    const std::size_t start = s.pos;
 
     if (std::isspace(static_cast<unsigned char>(c))) {
       s.advance();
+      continue;
+    }
+
+    if (is_plain_punct(c)) {
+      s.skip(1);
+      tokens.push_back(Token{TokenKind::kPunctuator, std::string(1, c), tok_line, tok_col});
       continue;
     }
 
@@ -113,6 +146,7 @@ std::vector<Token> lex(std::string_view source) {
         }
         text += s.advance();
       }
+      ends_open = s.done() && source.back() == '\\';
       tokens.push_back(Token{TokenKind::kPreprocessor, std::move(text), tok_line, tok_col});
       continue;
     }
@@ -125,10 +159,12 @@ std::vector<Token> lex(std::string_view source) {
     if (c == '/' && s.peek(1) == '*') {
       s.advance();
       s.advance();
+      ends_open = true;
       while (!s.done()) {
         if (s.peek() == '*' && s.peek(1) == '/') {
           s.advance();
           s.advance();
+          ends_open = false;
           break;
         }
         s.advance();
@@ -137,8 +173,8 @@ std::vector<Token> lex(std::string_view source) {
     }
 
     if (is_ident_start(c)) {
-      std::string text;
-      while (!s.done() && is_ident_cont(s.peek())) text += s.advance();
+      while (!s.done() && is_ident_cont(s.peek())) s.skip(1);
+      std::string text = s.since(start);
       const TokenKind kind =
           is_keyword(text) ? TokenKind::kKeyword : TokenKind::kIdentifier;
       tokens.push_back(Token{kind, std::move(text), tok_line, tok_col});
@@ -147,43 +183,31 @@ std::vector<Token> lex(std::string_view source) {
 
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && std::isdigit(static_cast<unsigned char>(s.peek(1))))) {
-      std::string text;
-      bool seen_exp = false;
       while (!s.done()) {
         const char d = s.peek();
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '.' || d == '\'') {
-          seen_exp = (d == 'e' || d == 'E' || d == 'p' || d == 'P');
-          text += s.advance();
-        } else if ((d == '+' || d == '-') && seen_exp &&
-                   (text.back() == 'e' || text.back() == 'E' ||
-                    text.back() == 'p' || text.back() == 'P')) {
-          text += s.advance();
+        if (std::isalnum(static_cast<unsigned char>(d)) || d == '.' || d == '\'' ||
+            ((d == '+' || d == '-') && is_exponent(source[s.pos - 1]))) {
+          s.skip(1);
         } else {
           break;
         }
       }
-      tokens.push_back(Token{TokenKind::kNumber, std::move(text), tok_line, tok_col});
+      tokens.push_back(Token{TokenKind::kNumber, s.since(start), tok_line, tok_col});
       continue;
     }
 
-    if (c == '"') {
-      std::string text;
-      scan_string(s, '"', text);
-      tokens.push_back(Token{TokenKind::kString, std::move(text), tok_line, tok_col});
-      continue;
-    }
-    if (c == '\'') {
-      std::string text;
-      scan_string(s, '\'', text);
-      tokens.push_back(Token{TokenKind::kCharLiteral, std::move(text), tok_line, tok_col});
+    if (c == '"' || c == '\'') {
+      ends_open = scan_string(s, c);
+      const TokenKind kind = c == '"' ? TokenKind::kString : TokenKind::kCharLiteral;
+      tokens.push_back(Token{kind, s.since(start), tok_line, tok_col});
       continue;
     }
 
     // Operators: try longest match from the table.
     bool matched = false;
     for (std::string_view op : kOperators3Plus) {
-      if (source.substr(s.pos, op.size()) == op) {
-        for (std::size_t i = 0; i < op.size(); ++i) s.advance();
+      if (op[0] == c && source.substr(s.pos, op.size()) == op) {
+        s.skip(op.size());
         tokens.push_back(Token{TokenKind::kOperator, std::string(op), tok_line, tok_col});
         matched = true;
         break;
@@ -192,12 +216,12 @@ std::vector<Token> lex(std::string_view source) {
     if (matched) continue;
 
     if (kSingleOps.find(c) != std::string_view::npos) {
-      s.advance();
+      s.skip(1);
       tokens.push_back(Token{TokenKind::kOperator, std::string(1, c), tok_line, tok_col});
       continue;
     }
     if (kPunct.find(c) != std::string_view::npos) {
-      s.advance();
+      s.skip(1);
       tokens.push_back(Token{TokenKind::kPunctuator, std::string(1, c), tok_line, tok_col});
       continue;
     }
@@ -206,6 +230,11 @@ std::vector<Token> lex(std::string_view source) {
     tokens.push_back(Token{TokenKind::kUnknown, std::string(1, c), tok_line, tok_col});
   }
   return tokens;
+}
+
+std::vector<Token> lex(std::string_view source) {
+  bool ends_open = false;
+  return lex(source, ends_open);
 }
 
 std::vector<std::string> lex_texts(std::string_view source) {

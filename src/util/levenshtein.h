@@ -9,7 +9,15 @@
 
 namespace patchdb::util {
 
-/// Classic O(|a|*|b|) time, O(min) space edit distance with unit costs.
+/// Edit distance with unit costs, over bytes. After trimming the common
+/// prefix and suffix (exact for unit costs), it runs Myers' bit-vector
+/// algorithm (G. Myers, J. ACM 46(3), 1999) in Hyyrö's global-distance
+/// form: the shorter string is the pattern, one 64-bit word holds 64 of
+/// its rows, and longer patterns are split into blocks of 64 that pass
+/// the horizontal delta down. Cost O(ceil(m/64) * n) for pattern length
+/// m and text length n, plus a 256-entry match table per word. The
+/// result is exactly the classic dynamic program's, which the tests keep
+/// as the oracle.
 std::size_t levenshtein(std::string_view a, std::string_view b);
 
 }  // namespace patchdb::util

@@ -1,7 +1,10 @@
 // Tests for the 60-dimension Table I feature extractor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,9 @@
 #include "corpus/world.h"
 #include "diff/parse.h"
 #include "feature/features.h"
+#include "lang/abstract.h"
+#include "lang/taxonomy.h"
+#include "util/levenshtein.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -188,6 +194,189 @@ TEST(Features, ExtractAllMatchesSingleExtraction) {
   const std::vector<double> row =
       feature::extract(*patches.front(), feature::FeatureSpace::kSyntactic);
   EXPECT_EQ(std::memcmp(v.data(), row.data(), sizeof(v)), 0);
+}
+
+// Table I dimensions 0-59 by the recipe that lexes every hunk side twice:
+// abstract_code(text) per side, and count_syntax over each side's hunks
+// joined with '\n'. The extractor lexes each hunk side once; this oracle
+// pins it to the same bits.
+feature::FeatureVector two_lex_oracle(const diff::Patch& patch) {
+  feature::FeatureVector v{};
+  std::string all_added;
+  std::string all_removed;
+  std::size_t added_chars = 0;
+  std::size_t removed_chars = 0;
+  std::vector<double> lev_raw;
+  std::vector<double> lev_abs;
+  std::size_t same_raw = 0;
+  std::size_t same_abs = 0;
+  std::set<std::string> touched_functions;
+  std::size_t sectionless_hunks = 0;
+  for (const diff::FileDiff& fd : patch.files) {
+    for (const diff::Hunk& hunk : fd.hunks) {
+      const std::string removed = hunk.removed_text();
+      const std::string added = hunk.added_text();
+      all_removed += removed + '\n';
+      all_added += added + '\n';
+      added_chars += added.size();
+      removed_chars += removed.size();
+      if (!(removed.empty() && added.empty())) {
+        lev_raw.push_back(static_cast<double>(util::levenshtein(removed, added)));
+        const std::string removed_abs = lang::abstract_code(removed);
+        const std::string added_abs = lang::abstract_code(added);
+        lev_abs.push_back(static_cast<double>(util::levenshtein(removed_abs, added_abs)));
+        if (removed == added) ++same_raw;
+        if (removed_abs == added_abs) ++same_abs;
+      }
+      if (!hunk.section.empty()) {
+        touched_functions.insert(fd.new_path + "::" + hunk.section);
+      } else {
+        ++sectionless_hunks;
+      }
+    }
+  }
+  const lang::SyntaxCounts added = lang::count_syntax(all_added);
+  const lang::SyntaxCounts removed = lang::count_syntax(all_removed);
+  auto quad = [&v](std::size_t base, std::size_t a, std::size_t r) {
+    v[base] = static_cast<double>(a);
+    v[base + 1] = static_cast<double>(r);
+    v[base + 2] = static_cast<double>(a) + static_cast<double>(r);
+    v[base + 3] = static_cast<double>(a) - static_cast<double>(r);
+  };
+  const double added_lines = static_cast<double>(patch.added_lines());
+  const double removed_lines = static_cast<double>(patch.removed_lines());
+  v[0] = added_lines + removed_lines;
+  v[1] = static_cast<double>(patch.hunk_count());
+  v[2] = added_lines;
+  v[3] = removed_lines;
+  v[4] = added_lines + removed_lines;
+  v[5] = added_lines - removed_lines;
+  quad(6, added_chars, removed_chars);
+  quad(10, added.if_statements, removed.if_statements);
+  quad(14, added.loops, removed.loops);
+  quad(18, added.function_calls, removed.function_calls);
+  quad(22, added.arithmetic_ops, removed.arithmetic_ops);
+  quad(26, added.relational_ops, removed.relational_ops);
+  quad(30, added.logical_ops, removed.logical_ops);
+  quad(34, added.bitwise_ops, removed.bitwise_ops);
+  quad(38, added.memory_ops, removed.memory_ops);
+  quad(42, added.variables, removed.variables);
+  const double total_funcs =
+      static_cast<double>(touched_functions.size() + sectionless_hunks);
+  v[46] = total_funcs;
+  v[47] = static_cast<double>(added.function_defs) -
+          static_cast<double>(removed.function_defs);
+  auto stats = [&v](std::size_t base, const std::vector<double>& values) {
+    if (values.empty()) return;
+    double total = 0.0;
+    double lo = std::numeric_limits<double>::max();
+    double hi = 0.0;
+    for (const double d : values) {
+      total += d;
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    v[base] = total / static_cast<double>(values.size());
+    v[base + 1] = lo;
+    v[base + 2] = hi;
+  };
+  stats(48, lev_raw);
+  stats(51, lev_abs);
+  v[54] = static_cast<double>(same_raw);
+  v[55] = static_cast<double>(same_abs);
+  const double files = static_cast<double>(patch.files.size());
+  double with_hunks = 0.0;
+  for (const diff::FileDiff& fd : patch.files) with_hunks += !fd.hunks.empty();
+  v[56] = files;
+  v[57] = files > 0.0 ? with_hunks / files : 0.0;
+  v[58] = total_funcs;
+  v[59] = v[1] > 0.0 ? total_funcs / v[1] : 0.0;
+  return v;
+}
+
+::testing::AssertionResult matches_two_lex_oracle(const diff::Patch& patch) {
+  const feature::FeatureVector expected = two_lex_oracle(patch);
+  const feature::FeatureVector actual = feature::extract(patch);
+  if (std::memcmp(expected.data(), actual.data(), sizeof(expected)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  auto failure = ::testing::AssertionFailure();
+  for (std::size_t d = 0; d < feature::kFeatureCount; ++d) {
+    if (std::memcmp(&expected[d], &actual[d], sizeof(double)) != 0) {
+      failure << "dim " << d << ": oracle " << expected[d] << ", extract "
+              << actual[d] << "; ";
+    }
+  }
+  return failure;
+}
+
+TEST(Features, LexOnceMatchesTwoLexOracleOnWorld) {
+  corpus::WorldConfig config;
+  config.repos = 4;
+  config.nvd_security = 40;
+  config.wild_pool = 400;
+  config.seed = 7;
+  const corpus::World world = corpus::build_world(config);
+  std::size_t rows = 0;
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& r : *records) {
+      EXPECT_TRUE(matches_two_lex_oracle(r.patch)) << r.patch.commit;
+      ++rows;
+    }
+  }
+  EXPECT_GT(rows, 400u);
+}
+
+// A patch of one file with two hunks. The first hunk's side holds
+// `first`, the second hunk's side `second`; that side is the removed one
+// when `on_removed`, else the added one, and the other side holds a
+// plain statement.
+diff::Patch two_hunk_patch(const std::string& first, const std::string& second,
+                           bool on_removed) {
+  auto hunk = [on_removed](const std::string& header, const std::string& line) {
+    const std::string plain = "n = 0;";
+    return header + (on_removed ? "-" + line + "\n+" + plain + "\n"
+                                : "-" + plain + "\n+" + line + "\n");
+  };
+  return diff::parse_patch(
+      "diff --git a/x.c b/x.c\n"
+      "--- a/x.c\n"
+      "+++ b/x.c\n" +
+      hunk("@@ -3,1 +3,1 @@ int outer(void)\n", first) +
+      hunk("@@ -40,1 +40,1 @@\n", second));
+}
+
+struct BoundaryCase {
+  const char* name;
+  const char* first;
+  const char* second;
+};
+
+// Hunk boundaries where lexing a side alone and lexing the joined sides
+// could disagree. (a)-(c) end the first side open, so the joined text is
+// lexed whole; (d)-(f) do not, and the per-side tokens must add up.
+TEST(Features, LexOnceMatchesTwoLexOracleAtHunkBoundaries) {
+  const BoundaryCase cases[] = {
+      {"(a) unterminated block comment", "x = 1; /* note begins",
+       "still comment */ y = f(a) + 1;"},
+      {"(b) backslash in a string literal", "s = \"abc\\",
+       "t = h(c) * 2; if (t) u();"},
+      {"(c) backslash in a #define", "#define M(x) \\",
+       "  f(x) + g(y) && z"},
+      {"(d) unterminated string, no backslash", "s = \"abc",
+       "t = h(c) - 3;"},
+      {"(e) identifier, then '(' opens the next hunk", "x = foo", "(a, b);"},
+      {"(f) function definition split across hunks", "static int f(int a)",
+       "{ return a < 2; }"},
+  };
+  for (const BoundaryCase& c : cases) {
+    for (const bool on_removed : {false, true}) {
+      const diff::Patch patch = two_hunk_patch(c.first, c.second, on_removed);
+      ASSERT_EQ(patch.hunk_count(), 2u) << c.name;
+      EXPECT_TRUE(matches_two_lex_oracle(patch))
+          << c.name << (on_removed ? " (removed side)" : " (added side)");
+    }
+  }
 }
 
 TEST(FeatureMatrix, TruncateKeepsLeadingRowsInPlace) {

@@ -2,14 +2,20 @@
 // taxonomy counters, and the lightweight statement parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "corpus/world.h"
 #include "lang/abstract.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/taxonomy.h"
 #include "lang/token.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -104,6 +110,87 @@ TEST(Lexer, KeywordsRecognized) {
   EXPECT_TRUE(lang::is_keyword("sizeof"));
   EXPECT_TRUE(lang::is_keyword("nullptr"));
   EXPECT_FALSE(lang::is_keyword("foobar"));
+}
+
+// Each byte the lexer's fast path singles out, next to the operators it
+// could begin.
+TEST(Lexer, ColonAndScopeBoundary) {
+  const auto tokens = lang::lex("a ? b : c; std::x; a:::b");
+  const std::vector<std::string> expected = {"a", "?", "b", ":",  "c", ";", "std",
+                                             "::", "x", ";", "a", "::", ":", "b"};
+  ASSERT_EQ(texts(tokens), expected);
+  EXPECT_EQ(tokens[3].kind, TokenKind::kPunctuator);
+  EXPECT_EQ(tokens[7].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[11].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[12].kind, TokenKind::kPunctuator);
+  EXPECT_EQ(tokens[12].column, 23u);
+}
+
+TEST(Lexer, HashAndPasteBoundary) {
+  const auto tokens = lang::lex("#if X\na ## b # c\n  # d");
+  const std::vector<std::string> expected = {"#if X", "a", "##", "b", "#", "c", "#", "d"};
+  ASSERT_EQ(texts(tokens), expected);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kPreprocessor);  // # at column 1
+  EXPECT_EQ(tokens[2].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[4].kind, TokenKind::kPunctuator);
+  EXPECT_EQ(tokens[6].kind, TokenKind::kPunctuator);  // indented: not a directive
+  EXPECT_EQ(tokens[6].line, 3u);
+  EXPECT_EQ(tokens[6].column, 3u);
+}
+
+TEST(Lexer, DotForms) {
+  const auto tokens = lang::lex("a.b f(...) p .* q .. .5 x.");
+  const std::vector<std::string> expected = {"a", ".", "b", "f", "(", "...", ")", "p",
+                                             ".*", "q", ".", ".", ".5", "x", "."};
+  ASSERT_EQ(texts(tokens), expected);
+  EXPECT_EQ(tokens[1].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[5].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[8].kind, TokenKind::kOperator);
+  EXPECT_EQ(tokens[12].kind, TokenKind::kNumber);
+  EXPECT_EQ(tokens.back().kind, TokenKind::kOperator);
+}
+
+TEST(Lexer, PlainPunctuators) {
+  const auto tokens = lang::lex("(){}[];,@\n @x");
+  const std::vector<std::string> expected = {"(", ")", "{", "}", "[", "]",
+                                             ";", ",", "@", "@", "x"};
+  ASSERT_EQ(texts(tokens), expected);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(tokens[i].kind, TokenKind::kPunctuator) << i;
+    EXPECT_EQ(tokens[i].text.size(), 1u) << i;
+  }
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(tokens[i].line, 1u) << i;
+    EXPECT_EQ(tokens[i].column, i + 1) << i;
+  }
+  EXPECT_EQ(tokens[9].line, 2u);
+  EXPECT_EQ(tokens[9].column, 2u);
+  EXPECT_EQ(tokens[10].column, 3u);
+}
+
+// The end states a following line would continue, and their neighbours
+// that it would not.
+TEST(Lexer, ReportsOpenEnd) {
+  const std::pair<const char*, bool> cases[] = {
+      {"x = 1; /* open", true},
+      {"x = 1; /* closed */", false},
+      {"/*/", true},
+      {"s = \"abc\\", true},
+      {"c = '\\", true},
+      {"s = \"abc\\\\", false},  // the backslash is itself escaped
+      {"s = \"abc", false},      // unterminated, but the newline ends it
+      {"#define M(x) \\", true},
+      {"#define M(x) \\\\", true},  // a directive has no escapes
+      {"#define M(x) \\\n  (x)", false},
+      {"x = 1; // comment \\", false},
+      {"a \\", false},
+      {"", false},
+  };
+  for (const auto& [source, open] : cases) {
+    bool ends_open = !open;
+    lang::lex(source, ends_open);
+    EXPECT_EQ(ends_open, open) << source;
+  }
 }
 
 // ---------------------------------------------------------- abstract --
@@ -270,18 +357,24 @@ TEST(Parser, ToleratesIncompleteFragments) {
   EXPECT_EQ(parsed.ifs[0].condition, "x > 0");
 }
 
+// The random bytes of fuzz case `seed`.
+std::string fuzz_bytes(std::uint64_t seed) {
+  util::Rng rng(seed * 31337 + 11);
+  std::string garbage;
+  const std::size_t n = rng.index(400);
+  for (std::size_t i = 0; i < n; ++i) {
+    garbage += static_cast<char>(rng.index(256));
+  }
+  return garbage;
+}
+
 // Fuzz robustness: the lexer and statement parser process wild patch
 // content; arbitrary bytes must never crash them, and lexing must
 // consume every non-space byte into some token.
 class LangFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LangFuzz, LexerAndParserSurviveRandomBytes) {
-  util::Rng rng(GetParam() * 31337 + 11);
-  std::string garbage;
-  const std::size_t n = rng.index(400);
-  for (std::size_t i = 0; i < n; ++i) {
-    garbage += static_cast<char>(rng.index(256));
-  }
+  const std::string garbage = fuzz_bytes(GetParam());
   const auto tokens = lang::lex(garbage);
   std::size_t token_bytes = 0;
   for (const auto& t : tokens) token_bytes += t.text.size();
@@ -296,9 +389,84 @@ TEST_P(LangFuzz, LexerAndParserSurviveRandomBytes) {
   }
   (void)lang::count_syntax(garbage);
   (void)lang::abstract_code(garbage);
+
+  // lexer.h's join contract: a head that does not end open, a newline and
+  // a tail lex as the head's tokens then the tail's, the tail's lines
+  // shifted; only a literal left open at the head's end also holds the
+  // newline.
+  const std::size_t split = util::Rng(GetParam()).index(garbage.size() + 1);
+  const std::string head = garbage.substr(0, split);
+  const std::string tail = garbage.substr(split);
+  bool ends_open = false;
+  const auto head_tokens = lang::lex(head, ends_open);
+  if (ends_open) return;
+  const auto tail_tokens = lang::lex(tail);
+  const auto joined = lang::lex(head + "\n" + tail);
+  ASSERT_EQ(joined.size(), head_tokens.size() + tail_tokens.size());
+  for (std::size_t i = 0; i < head_tokens.size(); ++i) {
+    Token expected = head_tokens[i];
+    const bool last_literal = i + 1 == head_tokens.size() &&
+                              (expected.kind == TokenKind::kString ||
+                               expected.kind == TokenKind::kCharLiteral);
+    if (last_literal && joined[i].text == expected.text + "\n") expected.text += '\n';
+    EXPECT_EQ(joined[i], expected) << "head token " << i;
+  }
+  const std::size_t shift =
+      static_cast<std::size_t>(std::count(head.begin(), head.end(), '\n')) + 1;
+  for (std::size_t j = 0; j < tail_tokens.size(); ++j) {
+    Token expected = tail_tokens[j];
+    expected.line += shift;
+    EXPECT_EQ(joined[head_tokens.size() + j], expected) << "tail token " << j;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LangFuzz, ::testing::Range<std::uint64_t>(0, 60));
+
+// The token stream, pinned: (kind, line, column, text) of every token the
+// lexer returns for every hunk side of a small simulated world, the 60
+// LangFuzz inputs and tests/data/null_guard.patch, hashed. The constants
+// were recorded with the lexer before its fast path; any token that moves
+// changes them.
+TEST(Lexer, TokenStreamPinned) {
+  std::uint64_t hash = util::fnv1a64("");
+  std::size_t count = 0;
+  auto add = [&](std::string_view source) {
+    for (const Token& t : lang::lex(source)) {
+      hash = util::fnv1a64(std::to_string(static_cast<int>(t.kind)) + ":" +
+                               std::to_string(t.line) + ":" +
+                               std::to_string(t.column) + ":" +
+                               std::to_string(t.text.size()) + ":",
+                           hash);
+      hash = util::fnv1a64(t.text, hash);
+      ++count;
+    }
+  };
+
+  corpus::WorldConfig config;
+  config.repos = 3;
+  config.nvd_security = 12;
+  config.wild_pool = 60;
+  config.seed = 5;
+  const corpus::World world = corpus::build_world(config);
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& r : *records) {
+      for (const diff::FileDiff& fd : r.patch.files) {
+        for (const diff::Hunk& hunk : fd.hunks) {
+          add(hunk.removed_text());
+          add(hunk.added_text());
+        }
+      }
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 60; ++seed) add(fuzz_bytes(seed));
+  std::ifstream in(std::string(PATCHDB_TEST_DATA_DIR) + "/null_guard.patch",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open null_guard.patch";
+  add(std::string(std::istreambuf_iterator<char>(in), {}));
+
+  EXPECT_EQ(count, 8914u);
+  EXPECT_EQ(util::to_hex(hash), "10736151de536c5e");
+}
 
 TEST(Parser, MultiLineConditionExtents) {
   const lang::ParsedFile parsed = lang::parse_source(

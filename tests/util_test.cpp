@@ -10,9 +10,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "corpus/world.h"
+#include "lang/abstract.h"
 #include "util/hash.h"
 #include "util/levenshtein.h"
 #include "util/log.h"
@@ -135,6 +138,37 @@ TEST(Rng, ForkProducesIndependentStream) {
 
 // -------------------------------------------------------- Levenshtein --
 
+// The classic single-row dynamic program: the oracle util::levenshtein's
+// bit-vector algorithm must equal exactly.
+std::size_t dp_levenshtein(std::string_view a, std::string_view b) {
+  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
+  if (b.empty()) return a.size();
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t prev_diag = row[0];  // dp[i-1][0]
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t prev_row = row[j];  // dp[i-1][j]
+      const std::size_t subst = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
+      prev_diag = prev_row;
+    }
+  }
+  return row[b.size()];
+}
+
+// `n` bytes drawn from the first `alphabet` values of a 256-byte range
+// that starts at 'a' and wraps, so an alphabet of 256 holds every byte,
+// those >= 0x80 included.
+std::string random_bytes(util::Rng& rng, std::size_t n, std::size_t alphabet) {
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += static_cast<char>(static_cast<unsigned char>('a' + rng.index(alphabet)));
+  }
+  return s;
+}
+
 TEST(Levenshtein, KnownValues) {
   EXPECT_EQ(util::levenshtein("", ""), 0u);
   EXPECT_EQ(util::levenshtein("abc", ""), 3u);
@@ -142,6 +176,79 @@ TEST(Levenshtein, KnownValues) {
   EXPECT_EQ(util::levenshtein("kitten", "sitting"), 3u);
   EXPECT_EQ(util::levenshtein("flaw", "lawn"), 2u);
   EXPECT_EQ(util::levenshtein("abc", "abc"), 0u);
+}
+
+// Every length from 0 to 200 against the lengths around each 64-bit
+// block edge, in both argument orders, over small and full-byte
+// alphabets: the single-word path, the blocked path and the hand-over
+// between blocks all meet the oracle.
+TEST(Levenshtein, MatchesDpAcrossBlockEdges) {
+  const std::size_t edges[] = {0,  1,   2,   3,   31,  32,  33,  63,  64,
+                               65, 100, 127, 128, 129, 191, 192, 193, 200};
+  util::Rng rng(64);
+  for (const std::size_t alphabet : {2u, 4u, 256u}) {
+    for (std::size_t la = 0; la <= 200; ++la) {
+      for (const std::size_t lb : edges) {
+        const std::string a = random_bytes(rng, la, alphabet);
+        const std::string b = random_bytes(rng, lb, alphabet);
+        const std::size_t expected = dp_levenshtein(a, b);
+        ASSERT_EQ(util::levenshtein(a, b), expected)
+            << "alphabet " << alphabet << " lengths " << la << ", " << lb;
+        ASSERT_EQ(util::levenshtein(b, a), expected)
+            << "alphabet " << alphabet << " lengths " << lb << ", " << la;
+      }
+    }
+  }
+}
+
+// Long shared prefixes and suffixes, which the trim removes before the
+// bit-vector pass, around middles of every size class.
+TEST(Levenshtein, MatchesDpWithSharedPrefixAndSuffix) {
+  util::Rng rng(65);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t alphabet = trial % 2 == 0 ? 4 : 256;
+    const std::string prefix = random_bytes(rng, rng.index(140), alphabet);
+    const std::string suffix = random_bytes(rng, rng.index(140), alphabet);
+    const std::string a =
+        prefix + random_bytes(rng, rng.index(150), alphabet) + suffix;
+    const std::string b =
+        prefix + random_bytes(rng, rng.index(150), alphabet) + suffix;
+    ASSERT_EQ(util::levenshtein(a, b), dp_levenshtein(a, b)) << "trial " << trial;
+    // One string a prefix (or suffix) of the other.
+    ASSERT_EQ(util::levenshtein(prefix, a), dp_levenshtein(prefix, a)) << "trial " << trial;
+    ASSERT_EQ(util::levenshtein(b, suffix), dp_levenshtein(b, suffix)) << "trial " << trial;
+  }
+}
+
+// The pairs Table I measures: every hunk's removed and added text of a
+// small simulated world, raw and after token abstraction.
+TEST(Levenshtein, MatchesDpOnPipelineHunks) {
+  corpus::WorldConfig config;
+  config.repos = 3;
+  config.nvd_security = 12;
+  config.wild_pool = 60;
+  config.seed = 5;
+  const corpus::World world = corpus::build_world(config);
+  std::size_t pairs = 0;
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& r : *records) {
+      for (const diff::FileDiff& fd : r.patch.files) {
+        for (const diff::Hunk& hunk : fd.hunks) {
+          const std::string removed = hunk.removed_text();
+          const std::string added = hunk.added_text();
+          const std::string removed_abs = lang::abstract_code(removed);
+          const std::string added_abs = lang::abstract_code(added);
+          ASSERT_EQ(util::levenshtein(removed, added), dp_levenshtein(removed, added))
+              << removed << "\n---\n" << added;
+          ASSERT_EQ(util::levenshtein(removed_abs, added_abs),
+                    dp_levenshtein(removed_abs, added_abs))
+              << removed_abs << "\n---\n" << added_abs;
+          ++pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 60u);
 }
 
 struct LevCase {
@@ -153,14 +260,8 @@ class LevenshteinProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LevenshteinProperty, MetricAxiomsOnRandomStrings) {
   util::Rng rng(GetParam());
-  auto random_string = [&rng] {
-    std::string s;
-    const std::size_t n = rng.index(24);
-    for (std::size_t i = 0; i < n; ++i) {
-      s += static_cast<char>('a' + rng.index(4));
-    }
-    return s;
-  };
+  // Up to 200 characters: past three 64-bit blocks.
+  auto random_string = [&rng] { return random_bytes(rng, rng.index(201), 4); };
   const std::string a = random_string();
   const std::string b = random_string();
   const std::string c = random_string();
