@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < unrelated; ++i) {
     const corpus::FunctionContext ctx = corpus::draw_context(rng);
     codebase.push_back(
-        {corpus::make_function(ctx, corpus::filler_statements(rng, ctx, 8)),
+        {corpus::make_function(ctx, {corpus::filler_statements(rng, ctx, 8)}),
          false,
          ""});
   }

@@ -88,14 +88,29 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
+// One commit in either of the shapes build_world fabricates. Arg(0) is a
+// wild commit: a type from the wild mix, bundled cleanups and euphemized
+// messages at build_world's rates, no snapshots. Arg(1) is an NVD
+// commit: a security type from the NVD mix, with snapshots.
 void BM_MakeCommit(benchmark::State& state) {
+  const bool nvd = state.range(0) == 1;
+  const corpus::WorldConfig world;
+  corpus::CommitOptions options = world.commit;
+  if (nvd) {
+    options.keep_snapshots = true;
+  } else {
+    options.bundle_cleanup_prob = 0.5;
+    options.euphemize_prob = 0.61;
+  }
   util::Rng rng(13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        corpus::make_commit(rng, "bench", corpus::PatchType::kBoundCheck));
+    const corpus::PatchType type =
+        nvd ? corpus::security_types()[rng.weighted(world.nvd_types)]
+            : corpus::draw_patch_type(rng, world.wild_types, world.wild_security_rate);
+    benchmark::DoNotOptimize(corpus::make_commit(rng, "bench", type, options));
   }
 }
-BENCHMARK(BM_MakeCommit);
+BENCHMARK(BM_MakeCommit)->Arg(0)->Arg(1);
 
 void BM_MyersDiff(benchmark::State& state) {
   util::Rng rng(17);
@@ -106,8 +121,10 @@ void BM_MyersDiff(benchmark::State& state) {
     b.push_back(rng.chance(0.8) && i < a.size() ? a[i]
                                                 : "edit " + std::to_string(i));
   }
+  const std::vector<std::string_view> a_lines = diff::line_views(a);
+  const std::vector<std::string_view> b_lines = diff::line_views(b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(diff::diff_lines(a, b));
+    benchmark::DoNotOptimize(diff::diff_lines(a_lines, b_lines));
   }
 }
 BENCHMARK(BM_MyersDiff)->Arg(50)->Arg(200);

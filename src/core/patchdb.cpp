@@ -1,5 +1,7 @@
 #include "core/patchdb.h"
 
+#include <utility>
+
 #include "util/log.h"
 
 namespace patchdb::core {
@@ -14,9 +16,10 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   // Stage 1: simulate the universe and run the NVD collection pipeline.
   corpus::World world = corpus::build_world(options.world);
   db.crawl_stats = world.crawl_stats;
-  db.nvd_security = world.nvd_security;
 
   // Stage 2: wild augmentation via nearest link + oracle verification.
+  // The seeds point into world.nvd_security, which moves into db after
+  // the rounds; a vector move keeps its buffer, so they stay valid.
   std::vector<const corpus::CommitRecord*> seed;
   seed.reserve(world.nvd_security.size());
   for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
@@ -33,6 +36,7 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   if (hooks.after_round) loop.set_round_callback(hooks.after_round);
   db.rounds = loop.run(options.augment);
   db.verification_effort = world.oracle.effort();
+  db.nvd_security = std::move(world.nvd_security);
 
   for (const corpus::CommitRecord* r : loop.wild_security()) {
     db.wild_security.push_back(*r);

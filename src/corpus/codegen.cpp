@@ -111,10 +111,13 @@ std::vector<std::string> filler_statements(util::Rng& rng, const FunctionContext
   return out;
 }
 
-std::vector<std::string> make_function(const FunctionContext& ctx,
-                                       const std::vector<std::string>& body) {
+std::vector<std::string> make_function(
+    const FunctionContext& ctx,
+    std::initializer_list<std::span<const std::string>> body_parts) {
+  std::size_t body_size = 0;
+  for (const auto part : body_parts) body_size += part.size();
   std::vector<std::string> out;
-  out.reserve(body.size() + 8);
+  out.reserve(body_size + 9);
   out.push_back("static int " + ctx.func_name + "(struct " + ctx.ptr +
                 "_state *" + ctx.ptr + ", size_t " + ctx.len + ")");
   out.push_back("{");
@@ -123,27 +126,37 @@ std::vector<std::string> make_function(const FunctionContext& ctx,
   out.push_back("    int " + ctx.val + " = 0;");
   out.push_back("    int " + ctx.tmp + " = 0;");
   out.push_back("");
-  for (const std::string& line : body) {
-    out.push_back(line.empty() ? line : "    " + line);
+  for (const auto part : body_parts) {
+    for (const std::string& line : part) {
+      out.push_back(line.empty() ? line : "    " + line);
+    }
   }
   out.push_back("    return " + ctx.val + ";");
   out.push_back("}");
   return out;
 }
 
-std::vector<std::string> make_file(
-    util::Rng& rng, const std::vector<std::vector<std::string>>& functions) {
-  std::vector<std::string> out;
+std::vector<std::string_view> make_file(
+    util::Rng& rng, std::span<const std::span<const std::string>> functions) {
+  static constexpr std::array<std::string_view, 8> kRetries = {
+      "#define MAX_RETRIES 1", "#define MAX_RETRIES 2", "#define MAX_RETRIES 3",
+      "#define MAX_RETRIES 4", "#define MAX_RETRIES 5", "#define MAX_RETRIES 6",
+      "#define MAX_RETRIES 7", "#define MAX_RETRIES 8",
+  };
+  std::size_t size = 7;
+  for (const auto fn : functions) size += fn.size() + 1;
+  std::vector<std::string_view> out;
+  out.reserve(size);
   out.push_back("#include <stdio.h>");
   out.push_back("#include <stdlib.h>");
   out.push_back("#include <string.h>");
   if (rng.chance(0.5)) out.push_back("#include \"internal.h\"");
   out.push_back("");
   if (rng.chance(0.4)) {
-    out.push_back("#define MAX_RETRIES " + std::to_string(1 + rng.index(8)));
+    out.push_back(kRetries[rng.index(kRetries.size())]);
     out.push_back("");
   }
-  for (const auto& fn : functions) {
+  for (const auto fn : functions) {
     out.insert(out.end(), fn.begin(), fn.end());
     out.push_back("");
   }

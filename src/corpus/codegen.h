@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -40,14 +43,18 @@ std::vector<std::string> filler_statements(util::Rng& rng, const FunctionContext
 
 /// Wrap body statements in a full function definition:
 /// `static int <name>(struct <field>_ctx *<ptr>, size_t <len>) { ... }`.
-/// Body lines get one level of indentation.
-std::vector<std::string> make_function(const FunctionContext& ctx,
-                                       const std::vector<std::string>& body);
+/// The body is `body_parts` joined in order, so callers splice a body
+/// without building it first. Non-empty body lines get one level of
+/// indentation.
+std::vector<std::string> make_function(
+    const FunctionContext& ctx,
+    std::initializer_list<std::span<const std::string>> body_parts);
 
 /// A complete file: include block, a couple of declarations, then the
-/// given functions separated by blank lines.
-std::vector<std::string> make_file(util::Rng& rng,
-                                   const std::vector<std::vector<std::string>>& functions);
+/// given functions separated by blank lines. The lines are views: of the
+/// functions' lines, which must outlive the file, and of static text.
+std::vector<std::string_view> make_file(
+    util::Rng& rng, std::span<const std::span<const std::string>> functions);
 
 /// Random identifiers for repositories/files.
 std::string draw_repo_name(util::Rng& rng);

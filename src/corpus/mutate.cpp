@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -671,19 +672,12 @@ MutationResult make_mutation(util::Rng& rng, const FunctionContext& ctx,
   const Lines suffix = filler_statements(rng, ctx, 1 + rng.index(3));
   BodyPair pair = make_body_pair(rng, ctx, type);
 
-  auto assemble = [&](const Lines& core) {
-    Lines body = prefix;
-    body.push_back("");
-    body.insert(body.end(), core.begin(), core.end());
-    body.push_back("");
-    body.insert(body.end(), suffix.begin(), suffix.end());
-    return make_function(ctx, body);
-  };
-
+  static const std::string kBlank;
+  const std::span<const std::string> gap(&kBlank, 1);
   MutationResult result;
   result.type = type;
-  result.before = assemble(pair.before);
-  result.after = assemble(pair.after);
+  result.before = make_function(ctx, {prefix, gap, pair.before, gap, suffix});
+  result.after = make_function(ctx, {prefix, gap, pair.after, gap, suffix});
 
   // Signature-level types edit the first line of the AFTER version only.
   if (type == PatchType::kFuncDeclaration) {

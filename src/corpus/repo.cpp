@@ -1,6 +1,8 @@
 #include "corpus/repo.h"
 
 #include <array>
+#include <span>
+#include <string_view>
 
 #include "diff/myers.h"
 #include "diff/render.h"
@@ -36,48 +38,59 @@ std::string draw_date(util::Rng& rng) {
   return buf;
 }
 
-/// One touched C file: neighbors + the mutated target function.
+/// One touched C file: neighbors + the mutated target function. Each
+/// function is built once and owned here; both versions of the file are
+/// views of their lines (and of make_file's static text).
 struct BuiltFile {
   std::string path;
-  std::vector<std::string> before;
-  std::vector<std::string> after;
+  std::vector<std::vector<std::string>> functions;
+  std::vector<std::string_view> before;
+  std::vector<std::string_view> after;
 };
 
 BuiltFile build_target_file(util::Rng& rng, PatchType type,
                             const CommitOptions& options, std::string* message) {
   const FunctionContext ctx = draw_context(rng);
-  const MutationResult mutation = make_mutation(rng, ctx, type);
-  if (message != nullptr && message->empty()) *message = mutation.message;
+  MutationResult mutation = make_mutation(rng, ctx, type);
+  if (message != nullptr && message->empty()) *message = std::move(mutation.message);
 
   const std::size_t span = options.max_neighbor_functions + 1 -
                            options.min_neighbor_functions;
   const std::size_t neighbors =
       options.min_neighbor_functions + (span > 0 ? rng.index(span) : 0);
 
-  std::vector<std::vector<std::string>> before_funcs;
-  std::vector<std::vector<std::string>> after_funcs;
+  BuiltFile file;
+  // The target's two versions, one function per neighbor and at most one
+  // bundled cleanup: reserved, so no function moves once viewed.
+  file.functions.reserve(neighbors + 3);
+  const auto& target_before = file.functions.emplace_back(std::move(mutation.before));
+  const auto& target_after = file.functions.emplace_back(std::move(mutation.after));
+  std::vector<std::span<const std::string>> before_funcs;
+  std::vector<std::span<const std::string>> after_funcs;
+  before_funcs.reserve(neighbors + 1);
+  after_funcs.reserve(neighbors + 1);
   const std::size_t target_slot = neighbors == 0 ? 0 : rng.index(neighbors + 1);
   const bool bundle = is_security_type(type) && neighbors > 0 &&
                       rng.chance(options.bundle_cleanup_prob);
   bool bundled = false;
   for (std::size_t slot = 0; slot <= neighbors; ++slot) {
     if (slot == target_slot) {
-      before_funcs.push_back(mutation.before);
-      after_funcs.push_back(mutation.after);
+      before_funcs.push_back(target_before);
+      after_funcs.push_back(target_after);
     } else {
       const FunctionContext other = draw_context(rng);
-      std::vector<std::string> body = filler_statements(rng, other, 3 + rng.index(5));
-      const std::vector<std::string> fn = make_function(other, body);
+      const std::vector<std::string> body =
+          filler_statements(rng, other, 3 + rng.index(5));
+      const auto& fn = file.functions.emplace_back(make_function(other, {body}));
       before_funcs.push_back(fn);
       if (bundle && !bundled) {
         // Unrelated drive-by cleanup riding along with the fix.
-        std::vector<std::string> touched = body;
         const std::vector<std::string> extra =
             filler_statements(rng, other, 1 + rng.index(2));
-        touched.insert(touched.begin() + static_cast<std::ptrdiff_t>(
-                                             rng.index(touched.size() + 1)),
-                       extra.begin(), extra.end());
-        after_funcs.push_back(make_function(other, touched));
+        const std::span<const std::string> lines(body);
+        const std::size_t at = rng.index(body.size() + 1);
+        after_funcs.push_back(file.functions.emplace_back(
+            make_function(other, {lines.first(at), extra, lines.subspan(at)})));
         bundled = true;
       } else {
         after_funcs.push_back(fn);
@@ -85,7 +98,6 @@ BuiltFile build_target_file(util::Rng& rng, PatchType type,
     }
   }
 
-  BuiltFile file;
   file.path = draw_file_name(rng);
   // One rng must shape both versions identically outside the mutation, so
   // generate the file wrapper once and splice.
@@ -149,8 +161,8 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
     for (diff::Hunk& hunk : fd.hunks) {
       for (std::size_t line = std::min(hunk.old_start, file.before.size());
            line-- > 0;) {
-        const std::string& text = file.before[line];
-        if (text.rfind("static ", 0) == 0) {
+        const std::string_view text = file.before[line];
+        if (text.starts_with("static ")) {
           hunk.section = text;
           break;
         }
@@ -158,7 +170,9 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
     }
     patch.files.push_back(std::move(fd));
     if (options.keep_snapshots) {
-      record.snapshots.push_back(FileSnapshot{file.path, file.before, file.after});
+      record.snapshots.push_back(
+          FileSnapshot{file.path, {file.before.begin(), file.before.end()},
+                       {file.after.begin(), file.after.end()}});
     }
   }
 
@@ -198,9 +212,10 @@ CommitRecord make_commit(util::Rng& rng, const std::string& repo_name,
     }
   }
 
-  patch.commit =
-      util::commit_id(diff::render_file_diffs(patch.files) + patch.message +
-                      util::to_hex(rng()));
+  std::string content = diff::render_file_diffs(patch.files);
+  content += patch.message;
+  content += util::to_hex(rng());
+  patch.commit = util::commit_id(content);
   return record;
 }
 
@@ -222,10 +237,11 @@ CommitRecord make_version_bump_commit(util::Rng& rng,
   for (std::size_t i = 0; i < n_files; ++i) {
     const FunctionContext ctx = draw_context(rng);
     const std::vector<std::string> old_fn =
-        make_function(ctx, filler_statements(rng, ctx, 4 + rng.index(4)));
+        make_function(ctx, {filler_statements(rng, ctx, 4 + rng.index(4))});
     const std::vector<std::string> new_fn =
-        make_function(ctx, filler_statements(rng, ctx, 4 + rng.index(6)));
-    patch.files.push_back(diff::diff_file(draw_file_name(rng), old_fn, new_fn));
+        make_function(ctx, {filler_statements(rng, ctx, 4 + rng.index(6))});
+    patch.files.push_back(diff::diff_file(draw_file_name(rng), diff::line_views(old_fn),
+                                          diff::line_views(new_fn)));
   }
   patch.commit = util::commit_id(diff::render_file_diffs(patch.files) +
                                  patch.message + util::to_hex(rng()));

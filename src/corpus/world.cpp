@@ -6,6 +6,8 @@
 #include <unordered_map>
 
 #include "diff/render.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 
@@ -23,6 +25,9 @@ std::string draw_cve_id(util::Rng& rng, std::size_t serial, int* year_out) {
 
 World build_world(const WorldConfig& config) {
   if (config.repos == 0) throw std::invalid_argument("build_world: repos == 0");
+  // The stand-in for the NVD and GitHub crawl (DESIGN §2): in memory, so
+  // its time is generation, not network I/O.
+  PATCHDB_TRACE_SPAN("corpus.build_world");
   World world;
   world.config = config;
   world.oracle = Oracle(config.label_noise, config.seed ^ 0x9e3779b9ULL);
@@ -80,6 +85,7 @@ World build_world(const WorldConfig& config) {
           world.wild[i] = make_commit(local, repo, type, wild_commit);
         }
       });
+  PATCHDB_COUNTER_ADD("corpus.commits_built", config.nvd_security + config.wild_pool);
 
   // ------------------------------------------------------------------
   // 2. Publish every commit's .patch page on the simulated web and
@@ -100,8 +106,8 @@ World build_world(const WorldConfig& config) {
   // ------------------------------------------------------------------
   // 3. Build the NVD index with injected dirt, then crawl it.
   // ------------------------------------------------------------------
-  std::unordered_map<std::string, const CommitRecord*> by_hash;
-  for (const CommitRecord& record : nvd_commits) {
+  std::unordered_map<std::string, CommitRecord*> by_hash;
+  for (CommitRecord& record : nvd_commits) {
     by_hash[record.patch.commit] = &record;
   }
 
@@ -140,6 +146,7 @@ World build_world(const WorldConfig& config) {
     if (rng.chance(config.wrong_link_prob)) {
       // Wrong link: points at a version-bump page instead of the fix.
       CommitRecord bump = make_version_bump_commit(rng, record.repo);
+      PATCHDB_COUNTER_ADD("corpus.commits_built", 1);
       url = github_commit_url(bump.repo, bump.patch.commit);
       world.remote.put(url + ".patch", diff::render_patch(bump.patch));
       world.oracle.add(bump);
@@ -153,24 +160,26 @@ World build_world(const WorldConfig& config) {
   }
 
   NvdCrawler crawler(world.remote);
-  const std::vector<CrawledPatch> crawled = crawler.crawl(world.nvd_entries);
+  std::vector<CrawledPatch> crawled = crawler.crawl(world.nvd_entries);
   world.crawl_stats = crawler.stats();
 
   // Keep the crawled form (post C/C++ filter) but reattach snapshots and
   // ground truth from the fabricated record. Wrong-link pages yield
   // version-bump commits; the paper keeps them (up to 1% noise), and so
-  // do we — their truth says non-security.
+  // do we — their truth says non-security. Each entry links its own
+  // commit, so every fabricated record is reattached at most once and
+  // its snapshots move.
   world.nvd_security.reserve(crawled.size());
-  for (const CrawledPatch& cp : crawled) {
+  for (CrawledPatch& cp : crawled) {
     CommitRecord record;
-    record.patch = cp.patch;
-    const auto it = by_hash.find(cp.patch.commit);
+    record.patch = std::move(cp.patch);
+    const auto it = by_hash.find(record.patch.commit);
     if (it != by_hash.end()) {
       record.truth = it->second->truth;
       record.repo = it->second->repo;
-      record.snapshots = it->second->snapshots;
+      record.snapshots = std::move(it->second->snapshots);
     } else {
-      record.truth = world.oracle.truth(cp.patch.commit);
+      record.truth = world.oracle.truth(record.patch.commit);
     }
     world.nvd_security.push_back(std::move(record));
   }

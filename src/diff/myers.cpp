@@ -1,6 +1,7 @@
 #include "diff/myers.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace patchdb::diff {
 
@@ -13,66 +14,63 @@ struct Edit {
   std::size_t index;  // index into old (kKeep/kRemove) or new (kAdd)
 };
 
-/// Myers greedy O((N+M)D) edit script.
-std::vector<Edit> edit_script(const std::vector<std::string>& a,
-                              const std::vector<std::string>& b) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  const std::size_t max_d = n + m;
+/// Myers greedy O((N+M)D) edit script. `v[k]` is the furthest x on
+/// diagonal k. Step d reads only diagonals -(d-1)..d-1 of step d-1, so
+/// after each step that does not reach the end, the window `v[-d..d]` is
+/// appended to one flat trace: step d's window starts at d², and its
+/// diagonal k sits at d² + d + k. The backtrack reads the same values the
+/// full copies of `v` held, so the script is the same.
+std::vector<Edit> edit_script(std::span<const std::string_view> a,
+                              std::span<const std::string_view> b) {
+  const auto n = static_cast<std::ptrdiff_t>(a.size());
+  const auto m = static_cast<std::ptrdiff_t>(b.size());
+  const std::ptrdiff_t max_d = n + m;
   if (max_d == 0) return {};
 
-  // v[k + offset] = furthest x on diagonal k after d steps.
-  const std::size_t offset = max_d;
-  std::vector<std::size_t> v(2 * max_d + 1, 0);
-  std::vector<std::vector<std::size_t>> trace;
+  std::vector<std::ptrdiff_t> v(static_cast<std::size_t>(2 * max_d + 1), 0);
+  const auto at = [&v, max_d](std::ptrdiff_t k) -> std::ptrdiff_t& {
+    return v[static_cast<std::size_t>(k + max_d)];
+  };
+  std::vector<std::ptrdiff_t> trace;
+  const auto traced = [&trace](std::ptrdiff_t d, std::ptrdiff_t k) {
+    return trace[static_cast<std::size_t>(d * d + d + k)];
+  };
 
-  std::size_t final_d = 0;
-  bool found = false;
-  for (std::size_t d = 0; d <= max_d && !found; ++d) {
-    trace.push_back(v);
-    for (std::int64_t k = -static_cast<std::int64_t>(d);
-         k <= static_cast<std::int64_t>(d); k += 2) {
-      const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
-      std::size_t x;
-      if (k == -static_cast<std::int64_t>(d) ||
-          (k != static_cast<std::int64_t>(d) && v[ki - 1] < v[ki + 1])) {
-        x = v[ki + 1];  // move down (insert from b)
-      } else {
-        x = v[ki - 1] + 1;  // move right (delete from a)
-      }
-      std::size_t y = static_cast<std::size_t>(static_cast<std::int64_t>(x) - k);
-      while (x < n && y < m && a[x] == b[y]) {
+  std::ptrdiff_t final_d = -1;
+  for (std::ptrdiff_t d = 0; d <= max_d && final_d < 0; ++d) {
+    for (std::ptrdiff_t k = -d; k <= d; k += 2) {
+      std::ptrdiff_t x = (k == -d || (k != d && at(k - 1) < at(k + 1)))
+                             ? at(k + 1)      // move down (insert from b)
+                             : at(k - 1) + 1;  // move right (delete from a)
+      std::ptrdiff_t y = x - k;
+      while (x < n && y < m &&
+             a[static_cast<std::size_t>(x)] == b[static_cast<std::size_t>(y)]) {
         ++x;
         ++y;
       }
-      v[ki] = x;
+      at(k) = x;
       if (x >= n && y >= m) {
         final_d = d;
-        found = true;
         break;
       }
     }
+    if (final_d < 0) trace.insert(trace.end(), &at(-d), &at(d) + 1);
   }
 
-  // Backtrack through the trace to recover the script.
+  // Backtrack through the trace to recover the script: each of the D
+  // edits, plus the (N + M - D) / 2 keeps.
   std::vector<Edit> script;
-  std::int64_t x = static_cast<std::int64_t>(n);
-  std::int64_t y = static_cast<std::int64_t>(m);
-  for (std::size_t d = final_d; d > 0; --d) {
-    const auto& prev = trace[d];
-    const std::int64_t k = x - y;
-    const std::size_t ki = static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
-    std::int64_t prev_k;
-    if (k == -static_cast<std::int64_t>(d) ||
-        (k != static_cast<std::int64_t>(d) && prev[ki - 1] < prev[ki + 1])) {
-      prev_k = k + 1;
-    } else {
-      prev_k = k - 1;
-    }
-    const std::size_t prev_ki =
-        static_cast<std::size_t>(prev_k + static_cast<std::int64_t>(offset));
-    const std::int64_t prev_x = static_cast<std::int64_t>(prev[prev_ki]);
-    const std::int64_t prev_y = prev_x - prev_k;
+  script.reserve(static_cast<std::size_t>((n + m + final_d) / 2));
+  std::ptrdiff_t x = n;
+  std::ptrdiff_t y = m;
+  for (std::ptrdiff_t d = final_d; d > 0; --d) {
+    const std::ptrdiff_t k = x - y;
+    const std::ptrdiff_t prev_k =
+        (k == -d || (k != d && traced(d - 1, k - 1) < traced(d - 1, k + 1)))
+            ? k + 1
+            : k - 1;
+    const std::ptrdiff_t prev_x = traced(d - 1, prev_k);
+    const std::ptrdiff_t prev_y = prev_x - prev_k;
 
     // Snake (diagonal keeps) back to the branch point.
     while (x > prev_x && y > prev_y) {
@@ -107,8 +105,8 @@ std::vector<Edit> edit_script(const std::vector<std::string>& a,
 
 }  // namespace
 
-std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
-                             const std::vector<std::string>& new_lines,
+std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
+                             std::span<const std::string_view> new_lines,
                              const DiffOptions& options) {
   const std::vector<Edit> script = edit_script(old_lines, new_lines);
 
@@ -128,75 +126,63 @@ std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
     }
     if (i >= script.size()) break;
 
-    // Begin a hunk `context` lines before the change.
+    // The hunk ends `context` keeps into the first run of keeps that
+    // reaches the end of the script or is longer than 2*context; shorter
+    // runs are absorbed. Every edit in [i, end) is one line of the hunk.
+    std::size_t end = i;
+    while (end < script.size()) {
+      if (script[end].kind != EditKind::kKeep) {
+        ++end;
+        continue;
+      }
+      std::size_t run = 0;
+      while (end + run < script.size() && script[end + run].kind == EditKind::kKeep) {
+        ++run;
+      }
+      if (end + run >= script.size() || run > 2 * options.context) {
+        end += std::min(options.context, run);
+        break;
+      }
+      end += run;
+    }
+
+    // Begin the hunk `context` lines before the change.
     Hunk hunk;
     const std::size_t lead = std::min(options.context, old_line);
-    std::size_t h_old = old_line - lead;
-    std::size_t h_new = new_line - lead;
-    hunk.old_start = h_old + 1;
-    hunk.new_start = h_new + 1;
+    const std::size_t h_old = old_line - lead;
+    const std::size_t h_new = new_line - lead;
+    hunk.lines.reserve(lead + (end - i));
     for (std::size_t c = 0; c < lead; ++c) {
-      hunk.lines.push_back(Line{LineKind::kContext, old_lines[h_old + c]});
+      hunk.lines.push_back(Line{LineKind::kContext, std::string(old_lines[h_old + c])});
     }
-
-    std::size_t trailing_keeps = 0;
-    while (i < script.size()) {
+    for (; i < end; ++i) {
       const Edit& e = script[i];
       if (e.kind == EditKind::kKeep) {
-        // Look ahead: if the run of keeps reaches the end or exceeds
-        // 2*context, close the hunk with `context` of them.
-        std::size_t run = 0;
-        while (i + run < script.size() && script[i + run].kind == EditKind::kKeep) {
-          ++run;
-        }
-        const bool at_end = (i + run >= script.size());
-        if (at_end || run > 2 * options.context) {
-          const std::size_t keep = std::min(options.context, run);
-          for (std::size_t c = 0; c < keep; ++c) {
-            hunk.lines.push_back(Line{LineKind::kContext, old_lines[old_line]});
-            ++old_line;
-            ++new_line;
-            ++i;
-          }
-          trailing_keeps = keep;
-          break;
-        }
-        // Short gap: absorb all keeps into the hunk and continue.
-        for (std::size_t c = 0; c < run; ++c) {
-          hunk.lines.push_back(Line{LineKind::kContext, old_lines[old_line]});
-          ++old_line;
-          ++new_line;
-          ++i;
-        }
-      } else if (e.kind == EditKind::kRemove) {
-        hunk.lines.push_back(Line{LineKind::kRemoved, old_lines[e.index]});
+        hunk.lines.push_back(Line{LineKind::kContext, std::string(old_lines[old_line])});
         ++old_line;
-        ++i;
-      } else {
-        hunk.lines.push_back(Line{LineKind::kAdded, new_lines[e.index]});
         ++new_line;
-        ++i;
+      } else if (e.kind == EditKind::kRemove) {
+        hunk.lines.push_back(Line{LineKind::kRemoved, std::string(old_lines[e.index])});
+        ++old_line;
+      } else {
+        hunk.lines.push_back(Line{LineKind::kAdded, std::string(new_lines[e.index])});
+        ++new_line;
       }
     }
-    (void)trailing_keeps;
 
-    hunk.old_count = 0;
-    hunk.new_count = 0;
-    for (const Line& l : hunk.lines) {
-      if (l.kind != LineKind::kAdded) ++hunk.old_count;
-      if (l.kind != LineKind::kRemoved) ++hunk.new_count;
-    }
+    hunk.old_count = old_line - h_old;
+    hunk.new_count = new_line - h_new;
     // git's convention: a hunk with zero old lines anchors at the previous
     // line number (old_start is "insert after").
-    if (hunk.old_count == 0) hunk.old_start = h_old;
-    if (hunk.new_count == 0) hunk.new_start = h_new;
+    hunk.old_start = hunk.old_count == 0 ? h_old : h_old + 1;
+    hunk.new_start = hunk.new_count == 0 ? h_new : h_new + 1;
     hunks.push_back(std::move(hunk));
   }
   return hunks;
 }
 
-FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_lines,
-                   const std::vector<std::string>& new_lines,
+FileDiff diff_file(const std::string& path, std::span<const std::string_view> old_lines,
+                   std::span<const std::string_view> new_lines,
                    const DiffOptions& options) {
   FileDiff fd;
   fd.old_path = path;
@@ -205,6 +191,10 @@ FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_
   if (!old_lines.empty() && new_lines.empty()) fd.change = ChangeKind::kDelete;
   fd.hunks = diff_lines(old_lines, new_lines, options);
   return fd;
+}
+
+std::vector<std::string_view> line_views(const std::vector<std::string>& lines) {
+  return {lines.begin(), lines.end()};
 }
 
 }  // namespace patchdb::diff

@@ -4,7 +4,9 @@
 // git produces the patches the paper downloads.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diff/patch.h"
@@ -16,15 +18,23 @@ struct DiffOptions {
 };
 
 /// Compute hunks turning `old_lines` into `new_lines`. Empty result means
-/// the files are identical.
-std::vector<Hunk> diff_lines(const std::vector<std::string>& old_lines,
-                             const std::vector<std::string>& new_lines,
+/// the files are identical. The lines are views: only the lines a hunk
+/// keeps are copied, into that hunk. The greedy search records just the
+/// live diagonals `-d..d` of each step, so its trace costs O(D²) for D
+/// edits whatever the file lengths.
+std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
+                             std::span<const std::string_view> new_lines,
                              const DiffOptions& options = {});
 
 /// Convenience: build a whole FileDiff (kModify, or kCreate/kDelete when
 /// one side is empty) for a path.
-FileDiff diff_file(const std::string& path, const std::vector<std::string>& old_lines,
-                   const std::vector<std::string>& new_lines,
+FileDiff diff_file(const std::string& path, std::span<const std::string_view> old_lines,
+                   std::span<const std::string_view> new_lines,
                    const DiffOptions& options = {});
+
+/// Views of owned lines, for diffing them. The views live as long as
+/// `lines` is neither modified nor destroyed.
+std::vector<std::string_view> line_views(const std::vector<std::string>& lines);
+std::vector<std::string_view> line_views(const std::vector<std::string>&&) = delete;
 
 }  // namespace patchdb::diff

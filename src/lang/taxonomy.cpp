@@ -1,53 +1,127 @@
 #include "lang/taxonomy.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 #include "lang/lexer.h"
 
 namespace patchdb::lang {
 
 OperatorClass classify_operator(std::string_view op) {
-  if (op == "==" || op == "!=" || op == "<" || op == ">" || op == "<=" ||
-      op == ">=" || op == "<=>") {
-    return OperatorClass::kRelational;
+  using enum OperatorClass;
+  if (op.size() == 1) {
+    switch (op[0]) {
+      case '<': case '>': return kRelational;
+      case '!': return kLogical;
+      case '&': case '|': case '^': case '~': return kBitwise;
+      case '+': case '-': case '*': case '/': case '%': return kArithmetic;
+      case '=': return kAssignment;
+      default: return kOther;
+    }
   }
-  if (op == "&&" || op == "||" || op == "!" || op == "and" || op == "or" ||
-      op == "not") {
-    return OperatorClass::kLogical;
+  if (op.size() == 2) {
+    if (op[1] == '=') {
+      switch (op[0]) {
+        case '=': case '!': case '<': case '>': return kRelational;
+        case '+': case '-': case '*': case '/': case '%':
+        case '&': case '|': case '^': return kAssignment;
+        default: return kOther;
+      }
+    }
+    if (op[0] == op[1]) {
+      switch (op[0]) {
+        case '&': case '|': return kLogical;
+        case '<': case '>': return kBitwise;
+        case '+': case '-': return kArithmetic;
+        default: return kOther;
+      }
+    }
+    return op == "or" ? kLogical : kOther;
   }
-  if (op == "&" || op == "|" || op == "^" || op == "~" || op == "<<" ||
-      op == ">>") {
-    return OperatorClass::kBitwise;
-  }
-  if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%" ||
-      op == "++" || op == "--") {
-    return OperatorClass::kArithmetic;
-  }
-  if (op == "=" || op == "+=" || op == "-=" || op == "*=" || op == "/=" ||
-      op == "%=" || op == "&=" || op == "|=" || op == "^=" || op == "<<=" ||
-      op == ">>=") {
-    return OperatorClass::kAssignment;
-  }
-  return OperatorClass::kOther;
+  if (op == "<=>") return kRelational;
+  if (op == "and" || op == "not") return kLogical;
+  if (op == "<<=" || op == ">>=") return kAssignment;
+  return kOther;
 }
 
+namespace {
+
+/// A cheap hash of a short name: its first and last eight bytes (which
+/// overlap below 16) and its length, mixed by one multiply. NameSet
+/// compares names in full, so the hash only picks the first slot.
+std::uint64_t name_hash(std::string_view name) {
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+  std::memcpy(&head, name.data(), std::min<std::size_t>(name.size(), 8));
+  if (name.size() > 8) std::memcpy(&tail, name.data() + name.size() - 8, 8);
+  return (head ^ std::rotl(tail, 29) ^ name.size()) * 0x9e3779b97f4a7c15ULL;
+}
+
+/// An open-addressing set of names, sized on construction to stay at
+/// most half full. A free slot is a view with no data, which no name
+/// taken from a string has.
+class NameSet {
+ public:
+  explicit NameSet(std::size_t max_names)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * max_names, 16))),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// Adds `name`; true when it was not in the set yet.
+  bool insert(std::string_view name, std::uint64_t hash) {
+    std::string_view& slot = slots_[find(name, hash)];
+    if (slot.data() != nullptr) return false;
+    slot = name;
+    return true;
+  }
+
+  bool contains(std::string_view name, std::uint64_t hash) const {
+    return slots_[find(name, hash)].data() != nullptr;
+  }
+
+ private:
+  /// The slot holding `name`, or the free slot where it belongs.
+  std::size_t find(std::string_view name, std::uint64_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i].data() == nullptr || slots_[i] == name) return i;
+    }
+  }
+
+  std::vector<std::string_view> slots_;
+  int shift_;
+};
+
+constexpr std::string_view kMemoryOps[] = {
+    "malloc", "calloc", "realloc", "free", "new", "delete",
+    "memcpy", "memmove", "memset", "memcmp", "mmap", "munmap",
+    "strcpy", "strncpy", "strlcpy", "strcat", "strncat", "strlcat",
+    "strdup", "strndup", "sprintf", "snprintf", "vsnprintf",
+    "alloca", "kmalloc", "kzalloc", "kcalloc", "kfree", "vmalloc",
+    "vfree", "kmem_cache_alloc", "kmem_cache_free", "brk", "sbrk",
+    "xmalloc", "xfree", "g_malloc", "g_free", "av_malloc", "av_free",
+    "OPENSSL_malloc", "OPENSSL_free", "sizeof",
+};
+
+const NameSet& memory_ops() {
+  static const NameSet set = [] {
+    NameSet names(std::size(kMemoryOps));
+    for (const std::string_view name : kMemoryOps) names.insert(name, name_hash(name));
+    return names;
+  }();
+  return set;
+}
+
+}  // namespace
+
 bool is_memory_operator(std::string_view name) {
-  static const std::unordered_set<std::string_view> kMemoryOps = {
-      "malloc", "calloc", "realloc", "free", "new", "delete",
-      "memcpy", "memmove", "memset", "memcmp", "mmap", "munmap",
-      "strcpy", "strncpy", "strlcpy", "strcat", "strncat", "strlcat",
-      "strdup", "strndup", "sprintf", "snprintf", "vsnprintf",
-      "alloca", "kmalloc", "kzalloc", "kcalloc", "kfree", "vmalloc",
-      "vfree", "kmem_cache_alloc", "kmem_cache_free", "brk", "sbrk",
-      "xmalloc", "xfree", "g_malloc", "g_free", "av_malloc", "av_free",
-      "OPENSSL_malloc", "OPENSSL_free", "sizeof",
-  };
-  return kMemoryOps.contains(name);
+  return !name.empty() && memory_ops().contains(name, name_hash(name));
 }
 
 SyntaxCounts count_syntax(const std::vector<Token>& tokens) {
   SyntaxCounts counts;
-  std::unordered_set<std::string_view> seen_vars;
+  NameSet seen_vars(tokens.size());
 
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
@@ -60,8 +134,10 @@ SyntaxCounts count_syntax(const std::vector<Token>& tokens) {
         if (t.text == "for" || t.text == "while" || t.text == "do") ++counts.loops;
         if (is_memory_operator(t.text)) ++counts.memory_ops;  // new/delete/sizeof
         break;
-      case TokenKind::kIdentifier:
-        if (is_memory_operator(t.text)) ++counts.memory_ops;
+      case TokenKind::kIdentifier: {
+        // One hash per identifier serves both lookups.
+        const std::uint64_t hash = name_hash(t.text);
+        if (memory_ops().contains(t.text, hash)) ++counts.memory_ops;
         if (next_is_paren) {
           ++counts.function_calls;
           // Function definition heuristic: `type name ( ... ) {` — the
@@ -83,10 +159,11 @@ SyntaxCounts count_syntax(const std::vector<Token>& tokens) {
               }
             }
           }
-        } else {
-          if (seen_vars.insert(t.text).second) ++counts.variables;
+        } else if (seen_vars.insert(t.text, hash)) {
+          ++counts.variables;
         }
         break;
+      }
       case TokenKind::kOperator:
         switch (classify_operator(t.text)) {
           case OperatorClass::kArithmetic: ++counts.arithmetic_ops; break;

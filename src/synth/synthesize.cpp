@@ -143,7 +143,8 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
           (is_target && !site.after_version) ? mutated : snapshot.before;
       const std::vector<std::string>& after =
           (is_target && site.after_version) ? mutated : snapshot.after;
-      diff::FileDiff fd = diff::diff_file(snapshot.path, before, after);
+      diff::FileDiff fd = diff::diff_file(snapshot.path, diff::line_views(before),
+                                          diff::line_views(after));
       if (!fd.hunks.empty()) patch.files.push_back(std::move(fd));
     }
     if (patch.files.empty()) continue;

@@ -30,12 +30,23 @@ inline std::string to_hex(std::uint64_t value) {
   return out;
 }
 
-/// Deterministic git-style commit id (40 hex chars) derived from content.
+/// Deterministic git-style commit id (40 hex chars) derived from content:
+/// the FNV-1a hashes of `content` under three seeds, 16 + 16 + 8 hex
+/// digits, computed in one pass over the bytes.
 inline std::string commit_id(std::string_view content) {
-  const std::uint64_t a = fnv1a64(content);
-  const std::uint64_t b = fnv1a64(content, 0x84222325cbf29ce4ULL);
-  const std::uint64_t c = fnv1a64(content, 0x9e3779b97f4a7c15ULL);
-  return to_hex(a) + to_hex(b) + to_hex(c).substr(0, 8);
+  std::uint64_t a = 0xcbf29ce484222325ULL;
+  std::uint64_t b = 0x84222325cbf29ce4ULL;
+  std::uint64_t c = 0x9e3779b97f4a7c15ULL;
+  for (char ch : content) {
+    const auto byte = static_cast<std::uint8_t>(ch);
+    a = (a ^ byte) * 0x100000001b3ULL;
+    b = (b ^ byte) * 0x100000001b3ULL;
+    c = (c ^ byte) * 0x100000001b3ULL;
+  }
+  std::string id = to_hex(a);
+  id += to_hex(b);
+  id.append(to_hex(c), 0, 8);
+  return id;
 }
 
 }  // namespace patchdb::util

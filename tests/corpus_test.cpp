@@ -3,8 +3,11 @@
 // oracle, and world assembly.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/codegen.h"
@@ -18,6 +21,7 @@
 #include "diff/parse.h"
 #include "diff/render.h"
 #include "lang/parser.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -79,7 +83,7 @@ TEST(Codegen, GeneratedFunctionParses) {
   util::Rng rng(2);
   const corpus::FunctionContext ctx = corpus::draw_context(rng);
   const auto body = corpus::filler_statements(rng, ctx, 6);
-  const auto fn = corpus::make_function(ctx, body);
+  const auto fn = corpus::make_function(ctx, {body});
   const lang::ParsedFile parsed = lang::parse_file(fn);
   ASSERT_EQ(parsed.functions.size(), 1u);
   EXPECT_EQ(parsed.functions[0].name, ctx.func_name);
@@ -88,10 +92,12 @@ TEST(Codegen, GeneratedFunctionParses) {
 TEST(Codegen, FileHasIncludesAndFunctions) {
   util::Rng rng(3);
   const corpus::FunctionContext ctx = corpus::draw_context(rng);
-  const auto fn = corpus::make_function(ctx, corpus::filler_statements(rng, ctx, 3));
-  const auto file = corpus::make_file(rng, {fn, fn});
+  const auto fn = corpus::make_function(ctx, {corpus::filler_statements(rng, ctx, 3)});
+  const std::vector<std::span<const std::string>> functions = {fn, fn};
+  const auto file = corpus::make_file(rng, functions);
   EXPECT_EQ(file[0], "#include <stdio.h>");
-  const lang::ParsedFile parsed = lang::parse_file(file);
+  const lang::ParsedFile parsed =
+      lang::parse_file(std::vector<std::string>(file.begin(), file.end()));
   EXPECT_EQ(parsed.functions.size(), 2u);
 }
 
@@ -401,6 +407,101 @@ TEST(World, ZeroReposRejected) {
   corpus::WorldConfig config;
   config.repos = 0;
   EXPECT_THROW(corpus::build_world(config), std::invalid_argument);
+}
+
+// Everything a world holds, hashed with a length prefix per field: the
+// repository names; for every NVD and wild record its rendered patch,
+// repository, ground truth (its own and the oracle's) and every snapshot
+// line; every NvdEntry field (CVSS by bit pattern) with the page behind
+// each patch-tagged link and the oracle's truth for its commit; the
+// crawl stats, the page count and the oracle's size.
+std::string world_digest(const corpus::World& world) {
+  std::uint64_t hash = util::fnv1a64("");
+  auto text = [&hash](std::string_view field) {
+    hash = util::fnv1a64(std::to_string(field.size()) + ":", hash);
+    hash = util::fnv1a64(field, hash);
+  };
+  auto number = [&text](std::uint64_t value) { text(std::to_string(value)); };
+  auto truth = [&number](const corpus::GroundTruth& t) {
+    number(t.is_security ? 1 : 0);
+    number(static_cast<std::uint64_t>(t.type));
+  };
+  auto lines = [&](const std::vector<std::string>& file) {
+    number(file.size());
+    for (const std::string& line : file) text(line);
+  };
+
+  for (const std::string& name : world.repo_names) text(name);
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    number(records->size());
+    for (const corpus::CommitRecord& r : *records) {
+      text(diff::render_patch(r.patch));
+      text(r.repo);
+      truth(r.truth);
+      truth(world.oracle.truth(r.patch.commit));
+      number(r.snapshots.size());
+      for (const corpus::FileSnapshot& snap : r.snapshots) {
+        text(snap.path);
+        lines(snap.before);
+        lines(snap.after);
+      }
+    }
+  }
+  number(world.nvd_entries.size());
+  for (const corpus::NvdEntry& e : world.nvd_entries) {
+    text(e.cve_id);
+    number(e.references.size());
+    for (const std::string& url : e.references) text(url);
+    number(e.patch_tagged.size());
+    for (const std::string& url : e.patch_tagged) {
+      text(url);
+      const auto page = world.remote.fetch(url + ".patch");
+      number(page.has_value() ? 1 : 0);
+      if (page.has_value()) text(*page);
+      const std::string commit = url.substr(url.rfind('/') + 1);
+      number(world.oracle.known(commit) ? 1 : 0);
+      if (world.oracle.known(commit)) truth(world.oracle.truth(commit));
+    }
+    std::uint64_t cvss_bits = 0;
+    static_assert(sizeof(cvss_bits) == sizeof(e.cvss));
+    std::memcpy(&cvss_bits, &e.cvss, sizeof(cvss_bits));
+    number(cvss_bits);
+    text(e.cwe);
+    number(static_cast<std::uint64_t>(e.year));
+  }
+  const corpus::CrawlStats& s = world.crawl_stats;
+  for (const std::size_t count :
+       {s.entries_total, s.entries_without_patch_link, s.links_fetched,
+        s.links_dead, s.parse_failures, s.dropped_non_cpp_files,
+        s.dropped_empty_after_filter, s.patches_collected}) {
+    number(count);
+  }
+  number(world.remote.page_count());
+  number(world.oracle.size());
+  return util::to_hex(hash);
+}
+
+// Two small worlds, pinned byte for byte: snapshots on for the NVD set
+// and off for the wild pool (the defaults), with enough wrong links that
+// version-bump pages appear. The constants were recorded with the
+// generator that copied every line into whole files before diffing
+// them; building lines once and diffing views must not move a byte or
+// an RNG draw.
+TEST(World, ContentsPinned) {
+  corpus::WorldConfig config;
+  config.repos = 4;
+  config.nvd_security = 40;
+  config.wild_pool = 200;
+  config.wrong_link_prob = 0.1;
+  const std::pair<std::uint64_t, std::string_view> pins[] = {
+      {11, "2f9df1920d9f9556"},
+      {2021, "d44b6bbaad2ab2a4"},
+  };
+  for (const auto& [seed, expected] : pins) {
+    config.seed = seed;
+    const corpus::World world = corpus::build_world(config);
+    EXPECT_EQ(world_digest(world), expected) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // inversion, Myers diff properties, and the C/C++ filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diff/apply.h"
@@ -312,7 +315,8 @@ TEST_P(MyersRoundTrip, DiffApplyIdentity) {
     }
   }
 
-  const diff::FileDiff fd = diff::diff_file("f.c", a, b, {context});
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(a), diff::line_views(b), {context});
   EXPECT_EQ(diff::apply_file_diff(a, fd), b);
   EXPECT_EQ(diff::unapply_file_diff(b, fd), a);
 
@@ -334,13 +338,210 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<std::uint64_t>(0, 40),
                        ::testing::Values<std::size_t>(0, 1, 3)));
 
+// The greedy search before its trace was windowed: a full copy of `v`
+// per step, then the same hunk grouping. Kept as the oracle for
+// diff_lines, which must return the same hunks.
+std::vector<diff::Hunk> full_trace_diff_lines(const std::vector<std::string>& a,
+                                              const std::vector<std::string>& b,
+                                              std::size_t context) {
+  enum class EditKind { kKeep, kRemove, kAdd };
+  struct Edit {
+    EditKind kind;
+    std::size_t index;
+  };
+  std::vector<Edit> script;
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  const std::size_t max_d = n + m;
+  if (max_d > 0) {
+    const std::size_t offset = max_d;
+    std::vector<std::size_t> v(2 * max_d + 1, 0);
+    std::vector<std::vector<std::size_t>> trace;
+    std::size_t final_d = 0;
+    bool found = false;
+    for (std::size_t d = 0; d <= max_d && !found; ++d) {
+      trace.push_back(v);
+      for (std::int64_t k = -static_cast<std::int64_t>(d);
+           k <= static_cast<std::int64_t>(d); k += 2) {
+        const std::size_t ki =
+            static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+        std::size_t x;
+        if (k == -static_cast<std::int64_t>(d) ||
+            (k != static_cast<std::int64_t>(d) && v[ki - 1] < v[ki + 1])) {
+          x = v[ki + 1];
+        } else {
+          x = v[ki - 1] + 1;
+        }
+        std::size_t y = static_cast<std::size_t>(static_cast<std::int64_t>(x) - k);
+        while (x < n && y < m && a[x] == b[y]) {
+          ++x;
+          ++y;
+        }
+        v[ki] = x;
+        if (x >= n && y >= m) {
+          final_d = d;
+          found = true;
+          break;
+        }
+      }
+    }
+    std::int64_t x = static_cast<std::int64_t>(n);
+    std::int64_t y = static_cast<std::int64_t>(m);
+    for (std::size_t d = final_d; d > 0; --d) {
+      const auto& prev = trace[d];
+      const std::int64_t k = x - y;
+      const std::size_t ki =
+          static_cast<std::size_t>(k + static_cast<std::int64_t>(offset));
+      std::int64_t prev_k;
+      if (k == -static_cast<std::int64_t>(d) ||
+          (k != static_cast<std::int64_t>(d) && prev[ki - 1] < prev[ki + 1])) {
+        prev_k = k + 1;
+      } else {
+        prev_k = k - 1;
+      }
+      const std::int64_t prev_x = static_cast<std::int64_t>(
+          prev[static_cast<std::size_t>(prev_k + static_cast<std::int64_t>(offset))]);
+      const std::int64_t prev_y = prev_x - prev_k;
+      while (x > prev_x && y > prev_y) {
+        script.push_back(Edit{EditKind::kKeep, static_cast<std::size_t>(x - 1)});
+        --x;
+        --y;
+      }
+      if (x == prev_x) {
+        script.push_back(Edit{EditKind::kAdd, static_cast<std::size_t>(y - 1)});
+        --y;
+      } else {
+        script.push_back(Edit{EditKind::kRemove, static_cast<std::size_t>(x - 1)});
+        --x;
+      }
+    }
+    while (x > 0 && y > 0) {
+      script.push_back(Edit{EditKind::kKeep, static_cast<std::size_t>(x - 1)});
+      --x;
+      --y;
+    }
+    while (x > 0) {
+      script.push_back(Edit{EditKind::kRemove, static_cast<std::size_t>(x - 1)});
+      --x;
+    }
+    while (y > 0) {
+      script.push_back(Edit{EditKind::kAdd, static_cast<std::size_t>(y - 1)});
+      --y;
+    }
+    std::reverse(script.begin(), script.end());
+  }
+
+  std::vector<diff::Hunk> hunks;
+  std::size_t i = 0;
+  std::size_t old_line = 0;
+  std::size_t new_line = 0;
+  while (i < script.size()) {
+    while (i < script.size() && script[i].kind == EditKind::kKeep) {
+      ++old_line;
+      ++new_line;
+      ++i;
+    }
+    if (i >= script.size()) break;
+    diff::Hunk hunk;
+    const std::size_t lead = std::min(context, old_line);
+    const std::size_t h_old = old_line - lead;
+    const std::size_t h_new = new_line - lead;
+    hunk.old_start = h_old + 1;
+    hunk.new_start = h_new + 1;
+    for (std::size_t c = 0; c < lead; ++c) {
+      hunk.lines.push_back(diff::Line{LineKind::kContext, a[h_old + c]});
+    }
+    while (i < script.size()) {
+      const Edit& e = script[i];
+      if (e.kind == EditKind::kKeep) {
+        std::size_t run = 0;
+        while (i + run < script.size() && script[i + run].kind == EditKind::kKeep) {
+          ++run;
+        }
+        const bool at_end = (i + run >= script.size());
+        if (at_end || run > 2 * context) {
+          const std::size_t keep = std::min(context, run);
+          for (std::size_t c = 0; c < keep; ++c) {
+            hunk.lines.push_back(diff::Line{LineKind::kContext, a[old_line]});
+            ++old_line;
+            ++new_line;
+            ++i;
+          }
+          break;
+        }
+        for (std::size_t c = 0; c < run; ++c) {
+          hunk.lines.push_back(diff::Line{LineKind::kContext, a[old_line]});
+          ++old_line;
+          ++new_line;
+          ++i;
+        }
+      } else if (e.kind == EditKind::kRemove) {
+        hunk.lines.push_back(diff::Line{LineKind::kRemoved, a[e.index]});
+        ++old_line;
+        ++i;
+      } else {
+        hunk.lines.push_back(diff::Line{LineKind::kAdded, b[e.index]});
+        ++new_line;
+        ++i;
+      }
+    }
+    for (const diff::Line& l : hunk.lines) {
+      if (l.kind != LineKind::kAdded) ++hunk.old_count;
+      if (l.kind != LineKind::kRemoved) ++hunk.new_count;
+    }
+    if (hunk.old_count == 0) hunk.old_start = h_old;
+    if (hunk.new_count == 0) hunk.new_start = h_new;
+    hunks.push_back(std::move(hunk));
+  }
+  return hunks;
+}
+
+// Property: the windowed trace returns the full trace's hunks, line for
+// line and header for header. Sides share a random prefix and suffix
+// around random middles drawn from small alphabets (so lines repeat and
+// the greedy search has ties to break), and either side may be empty.
+TEST(Myers, MatchesFullTraceOracle) {
+  util::Rng rng(2024);
+  auto random_lines = [&rng](std::size_t max_lines, std::size_t alphabet) {
+    std::vector<std::string> lines;
+    const std::size_t n = rng.index(max_lines + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      lines.push_back("l" + std::to_string(rng.index(alphabet)));
+    }
+    return lines;
+  };
+  std::size_t compared_hunks = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const std::size_t alphabet = 1 + rng.index(round % 3 == 0 ? 3 : 12);
+    const std::vector<std::string> prefix = random_lines(8, alphabet);
+    const std::vector<std::string> suffix = random_lines(8, alphabet);
+    std::vector<std::string> a = random_lines(round % 5 == 0 ? 0 : 40, alphabet);
+    std::vector<std::string> b = random_lines(round % 7 == 0 ? 0 : 40, alphabet);
+    if (round % 2 == 0) {
+      a.insert(a.begin(), prefix.begin(), prefix.end());
+      a.insert(a.end(), suffix.begin(), suffix.end());
+      b.insert(b.begin(), prefix.begin(), prefix.end());
+      b.insert(b.end(), suffix.begin(), suffix.end());
+    }
+    for (const std::size_t context : {0, 1, 3}) {
+      const std::vector<diff::Hunk> expected = full_trace_diff_lines(a, b, context);
+      EXPECT_EQ(diff::diff_lines(diff::line_views(a), diff::line_views(b), {context}),
+                expected)
+          << "round " << round << " context " << context;
+      compared_hunks += expected.size();
+    }
+  }
+  EXPECT_GT(compared_hunks, 3000u);
+}
+
 TEST(Myers, IdenticalFilesYieldNoHunks) {
   const std::vector<std::string> a = {"x", "y"};
-  EXPECT_TRUE(diff::diff_lines(a, a).empty());
+  const std::vector<std::string_view> lines = diff::line_views(a);
+  EXPECT_TRUE(diff::diff_lines(lines, lines).empty());
 }
 
 TEST(Myers, CreateAndDeleteKinds) {
-  const std::vector<std::string> content = {"a", "b"};
+  const std::vector<std::string_view> content = {"a", "b"};
   EXPECT_EQ(diff::diff_file("f.c", {}, content).change, ChangeKind::kCreate);
   EXPECT_EQ(diff::diff_file("f.c", content, {}).change, ChangeKind::kDelete);
 }
@@ -354,7 +555,8 @@ TEST(Invert, DoubleInvertIsIdentity) {
       a.push_back("l" + std::to_string(rng.index(6)));
       b.push_back("l" + std::to_string(rng.index(6)));
     }
-    const diff::FileDiff fd = diff::diff_file("f.c", a, b);
+    const diff::FileDiff fd =
+        diff::diff_file("f.c", diff::line_views(a), diff::line_views(b));
     const diff::FileDiff twice = diff::invert(diff::invert(fd));
     EXPECT_EQ(fd.hunks, twice.hunks);
   }

@@ -127,7 +127,8 @@ diff::Patch patch_from_lines(const std::vector<std::string>& before,
                              const std::string& path) {
   diff::Patch p;
   p.commit = std::string(40, 'e');
-  p.files.push_back(diff::diff_file(path, before, after));
+  p.files.push_back(
+      diff::diff_file(path, diff::line_views(before), diff::line_views(after)));
   return p;
 }
 
@@ -204,7 +205,8 @@ TEST(FuzzApply, CleanPatchAppliesCleanly) {
   const std::vector<std::string> before = numbered(20, "line");
   std::vector<std::string> after = before;
   after[10] = "edited";
-  const diff::FileDiff fd = diff::diff_file("f.c", before, after);
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after));
 
   diff::FuzzReport report;
   const auto result = diff::apply_with_fuzz(before, fd, report);
@@ -217,7 +219,8 @@ TEST(FuzzApply, OffsetHunkIsRelocated) {
   const std::vector<std::string> before = numbered(30, "line");
   std::vector<std::string> after = before;
   after[20] = "edited";
-  const diff::FileDiff fd = diff::diff_file("f.c", before, after);
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after));
 
   // Target file gained 5 lines at the top: stated positions are stale.
   std::vector<std::string> shifted = numbered(5, "new_top");
@@ -234,7 +237,8 @@ TEST(FuzzApply, ChangedEdgeContextNeedsFuzz) {
   const std::vector<std::string> before = numbered(20, "line");
   std::vector<std::string> after = before;
   after[10] = "edited";
-  const diff::FileDiff fd = diff::diff_file("f.c", before, after);
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after));
 
   // The outermost context line of the hunk differs in the target.
   std::vector<std::string> target = before;
@@ -252,7 +256,8 @@ TEST(FuzzApply, HopelessHunkIsSkippedNotFatal) {
   const std::vector<std::string> before = numbered(10, "line");
   std::vector<std::string> after = before;
   after[5] = "edited";
-  const diff::FileDiff fd = diff::diff_file("f.c", before, after);
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after));
 
   const std::vector<std::string> unrelated = numbered(10, "other");
   diff::FuzzReport report;
@@ -266,7 +271,8 @@ TEST(FuzzApply, MultiHunkDriftAccumulates) {
   std::vector<std::string> after = before;
   after.insert(after.begin() + 10, {"added_a", "added_b", "added_c"});
   after[45] = "edited_tail";  // index in the grown file
-  const diff::FileDiff fd = diff::diff_file("f.c", before, after);
+  const diff::FileDiff fd =
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after));
   ASSERT_GE(fd.hunks.size(), 2u);
 
   diff::FuzzReport report;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -234,6 +236,121 @@ TEST(Taxonomy, MemoryOperators) {
   EXPECT_TRUE(lang::is_memory_operator("kfree"));
   EXPECT_TRUE(lang::is_memory_operator("strcpy"));
   EXPECT_FALSE(lang::is_memory_operator("printf"));
+}
+
+// The string-compare chain classify_operator replaced, as its oracle.
+lang::OperatorClass compare_chain_class(std::string_view op) {
+  using lang::OperatorClass;
+  if (op == "==" || op == "!=" || op == "<" || op == ">" || op == "<=" ||
+      op == ">=" || op == "<=>") {
+    return OperatorClass::kRelational;
+  }
+  if (op == "&&" || op == "||" || op == "!" || op == "and" || op == "or" ||
+      op == "not") {
+    return OperatorClass::kLogical;
+  }
+  if (op == "&" || op == "|" || op == "^" || op == "~" || op == "<<" ||
+      op == ">>") {
+    return OperatorClass::kBitwise;
+  }
+  if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%" ||
+      op == "++" || op == "--") {
+    return OperatorClass::kArithmetic;
+  }
+  if (op == "=" || op == "+=" || op == "-=" || op == "*=" || op == "/=" ||
+      op == "%=" || op == "&=" || op == "|=" || op == "^=" || op == "<<=" ||
+      op == ">>=") {
+    return OperatorClass::kAssignment;
+  }
+  return OperatorClass::kOther;
+}
+
+// Every string of up to three characters over the operator characters
+// and the letters of and/or/not, plus a few longer ones.
+TEST(Taxonomy, ClassifyOperatorMatchesCompareChain) {
+  const std::string_view alphabet = "<>=!&|^~+-*/%?.:#anodrtx";
+  std::vector<std::string> ops = {"", "<<==", "<=>=", "andx", "nota", "->*", "..."};
+  for (const char a : alphabet) {
+    ops.emplace_back(1, a);
+    for (const char b : alphabet) {
+      ops.push_back(std::string{a, b});
+      for (const char c : alphabet) ops.push_back(std::string{a, b, c});
+    }
+  }
+  for (const std::string& op : ops) {
+    EXPECT_EQ(lang::classify_operator(op), compare_chain_class(op)) << "'" << op << "'";
+  }
+}
+
+// The lookup table against a plain set of the same names, over the names
+// themselves, their one-character edits, prefixes and suffixes, and
+// random identifiers.
+TEST(Taxonomy, MemoryOperatorLookupIsExact) {
+  const std::vector<std::string> names = {
+      "malloc", "calloc", "realloc", "free", "new", "delete",
+      "memcpy", "memmove", "memset", "memcmp", "mmap", "munmap",
+      "strcpy", "strncpy", "strlcpy", "strcat", "strncat", "strlcat",
+      "strdup", "strndup", "sprintf", "snprintf", "vsnprintf",
+      "alloca", "kmalloc", "kzalloc", "kcalloc", "kfree", "vmalloc",
+      "vfree", "kmem_cache_alloc", "kmem_cache_free", "brk", "sbrk",
+      "xmalloc", "xfree", "g_malloc", "g_free", "av_malloc", "av_free",
+      "OPENSSL_malloc", "OPENSSL_free", "sizeof",
+  };
+  const std::set<std::string> oracle(names.begin(), names.end());
+  std::vector<std::string> inputs = {"", "printf", "kmem_cache_allocx", "Malloc"};
+  for (const std::string& name : names) {
+    inputs.push_back(name);
+    for (std::size_t i = 0; i <= name.size(); ++i) {
+      inputs.push_back(name.substr(0, i));
+      inputs.push_back(name.substr(i));
+      inputs.push_back(name.substr(0, i) + "_" + name.substr(i));
+      if (i < name.size()) {
+        std::string edited = name;
+        edited[i] = static_cast<char>(edited[i] ^ 1);
+        inputs.push_back(edited);
+      }
+    }
+  }
+  util::Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    std::string word;
+    const std::size_t n = rng.index(20);
+    for (std::size_t j = 0; j < n; ++j) {
+      word += "abcdefgilmnoprstuvxyz_"[rng.index(22)];
+    }
+    inputs.push_back(word);
+  }
+  for (const std::string& input : inputs) {
+    EXPECT_EQ(lang::is_memory_operator(input), oracle.contains(input)) << "'" << input << "'";
+  }
+}
+
+// Thousands of identifiers sharing their first and last bytes, so the
+// distinct-variable set probes past colliding slots; the counts must
+// equal a plain set's.
+TEST(Taxonomy, CountsDistinctVariablesExactly) {
+  util::Rng rng(37);
+  for (int round = 0; round < 20; ++round) {
+    std::string source;
+    std::set<std::string> variables;
+    std::size_t memory_ops = 0;
+    const std::size_t statements = 1 + rng.index(400);
+    for (std::size_t i = 0; i < statements; ++i) {
+      const std::string name = "buffer_" + std::to_string(rng.index(300)) + "_len";
+      const std::string other = rng.chance(0.1) ? "memcpy" : "v" + std::to_string(rng.index(40));
+      source += name + " = " + other + ";\n";
+      variables.insert(name);
+      if (other == "memcpy") {
+        ++memory_ops;
+      } else {
+        variables.insert(other);
+      }
+    }
+    const lang::SyntaxCounts counts = lang::count_syntax(source);
+    EXPECT_EQ(counts.variables, variables.size() + (memory_ops > 0 ? 1 : 0))
+        << "round " << round;
+    EXPECT_EQ(counts.memory_ops, memory_ops) << "round " << round;
+  }
 }
 
 TEST(Taxonomy, CountSyntaxOnSnippet) {

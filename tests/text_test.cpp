@@ -161,7 +161,8 @@ TEST(CloneScanner, AddPatchBuildsSignaturesFromPreImages) {
 
   diff::Patch patch;
   patch.commit = std::string(40, 'c');
-  patch.files.push_back(diff::diff_file("f.c", before, after));
+  patch.files.push_back(
+      diff::diff_file("f.c", diff::line_views(before), diff::line_views(after)));
 
   core::CloneScanner scanner;
   EXPECT_GE(scanner.add_patch(patch), 1u);

@@ -750,6 +750,18 @@ TEST(Hash, CommitIdShapeAndDeterminism) {
   }
 }
 
+TEST(Hash, CommitIdIsThreeSeededFnvStreams) {
+  for (const std::string_view content :
+       {std::string_view(""), std::string_view("content"),
+        std::string_view("diff --git a/x.c b/x.c\n\xff\x80\n")}) {
+    const std::string expected =
+        util::to_hex(util::fnv1a64(content)) +
+        util::to_hex(util::fnv1a64(content, 0x84222325cbf29ce4ULL)) +
+        util::to_hex(util::fnv1a64(content, 0x9e3779b97f4a7c15ULL)).substr(0, 8);
+    EXPECT_EQ(util::commit_id(content), expected);
+  }
+}
+
 TEST(Hash, ToHexPadsTo16) {
   EXPECT_EQ(util::to_hex(0), "0000000000000000");
   EXPECT_EQ(util::to_hex(255), "00000000000000ff");

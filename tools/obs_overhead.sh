@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
 # Obs-overhead check: how much wall time does the observability layer
-# cost an instrumented kernel? Runs the same micro_core benchmark twice —
-# once with the ObsSession installed (spans, counters, pool observer)
-# and once inert under PATCHDB_OBS_DISABLED — and compares the
-# benchmark's own per-iteration median real time (process wall would
-# lie: google-benchmark adapts iteration counts to the kernel speed, so
-# a faster kernel runs MORE iterations). Records the ratio as a
-# patchdb.obs.v2 report.
+# cost an instrumented kernel? Runs the same micro_core benchmark with
+# the ObsSession installed (spans, counters, pool observer) and inert
+# under PATCHDB_OBS_DISABLED, in interleaved pairs: each pair runs one
+# repetition of each mode, the two orders alternating from pair to pair,
+# so a slow spell of the host lands on both modes instead of one. The
+# overhead is the median over the pairs of on/off, read from the
+# benchmark's own per-iteration real time (process wall would lie:
+# google-benchmark adapts iteration counts to the kernel speed, so a
+# faster kernel runs MORE iterations). Records it as a patchdb.obs.v2
+# report.
 #
 #   tools/obs_overhead.sh [BUILD_DIR] [OUT_JSON] [MAX_PCT]
 #
 # BUILD_DIR defaults to ./build, OUT_JSON to bench/BENCH_obs_overhead.json,
 # MAX_PCT to 2.0 (the acceptance bound: obs must cost < 2% wall). Exits 1
-# when the measured overhead exceeds MAX_PCT. OBS_OVERHEAD_REPS and
-# OBS_OVERHEAD_FILTER override the rep count and benchmark subset.
+# when the measured overhead exceeds MAX_PCT. OBS_OVERHEAD_REPS (the
+# number of pairs, default 5) and OBS_OVERHEAD_FILTER override the pair
+# count and benchmark subset.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -25,6 +29,11 @@ reps="${OBS_OVERHEAD_REPS:-5}"
 # code path (spans + counters + pool tasks per tile).
 filter="${OBS_OVERHEAD_FILTER:-BM_NearestLinkStreaming/100/2000}"
 
+if ((reps < 1)); then
+  echo "obs_overhead.sh: OBS_OVERHEAD_REPS must be at least 1" >&2
+  exit 2
+fi
+
 bench="${build_dir}/bench/micro_core"
 if [[ ! -x "${bench}" ]]; then
   echo "obs_overhead.sh: ${bench} missing; build the repo first" >&2
@@ -33,12 +42,11 @@ fi
 
 bench_args=(
   "--benchmark_filter=${filter}"
-  "--benchmark_repetitions=${reps}"
-  "--benchmark_report_aggregates_only=true"
+  "--benchmark_repetitions=1"
   "--benchmark_format=csv"
 )
 
-run_median_ms() {  # $1 = "on" | "off"
+run_ms() {  # $1 = "on" | "off"
   local csv
   if [[ "$1" == off ]]; then
     csv=$(PATCHDB_OBS_DISABLED=1 "${bench}" "${bench_args[@]}" 2> /dev/null)
@@ -46,22 +54,44 @@ run_median_ms() {  # $1 = "on" | "off"
     csv=$("${bench}" "${bench_args[@]}" 2> /dev/null)
   fi
   # CSV row: name,iterations,real_time,cpu_time,time_unit,... — the
-  # median aggregate's real_time, in the benchmark's own time unit
-  # (identical across both modes, so the ratio below is unitless).
-  echo "${csv}" | awk -F, '/_median"?,/ { printf "%.4f", $3; exit }'
+  # first benchmark row's real_time, in the benchmark's own time unit
+  # (identical across both modes, so the ratios below are unitless).
+  echo "${csv}" | awk -F, 'NR > 1 && $1 ~ /^"?BM_/ { printf "%.4f", $3; exit }'
 }
 
-enabled_ms=$(run_median_ms on)
-disabled_ms=$(run_median_ms off)
-if [[ -z "${enabled_ms}" || -z "${disabled_ms}" ]]; then
-  echo "obs_overhead.sh: no median row for filter ${filter}" >&2
-  exit 2
-fi
-overhead_pct=$(awk -v e="${enabled_ms}" -v d="${disabled_ms}" \
-  'BEGIN { printf "%.3f", (d > 0 ? (e - d) * 100.0 / d : 0) }')
+median() {  # of the arguments
+  printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END {
+    if (NR % 2) printf "%.6f", v[(NR + 1) / 2];
+    else printf "%.6f", (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
 
-echo "obs_overhead.sh: enabled ${enabled_ms} ms/iter, disabled ${disabled_ms} ms/iter," \
-  "overhead ${overhead_pct}% (median of ${reps} reps, filter ${filter})"
+enabled=()
+disabled=()
+ratios=()
+for ((pair = 0; pair < reps; ++pair)); do
+  if ((pair % 2 == 0)); then
+    on=$(run_ms on)
+    off=$(run_ms off)
+  else
+    off=$(run_ms off)
+    on=$(run_ms on)
+  fi
+  if [[ -z "${on}" || -z "${off}" ]]; then
+    echo "obs_overhead.sh: no benchmark row for filter ${filter}" >&2
+    exit 2
+  fi
+  echo "obs_overhead.sh: pair $((pair + 1)): on ${on}, off ${off}"
+  enabled+=("${on}")
+  disabled+=("${off}")
+  ratios+=("$(awk -v e="${on}" -v d="${off}" 'BEGIN { printf "%.6f", (d > 0 ? e / d : 1) }')")
+done
+enabled_ms=$(awk -v m="$(median "${enabled[@]}")" 'BEGIN { printf "%.4f", m }')
+disabled_ms=$(awk -v m="$(median "${disabled[@]}")" 'BEGIN { printf "%.4f", m }')
+overhead_pct=$(awk -v r="$(median "${ratios[@]}")" 'BEGIN { printf "%.3f", (r - 1) * 100.0 }')
+
+echo "obs_overhead.sh: enabled ${enabled_ms} ms/iter, disabled ${disabled_ms} ms/iter" \
+  "(medians), overhead ${overhead_pct}% (median on/off of ${reps} interleaved pairs," \
+  "filter ${filter})"
 
 total_ms=$(awk -v e="${enabled_ms}" -v d="${disabled_ms}" \
   'BEGIN { printf "%.1f", e + d }')
