@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,10 +23,8 @@
 #include "nn/encode.h"
 #include "nn/gru.h"
 #include "nn/vocab.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 #include "util/table.h"
@@ -179,10 +176,6 @@ inline bool parse_flag_present(int argc, char** argv, std::string_view name) {
   return false;
 }
 
-inline std::string parse_metrics_out(int argc, char** argv) {
-  return parse_flag_value(argc, argv, "metrics-out");
-}
-
 /// Strict unsigned parse for small numeric flag values: full
 /// consumption, no sign, overflow rejected — exits 2 with the offending
 /// text, like parse_scale. (Raw strtoull would silently wrap overflow
@@ -202,17 +195,33 @@ inline std::uint64_t parse_uint_flag(std::string_view flag,
   return v;
 }
 
-/// Per-bench observability session. Construct it first thing in main():
-/// it parses the scale plus the shared obs flags, prints the bench
-/// header, and installs an obs::ObsSession so every instrumented
-/// pipeline stage the bench touches records into one registry. Shared
-/// flags (any argv position, `--flag V` or `--flag=V`):
+/// The obs artifacts and progress heartbeat a bench's flags ask for
+/// (any argv position, `--flag V` or `--flag=V`):
 ///
 ///   --metrics-out FILE   write the RunReport JSON
 ///   --trace-out FILE     write a Chrome trace (load in Perfetto)
 ///   --sample-ms N        run a ResourceSampler at N ms (default 50
 ///                        whenever --trace-out or --metrics-out is on)
 ///   --progress[-ms N]    heartbeat lines from instrumented loops
+inline obs::ArtifactRequest artifact_request(int argc, char** argv) {
+  obs::ArtifactRequest request;
+  request.metrics_out = parse_flag_value(argc, argv, "metrics-out");
+  request.trace_out = parse_flag_value(argc, argv, "trace-out");
+  const std::string sample_ms = parse_flag_value(argc, argv, "sample-ms");
+  if (!sample_ms.empty()) request.sample_ms = parse_uint_flag("sample-ms", sample_ms);
+  request.progress = parse_flag_present(argc, argv, "progress");
+  const std::string progress_ms = parse_flag_value(argc, argv, "progress-ms");
+  if (!progress_ms.empty()) {
+    request.progress_ms = parse_uint_flag("progress-ms", progress_ms);
+  }
+  return request;
+}
+
+/// Per-bench observability session. Construct it first thing in main():
+/// it parses the scale plus the shared obs flags (artifact_request),
+/// prints the bench header, and runs an obs::ArtifactSession so every
+/// instrumented pipeline stage the bench touches records into one
+/// registry.
 ///
 /// Call add_items() with the bench's natural unit of work; finish()
 /// (implicit in the destructor) prints the one-line summary — items,
@@ -221,27 +230,8 @@ inline std::uint64_t parse_uint_flag(std::string_view flag,
 class Session {
  public:
   Session(const std::string& title, int argc, char** argv)
-      : scale_(parse_scale(argc, argv)),
-        metrics_out_(parse_metrics_out(argc, argv)),
-        trace_out_(parse_flag_value(argc, argv, "trace-out")),
-        obs_(title) {
+      : scale_(parse_scale(argc, argv)), obs_(title, artifact_request(argc, argv)) {
     print_header(title, scale_);
-    if (parse_flag_present(argc, argv, "progress")) {
-      obs::set_progress_interval_ms(1000);
-    }
-    const std::string progress_ms = parse_flag_value(argc, argv, "progress-ms");
-    if (!progress_ms.empty()) {
-      obs::set_progress_interval_ms(parse_uint_flag("progress-ms", progress_ms));
-    }
-    if (obs_.installed() && (!trace_out_.empty() || !metrics_out_.empty())) {
-      obs::ResourceSampler::Options opt;
-      const std::string sample_ms = parse_flag_value(argc, argv, "sample-ms");
-      opt.interval = std::chrono::milliseconds(static_cast<long long>(
-          sample_ms.empty() ? 50 : parse_uint_flag("sample-ms", sample_ms)));
-      sampler_ = std::make_unique<obs::ResourceSampler>(opt);
-      obs_.attach_sampler(sampler_.get());
-      sampler_->start();
-    }
   }
   ~Session() { finish(); }
   Session(const Session&) = delete;
@@ -252,13 +242,10 @@ class Session {
   /// Count `n` units of bench work (counter `bench.items`).
   void add_items(std::size_t n) { obs::counter_add("bench.items", n); }
 
-  obs::RunReport report() const { return obs_.report(); }
-
   void finish() {
     if (finished_) return;
     finished_ = true;
-    if (sampler_) sampler_->stop();
-    if (obs_.installed()) {
+    if (obs_.session().installed()) {
       // Record the pool's actual shape into the artifact: the worker
       // count as a gauge and each worker's cumulative busy time as a
       // histogram observation. A single-threaded pathology (the
@@ -282,25 +269,14 @@ class Session {
             ? static_cast<double>(items) / (report.wall_ms / 1000.0)
             : 0.0;
     std::printf("[bench] %s: %llu items in %.1f ms (%.0f items/s)\n",
-                obs_.name().c_str(), static_cast<unsigned long long>(items),
+                obs_.session().name().c_str(), static_cast<unsigned long long>(items),
                 report.wall_ms, rate);
-    if (!metrics_out_.empty()) {
-      obs::write_report_file(report, metrics_out_);
-      std::printf("[bench] metrics written to %s\n", metrics_out_.c_str());
-    }
-    if (!trace_out_.empty()) {
-      obs::write_trace_file(report, trace_out_);
-      std::printf("[bench] trace written to %s (load in Perfetto)\n",
-                  trace_out_.c_str());
-    }
+    obs_.write_artifacts(report);
   }
 
  private:
   double scale_;
-  std::string metrics_out_;
-  std::string trace_out_;
-  obs::ObsSession obs_;
-  std::unique_ptr<obs::ResourceSampler> sampler_;
+  obs::ArtifactSession obs_;
   bool finished_ = false;
 };
 

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/categorize.h"
 #include "core/distance.h"
 #include "core/nearest_link.h"
@@ -25,10 +26,8 @@
 #include "nn/encode.h"
 #include "nn/gru.h"
 #include "nn/vocab.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/report.h"
 #include "synth/synthesize.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
@@ -339,14 +338,13 @@ BENCHMARK(BM_GruInference);
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark aborts on
 // flags it does not know, so the obs flags (--metrics-out, --trace-out,
 // --sample-ms) and --link-check[=MxN] are peeled off argv first. When
-// given, the whole run executes under an ObsSession with a
-// ResourceSampler and the counters/spans the kernels record
-// (distance.tiles, nearest_link.*) land in machine-readable artifacts —
-// this is what the CI bench-smoke job uploads.
+// given, the whole run executes under an obs::ArtifactSession, which
+// samples resources while an artifact is requested, and the
+// counters/spans the kernels record (distance.tiles, nearest_link.*)
+// land in machine-readable artifacts — this is what the CI bench-smoke
+// job uploads.
 int main(int argc, char** argv) {
-  std::string metrics_out;
-  std::string trace_out;
-  long sample_ms = 50;
+  patchdb::obs::ArtifactRequest request;
   bool link_check = false;
   std::size_t link_m = 250;
   std::size_t link_n = 25000;
@@ -391,8 +389,8 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     std::string sample_value;
-    if (peel(arg, "metrics-out", i, metrics_out) ||
-        peel(arg, "trace-out", i, trace_out)) {
+    if (peel(arg, "metrics-out", i, request.metrics_out) ||
+        peel(arg, "trace-out", i, request.trace_out)) {
       continue;
     }
     // --link-check[=MxN]: run the dense-vs-streaming identity/speedup
@@ -409,14 +407,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (peel(arg, "sample-ms", i, sample_value)) {
-      char* end = nullptr;
-      errno = 0;
-      sample_ms = std::strtol(sample_value.c_str(), &end, 10);
-      if (end == sample_value.c_str() || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "micro_core: bad --sample-ms value \"%s\"\n",
-                     sample_value.c_str());
-        return 2;
-      }
+      request.sample_ms = patchdb::bench::parse_uint_flag("sample-ms", sample_value);
       continue;
     }
     args.push_back(argv[i]);
@@ -428,29 +419,13 @@ int main(int argc, char** argv) {
   }
   bool link_ok = true;
   {
-    patchdb::obs::ObsSession session("micro_core");
-    patchdb::obs::ResourceSampler sampler(
-        {.interval = std::chrono::milliseconds(sample_ms > 0 ? sample_ms : 50)});
-    const bool want_artifacts = !metrics_out.empty() || !trace_out.empty();
-    if (session.installed() && want_artifacts) {
-      session.attach_sampler(&sampler);
-      sampler.start();
-    }
+    patchdb::obs::ArtifactSession obs("micro_core", std::move(request));
     benchmark::RunSpecifiedBenchmarks();
     if (link_check) {
       link_ok = run_link_check(link_m, link_n);
       if (!run_pipeline_link_check()) link_ok = false;
     }
-    sampler.stop();
-    if (want_artifacts) {
-      const patchdb::obs::RunReport report = session.report();
-      if (!metrics_out.empty()) {
-        patchdb::obs::write_report_file(report, metrics_out);
-      }
-      if (!trace_out.empty()) {
-        patchdb::obs::write_trace_file(report, trace_out);
-      }
-    }
+    obs.write_artifacts(obs.report());
   }
   benchmark::Shutdown();
   if (!link_ok) {

@@ -12,7 +12,6 @@
 
 #include "core/patchdb.h"
 #include "obs/obs.h"
-#include "obs/report.h"
 #include "store/checkpoint.h"
 #include "store/export.h"
 #include "store/fsck.h"
@@ -127,19 +126,21 @@ BENCHMARK(BM_FsckDataset)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Same --metrics-out contract as micro_core: peel the flag, run under an
-// ObsSession, and emit the store.* counters as a report artifact.
+// Peels --metrics-out, the one obs flag micro_store takes, and emits
+// the store.* counters through the same obs::ArtifactSession as the
+// tools and the other benches, without a resource sampler.
 int main(int argc, char** argv) {
-  std::string metrics_out;
+  patchdb::obs::ArtifactRequest request;
+  request.sample_ms.reset();
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--metrics-out") {
-      if (i + 1 < argc) metrics_out = argv[++i];
+      if (i + 1 < argc) request.metrics_out = argv[++i];
       continue;
     }
     if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(std::string_view("--metrics-out=").size());
+      request.metrics_out = arg.substr(std::string_view("--metrics-out=").size());
       continue;
     }
     args.push_back(argv[i]);
@@ -150,11 +151,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   {
-    patchdb::obs::ObsSession session("micro_store");
+    patchdb::obs::ArtifactSession obs("micro_store", std::move(request));
     benchmark::RunSpecifiedBenchmarks();
-    if (!metrics_out.empty()) {
-      patchdb::obs::write_report_file(session.report(), metrics_out);
-    }
+    obs.write_artifacts(obs.report());
   }
   benchmark::Shutdown();
   return 0;

@@ -1,7 +1,12 @@
 #include "obs/obs.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "obs/export.h"
+#include "obs/progress.h"
 
 namespace patchdb::obs {
 
@@ -81,6 +86,43 @@ RunReport ObsSession::report() const {
     for (ResourceSample& s : report.resource_timeline) s.t_us += offset;
   }
   return report;
+}
+
+ArtifactSession::ArtifactSession(std::string name, ArtifactRequest request)
+    : request_(std::move(request)), session_(std::move(name)) {
+  if (request_.progress) set_progress_interval_ms(1000);
+  if (request_.progress_ms > 0) set_progress_interval_ms(request_.progress_ms);
+  const bool want_artifacts =
+      !request_.metrics_out.empty() || !request_.trace_out.empty();
+  if (session_.installed() && want_artifacts && request_.sample_ms) {
+    // Clamp before the signed cast: a size_t like 2^63 would wrap to a
+    // negative interval. One hour is already far beyond any useful
+    // sampling period.
+    constexpr std::size_t kMaxSampleMs = 3'600'000;
+    ResourceSampler::Options options;
+    options.interval = std::chrono::milliseconds(
+        static_cast<long long>(std::min(*request_.sample_ms, kMaxSampleMs)));
+    sampler_ = std::make_unique<ResourceSampler>(options);
+    session_.attach_sampler(sampler_.get());
+    sampler_->start();
+  }
+}
+
+RunReport ArtifactSession::report() {
+  if (sampler_) sampler_->stop();
+  return session_.report();
+}
+
+void ArtifactSession::write_artifacts(const RunReport& report) const {
+  if (!request_.metrics_out.empty()) {
+    write_report_file(report, request_.metrics_out);
+    std::printf("metrics written to %s\n", request_.metrics_out.c_str());
+  }
+  if (!request_.trace_out.empty()) {
+    write_trace_file(report, request_.trace_out);
+    std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
+                request_.trace_out.c_str());
+  }
 }
 
 }  // namespace patchdb::obs

@@ -19,6 +19,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -88,6 +91,40 @@ class ObsSession {
   MetricsRegistry* previous_registry_ = nullptr;
   Tracer* previous_tracer_ = nullptr;
   ResourceSampler* sampler_ = nullptr;
+};
+
+/// What a binary's observability flags asked for; each tool and bench
+/// parses its own argv into one and runs an ArtifactSession on it.
+struct ArtifactRequest {
+  std::string metrics_out;  // --metrics-out: the RunReport JSON
+  std::string trace_out;    // --trace-out: a Chrome trace
+  /// --sample-ms: the ResourceSampler's period, clamped to one hour.
+  /// nullopt for a binary that takes no --sample-ms and samples nothing.
+  std::optional<std::size_t> sample_ms = 50;
+  bool progress = false;        // --progress: a heartbeat every second
+  std::size_t progress_ms = 0;  // --progress-ms: its period; 0 = unset
+};
+
+/// An ObsSession plus what a request asks of it: the progress period,
+/// and a ResourceSampler for this object's lifetime only while an
+/// artifact is requested (the obs-overhead check requests none).
+class ArtifactSession {
+ public:
+  ArtifactSession(std::string name, ArtifactRequest request);
+
+  ObsSession& session() noexcept { return session_; }
+
+  /// Stop the sampler (idempotent) and snapshot the session.
+  RunReport report();
+
+  /// Write each requested artifact, saying so on stdout.
+  void write_artifacts(const RunReport& report) const;
+
+ private:
+  ArtifactRequest request_;
+  ObsSession session_;
+  // After session_, so it stops before the session restores the sinks.
+  std::unique_ptr<ResourceSampler> sampler_;
 };
 
 }  // namespace patchdb::obs

@@ -79,9 +79,7 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
 void write_checkpoint(const fs::path& dir, const core::LoopCheckpoint& checkpoint,
                       std::uint64_t fingerprint) {
   fs::create_directories(dir);
-  std::string body(kVersionLine);
-  body += '\n';
-  body += "fingerprint," + util::to_hex(fingerprint) + '\n';
+  std::string body = "fingerprint," + util::to_hex(fingerprint) + '\n';
   body += "rounds_run," + std::to_string(checkpoint.rounds_run) + '\n';
   body += "finished,";
   body += checkpoint.finished ? '1' : '0';
@@ -101,36 +99,24 @@ void write_checkpoint(const fs::path& dir, const core::LoopCheckpoint& checkpoin
   for (const std::string& commit : checkpoint.pool) {
     body += "pool," + csv_escape(commit) + '\n';
   }
-  atomic_write_file(checkpoint_path(dir), with_checksum_trailer(std::move(body)));
+  atomic_write_file(checkpoint_path(dir), seal(kVersionLine, body));
 }
 
 core::LoopCheckpoint read_checkpoint(const fs::path& dir,
                                      std::uint64_t expected_fingerprint) {
   const std::string sealed = read_file(checkpoint_path(dir));
-  const std::string_view body = strip_checksum_trailer(sealed, "checkpoint.csv");
-  if (body.substr(0, kVersionLine.size()) != kVersionLine ||
-      body.size() <= kVersionLine.size() || body[kVersionLine.size()] != '\n') {
-    corrupt("unsupported version (expected " + std::string(kVersionLine) + ")");
-  }
+  const std::string_view body = open_sealed(sealed, kVersionLine, "checkpoint.csv");
 
   core::LoopCheckpoint cp;
   bool saw_fingerprint = false;
   bool saw_rounds = false;
-  for (const auto& row : csv_parse(body.substr(kVersionLine.size() + 1))) {
+  for (const auto& row : csv_parse(body)) {
     if (row.empty() || row[0].empty()) corrupt("empty row");
     const std::string& tag = row[0];
     if (tag == "fingerprint") {
-      if (row.size() != 2 || row[1].size() != 16) corrupt("malformed fingerprint");
       std::uint64_t recorded = 0;
-      for (char c : row[1]) {
-        recorded <<= 4;
-        if (c >= '0' && c <= '9') {
-          recorded |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-          recorded |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-          corrupt("malformed fingerprint");
-        }
+      if (row.size() != 2 || !util::parse_hex(row[1], recorded)) {
+        corrupt("malformed fingerprint");
       }
       if (expected_fingerprint != kAnyFingerprint &&
           recorded != expected_fingerprint) {

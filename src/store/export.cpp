@@ -1,5 +1,8 @@
 #include "store/export.h"
 
+#include <algorithm>
+#include <array>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +27,13 @@ namespace {
 constexpr std::string_view kVersionLine = "#patchdb.store.v2";
 constexpr std::size_t kManifestFields = 9;
 
-std::string manifest_row(const std::string& commit, const std::string& component,
+/// A dataset's natural record vectors, indexed like kComponents.
+template <typename Db>
+auto natural_records(Db& db) {
+  return std::array{&db.nvd_security, &db.wild_security, &db.nonsecurity};
+}
+
+std::string manifest_row(const std::string& commit, std::string_view component,
                          bool is_security, int type, const std::string& repo,
                          const std::string& origin, int variant,
                          int modified_after, std::uint64_t checksum) {
@@ -62,7 +71,7 @@ std::uint64_t write_patch_file(const fs::path& dir, const std::string& commit,
 /// rows. `rows` holds every natural patch's features in manifest order;
 /// `next_row` is this component's first row, and advances past it.
 void export_records(const std::vector<corpus::CommitRecord>& records,
-                    const char* component, const fs::path& root,
+                    std::string_view component, const fs::path& root,
                     const feature::FeatureMatrix& rows, std::size_t& next_row,
                     std::string& manifest, std::string& features) {
   const fs::path dir = root / component;
@@ -83,48 +92,30 @@ void export_records(const std::vector<corpus::CommitRecord>& records,
   }
 }
 
-[[noreturn]] void malformed(std::size_t row, const std::string& why) {
-  throw std::runtime_error("store: malformed manifest row " +
-                           std::to_string(row) + ": " + why);
-}
-
 /// Commits double as file names; restrict to the hex ids the pipeline
 /// emits so a tampered manifest cannot escape the dataset directory.
-void check_commit_field(std::string_view commit, std::size_t row) {
-  if (commit.empty()) malformed(row, "empty commit");
-  for (char c : commit) {
-    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!hex) malformed(row, "commit is not lowercase hex");
-  }
-}
-
-corpus::PatchType parse_type_field(std::string_view text, std::size_t row) {
-  const long long value = parse_int_field(text, 1000, "type");
-  const bool security = value >= 1 && value <= static_cast<long long>(
-                                                  corpus::kSecurityTypeCount);
-  const bool nonsecurity =
-      value >= static_cast<long long>(corpus::PatchType::kNewFeature) &&
-      value <= static_cast<long long>(corpus::PatchType::kDefensive);
-  if (!security && !nonsecurity) {
-    malformed(row, "unknown patch type " + std::string(text));
-  }
-  return static_cast<corpus::PatchType>(value);
-}
-
-std::uint64_t parse_checksum_field(std::string_view text, std::size_t row) {
-  if (text.size() != 16) malformed(row, "malformed checksum");
-  std::uint64_t value = 0;
+bool is_lower_hex(std::string_view text) {
+  if (text.empty()) return false;
   for (char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      malformed(row, "malformed checksum");
-    }
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
   }
-  return value;
+  return true;
+}
+
+/// A small non-negative integer field, or -1 for text parse_int_field
+/// rejects.
+long long small_int_or_negative(std::string_view text) {
+  try {
+    return parse_int_field(text, 1000, "manifest");
+  } catch (const std::runtime_error&) {
+    return -1;
+  }
+}
+
+bool known_type(long long type) {
+  return (type >= 1 && type <= static_cast<long long>(corpus::kSecurityTypeCount)) ||
+         (type >= static_cast<long long>(corpus::PatchType::kNewFeature) &&
+          type <= static_cast<long long>(corpus::PatchType::kDefensive));
 }
 
 }  // namespace
@@ -140,13 +131,8 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   stats.root = root;
   fs::create_directories(root);
 
-  std::string manifest(kVersionLine);
-  manifest += '\n';
-  manifest += manifest_header();
-
-  std::string features(kVersionLine);
-  features += '\n';
-  features += "commit";
+  std::string manifest = manifest_header();
+  std::string features = "commit";
   for (std::string_view name : feature::feature_names()) {
     features += ',';
     features += name;
@@ -155,131 +141,178 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
 
   // Every natural patch's row comes from one pool batch, in manifest
   // order.
-  const std::pair<const char*, const std::vector<corpus::CommitRecord>*> natural[] = {
-      {"nvd", &db.nvd_security},
-      {"wild", &db.wild_security},
-      {"nonsecurity", &db.nonsecurity},
-  };
+  const auto natural = natural_records(db);
   std::vector<const diff::Patch*> patches;
-  for (const auto& [component, records] : natural) {
+  for (const auto* records : natural) {
     for (const corpus::CommitRecord& record : *records) patches.push_back(&record.patch);
   }
   const feature::FeatureMatrix rows = feature::extract_all(patches);
-  for (const auto& [component, records] : natural) {
-    export_records(*records, component, root, rows, stats.feature_rows, manifest,
-                   features);
+  for (std::size_t c = 0; c < natural.size(); ++c) {
+    export_records(*natural[c], kComponents[c], root, rows, stats.feature_rows,
+                   manifest, features);
   }
   stats.patches_written = stats.feature_rows;
 
-  const fs::path synth_dir = root / "synthetic";
+  const fs::path synth_dir = root / kComponents[kSynthetic];
   fs::create_directories(synth_dir);
   for (const synth::SyntheticPatch& s : db.synthetic) {
     const std::uint64_t checksum =
         write_patch_file(synth_dir, s.patch.commit, s.patch);
-    manifest += manifest_row(s.patch.commit, "synthetic", s.truth.is_security,
-                             static_cast<int>(s.truth.type), "", s.origin_commit,
-                             static_cast<int>(s.variant), s.modified_after ? 1 : 0,
-                             checksum);
+    manifest += manifest_row(s.patch.commit, kComponents[kSynthetic],
+                             s.truth.is_security, static_cast<int>(s.truth.type),
+                             "", s.origin_commit, static_cast<int>(s.variant),
+                             s.modified_after ? 1 : 0, checksum);
     ++stats.patches_written;
   }
 
   // The manifest is the commit point: it lands last, atomically, so an
   // interrupted export never publishes a manifest naming absent files.
-  atomic_write_file(root / "features.csv", with_checksum_trailer(std::move(features)));
-  atomic_write_file(root / "manifest.csv", with_checksum_trailer(std::move(manifest)));
+  atomic_write_file(root / "features.csv", seal(kVersionLine, features));
+  atomic_write_file(root / "manifest.csv", seal(kVersionLine, manifest));
   return stats;
 }
 
-LoadedPatchDb load_patchdb(const fs::path& root) {
-  const std::string sealed = read_file(root / "manifest.csv");
-  const std::string_view body = strip_checksum_trailer(sealed, "manifest.csv");
-  if (!util::starts_with(body, kVersionLine) ||
-      body.size() <= kVersionLine.size() || body[kVersionLine.size()] != '\n') {
-    throw std::runtime_error("store: unsupported manifest version in " +
-                             root.string() + " (expected " +
-                             std::string(kVersionLine) + ")");
+ManifestWalk walk_manifest(const fs::path& root,
+                           const std::function<void(std::string)>& problem,
+                           const std::function<void(ManifestEntry&&)>& entry) {
+  ManifestWalk walk;
+  std::string sealed;
+  std::string_view body;
+  try {
+    sealed = read_file(root / "manifest.csv");
+    ++walk.files;
+    walk.bytes += sealed.size();
+    body = open_sealed(sealed, kVersionLine, "manifest.csv");
+  } catch (const std::runtime_error& e) {
+    problem(e.what());
+    return walk;
   }
-  const auto rows = csv_parse(body.substr(kVersionLine.size() + 1));
-  if (rows.empty() ||
-      util::join(rows[0], ",") + "\n" != manifest_header()) {
-    throw std::runtime_error("store: bad manifest header in " + root.string());
+  std::vector<std::vector<std::string>> rows;
+  try {
+    rows = csv_parse(body);
+  } catch (const std::runtime_error& e) {
+    problem(std::string("store: manifest.csv: ") + e.what());
+    return walk;
   }
+  if (rows.empty() || util::join(rows[0], ",") + "\n" != manifest_header()) {
+    problem("store: manifest.csv: bad header");
+    return walk;
+  }
+  walk.opened = true;
 
-  LoadedPatchDb db;
   // The commit is the served key: it must be unique across components.
   std::unordered_map<std::string_view, std::size_t> first_row;
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& fields = rows[i];
-    // Row numbers in errors count the version line and the header.
+    const std::vector<std::string>& fields = rows[i];
+    // Row numbers count the version line and the header.
     const std::size_t row_no = i + 2;
+    const auto report = [&problem, row_no](const std::string& why) {
+      problem("store: manifest.csv row " + std::to_string(row_no) + ": " + why);
+    };
     if (fields.size() != kManifestFields) {
-      malformed(row_no, "expected " + std::to_string(kManifestFields) +
-                            " fields, got " + std::to_string(fields.size()));
-    }
-    const std::string& commit = fields[0];
-    check_commit_field(commit, row_no);
-    const auto [first, fresh] = first_row.emplace(commit, row_no);
-    if (!fresh) {
-      malformed(row_no, "duplicate commit " + commit + " (first listed at row " +
-                            std::to_string(first->second) + ")");
-    }
-    const std::string& component = fields[1];
-    if (component != "nvd" && component != "wild" && component != "nonsecurity" &&
-        component != "synthetic") {
-      throw std::runtime_error("store: unknown component '" + component + "'");
-    }
-    bool is_security = false;
-    if (fields[2] == "security") {
-      is_security = true;
-    } else if (fields[2] != "nonsecurity") {
-      malformed(row_no, "unknown label '" + fields[2] + "'");
-    }
-    const corpus::PatchType type = parse_type_field(fields[3], row_no);
-    const long long variant = parse_int_field(fields[6], 1000, "variant");
-    if (fields[7] != "0" && fields[7] != "1") {
-      malformed(row_no, "modified_after must be 0 or 1");
-    }
-    const std::uint64_t recorded_checksum = parse_checksum_field(fields[8], row_no);
-
-    const fs::path patch_path = root / component / (commit + ".patch");
-    const std::string content = read_file(patch_path);
-    if (util::fnv1a64(content) != recorded_checksum) {
-      PATCHDB_COUNTER_ADD("store.checksum_failures", 1);
-      throw std::runtime_error("store: checksum mismatch for " +
-                               patch_path.string() +
-                               " (corrupted or truncated patch file)");
-    }
-    diff::Patch patch = diff::parse_patch(content);
-
-    if (component == "synthetic") {
-      if (variant < 1 || variant > static_cast<long long>(synth::kVariantCount)) {
-        malformed(row_no, "unknown synthesis variant " + fields[6]);
-      }
-      synth::SyntheticPatch s;
-      s.patch = std::move(patch);
-      s.truth.is_security = is_security;
-      s.truth.type = type;
-      s.origin_commit = fields[5];
-      s.variant = static_cast<synth::IfVariant>(variant);
-      s.modified_after = fields[7] == "1";
-      db.synthetic.push_back(std::move(s));
+      report("expected " + std::to_string(kManifestFields) + " fields, got " +
+             std::to_string(fields.size()));
       continue;
     }
-    if (variant != 0) malformed(row_no, "natural patch with nonzero variant");
-
-    corpus::CommitRecord record;
-    record.patch = std::move(patch);
-    record.truth.is_security = is_security;
-    record.truth.type = type;
-    record.repo = fields[4];
-    if (component == "nvd") {
-      db.nvd_security.push_back(std::move(record));
-    } else if (component == "wild") {
-      db.wild_security.push_back(std::move(record));
-    } else {
-      db.nonsecurity.push_back(std::move(record));
+    ManifestEntry decoded;
+    bool names_file = true;
+    decoded.commit = fields[0];
+    if (!is_lower_hex(fields[0])) {
+      report("commit is not lowercase hex");
+      names_file = false;
+    } else if (const auto [first, fresh] = first_row.emplace(fields[0], row_no);
+               !fresh) {
+      report("duplicate commit " + fields[0] + " (first listed at row " +
+             std::to_string(first->second) + ")");
+      names_file = false;
     }
+    const auto* component =
+        std::find(std::begin(kComponents), std::end(kComponents), fields[1]);
+    if (component == std::end(kComponents)) {
+      report("unknown component '" + fields[1] + "'");
+      names_file = false;
+    } else {
+      decoded.component = static_cast<std::size_t>(component - std::begin(kComponents));
+    }
+    if (fields[2] == "security") {
+      decoded.truth.is_security = true;
+    } else if (fields[2] != "nonsecurity") {
+      report("unknown label '" + fields[2] + "'");
+    }
+    const long long type = small_int_or_negative(fields[3]);
+    if (known_type(type)) {
+      decoded.truth.type = static_cast<corpus::PatchType>(type);
+    } else {
+      report("unknown patch type '" + fields[3] + "'");
+    }
+    decoded.repo = fields[4];
+    decoded.origin = fields[5];
+    const long long variant = small_int_or_negative(fields[6]);
+    if (decoded.component != kSynthetic) {
+      if (variant != 0) report("natural patch with nonzero variant '" + fields[6] + "'");
+    } else if (variant < 1 || variant > static_cast<long long>(synth::kVariantCount)) {
+      report("unknown synthesis variant '" + fields[6] + "'");
+    } else {
+      decoded.variant = static_cast<synth::IfVariant>(variant);
+    }
+    if (fields[7] != "0" && fields[7] != "1") {
+      report("modified_after must be 0 or 1");
+    }
+    decoded.modified_after = fields[7] == "1";
+    std::uint64_t checksum = 0;
+    const bool has_checksum = util::parse_hex(fields[8], checksum);
+    if (!has_checksum) report("malformed checksum");
+    if (!names_file) continue;
+
+    const fs::path path =
+        root / kComponents[decoded.component] / (decoded.commit + ".patch");
+    std::string content;
+    bool readable = true;
+    try {
+      content = read_file(path);
+    } catch (const std::runtime_error&) {
+      readable = false;
+      report("cannot read " + path.string());
+    }
+    if (readable) {
+      ++walk.files;
+      walk.bytes += content.size();
+      if (has_checksum && util::fnv1a64(content) != checksum) {
+        PATCHDB_COUNTER_ADD("store.checksum_failures", 1);
+        report("checksum mismatch for " + path.string() +
+               " (corrupted or truncated patch file)");
+      } else {
+        try {
+          decoded.patch = diff::parse_patch(content);
+        } catch (const std::exception& e) {
+          report("cannot parse " + path.string() + ": " + e.what());
+        }
+      }
+    }
+    entry(std::move(decoded));
   }
+  return walk;
+}
+
+LoadedPatchDb load_patchdb(const fs::path& root) {
+  LoadedPatchDb db;
+  const auto natural = natural_records(db);
+  walk_manifest(
+      root, [](std::string problem) { throw std::runtime_error(problem); },
+      [&](ManifestEntry&& decoded) {
+        if (decoded.component == kSynthetic) {
+          db.synthetic.push_back({.patch = std::move(decoded.patch),
+                                  .origin_commit = std::move(decoded.origin),
+                                  .variant = decoded.variant,
+                                  .modified_after = decoded.modified_after,
+                                  .truth = decoded.truth});
+        } else {
+          corpus::CommitRecord& record = natural[decoded.component]->emplace_back();
+          record.patch = std::move(decoded.patch);
+          record.truth = decoded.truth;
+          record.repo = std::move(decoded.repo);
+        }
+      });
   return db;
 }
 

@@ -23,12 +23,18 @@
 // numeric fields, unknown labels/components/types, and checksum
 // mismatches all throw instead of loading as garbage.
 //
+// The manifest has one decoder, walk_manifest. load_patchdb runs it and
+// throws the first problem; fsck (store/fsck.h) runs it in collect-all
+// mode, plus its own orphan and features.csv checks.
+//
 // Exports round-trip: load_patchdb(export_patchdb(db)) reproduces every
 // patch byte-for-byte (modulo snapshots, which are not exported — they
 // are reconstruction artifacts of the simulator, not dataset content).
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +42,13 @@
 #include "core/patchdb.h"
 
 namespace patchdb::store {
+
+/// The dataset's components, in manifest order: the three natural ones,
+/// then the synthetic one. Each is a directory of `<commit>.patch` files.
+inline constexpr std::string_view kComponents[] = {"nvd", "wild", "nonsecurity",
+                                                   "synthetic"};
+/// Index of "synthetic" in kComponents; every lower index is natural.
+inline constexpr std::size_t kSynthetic = 3;
 
 struct ExportStats {
   std::size_t patches_written = 0;
@@ -56,10 +69,42 @@ struct LoadedPatchDb {
   std::vector<synth::SyntheticPatch> synthetic;
 };
 
-/// Read an exported dataset. Throws std::runtime_error when the manifest
-/// is missing, malformed, fails its checksum, or when a listed patch
-/// file is absent, corrupted, or fails to parse.
+/// Read an exported dataset. Throws std::runtime_error with
+/// walk_manifest's message for the first problem it finds.
 LoadedPatchDb load_patchdb(const std::filesystem::path& root);
+
+/// One manifest row as walk_manifest decodes it, with its patch parsed.
+struct ManifestEntry {
+  std::size_t component = 0;  // index into kComponents
+  std::string commit;
+  corpus::GroundTruth truth;
+  std::string repo;    // natural rows
+  std::string origin;  // synthetic rows: the origin commit
+  synth::IfVariant variant = synth::IfVariant::kOrZero;  // synthetic rows
+  bool modified_after = false;                          // synthetic rows
+  diff::Patch patch;
+};
+
+/// What walk_manifest read. `opened`: the manifest passed its trailer,
+/// version and header checks, so its rows were walked.
+struct ManifestWalk {
+  bool opened = false;
+  std::size_t files = 0;  // files read: the manifest and each patch file
+  std::size_t bytes = 0;  // their bytes
+};
+
+/// Open the sealed manifest under `root`, check its header, then walk
+/// its rows: check every field, reject a repeated commit, read each
+/// listed patch file, verify its checksum and parse it. Each problem
+/// goes to `problem` as "store: manifest.csv row N: ...", naming the
+/// patch file where there is one; a problem with the whole manifest ends
+/// the walk. Then each row whose commit is new and whose component is
+/// known goes to `entry`, and is dropped when it returns. A throwing
+/// `problem` (load) sees only whole entries; one that returns (fsck)
+/// also gets entries whose failed fields are unset.
+ManifestWalk walk_manifest(const std::filesystem::path& root,
+                           const std::function<void(std::string)>& problem,
+                           const std::function<void(ManifestEntry&&)>& entry);
 
 /// First line of manifest.csv and features.csv ("#patchdb.store.v2").
 std::string_view store_version_line();

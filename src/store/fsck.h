@@ -1,9 +1,9 @@
 // Offline integrity verification for exported datasets and checkpoint
-// directories — the `patchdb fsck` subcommand. Unlike load_patchdb
-// (which throws at the first problem), fsck walks the whole tree and
-// collects every issue: manifest/features trailer checksums, strict row
-// parsing, per-patch content checksums, missing and orphaned patch
-// files, feature-row counts, and checkpoint validity.
+// directories — the `patchdb fsck` subcommand. A dataset check is
+// load_patchdb's manifest walker (store/export.h) in collect-all mode,
+// with the same checks and messages, plus fsck's own: orphaned patch
+// files and features.csv. So a dataset fsck passes is one load_patchdb
+// accepts. A checkpoint is checked by read_checkpoint, any fingerprint.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,6 @@
 namespace patchdb::store {
 
 struct FsckReport {
-  std::filesystem::path root;
   std::size_t files_checked = 0;
   std::size_t bytes_checked = 0;
   std::size_t manifest_rows = 0;
@@ -24,9 +23,6 @@ struct FsckReport {
 
 /// Verify an exported dataset directory (manifest.csv present).
 FsckReport fsck_dataset(const std::filesystem::path& root);
-
-/// Verify a checkpoint directory (checkpoint.csv present).
-FsckReport fsck_checkpoint_dir(const std::filesystem::path& dir);
 
 /// Dispatch on the directory's contents: dataset when manifest.csv is
 /// present, checkpoint when checkpoint.csv is; both when both are.

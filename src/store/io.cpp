@@ -31,23 +31,6 @@ void raw_write(const fs::path& path, std::string_view content) {
   if (!out) throw std::runtime_error("store: short write to " + path.string());
 }
 
-bool parse_hex64(std::string_view text, std::uint64_t& out) {
-  if (text.size() != kHexDigits) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = value;
-  return true;
-}
-
 }  // namespace
 
 void set_fault_plan(const FaultPlan& plan) noexcept {
@@ -125,7 +108,7 @@ std::string_view strip_checksum_trailer(std::string_view sealed,
     return fail("missing checksum trailer");
   }
   std::uint64_t recorded = 0;
-  if (!parse_hex64(trailer.substr(kTrailerTag.size(), kHexDigits), recorded)) {
+  if (!util::parse_hex(trailer.substr(kTrailerTag.size(), kHexDigits), recorded)) {
     return fail("malformed checksum trailer");
   }
   const std::string_view body = sealed.substr(0, sealed.size() - kTrailerSize);
@@ -136,6 +119,26 @@ std::string_view strip_checksum_trailer(std::string_view sealed,
     return fail("checksum mismatch (corrupted or truncated file)");
   }
   return body;
+}
+
+std::string seal(std::string_view version, std::string_view body) {
+  std::string document;
+  document.reserve(version.size() + body.size() + kTrailerSize + 2);
+  document += version;
+  document += '\n';
+  document += body;
+  return with_checksum_trailer(std::move(document));
+}
+
+std::string_view open_sealed(std::string_view sealed, std::string_view version,
+                             const std::string& name) {
+  const std::string_view body = strip_checksum_trailer(sealed, name);
+  if (body.substr(0, version.size()) != version || body.size() <= version.size() ||
+      body[version.size()] != '\n') {
+    throw std::runtime_error("store: " + name + ": unsupported version (expected " +
+                             std::string(version) + ")");
+  }
+  return body.substr(version.size() + 1);
 }
 
 }  // namespace patchdb::store

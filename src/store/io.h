@@ -2,8 +2,9 @@
 // temporary sibling and atomically renamed into place, so a killed
 // export or checkpoint never leaves a half-written file at its final
 // path. Documents that must be tamper-evident (manifest, features,
-// checkpoints) are "sealed" with a trailing FNV-1a checksum line that
-// readers verify before parsing.
+// checkpoints) are "sealed": a version line, the body, and a trailing
+// FNV-1a checksum line. seal() writes that shape and open_sealed()
+// checks it, trailer first, for every one of them.
 //
 // A fault-injection hook covers the whole write path for the kill-point
 // tests: fail the Nth write before it commits (simulating a crash
@@ -66,5 +67,15 @@ std::string with_checksum_trailer(std::string body);
 /// or truncated byte anywhere in the document.
 std::string_view strip_checksum_trailer(std::string_view sealed,
                                         const std::string& what);
+
+/// `version` on a line of its own, `body`, then the checksum trailer:
+/// how manifest.csv, features.csv and checkpoint.csv are written.
+std::string seal(std::string_view version, std::string_view body);
+
+/// Verify a seal()ed document's trailer, then its version line, and
+/// return the body. Throws std::runtime_error naming `name` when either
+/// fails ("unsupported version" for the latter).
+std::string_view open_sealed(std::string_view sealed, std::string_view version,
+                             const std::string& name);
 
 }  // namespace patchdb::store

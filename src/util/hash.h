@@ -30,6 +30,25 @@ inline std::string to_hex(std::uint64_t value) {
   return out;
 }
 
+/// Inverse of to_hex: exactly 16 lowercase hex digits. Returns false,
+/// leaving `out` unchanged, on any other text.
+inline bool parse_hex(std::string_view text, std::uint64_t& out) noexcept {
+  if (text.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (char c : text) {
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+  }
+  out = value;
+  return true;
+}
+
 /// Deterministic git-style commit id (40 hex chars) derived from content:
 /// the FNV-1a hashes of `content` under three seeds, 16 + 16 + 8 hex
 /// digits, computed in one pass over the bytes.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,53 @@
 #include "store/export.h"
 #include "store/fsck.h"
 #include "store/io.h"
+#include "util/hash.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 namespace patchdb {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Manifest rows neither reader may accept. Each is written as the only
+// data row, so both readers must name row 3.
+constexpr struct {
+  const char* name;
+  const char* row;
+} kGarbageRows[] = {
+    // std::atoi would have read "7x" as 7 and loaded the row.
+    {"trailing garbage in type",
+     "deadbeef,nvd,security,7x,repo,,0,0,0123456789abcdef\n"},
+    {"case-sensitive label",
+     "deadbeef,nvd,Security,1,repo,,0,0,0123456789abcdef\n"},
+    {"non-numeric variant",
+     "deadbeef,synthetic,security,1,,beef,x,0,0123456789abcdef\n"},
+    {"out-of-range synthesis variant",
+     "deadbeef,synthetic,security,1,,beef,99,0,0123456789abcdef\n"},
+    {"natural patch with nonzero variant",
+     "deadbeef,nvd,security,1,repo,,3,0,0123456789abcdef\n"},
+    {"modified_after out of range",
+     "deadbeef,nvd,security,1,repo,,0,2,0123456789abcdef\n"},
+    {"unknown patch type",
+     "deadbeef,nvd,security,55,repo,,0,0,0123456789abcdef\n"},
+    // Commits double as file names; a traversal must not leave root.
+    {"commit with path traversal",
+     "../../etc/passwd,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
+    {"uppercase commit",
+     "DEADBEEF,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
+    {"short checksum", "deadbeef,nvd,security,1,repo,,0,0,0123\n"},
+};
+
+/// The error a reader gives, or "" when load_patchdb accepts the dataset.
+std::string load_error(const fs::path& root) {
+  try {
+    store::load_patchdb(root);
+    return {};
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -56,20 +98,35 @@ class StoreTest : public ::testing::Test {
     out << store::with_checksum_trailer(std::move(body));
   }
 
+  /// The exported manifest's lines, version line and header included,
+  /// so line i is row i + 1 in the readers' messages.
+  std::vector<std::string> manifest_lines() const {
+    const std::string sealed = store::read_file(root_ / "manifest.csv");
+    std::istringstream body{
+        std::string(store::strip_checksum_trailer(sealed, "manifest.csv"))};
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(body, line)) lines.push_back(line);
+    return lines;
+  }
+
+  /// Write `lines` back as the manifest under a fresh trailer, so the row
+  /// checks decide and not the trailer.
+  void reseal_manifest(const std::vector<std::string>& lines) {
+    std::string body;
+    for (const std::string& line : lines) body += line + '\n';
+    std::ofstream out(root_ / "manifest.csv", std::ios::binary | std::ios::trunc);
+    out << store::with_checksum_trailer(std::move(body));
+  }
+
   /// Append a copy of the first patch row to the exported manifest and
   /// re-seal it. Returns the copy's row number (rows count the version
   /// line and the header, as the loaders' messages do).
   std::size_t repeat_first_manifest_row() {
-    const std::string sealed = store::read_file(root_ / "manifest.csv");
-    std::string body(store::strip_checksum_trailer(sealed, "manifest.csv"));
-    const std::size_t first = body.find('\n', body.find('\n') + 1) + 1;
-    const std::size_t next = body.find('\n', first) + 1;
-    body += body.substr(first, next - first);
-    const auto rows =
-        static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
-    std::ofstream out(root_ / "manifest.csv", std::ios::binary | std::ios::trunc);
-    out << store::with_checksum_trailer(std::move(body));
-    return rows;
+    std::vector<std::string> lines = manifest_lines();
+    lines.push_back(lines[2]);
+    reseal_manifest(lines);
+    return lines.size();
   }
 
   fs::path root_;
@@ -239,33 +296,7 @@ TEST_F(StoreTest, LoadMalformedManifestRowThrows) {
 }
 
 TEST_F(StoreTest, LoadRejectsGarbageFields) {
-  const struct {
-    const char* name;
-    const char* row;
-  } cases[] = {
-      // std::atoi would have read "7x" as 7 and loaded the row.
-      {"trailing garbage in type",
-       "deadbeef,nvd,security,7x,repo,,0,0,0123456789abcdef\n"},
-      {"case-sensitive label",
-       "deadbeef,nvd,Security,1,repo,,0,0,0123456789abcdef\n"},
-      {"non-numeric variant",
-       "deadbeef,synthetic,security,1,,beef,x,0,0123456789abcdef\n"},
-      {"out-of-range synthesis variant",
-       "deadbeef,synthetic,security,1,,beef,99,0,0123456789abcdef\n"},
-      {"natural patch with nonzero variant",
-       "deadbeef,nvd,security,1,repo,,3,0,0123456789abcdef\n"},
-      {"modified_after out of range",
-       "deadbeef,nvd,security,1,repo,,0,2,0123456789abcdef\n"},
-      {"unknown patch type",
-       "deadbeef,nvd,security,55,repo,,0,0,0123456789abcdef\n"},
-      // Commits double as file names; a traversal must not leave root.
-      {"commit with path traversal",
-       "../../etc/passwd,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
-      {"uppercase commit",
-       "DEADBEEF,nvd,security,1,repo,,0,0,0123456789abcdef\n"},
-      {"short checksum", "deadbeef,nvd,security,1,repo,,0,0,0123\n"},
-  };
-  for (const auto& c : cases) {
+  for (const auto& c : kGarbageRows) {
     fs::remove_all(root_);
     write_sealed_manifest(c.row);
     EXPECT_THROW(store::load_patchdb(root_), std::runtime_error) << c.name;
@@ -368,6 +399,172 @@ TEST_F(StoreTest, FsckRejectsRepeatedCommit) {
                             return error.find(expected) != std::string::npos;
                           }))
       << "no error names row " << row;
+}
+
+// A patch file that is not a diff, with its checksum written into its
+// row and the manifest re-sealed: every checksum holds, so only a parse
+// finds it. fsck used to pass such a dataset that load_patchdb refused.
+TEST_F(StoreTest, FsckRejectsResealedNonDiffPatch) {
+  const core::PatchDb db = small_db();
+  store::export_patchdb(db, root_);
+  const std::string commit = db.nvd_security[0].patch.commit;
+  const fs::path victim = root_ / "nvd" / (commit + ".patch");
+  std::ofstream(victim, std::ios::binary | std::ios::trunc) << "stray\n";
+  std::vector<std::string> lines = manifest_lines();
+  std::size_t row = 0;
+  for (std::size_t i = 2; i < lines.size(); ++i) {
+    if (lines[i].rfind(commit + ",", 0) != 0) continue;
+    lines[i].replace(lines[i].rfind(',') + 1, std::string::npos,
+                     util::to_hex(util::fnv1a64("stray\n")));
+    row = i + 1;
+  }
+  ASSERT_NE(row, 0u);
+  reseal_manifest(lines);
+
+  const store::FsckReport report = store::fsck_dataset(root_);
+  ASSERT_FALSE(report.ok()) << "fsck passed a patch file that is not a diff";
+  const std::string& error = report.errors.front();
+  EXPECT_NE(error.find("manifest.csv row " + std::to_string(row) + ": "),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find(victim.string()), std::string::npos) << error;
+  EXPECT_EQ(error, load_error(root_));
+}
+
+// Both readers get each hostile row alone in a sealed manifest: load
+// refuses it, and fsck reports the very message load throws.
+TEST_F(StoreTest, BothReadersRejectGarbageRowsAlike) {
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const auto& c : kGarbageRows) cases.emplace_back(c.name, c.row);
+  cases.emplace_back("unknown component",
+                     "deadbeef,bogus,security,1,repo,,0,0,0123456789abcdef\n");
+  cases.emplace_back("eight fields", "deadbeef,nvd,security,1,repo,,0,0\n");
+  for (const auto& [name, row] : cases) {
+    fs::remove_all(root_);
+    write_sealed_manifest(row);
+    const std::string thrown = load_error(root_);
+    ASSERT_FALSE(thrown.empty()) << name << ": load accepted the row";
+    const store::FsckReport report = store::fsck_dataset(root_);
+    ASSERT_FALSE(report.ok()) << name << ": fsck passed the row";
+    EXPECT_NE(report.errors.front().find("manifest.csv row 3"), std::string::npos)
+        << name << ": " << report.errors.front();
+    EXPECT_EQ(report.errors.front(), thrown) << name;
+  }
+}
+
+// One corruption at a time to the manifest rows and patch files of a
+// small export, with the manifest re-sealed after each so that the row
+// checks decide: fsck passes exactly the datasets load_patchdb accepts,
+// never throws, and reports load's message first.
+TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
+  const core::PatchDb db = small_db();
+  ASSERT_FALSE(db.synthetic.empty());
+  store::export_patchdb(db, root_);
+  const std::vector<std::string> pristine = manifest_lines();
+  const fs::path nvd_patch =
+      root_ / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
+  const fs::path wild_patch =
+      root_ / "wild" / (db.wild_security[0].patch.commit + ".patch");
+  const std::string nvd_content = store::read_file(nvd_patch);
+  const std::string wild_content = store::read_file(wild_patch);
+  const auto restore = [&] {
+    reseal_manifest(pristine);
+    std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << nvd_content;
+    std::ofstream(wild_patch, std::ios::binary | std::ios::trunc) << wild_content;
+  };
+  std::size_t refused = 0;
+  const auto check = [&](const std::string& name) {
+    const std::string thrown = load_error(root_);
+    store::FsckReport report;
+    ASSERT_NO_THROW(report = store::fsck_dataset(root_)) << name;
+    EXPECT_EQ(report.ok(), thrown.empty())
+        << name << ": load says \"" << thrown << "\", fsck says \""
+        << (report.ok() ? std::string("ok") : report.errors.front()) << "\"";
+    if (!thrown.empty() && !report.ok()) {
+      EXPECT_EQ(report.errors.front(), thrown) << name;
+      ++refused;
+    }
+    restore();
+  };
+  check("pristine export");
+
+  // Each field of a natural row (row 3, the first nvd patch) and of the
+  // first synthetic row in turn, set to values the format rejects. repo
+  // and origin are free text and have none.
+  const std::vector<std::vector<std::string>> bad_values = {
+      {"", "DEADBEEF", "../x", "0123456789abcdef"},  // commit
+      {"", "NVD", "bogus", "wild", "synthetic"},      // component
+      {"", "Security", "1"},                          // label
+      {"", "0", "13", "7x", "-1", "1001"},            // type
+      {},                                             // repo
+      {},                                             // origin
+      {"", "x", "3", "99"},                           // variant
+      {"", "2", "yes"},                               // modified_after
+      {"", "0123", "0000000000000000", "0123456789ABCDEF"},  // checksum
+  };
+  std::size_t synthetic_line = 0;
+  for (std::size_t i = 2; i < pristine.size(); ++i) {
+    if (store::csv_parse(pristine[i] + "\n")[0][1] == "synthetic") {
+      synthetic_line = i;
+      break;
+    }
+  }
+  ASSERT_NE(synthetic_line, 0u);
+  for (const std::size_t line : {std::size_t{2}, synthetic_line}) {
+    const std::vector<std::string> fields = store::csv_parse(pristine[line] + "\n")[0];
+    ASSERT_EQ(fields.size(), bad_values.size());
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      for (const std::string& value : bad_values[f]) {
+        std::vector<std::string> edited = fields;
+        edited[f] = value;
+        std::vector<std::string> escaped;
+        for (const std::string& field : edited) {
+          escaped.push_back(store::csv_escape(field));
+        }
+        std::vector<std::string> lines = pristine;
+        lines[line] = util::join(escaped, ",");
+        reseal_manifest(lines);
+        check("row " + std::to_string(line + 1) + " field " + std::to_string(f) +
+              " = \"" + value + "\"");
+      }
+    }
+    std::vector<std::string> lines = pristine;
+    lines[line] += ",extra";
+    reseal_manifest(lines);
+    check("row " + std::to_string(line + 1) + " with ten fields");
+    lines[line] = pristine[line].substr(0, pristine[line].rfind(','));
+    reseal_manifest(lines);
+    check("row " + std::to_string(line + 1) + " with eight fields");
+  }
+
+  std::vector<std::string> lines = pristine;
+  lines.push_back(pristine[2]);
+  reseal_manifest(lines);
+  check("duplicated row");
+
+  std::string flipped = nvd_content;
+  flipped[flipped.size() / 2] ^= 0x01;
+  std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << flipped;
+  check("flipped patch file");
+  std::ofstream(wild_patch, std::ios::binary | std::ios::trunc)
+      << wild_content.substr(0, wild_content.size() / 2);
+  check("truncated patch file");
+  fs::remove(nvd_patch);
+  check("deleted patch file");
+
+  // Replaced and re-sealed: the row carries the new content's checksum.
+  for (const std::string& replacement : {std::string("stray\n"), std::string(),
+                                         wild_content.substr(0, wild_content.size() / 2),
+                                         wild_content}) {
+    std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << replacement;
+    lines = pristine;
+    lines[2].replace(lines[2].rfind(',') + 1, std::string::npos,
+                     util::to_hex(util::fnv1a64(replacement)));
+    reseal_manifest(lines);
+    check("patch file replaced by " + std::to_string(replacement.size()) +
+          " bytes and re-sealed");
+  }
+  EXPECT_GT(refused, 40u);
 }
 
 }  // namespace

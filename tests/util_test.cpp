@@ -767,5 +767,22 @@ TEST(Hash, ToHexPadsTo16) {
   EXPECT_EQ(util::to_hex(255), "00000000000000ff");
 }
 
+TEST(Hash, ParseHexInvertsToHex) {
+  for (const std::uint64_t value : {std::uint64_t{0}, std::uint64_t{255},
+                                    util::fnv1a64("content"), ~std::uint64_t{0}}) {
+    std::uint64_t parsed = 1;
+    ASSERT_TRUE(util::parse_hex(util::to_hex(value), parsed));
+    EXPECT_EQ(parsed, value);
+  }
+  std::uint64_t untouched = 7;
+  for (const std::string_view bad :
+       {std::string_view(""), std::string_view("0123"),
+        std::string_view("0123456789ABCDEF"), std::string_view("0123456789abcdeg"),
+        std::string_view("0123456789abcdef0")}) {
+    EXPECT_FALSE(util::parse_hex(bad, untouched)) << bad;
+  }
+  EXPECT_EQ(untouched, 7u);
+}
+
 }  // namespace
 }  // namespace patchdb

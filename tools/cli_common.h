@@ -1,6 +1,6 @@
 // Shared command-line plumbing for the patchdb tools (patchdb,
-// patchdbd, patchdb_client, micro_serve): strict flag parsing and the
-// observability session/artifact wrapper.
+// patchdbd, patchdb_client): strict flag parsing, and the mapping from
+// the obs flags to an obs::ArtifactRequest.
 //
 // The parsing is deliberately strict. `--nvd 4OO` used to reach
 // std::stoull and either silently truncate ("4") or escape as an
@@ -11,17 +11,13 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
 
 namespace patchdb::cli {
 
@@ -128,58 +124,17 @@ class Flags {
   std::vector<std::string> switches_;
 };
 
-/// Shared observability plumbing for the pipeline commands: applies
-/// --progress/--progress-ms, installs an ObsSession, and — when
-/// --trace-out or --metrics-out asks for an artifact — runs a
-/// ResourceSampler at --sample-ms (default 50) for the command's
-/// lifetime. report() stops the sampler and snapshots;
-/// write_artifacts() honors --metrics-out and --trace-out.
-class CliObs {
- public:
-  CliObs(const char* name, const Flags& flags)
-      : trace_out_(flags.value("--trace-out", std::string())),
-        metrics_out_(flags.value("--metrics-out", std::string())),
-        obs_(name) {
-    if (flags.has("--progress")) obs::set_progress_interval_ms(1000);
-    const std::size_t progress_ms = flags.value("--progress-ms", std::size_t{0});
-    if (progress_ms > 0) obs::set_progress_interval_ms(progress_ms);
-    const bool want_artifacts = !trace_out_.empty() || !metrics_out_.empty();
-    if (obs_.installed() && want_artifacts) {
-      obs::ResourceSampler::Options opt;
-      // Clamp before the signed cast: a size_t like 2^63 would wrap to
-      // a negative interval. One hour is already far beyond any useful
-      // sampling period.
-      constexpr std::size_t kMaxSampleMs = 3'600'000;
-      opt.interval = std::chrono::milliseconds(static_cast<long long>(
-          std::min(flags.value("--sample-ms", std::size_t{50}), kMaxSampleMs)));
-      sampler_ = std::make_unique<obs::ResourceSampler>(opt);
-      obs_.attach_sampler(sampler_.get());
-      sampler_->start();
-    }
-  }
-
-  obs::RunReport report() {
-    if (sampler_) sampler_->stop();  // idempotent
-    return obs_.report();
-  }
-
-  void write_artifacts(const obs::RunReport& report) {
-    if (!metrics_out_.empty()) {
-      obs::write_report_file(report, metrics_out_);
-      std::printf("metrics written to %s\n", metrics_out_.c_str());
-    }
-    if (!trace_out_.empty()) {
-      obs::write_trace_file(report, trace_out_);
-      std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
-                  trace_out_.c_str());
-    }
-  }
-
- private:
-  std::string trace_out_;
-  std::string metrics_out_;
-  obs::ObsSession obs_;
-  std::unique_ptr<obs::ResourceSampler> sampler_;
-};
+/// The obs artifacts and progress heartbeat the pipeline commands'
+/// flags ask for: --metrics-out, --trace-out, --sample-ms (default 50),
+/// --progress and --progress-ms. obs::ArtifactSession acts on it.
+inline obs::ArtifactRequest artifact_request(const Flags& flags) {
+  obs::ArtifactRequest request;
+  request.metrics_out = flags.value("--metrics-out", std::string());
+  request.trace_out = flags.value("--trace-out", std::string());
+  request.sample_ms = flags.value("--sample-ms", std::size_t{50});
+  request.progress = flags.has("--progress");
+  request.progress_ms = flags.value("--progress-ms", std::size_t{0});
+  return request;
+}
 
 }  // namespace patchdb::cli

@@ -91,7 +91,6 @@
 namespace {
 
 using namespace patchdb;
-using cli::CliObs;
 using cli::Flags;
 
 int usage() {
@@ -171,7 +170,7 @@ int cmd_build(const Flags& flags) {
               options.augment.max_rounds,
               static_cast<std::size_t>(options.world.seed),
               options.checkpoint_dir.empty() ? "" : " (checkpointed)");
-  CliObs cli_obs("patchdb build", flags);
+  obs::ArtifactSession cli_obs("patchdb build", cli::artifact_request(flags));
   const core::PatchDb db = store::build_with_checkpoints(options);
   const store::ExportStats stats = store::export_patchdb(db, out);
   cli_obs.write_artifacts(cli_obs.report());
@@ -276,7 +275,7 @@ int cmd_features(const std::string& path, bool all, bool semantic,
 int cmd_analyze(const Flags& flags) {
   const std::string path = flags.positional();
   const diff::Patch patch = diff::parse_patch(read_file_or_die(path));
-  CliObs cli_obs("patchdb analyze", flags);
+  obs::ArtifactSession cli_obs("patchdb analyze", cli::artifact_request(flags));
   analysis::AnalyzeOptions analyze_options;
   analyze_options.interproc = flags.has("--interproc");
   const analysis::PatchAnalysis pa =
@@ -382,7 +381,7 @@ int cmd_metrics(const Flags& flags) {
   options.augment.max_rounds = flags.value("--rounds", std::size_t{3});
   options.synthesis.max_per_patch = flags.value("--synth", std::size_t{2});
 
-  CliObs cli_obs("patchdb metrics", flags);
+  obs::ArtifactSession cli_obs("patchdb metrics", cli::artifact_request(flags));
   const core::PatchDb db = core::build_patchdb(options);
   const obs::RunReport report = cli_obs.report();
 
@@ -417,7 +416,7 @@ struct CommandFlags {
 /// nullopt for `variants`, whose argument is C code and may start with
 /// "--"; no flags at all for the commands that take only paths.
 std::optional<CommandFlags> command_flags(const std::string& command) {
-  // CliObs reads these on the pipeline commands.
+  // cli::artifact_request reads these on the pipeline commands.
   const std::vector<std::string> obs_values = {"--trace-out", "--metrics-out",
                                                "--sample-ms", "--progress-ms"};
   // The world, round and thread knobs build and metrics share.

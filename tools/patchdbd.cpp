@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   const std::string data_dir = flags.value("--data", std::string());
   if (data_dir.empty()) return usage();
 
-  cli::CliObs cli_obs("patchdbd", flags);
+  obs::ArtifactSession cli_obs("patchdbd", cli::artifact_request(flags));
 
   serve::ServedDataset dataset;
   try {
