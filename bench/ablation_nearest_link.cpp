@@ -198,9 +198,8 @@ int main(int argc, char** argv) {
     core::StreamingLinkStats stats;
     core::LinkResult stream_link;
     const double stream_ms = bench::timed_ms("ablation.streaming_engine", [&] {
-      stream_link = core::streaming_nearest_link(big_sec, big_pool, weights,
-                                                 core::StreamingLinkConfig{},
-                                                 &stats);
+      stream_link =
+          core::streaming_nearest_link(big_sec, big_pool, weights, &stats);
     });
     session.add_items(m * 2);
 

@@ -176,23 +176,19 @@ inline bool parse_flag_present(int argc, char** argv, std::string_view name) {
   return false;
 }
 
-/// Strict unsigned parse for small numeric flag values: full
-/// consumption, no sign, overflow rejected — exits 2 with the offending
-/// text, like parse_scale. (Raw strtoull would silently wrap overflow
-/// and accept "50x" as 50.)
+/// util::parse_size of a numeric flag value: full consumption, no
+/// sign, overflow rejected — exits 2 with the offending text, like
+/// parse_scale.
 inline std::uint64_t parse_uint_flag(std::string_view flag,
                                      const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || text[0] == '-' || end == text.c_str() || *end != '\0' ||
-      errno == ERANGE) {
+  std::size_t value = 0;
+  if (!util::parse_size(text, value)) {
     std::fprintf(stderr, "bench: bad --%.*s value \"%s\" (want a non-negative "
                  "integer)\n",
                  static_cast<int>(flag.size()), flag.data(), text.c_str());
     std::exit(2);
   }
-  return v;
+  return value;
 }
 
 /// The obs artifacts and progress heartbeat a bench's flags ask for

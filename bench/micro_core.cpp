@@ -101,11 +101,13 @@ void BM_MakeCommit(benchmark::State& state) {
     options.bundle_cleanup_prob = 0.5;
     options.euphemize_prob = 0.61;
   }
+  const corpus::TypeDistribution nvd_types = corpus::nvd_type_distribution();
+  const corpus::TypeDistribution wild_types = corpus::wild_type_distribution();
   util::Rng rng(13);
   for (auto _ : state) {
     const corpus::PatchType type =
-        nvd ? corpus::security_types()[rng.weighted(world.nvd_types)]
-            : corpus::draw_patch_type(rng, world.wild_types, world.wild_security_rate);
+        nvd ? corpus::security_types()[rng.weighted(nvd_types)]
+            : corpus::draw_patch_type(rng, wild_types, world.wild_security_rate);
     benchmark::DoNotOptimize(corpus::make_commit(rng, "bench", type, options));
   }
 }
@@ -244,7 +246,7 @@ bool run_link_check(std::size_t m, std::size_t n) {
   const auto t1 = std::chrono::steady_clock::now();
   core::StreamingLinkStats stats;
   const core::LinkResult streamed =
-      core::streaming_nearest_link(sec, wild, w, {}, &stats);
+      core::streaming_nearest_link(sec, wild, w, &stats);
   const auto t2 = std::chrono::steady_clock::now();
   const double dense_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -292,7 +294,7 @@ bool run_pipeline_link_check() {
   const auto t1 = std::chrono::steady_clock::now();
   core::StreamingLinkStats stats;
   const core::LinkResult streamed =
-      core::streaming_nearest_link(sec, wild, w, {}, &stats);
+      core::streaming_nearest_link(sec, wild, w, &stats);
   const auto t2 = std::chrono::steady_clock::now();
   const bool identical = dense.candidate == streamed.candidate &&
                          dense.total_distance == streamed.total_distance;

@@ -17,7 +17,6 @@
 // SCALE multiplies the in-process dataset size (default 1.0).
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstdio>
@@ -40,18 +39,13 @@ std::size_t flag_or(int argc, char** argv, std::string_view name,
                     std::size_t fallback) {
   const std::string raw = bench::parse_flag_value(argc, argv, name);
   if (raw.empty()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  // strtoull silently clamps overflow to ULLONG_MAX and accepts a
-  // leading '-' (negation modulo 2^64) — reject both.
-  if (end == raw.c_str() || *end != '\0' || raw[0] == '-' ||
-      errno == ERANGE) {
+  std::size_t value = 0;
+  if (!util::parse_size(raw, value)) {
     std::fprintf(stderr, "micro_serve: bad --%s \"%s\"\n",
                  std::string(name).c_str(), raw.c_str());
     std::exit(2);
   }
-  return static_cast<std::size_t>(v);
+  return value;
 }
 
 /// One connection's worth of load: `reps` five-op cycles, latencies
@@ -131,6 +125,10 @@ int main(int argc, char** argv) {
   const auto k = static_cast<std::uint32_t>(flag_or(argc, argv, "k", 5));
   const std::string ext_host = bench::parse_flag_value(argc, argv, "host");
   const std::size_t ext_port = flag_or(argc, argv, "port", 0);
+  if (ext_port > 65535) {
+    std::fprintf(stderr, "micro_serve: bad --port \"%zu\" (want 0..65535)\n", ext_port);
+    return 2;
+  }
 
   // Zero-seed the counters the CI gate asserts exact values on, so a
   // run with no failures still reports them as explicit zeros.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/streaming_link.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -29,10 +30,9 @@ feature::FeatureMatrix features_of(
 
 AugmentationLoop::AugmentationLoop(
     std::vector<const corpus::CommitRecord*> seed_security,
-    corpus::Oracle& oracle, const StreamingLinkConfig& link)
+    corpus::Oracle& oracle)
     : oracle_(oracle),
       seed_count_(seed_security.size()),
-      link_config_(link),
       security_(std::move(seed_security)) {
   security_features_ = features_of(security_);
 }
@@ -58,9 +58,8 @@ RoundStats AugmentationLoop::run_round() {
     selected.resize(pool_.size());
     for (std::size_t i = 0; i < selected.size(); ++i) selected[i] = i;
   } else {
-    selected = streaming_nearest_link(security_features_, pool_features_,
-                                      link_config_)
-                   .candidate;
+    selected =
+        streaming_nearest_link(security_features_, pool_features_).candidate;
   }
   stats.candidates = selected.size();
 

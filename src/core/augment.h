@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/streaming_link.h"
 #include "corpus/oracle.h"
 #include "corpus/repo.h"
 #include "feature/features.h"
@@ -62,12 +61,9 @@ using CommitIndex =
 class AugmentationLoop {
  public:
   /// `seed_security` are the already-verified patches (the NVD-based
-  /// dataset). The loop never re-verifies them. `link` sets the
-  /// nearest-link engine's knobs (threads, k, tile width); no setting
-  /// changes which candidates a round selects.
+  /// dataset). The loop never re-verifies them.
   AugmentationLoop(std::vector<const corpus::CommitRecord*> seed_security,
-                   corpus::Oracle& oracle,
-                   const StreamingLinkConfig& link = {});
+                   corpus::Oracle& oracle);
 
   /// Replace the unlabeled pool (the paper swaps Set I -> Set II -> III).
   /// Features are extracted once per record here.
@@ -126,7 +122,6 @@ class AugmentationLoop {
   std::size_t seed_count_;
   std::size_t rounds_run_ = 0;
   bool finished_ = false;
-  StreamingLinkConfig link_config_;
   std::vector<RoundStats> history_;
   RoundCallback on_round_;
 

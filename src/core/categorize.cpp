@@ -307,4 +307,13 @@ corpus::PatchType categorize(const diff::Patch& patch) {
   return categorize(patch, CategorizeOptions{});
 }
 
+void CompositionTally::add(const diff::Patch& patch, corpus::PatchType label) {
+  if (!corpus::is_security_type(label)) return;
+  ++total;
+  ++labeled[static_cast<std::size_t>(label) - 1];
+  const corpus::PatchType guess = categorize(patch);
+  if (corpus::is_security_type(guess)) ++predicted[static_cast<std::size_t>(guess) - 1];
+  agreement += guess == label;
+}
+
 }  // namespace patchdb::core

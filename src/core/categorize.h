@@ -7,6 +7,9 @@
 // run over arbitrarily large sets.
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 #include "corpus/taxonomy.h"
 #include "diff/patch.h"
 
@@ -30,5 +33,19 @@ struct CategorizeOptions {
 corpus::PatchType categorize(const diff::Patch& patch);
 corpus::PatchType categorize(const diff::Patch& patch,
                              const CategorizeOptions& options);
+
+/// Table V composition of labeled security patches: per security type
+/// the ground-truth count and the categorizer's count, and how often
+/// the two agree. `patchdb stats` and patchdbd's stats op both tally
+/// through it.
+struct CompositionTally {
+  std::array<std::size_t, corpus::kSecurityTypeCount> labeled{};
+  std::array<std::size_t, corpus::kSecurityTypeCount> predicted{};
+  std::size_t total = 0;      // security patches tallied
+  std::size_t agreement = 0;  // categorize(patch) == label
+
+  /// Categorize and count one patch; a non-security label is skipped.
+  void add(const diff::Patch& patch, corpus::PatchType label);
+};
 
 }  // namespace patchdb::core

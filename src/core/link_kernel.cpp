@@ -5,72 +5,38 @@
 // Lone translation unit on purpose: tools/vec_proof.sh compiles exactly
 // this file with vectorization remarks enabled and greps for the block
 // loops below, so keep them here and keep them simple (counted inner
-// loops over `c`, restrict-qualified pointers, no calls, no branches).
+// loops over `c` with a compile-time trip count, restrict-qualified
+// pointers, no calls, no branches).
 #define PATCHDB_RESTRICT __restrict__
 
 namespace patchdb::core {
 
-namespace {
-
-/// Fixed-trip-count core: `W` known at compile time lets gcc/clang pick
-/// a full-width vector factor and unroll without a scalar remainder.
-template <std::size_t W>
-void sq_cell_block_fixed(const float* PATCHDB_RESTRICT a,
-                         const float* PATCHDB_RESTRICT bt, std::size_t dims,
-                         std::size_t stride,
-                         float* PATCHDB_RESTRICT out) noexcept {
-  for (std::size_t c = 0; c < W; ++c) out[c] = 0.0f;
+void sq_cell_block(const float* PATCHDB_RESTRICT a,
+                   const float* PATCHDB_RESTRICT block, std::size_t dims,
+                   float* PATCHDB_RESTRICT out) noexcept {
+  for (std::size_t c = 0; c < kLinkGroupCols; ++c) out[c] = 0.0f;
   for (std::size_t j = 0; j < dims; ++j) {
     const float aj = a[j];
-    const float* PATCHDB_RESTRICT row = bt + j * stride;
-    for (std::size_t c = 0; c < W; ++c) {
+    const float* PATCHDB_RESTRICT row = block + j * kLinkGroupCols;
+    for (std::size_t c = 0; c < kLinkGroupCols; ++c) {
       const float d = aj - row[c];
       out[c] += d * d;
     }
   }
 }
 
-void sq_cell_block_generic(const float* PATCHDB_RESTRICT a,
-                           const float* PATCHDB_RESTRICT bt, std::size_t dims,
-                           std::size_t width, std::size_t stride,
-                           float* PATCHDB_RESTRICT out) noexcept {
-  for (std::size_t c = 0; c < width; ++c) out[c] = 0.0f;
-  for (std::size_t j = 0; j < dims; ++j) {
-    const float aj = a[j];
-    const float* PATCHDB_RESTRICT row = bt + j * stride;
-    for (std::size_t c = 0; c < width; ++c) {
-      const float d = aj - row[c];
-      out[c] += d * d;
-    }
-  }
-}
-
-}  // namespace
-
-void sq_cell_block(const float* a, const float* bt, std::size_t dims,
-                   std::size_t width, std::size_t stride,
+void l2_cell_block(const float* a, const float* block, std::size_t dims,
                    float* out) noexcept {
-  if (width == kLinkGroupCols) {
-    sq_cell_block_fixed<kLinkGroupCols>(a, bt, dims, stride, out);
-    return;
-  }
-  sq_cell_block_generic(a, bt, dims, width, stride, out);
-}
-
-void l2_cell_block(const float* a, const float* bt, std::size_t dims,
-                   std::size_t width, std::size_t stride,
-                   float* out) noexcept {
-  sq_cell_block(a, bt, dims, width, stride, out);
-  for (std::size_t c = 0; c < width; ++c) out[c] = std::sqrt(out[c]);
+  sq_cell_block(a, block, dims, out);
+  for (std::size_t c = 0; c < kLinkGroupCols; ++c) out[c] = std::sqrt(out[c]);
 }
 
 void pack_cols_dim_major(const float* cols, std::size_t width,
-                         std::size_t dims, std::size_t stride,
-                         float* dst) noexcept {
+                         std::size_t dims, float* dst) noexcept {
   for (std::size_t j = 0; j < dims; ++j) {
-    float* PATCHDB_RESTRICT row = dst + j * stride;
+    float* PATCHDB_RESTRICT row = dst + j * kLinkGroupCols;
     for (std::size_t c = 0; c < width; ++c) row[c] = cols[c * dims + j];
-    for (std::size_t c = width; c < stride; ++c) row[c] = 0.0f;
+    for (std::size_t c = width; c < kLinkGroupCols; ++c) row[c] = 0.0f;
   }
 }
 

@@ -21,35 +21,31 @@
 
 namespace patchdb::core {
 
-/// Column-group width the streaming engine feeds to the block kernels.
-/// A compile-time trip count lets the vectorizer fully unroll; 64 floats
-/// = two AVX-512 / four AVX2 vectors per dim step, and one screening
-/// decision per group keeps the norm test out of the SIMD loop.
+/// Columns per block. A compile-time trip count lets the vectorizer
+/// fully unroll; 64 floats = two AVX-512 / four AVX2 vectors per dim
+/// step, and one screening decision per block keeps the norm test out
+/// of the SIMD loop.
 inline constexpr std::size_t kLinkGroupCols = 64;
 
-/// out[c] = sum_j (a[j] - bt[j*stride + c])^2 for c in [0, width), with
-/// float accumulation sequential over j — per lane bit-identical to the
-/// scalar loops in core::l2_cell and the incremental linker's squared
-/// distance. `bt` is a dim-major block: dim j of column c lives at
-/// bt[j*stride + c]; `stride >= width`. Buffers must not alias.
-void sq_cell_block(const float* a, const float* bt, std::size_t dims,
-                   std::size_t width, std::size_t stride,
+/// out[c] = sum_j (a[j] - block[j*kLinkGroupCols + c])^2 for every lane
+/// c of one dim-major block, with float accumulation sequential over j
+/// — per lane bit-identical to the scalar loop in core::l2_cell. `out`
+/// holds kLinkGroupCols floats and must not alias the inputs.
+void sq_cell_block(const float* a, const float* block, std::size_t dims,
                    float* out) noexcept;
 
 /// sq_cell_block followed by a float sqrt per lane: out[c] is
 /// bit-identical to l2_cell(a, column c, dims). (IEEE-754 sqrt is
 /// correctly rounded, so a vector sqrt lane equals the scalar sqrtf.)
-void l2_cell_block(const float* a, const float* bt, std::size_t dims,
-                   std::size_t width, std::size_t stride,
+void l2_cell_block(const float* a, const float* block, std::size_t dims,
                    float* out) noexcept;
 
-/// Transpose `width` row-major feature rows (`cols`, each `dims`
-/// floats, column c at cols + c*dims) into the dim-major layout the
-/// block kernels consume: dst[j*stride + c] = cols[c*dims + j].
-/// Lanes [width, stride) of each dim row are zero-filled so a partial
-/// group can still run the fixed-width kernel without reading garbage.
+/// Transpose `width` <= kLinkGroupCols row-major feature rows (`cols`,
+/// each `dims` floats, column c at cols + c*dims) into one dim-major
+/// block: dst[j*kLinkGroupCols + c] = cols[c*dims + j]. Lanes
+/// [width, kLinkGroupCols) are zero-filled, so a partial block runs the
+/// same fixed-width kernel without reading garbage.
 void pack_cols_dim_major(const float* cols, std::size_t width,
-                         std::size_t dims, std::size_t stride,
-                         float* dst) noexcept;
+                         std::size_t dims, float* dst) noexcept;
 
 }  // namespace patchdb::core

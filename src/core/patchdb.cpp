@@ -24,7 +24,7 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   seed.reserve(world.nvd_security.size());
   for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
 
-  AugmentationLoop loop(std::move(seed), world.oracle, options.streaming_link);
+  AugmentationLoop loop(std::move(seed), world.oracle);
   const bool restored =
       hooks.before_rounds && hooks.before_rounds(loop, world);
   if (!restored) {

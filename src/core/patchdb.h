@@ -21,9 +21,6 @@ struct BuildOptions {
   AugmentOptions augment;             // rounds / stop threshold
   synth::SynthesisOptions synthesis;  // oversampling knobs
   bool run_synthesis = true;
-  /// Knobs of the nearest-link engine the rounds run on: threads, k and
-  /// tile width. No setting changes the result.
-  StreamingLinkConfig streaming_link;
 
   /// Round-boundary checkpoint directory (empty = no checkpointing)
   /// and whether to resume from a checkpoint found there. Plain data

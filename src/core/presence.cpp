@@ -15,10 +15,10 @@ std::vector<std::string> hunk_image(const diff::Hunk& hunk, diff::LineKind kept)
   return out;
 }
 
-/// Does `needle` occur as a contiguous run in `haystack` near `around`?
+/// Does `needle` occur as a contiguous run in `haystack` within
+/// diff::kMaxOffset lines of `around`?
 bool contains_run(const std::vector<std::string>& haystack,
-                  const std::vector<std::string>& needle, std::size_t around,
-                  std::size_t max_offset) {
+                  const std::vector<std::string>& needle, std::size_t around) {
   if (needle.empty()) return false;
   const auto matches_at = [&](std::size_t start) {
     if (start + needle.size() > haystack.size()) return false;
@@ -28,7 +28,7 @@ bool contains_run(const std::vector<std::string>& haystack,
     return true;
   };
   if (matches_at(around)) return true;
-  for (std::size_t delta = 1; delta <= max_offset; ++delta) {
+  for (std::size_t delta = 1; delta <= diff::kMaxOffset; ++delta) {
     if (around + delta <= haystack.size() && matches_at(around + delta)) {
       return true;
     }
@@ -50,17 +50,15 @@ const char* presence_name(Presence p) {
 }
 
 PresenceReport test_presence(const std::vector<std::string>& file_lines,
-                             const diff::FileDiff& fd,
-                             const diff::FuzzOptions& options) {
+                             const diff::FileDiff& fd) {
   PresenceReport report;
   for (const diff::Hunk& hunk : fd.hunks) {
     const std::vector<std::string> pre = hunk_image(hunk, diff::LineKind::kRemoved);
     const std::vector<std::string> post = hunk_image(hunk, diff::LineKind::kAdded);
     const std::size_t around = hunk.old_start > 0 ? hunk.old_start - 1 : 0;
 
-    const bool pre_found = contains_run(file_lines, pre, around, options.max_offset);
-    const bool post_found =
-        contains_run(file_lines, post, around, options.max_offset);
+    const bool pre_found = contains_run(file_lines, pre, around);
+    const bool post_found = contains_run(file_lines, post, around);
 
     if (post_found && !pre_found) {
       ++report.hunks_patched;

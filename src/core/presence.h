@@ -34,7 +34,6 @@ struct PresenceReport {
 
 /// Test one file's hunks against downstream content.
 PresenceReport test_presence(const std::vector<std::string>& file_lines,
-                             const diff::FileDiff& fd,
-                             const diff::FuzzOptions& options = {});
+                             const diff::FileDiff& fd);
 
 }  // namespace patchdb::core

@@ -21,8 +21,7 @@ PackedCorpus pack_corpus(std::span<const float> scaled, std::size_t dims) {
           const std::size_t r0 = b * kLinkGroupCols;
           pack_cols_dim_major(scaled.data() + r0 * dims,
                               std::min(kLinkGroupCols, corpus.rows - r0),
-                              dims, kLinkGroupCols,
-                              corpus.blocks.data() + r0 * dims);
+                              dims, corpus.blocks.data() + r0 * dims);
         }
       });
   return corpus;
@@ -46,8 +45,7 @@ std::vector<KnnHit> knn_query(const PackedCorpus& corpus,
   hits.reserve(std::min(k, rows));
   float lane[kLinkGroupCols];
   for (std::size_t r0 = 0; r0 < rows; r0 += kLinkGroupCols) {
-    l2_cell_block(query.data(), corpus.blocks.data() + r0 * dims, dims,
-                  kLinkGroupCols, kLinkGroupCols, lane);
+    l2_cell_block(query.data(), corpus.blocks.data() + r0 * dims, dims, lane);
     const std::size_t width = std::min(kLinkGroupCols, rows - r0);
     for (std::size_t c = 0; c < width; ++c) {
       const KnnHit hit{r0 + c, lane[c]};

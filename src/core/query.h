@@ -29,8 +29,8 @@ struct KnnHit {
 /// A scaled corpus in the blocked kernel's layout: block b holds rows
 /// [b*kLinkGroupCols, (b+1)*kLinkGroupCols), dim j of its row c at
 /// blocks[(b*dims + j)*kLinkGroupCols + c]; the last block is
-/// zero-padded. Served nearest queries and the link engine's full-row
-/// re-scans scan this layout.
+/// zero-padded. Served nearest queries, the link engine's pass 1 and its
+/// full-row re-scans scan this layout.
 struct PackedCorpus {
   std::vector<float> blocks;
   std::size_t rows = 0;

@@ -51,9 +51,13 @@ double screening_margin(std::size_t dims) noexcept {
   return 4.0 * static_cast<double>(dims + 2) * 0x1p-24 + 1e-7;
 }
 
-std::size_t round_up_groups(std::size_t v) noexcept {
-  return (v + kLinkGroupCols - 1) / kLinkGroupCols * kLinkGroupCols;
-}
+/// Candidates cached per distinct seed row. A longer list absorbs more
+/// collisions before a fallback re-scan; no length changes a result.
+constexpr std::size_t kTopK = 24;
+
+/// Pool blocks per pass-1 tile: 2,048 columns, whose 60-dim packed
+/// floats fit in a typical L2 slice. Tiles are the unit of sharding.
+constexpr std::size_t kTileBlocks = 32;
 
 /// Private pass-1 tallies, one per shard, padded so neighboring shards
 /// never share a cache line (the whole point is no contended writes).
@@ -144,6 +148,43 @@ std::vector<float> scale_groups(const feature::FeatureMatrix& matrix,
   return scale_features(matrix, weights, firsts);
 }
 
+/// The distinct pool as pass 1 and every re-scan read it: one pack, and
+/// each block's range of column norms for the screen — block b's real
+/// columns (padded lanes excluded) have norms in [lo[b], hi[b]].
+struct Pool {
+  PackedCorpus pack;
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+/// Scale the distinct pool, pack it and take each block's norm range
+/// from the row-major rows, which are freed on return.
+Pool pack_pool(const feature::FeatureMatrix& wild,
+               std::span<const double> weights, const RowGroups& cols) {
+  const std::vector<float> scaled = scale_groups(wild, weights, cols);
+  const std::size_t dims = weights.size();
+  const std::size_t nu = cols.size();
+  const std::size_t blocks = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
+  Pool pool{pack_corpus(scaled, dims), std::vector<double>(blocks),
+            std::vector<double>(blocks)};
+  util::default_pool().parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t c0 = b * kLinkGroupCols;
+      const std::size_t c1 = std::min(c0 + kLinkGroupCols, nu);
+      double mn = row_norm_s(scaled.data() + c0 * dims, dims);
+      double mx = mn;
+      for (std::size_t c = c0 + 1; c < c1; ++c) {
+        const double norm = row_norm_s(scaled.data() + c * dims, dims);
+        mn = std::min(mn, norm);
+        mx = std::max(mx, norm);
+      }
+      pool.lo[b] = mn;
+      pool.hi[b] = mx;
+    }
+  });
+  return pool;
+}
+
 /// A greedy pick: the distance, the pool column, and its group.
 /// Candidates compare by (d, member) — the dense scan's first-win order.
 struct Pick {
@@ -158,43 +199,9 @@ bool pick_less(const Pick& a, const Pick& b) noexcept {
 
 }  // namespace
 
-StreamingLinkConfig::Resolved StreamingLinkConfig::resolve(
-    std::size_t rows, std::size_t cols, std::size_t dims) const {
-  Resolved r;
-  r.top_k = std::clamp<std::size_t>(top_k, 1, std::max<std::size_t>(cols, 1));
-  const std::size_t tile_floor =
-      std::min<std::size_t>(kLinkGroupCols, std::max<std::size_t>(cols, 1));
-  r.tile_cols = std::clamp(tile_cols, tile_floor, std::max<std::size_t>(cols, 1));
-  r.threads = threads > 0 ? threads : util::default_pool_threads();
-  r.threads = std::clamp<std::size_t>(r.threads, 1, 1024);
-
-  // No point sharding finer than one tile per worker.
-  const std::size_t tiles =
-      (std::max<std::size_t>(cols, 1) + r.tile_cols - 1) / r.tile_cols;
-  r.threads = std::min(r.threads, tiles);
-
-  const std::size_t stride = round_up_groups(r.tile_cols);
-  const std::size_t groups = stride / kLinkGroupCols;
-  // Shard-private heaps plus the merged array pass 2 consumes.
-  const std::size_t heap_bytes =
-      (r.threads + 1) * rows * (r.top_k + 1) * sizeof(Entry);
-  const std::size_t size_bytes = (r.threads + 1) * rows * sizeof(std::uint32_t);
-  const std::size_t cursor_bytes = rows * sizeof(std::uint32_t);
-  const std::size_t row_norm_bytes = rows * sizeof(double);
-  const std::size_t shard_tile_bytes =
-      r.threads * (stride * dims * sizeof(float)        // dim-major pack
-                   + r.tile_cols * sizeof(double)       // column norms
-                   + groups * 2 * sizeof(double)        // group norm bounds
-                   + kLinkGroupCols * sizeof(float));   // kernel output lanes
-  r.working_set_bytes = heap_bytes + size_bytes + cursor_bytes +
-                        row_norm_bytes + shard_tile_bytes;
-  return r;
-}
-
 LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                                   const feature::FeatureMatrix& wild,
                                   std::span<const double> weights,
-                                  const StreamingLinkConfig& config,
                                   StreamingLinkStats* stats) {
   const std::size_t dims = weights.size();
   if (dims != security.cols() || dims != wild.cols()) {
@@ -223,16 +230,16 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("nearest_link.distinct_rows", mu);
   PATCHDB_COUNTER_ADD("nearest_link.distinct_cols", nu);
 
-  const StreamingLinkConfig::Resolved rc = config.resolve(mu, nu, dims);
-  const std::size_t k = rc.top_k;
-  const std::size_t tile = rc.tile_cols;
-  const std::size_t shards = rc.threads;
-  const std::size_t stride = round_up_groups(tile);
-  const std::size_t tiles_total = (nu + tile - 1) / tile;
+  // k clamps to the distinct pool and the last tile ends with it; the
+  // shards are the default pool's workers, at most one per tile.
+  const std::size_t k = std::min(kTopK, nu);
+  const std::size_t blocks = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
+  const std::size_t tiles_total = (blocks + kTileBlocks - 1) / kTileBlocks;
+  const std::size_t shards = std::min(util::default_pool_threads(), tiles_total);
 
   // Same scale-then-cast as the dense kernel: identical float inputs.
   const std::vector<float> sec = scale_groups(security, weights, rows);
-  const std::vector<float> wld = scale_groups(wild, weights, cols);
+  const Pool pool = pack_pool(wild, weights, cols);
 
   std::vector<double> row_norm(mu);  // ||a||
   util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
@@ -244,10 +251,10 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   const double margin = screening_margin(dims);
   const double sqf = 1.0 - 2.0 * margin;  // factor on squared bounds
 
-  // ---- Pass 1: worker-sharded tile stream. Shard s owns the
-  // contiguous tile range [s*T/S, (s+1)*T/S) and fills private per-row
-  // top-k heaps (flat: row r owns [r*(k+1), r*(k+1)+k)) plus private
-  // tallies — no shared mutable state until the merge below.
+  // ---- Pass 1: worker-sharded tile stream over the pack. Shard s owns
+  // the contiguous tile range [s*T/S, (s+1)*T/S) and fills private
+  // per-row top-k heaps (flat: row r owns [r*(k+1), r*(k+1)+k)) plus
+  // private tallies — no shared mutable state until the merge below.
   std::vector<std::vector<Entry>> shard_entries(shards);
   std::vector<std::vector<std::uint32_t>> shard_sizes(shards);
   std::vector<ShardTally> tally(shards);
@@ -263,77 +270,52 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
       entries.resize(mu * (k + 1));
       heap_size.assign(mu, 0);
 
-      std::vector<float> pack(stride * dims);
-      std::vector<float> lane(kLinkGroupCols);
-      std::vector<double> col_norm(tile);
-      const std::size_t group_cap = stride / kLinkGroupCols;
-      std::vector<double> group_lo(group_cap);
-      std::vector<double> group_hi(group_cap);
+      float lane[kLinkGroupCols];
       std::uint64_t pruned = 0;
       std::uint64_t exact = 0;
 
       for (std::size_t t = tile_lo; t < tile_hi; ++t) {
-        const std::size_t col0 = t * tile;
-        const std::size_t width = std::min(col0 + tile, nu) - col0;
-        pack_cols_dim_major(wld.data() + col0 * dims, width, dims, stride,
-                            pack.data());
-        for (std::size_t i = 0; i < width; ++i) {
-          col_norm[i] = row_norm_s(wld.data() + (col0 + i) * dims, dims);
-        }
-        const std::size_t groups = (width + kLinkGroupCols - 1) / kLinkGroupCols;
-        for (std::size_t g = 0; g < groups; ++g) {
-          const std::size_t lo = g * kLinkGroupCols;
-          const std::size_t hi = std::min(lo + kLinkGroupCols, width);
-          double mn = col_norm[lo];
-          double mx = col_norm[lo];
-          for (std::size_t i = lo + 1; i < hi; ++i) {
-            mn = std::min(mn, col_norm[i]);
-            mx = std::max(mx, col_norm[i]);
-          }
-          group_lo[g] = mn;
-          group_hi[g] = mx;
-        }
-
+        const std::size_t block_lo = t * kTileBlocks;
+        const std::size_t block_hi = std::min(block_lo + kTileBlocks, blocks);
         for (std::size_t r = 0; r < mu; ++r) {
           const float* a = sec.data() + r * dims;
           const double na_s = row_norm[r];
           Entry* h = entries.data() + r * (k + 1);
           std::uint32_t sz = heap_size[r];
-          for (std::size_t g = 0; g < groups; ++g) {
-            const std::size_t gc0 = g * kLinkGroupCols;
-            const std::size_t gw = std::min(kLinkGroupCols, width - gc0);
+          for (std::size_t b = block_lo; b < block_hi; ++b) {
+            const std::size_t c0 = b * kLinkGroupCols;
+            const std::size_t gw = std::min(kLinkGroupCols, nu - c0);
             if (sz == k) {
-              // Hoisted Cauchy-Schwarz screen, one decision per group:
+              // Hoisted Cauchy-Schwarz screen, one decision per block:
               // ||a-b||^2 >= (||a|| - ||b||)^2, and the gap from ||a||
-              // to the group's norm range lower-bounds every column's
+              // to the block's norm range lower-bounds every column's
               // gap. The significance guard keeps catastrophic
               // cancellation from producing an overconfident bound;
               // both conditions imply the per-column originals, so
               // nothing a serial per-cell screen would keep is lost.
               const double fsq = static_cast<double>(h[0].d) *
                                  static_cast<double>(h[0].d);
-              const double bd = na_s < group_lo[g] ? group_lo[g] - na_s
-                                : na_s > group_hi[g] ? na_s - group_hi[g]
-                                                     : 0.0;
-              if (bd > (na_s + group_hi[g]) * 1e-9 && bd * bd * sqf > fsq) {
+              const double bd = na_s < pool.lo[b] ? pool.lo[b] - na_s
+                                : na_s > pool.hi[b] ? na_s - pool.hi[b]
+                                                    : 0.0;
+              if (bd > (na_s + pool.hi[b]) * 1e-9 && bd * bd * sqf > fsq) {
                 pruned += gw;
                 continue;
               }
             }
-            // Exact blocked kernel over the whole group: lane i holds
+            // Exact blocked kernel over the whole block: lane i holds
             // the float squared distance with scalar-identical
             // accumulation (padded lanes compute garbage, never read).
             exact += gw;
-            sq_cell_block(a, pack.data() + gc0, dims, kLinkGroupCols, stride,
-                          lane.data());
+            sq_cell_block(a, pool.pack.blocks.data() + c0 * dims, dims, lane);
             if (sz == k) {
-              // Vectorized group rejection: the scalar loop below skips
+              // Vectorized block rejection: the scalar loop below skips
               // any lane with sq > front^2 * (1 + 2^-21), so when every
-              // lane clears that bar the whole group is a no-op and the
+              // lane clears that bar the whole block is a no-op and the
               // branchy per-lane pass can be skipped. The bar is
               // rounded *up* to float (nextafter) so a lane is never
               // skipped here that the scalar screen would scan; the
-              // heap front only shrinks within a group, so the bar
+              // heap front only shrinks within a block, so the bar
               // taken before the scan is the loosest one. Padded lanes
               // can only force the scan, never suppress it.
               const double fsq = static_cast<double>(h[0].d) *
@@ -363,8 +345,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                   continue;
                 }
               }
-              const Entry e{std::sqrt(sq),
-                            static_cast<std::uint32_t>(col0 + gc0 + i)};
+              const Entry e{std::sqrt(sq), static_cast<std::uint32_t>(c0 + i)};
               if (sz < k) {
                 h[sz++] = e;
                 std::push_heap(h, h + sz, lex_less);
@@ -429,32 +410,25 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // dense path's collision handling: the minimum of (distance, lowest
   // unused member) over the live groups, which is the (distance,
   // column) minimum over the unused columns. It runs through the
-  // blocked SIMD kernel: l2_cell_block is per-lane bit-identical to the
-  // scalar l2_cell, so every value compared is a float the dense matrix
-  // also holds. Fixed group ranges scan in parallel and merge under the
-  // same total order, so the parallel re-scan is deterministic. The
-  // blocked pack of the pool is built on the first re-scan — it is
-  // input-sized (like the scaled feature copies) and never allocated
-  // when every pick comes from a heap.
-  const std::size_t rescan_groups = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
-  PackedCorpus rescan_pack;
-
+  // blocked SIMD kernel over pass 1's pack: l2_cell_block is per-lane
+  // bit-identical to the scalar l2_cell, so every value compared is a
+  // float the dense matrix also holds. Fixed block ranges scan in
+  // parallel and merge under the same total order, so the parallel
+  // re-scan is deterministic.
   auto full_row_rescan = [&](std::size_t r) {
-    if (rescan_pack.rows == 0) rescan_pack = pack_corpus(wld, dims);
     const float* a = sec.data() + r * dims;
     std::vector<Pick> range_best(shards);
     util::default_pool().parallel_for(
         shards, [&](std::size_t range_begin, std::size_t range_end) {
           for (std::size_t s = range_begin; s < range_end; ++s) {
             Pick best;
-            const std::size_t g_lo = s * rescan_groups / shards;
-            const std::size_t g_hi = (s + 1) * rescan_groups / shards;
+            const std::size_t b_lo = s * blocks / shards;
+            const std::size_t b_hi = (s + 1) * blocks / shards;
             float block[kLinkGroupCols];
-            for (std::size_t g = g_lo; g < g_hi; ++g) {
-              const std::size_t c0 = g * kLinkGroupCols;
+            for (std::size_t b = b_lo; b < b_hi; ++b) {
+              const std::size_t c0 = b * kLinkGroupCols;
               const std::size_t w = std::min(kLinkGroupCols, nu - c0);
-              l2_cell_block(a, rescan_pack.blocks.data() + c0 * dims, dims,
-                            kLinkGroupCols, kLinkGroupCols, block);
+              l2_cell_block(a, pool.pack.blocks.data() + c0 * dims, dims, block);
               for (std::size_t c = 0; c < w; ++c) {
                 const auto id = static_cast<std::uint32_t>(c0 + c);
                 if (block[c] > best.d || !live(id)) continue;
@@ -547,20 +521,23 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     stats->fallback_rescans = fallbacks;
     stats->distinct_rows = mu;
     stats->distinct_cols = nu;
-    stats->top_k = k;
-    stats->tile_cols = tile;
     stats->threads = shards;
-    stats->working_set_bytes = rc.working_set_bytes;
+    // Shard-private and merged heaps with their sizes, cursors, row
+    // norms and block norm ranges. The pack replaces the row-major
+    // scaled pool and, like the scaled seeds, is input-sized.
+    stats->working_set_bytes =
+        (shards + 1) * mu * ((k + 1) * sizeof(Entry) + sizeof(std::uint32_t)) +
+        mu * (sizeof(std::uint32_t) + sizeof(double)) +
+        2 * blocks * sizeof(double);
   }
   return result;
 }
 
 LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                                   const feature::FeatureMatrix& wild,
-                                  const StreamingLinkConfig& config,
                                   StreamingLinkStats* stats) {
-  return streaming_nearest_link(security, wild,
-                                maxabs_weights(security, wild), config, stats);
+  return streaming_nearest_link(security, wild, maxabs_weights(security, wild),
+                                stats);
 }
 
 }  // namespace patchdb::core

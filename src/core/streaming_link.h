@@ -12,16 +12,16 @@
 //      step below over distinct seeds x distinct pool vectors; the
 //      greedy maps each pick back to the lowest unused member of the
 //      tied groups (DESIGN.md §3d has the exactness argument);
-//   1. shards the wild set across the thread pool: each worker owns a
-//      contiguous range of column tiles and fills *private* per-row
-//      top-k candidate heaps with private prune/flop counters, so the
-//      pass-1 stream runs with no shared mutable state (no atomics, no
-//      locks on the hot path);
-//   2. evaluates each tile through the blocked SIMD kernel
-//      (core/link_kernel.h): columns are packed dim-major in groups of
-//      kLinkGroupCols so the inner distance loop vectorizes, while the
-//      Cauchy-Schwarz norm screen is hoisted to one decision per group
-//      using precomputed per-group norm bounds;
+//   1. packs the distinct pool once, dim-major in kLinkGroupCols-column
+//      blocks (core::PackedCorpus, the layout patchdbd's nearest query
+//      scans too), with a norm range per block;
+//   2. shards the pack across the thread pool in tiles of 32 blocks:
+//      each worker owns a contiguous range of tiles and fills *private*
+//      per-row top-k candidate heaps with private prune/flop counters,
+//      so the pass-1 stream runs with no shared mutable state (no
+//      atomics, no locks on the hot path). Each block runs through the
+//      blocked SIMD kernel (core/link_kernel.h), and the Cauchy-Schwarz
+//      norm screen is one decision per block;
 //   3. merges the worker heaps per row after the stream — sort the
 //      union under the strict (distance, column) order and keep the k
 //      smallest. The order is total (columns are unique), so the merge
@@ -33,8 +33,8 @@
 //      (used up by earlier links, or a tie may lie outside it) the
 //      engine falls back to a tracked full-row re-scan (counter
 //      `nearest_link.fallback_rescans`) through the same blocked
-//      kernel, parallelized over fixed column-group ranges with a
-//      deterministic merge.
+//      kernel over the same pack, parallelized over fixed block ranges
+//      with a deterministic merge.
 //
 // Results are bit-identical to
 //   nearest_link_search(distance_matrix(security, wild, weights))
@@ -46,6 +46,12 @@
 // conservative error margins so no cell that could enter a heap is ever
 // pruned. Pruning and shard counts therefore affect speed and counters,
 // never the LinkResult.
+//
+// Nothing is tunable. k (24 candidates per distinct seed) and the tile
+// width (2,048 columns) are constants clamped to the distinct counts,
+// and the shard count is the default pool's worker count (`--threads` /
+// PATCHDB_THREADS), at most one per tile. DESIGN.md §3d shows that none
+// of them can change a LinkResult.
 #pragma once
 
 #include <cstddef>
@@ -56,54 +62,20 @@
 
 namespace patchdb::core {
 
-/// Knobs for the streaming engine. Defaults suit a few hundred to a
-/// few thousand security patches against a 100K+ wild pool.
-struct StreamingLinkConfig {
-  /// Candidates cached per security patch. Larger k absorbs more
-  /// collisions before a fallback re-scan; k >= cols caches whole rows.
-  std::size_t top_k = 24;
-
-  /// Wild columns per streaming tile. 2048 columns x 60 dims x 4 bytes
-  /// keeps a tile's scaled features inside a typical L2 slice.
-  std::size_t tile_cols = 2048;
-
-  /// Pass-1 worker shards. 0 (the default) uses the default pool's
-  /// worker count (`--threads` / PATCHDB_THREADS / hardware
-  /// concurrency). The LinkResult is identical for every value; only
-  /// wall-clock and the private-state footprint change.
-  std::size_t threads = 0;
-
-  struct Resolved {
-    std::size_t top_k = 0;
-    std::size_t tile_cols = 0;
-    std::size_t threads = 0;
-    /// Engine-owned bytes: heaps, cursors, norms, packs.
-    std::size_t working_set_bytes = 0;
-  };
-  /// The effective knobs for an M x N problem over `dims` feature
-  /// dimensions, after clamping to the matrix shape and the pool size.
-  /// The engine passes its distinct counts: M distinct seed rows, N
-  /// distinct pool rows.
-  Resolved resolve(std::size_t rows, std::size_t cols,
-                   std::size_t dims) const;
-};
-
 /// Per-run introspection (mirrors the obs counters, usable without a
 /// registry installed). Prune/exact counts depend on the shard count
-/// and group screening, so they are stable for a fixed configuration
-/// but not comparable across different `threads` values — unlike the
-/// LinkResult, which never varies.
+/// and block screening, so they are stable for a fixed pool size but
+/// not comparable across pool sizes — unlike the LinkResult, which
+/// never varies.
 struct StreamingLinkStats {
   std::size_t tiles = 0;             // streaming tiles processed
-  std::size_t pruned_cells = 0;      // skipped by a group norm screen
+  std::size_t pruned_cells = 0;      // skipped by a block norm screen
   std::size_t exact_cells = 0;       // ran the blocked exact kernel
   std::size_t topk_hits = 0;         // links served from a row's heap
   std::size_t fallback_rescans = 0;  // links that re-scanned a full row
   std::size_t distinct_rows = 0;     // seed rows, identical ones as one
   std::size_t distinct_cols = 0;     // pool rows, identical ones as one
-  std::size_t top_k = 0;             // effective k
-  std::size_t tile_cols = 0;         // effective tile width
-  std::size_t threads = 0;           // effective pass-1 shard count
+  std::size_t threads = 0;           // pass-1 shard count
   std::size_t working_set_bytes = 0; // engine-owned footprint
 };
 
@@ -113,13 +85,11 @@ struct StreamingLinkStats {
 LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                                   const feature::FeatureMatrix& wild,
                                   std::span<const double> weights,
-                                  const StreamingLinkConfig& config = {},
                                   StreamingLinkStats* stats = nullptr);
 
 /// Convenience: learn the max-abs weights (Section III-B.2) then link.
 LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                                   const feature::FeatureMatrix& wild,
-                                  const StreamingLinkConfig& config = {},
                                   StreamingLinkStats* stats = nullptr);
 
 }  // namespace patchdb::core

@@ -10,9 +10,7 @@ void Oracle::add(const std::string& commit_hash, GroundTruth truth) {
 
 bool Oracle::verify_security(const std::string& commit_hash) {
   ++effort_;
-  const GroundTruth t = truth(commit_hash);
-  if (label_noise_ > 0.0 && rng_.chance(label_noise_)) return !t.is_security;
-  return t.is_security;
+  return truth(commit_hash).is_security;
 }
 
 GroundTruth Oracle::truth(const std::string& commit_hash) const {

@@ -1,26 +1,20 @@
 // Ground-truth oracle: the stand-in for the paper's three security
 // experts who manually verify every nearest-link candidate. The oracle
 // answers "is this commit a security patch?" from the corpus generator's
-// ground truth, counts every query (the paper's headline result is a
-// ~66% reduction in this manual effort), and can inject label noise to
-// model expert disagreement.
+// ground truth and counts every query (the paper's headline result is a
+// ~66% reduction in this manual effort).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 
 #include "corpus/repo.h"
-#include "util/rng.h"
 
 namespace patchdb::corpus {
 
 class Oracle {
  public:
-  explicit Oracle(double label_noise = 0.0, std::uint64_t seed = 1)
-      : label_noise_(label_noise), rng_(seed) {}
-
   void add(const std::string& commit_hash, GroundTruth truth);
   void add(const CommitRecord& record) { add(record.patch.commit, record.truth); }
 
@@ -28,9 +22,8 @@ class Oracle {
     return truths_.contains(commit_hash);
   }
 
-  /// "Manual verification": counts toward effort; may flip the answer
-  /// with probability label_noise. Throws std::out_of_range for commits
-  /// the oracle never saw.
+  /// "Manual verification": counts toward effort and answers the ground
+  /// truth. Throws std::out_of_range for commits the oracle never saw.
   bool verify_security(const std::string& commit_hash);
 
   /// Ground truth without effort accounting (for scoring benches only).
@@ -45,8 +38,6 @@ class Oracle {
   std::size_t size() const noexcept { return truths_.size(); }
 
  private:
-  double label_noise_;
-  util::Rng rng_;
   std::size_t effort_ = 0;
   std::unordered_map<std::string, GroundTruth> truths_;
 };

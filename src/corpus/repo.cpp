@@ -54,10 +54,8 @@ BuiltFile build_target_file(util::Rng& rng, PatchType type,
   MutationResult mutation = make_mutation(rng, ctx, type);
   if (message != nullptr && message->empty()) *message = std::move(mutation.message);
 
-  const std::size_t span = options.max_neighbor_functions + 1 -
-                           options.min_neighbor_functions;
-  const std::size_t neighbors =
-      options.min_neighbor_functions + (span > 0 ? rng.index(span) : 0);
+  // One to three neighbor functions around the target.
+  const std::size_t neighbors = 1 + rng.index(3);
 
   BuiltFile file;
   // The target's two versions, one function per neighbor and at most one

@@ -41,10 +41,6 @@ struct CommitOptions {
   double multi_file_prob = 0.10;
   /// Probability of a companion non-C/C++ file change (ChangeLog etc.).
   double noise_file_prob = 0.12;
-  /// Extra neighbor functions placed around the target in its file.
-  std::size_t min_neighbor_functions = 1;
-  std::size_t max_neighbor_functions = 3;
-
   /// Probability that a SECURITY commit bundles a small unrelated
   /// cleanup in a neighbor function (silent wild fixes frequently do;
   /// NVD-referenced fixes are usually minimal). The bundle shifts the

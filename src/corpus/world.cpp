@@ -30,7 +30,6 @@ World build_world(const WorldConfig& config) {
   PATCHDB_TRACE_SPAN("corpus.build_world");
   World world;
   world.config = config;
-  world.oracle = Oracle(config.label_noise, config.seed ^ 0x9e3779b9ULL);
 
   util::Rng rng(config.seed);
   world.repo_names.reserve(config.repos);
@@ -55,6 +54,10 @@ World build_world(const WorldConfig& config) {
   // descriptive messages.
   wild_commit.euphemize_prob = 0.61;
 
+  // Security-type mixes (Fig. 6 shapes).
+  const TypeDistribution nvd_types = nvd_type_distribution();
+  const TypeDistribution wild_types = wild_type_distribution();
+
   std::vector<CommitRecord> nvd_commits(config.nvd_security);
   std::vector<std::uint64_t> nvd_seeds(config.nvd_security);
   for (auto& s : nvd_seeds) s = rng();
@@ -62,8 +65,8 @@ World build_world(const WorldConfig& config) {
       config.nvd_security, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           util::Rng local(nvd_seeds[i]);
-          const std::size_t type_idx = local.weighted(
-              std::span(config.nvd_types.data(), config.nvd_types.size()));
+          const std::size_t type_idx =
+              local.weighted(std::span(nvd_types.data(), nvd_types.size()));
           const PatchType type = security_types()[type_idx];
           const std::string& repo =
               world.repo_names[local.index(world.repo_names.size())];
@@ -78,8 +81,8 @@ World build_world(const WorldConfig& config) {
       config.wild_pool, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           util::Rng local(wild_seeds[i]);
-          const PatchType type = draw_patch_type(local, config.wild_types,
-                                                 config.wild_security_rate);
+          const PatchType type =
+              draw_patch_type(local, wild_types, config.wild_security_rate);
           const std::string& repo =
               world.repo_names[local.index(world.repo_names.size())];
           world.wild[i] = make_commit(local, repo, type, wild_commit);
@@ -88,20 +91,13 @@ World build_world(const WorldConfig& config) {
   PATCHDB_COUNTER_ADD("corpus.commits_built", config.nvd_security + config.wild_pool);
 
   // ------------------------------------------------------------------
-  // 2. Publish every commit's .patch page on the simulated web and
-  //    register ground truth.
+  // 2. Register ground truth. Only the NVD crawler reads the simulated
+  //    web, so only NVD-side pages are published, in step 3 (after CVE
+  //    ids exist, so the referenced commit messages can mention them the
+  //    way maintainers do).
   // ------------------------------------------------------------------
-  // NVD-side pages are published in step 3 (after CVE ids exist, so the
-  // referenced commit messages can mention them the way maintainers do).
   for (const CommitRecord& record : nvd_commits) world.oracle.add(record);
-  for (const CommitRecord& record : world.wild) {
-    if (config.publish_wild_pages) {
-      world.remote.put(
-          github_commit_url(record.repo, record.patch.commit) + ".patch",
-          diff::render_patch(record.patch));
-    }
-    world.oracle.add(record);
-  }
+  for (const CommitRecord& record : world.wild) world.oracle.add(record);
 
   // ------------------------------------------------------------------
   // 3. Build the NVD index with injected dirt, then crawl it.

@@ -29,10 +29,6 @@ struct WorldConfig {
   /// (paper observes 6-10%).
   double wild_security_rate = 0.08;
 
-  /// Security-type mixes (Fig. 6 shapes).
-  TypeDistribution nvd_types = nvd_type_distribution();
-  TypeDistribution wild_types = wild_type_distribution();
-
   /// Collection dirt rates.
   double entry_missing_link_prob = 0.25;  // CVE entries with no patch link
   double dead_link_prob = 0.02;           // links that 404
@@ -41,15 +37,6 @@ struct WorldConfig {
   /// Keep BEFORE/AFTER file snapshots on these sets (synthesis needs them).
   bool keep_nvd_snapshots = true;
   bool keep_wild_snapshots = false;
-
-  /// Oracle label noise (expert disagreement model).
-  double label_noise = 0.0;
-
-  /// Publish wild commits' `.patch` pages on the simulated web. Only the
-  /// NVD crawler reads the remote store, so this is off by default; turn
-  /// it on when an experiment wants to fetch wild pages by URL (costs
-  /// ~1-2 KB of memory per wild commit).
-  bool publish_wild_pages = false;
 
   CommitOptions commit;
 

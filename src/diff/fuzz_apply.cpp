@@ -46,12 +46,12 @@ bool matches_at(const std::vector<std::string>& lines, std::size_t start,
   return true;
 }
 
-/// Search the stated position first, then alternate +/-1, +/-2, ...
+/// Search the stated position first, then alternate +/-1, +/-2, ... up
+/// to kMaxOffset.
 std::optional<std::size_t> locate(const std::vector<std::string>& lines,
-                                  std::size_t stated, const HunkPattern& pattern,
-                                  std::size_t max_offset) {
+                                  std::size_t stated, const HunkPattern& pattern) {
   if (matches_at(lines, stated, pattern)) return stated;
-  for (std::size_t delta = 1; delta <= max_offset; ++delta) {
+  for (std::size_t delta = 1; delta <= kMaxOffset; ++delta) {
     if (stated + delta <= lines.size() &&
         matches_at(lines, stated + delta, pattern)) {
       return stated + delta;
@@ -66,8 +66,7 @@ std::optional<std::size_t> locate(const std::vector<std::string>& lines,
 }  // namespace
 
 std::vector<std::string> apply_with_fuzz(const std::vector<std::string>& lines,
-                                         const FileDiff& fd, FuzzReport& report,
-                                         const FuzzOptions& options) {
+                                         const FileDiff& fd, FuzzReport& report) {
   std::vector<std::string> current = lines;
   // Track the cumulative line drift introduced by earlier hunks so later
   // stated positions stay meaningful.
@@ -84,11 +83,11 @@ std::vector<std::string> apply_with_fuzz(const std::vector<std::string>& lines,
                                     static_cast<std::ptrdiff_t>(current.size()))));
 
     bool placed = false;
-    for (std::size_t fuzz = 0; fuzz <= options.max_fuzz && !placed; ++fuzz) {
+    for (std::size_t fuzz = 0; fuzz <= kMaxFuzz && !placed; ++fuzz) {
       const HunkPattern pattern = old_pattern(hunk, fuzz);
       const std::optional<std::size_t> at =
           locate(current, stated + (fuzz == 0 ? 0 : pattern.leading_dropped),
-                 pattern, options.max_offset);
+                 pattern);
       if (!at.has_value()) continue;
 
       // Rebuild the region: replace the matched old lines with the

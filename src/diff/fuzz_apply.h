@@ -1,8 +1,8 @@
 // Fuzzy patch application, GNU-patch style. Real `.patch` files often
 // target a slightly different version of the file than the one at hand:
 // line numbers drift, or the outermost context lines changed. The fuzzy
-// applier relocates each hunk within +/- max_offset lines of its stated
-// position and, failing that, retries with up to `max_fuzz` context
+// applier relocates each hunk within +/- kMaxOffset lines of its stated
+// position and, failing that, retries with up to kMaxFuzz context
 // lines ignored at each hunk edge — the tolerance the collection
 // pipeline needs when a crawled patch does not match the checkout.
 #pragma once
@@ -16,10 +16,10 @@
 
 namespace patchdb::diff {
 
-struct FuzzOptions {
-  std::size_t max_offset = 50;  // search radius around the stated position
-  std::size_t max_fuzz = 2;     // context lines ignorable per hunk edge
-};
+/// Search radius, in lines, around a hunk's stated position.
+inline constexpr std::size_t kMaxOffset = 50;
+/// Context lines a hunk may ignore at each edge.
+inline constexpr std::size_t kMaxFuzz = 2;
 
 struct FuzzReport {
   std::size_t hunks_applied = 0;
@@ -37,7 +37,6 @@ struct FuzzReport {
 /// content plus a report. Unlike apply_file_diff this never throws on
 /// mismatch — failed hunks are recorded and skipped.
 std::vector<std::string> apply_with_fuzz(const std::vector<std::string>& lines,
-                                         const FileDiff& fd, FuzzReport& report,
-                                         const FuzzOptions& options = {});
+                                         const FileDiff& fd, FuzzReport& report);
 
 }  // namespace patchdb::diff

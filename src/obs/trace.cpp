@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "util/strings.h"
 
 #if defined(__linux__)
 #include <time.h>  // NOLINT(modernize-deprecated-headers): clock_gettime
@@ -86,14 +87,13 @@ LocalTraceState& local_trace_state() {
 
 std::size_t parse_span_ring_capacity(const char* text) {
   if (text == nullptr || *text == '\0') return kSpanRingCapacity;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || text[0] == '-' || value == 0) {
+  std::size_t value = 0;
+  if (!util::parse_size(text, value) || value == 0) {
     throw std::runtime_error(
         "obs: invalid PATCHDB_SPAN_RING value \"" + std::string(text) +
         "\" (want a positive integer number of spans per thread)");
   }
-  return static_cast<std::size_t>(value);
+  return value;
 }
 
 Tracer::Tracer()

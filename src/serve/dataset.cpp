@@ -116,28 +116,19 @@ void ServedDataset::index_and_precompute() {
     corpus_ = core::pack_corpus(scaled_, dims_);
   }
 
-  // Table V composition over the labeled security patches, the same
-  // scan `patchdb stats` runs offline.
-  stats_.categories.assign(corpus::kSecurityTypeCount, CategoryCount{});
-  for (std::size_t i = 0; i < corpus::kSecurityTypeCount; ++i) {
-    stats_.categories[i].type = static_cast<std::int64_t>(i + 1);
-  }
+  // Table V composition over the labeled security patches, tallied as
+  // `patchdb stats` tallies it offline.
+  core::CompositionTally tally;
   for (std::size_t i = 0; i < natural_rows_; ++i) {
-    const ServedPatch& served = patches_[i];
-    if (!corpus::is_security_type(served.truth.type)) continue;
-    ++stats_.security_total;
-    ++stats_.categories[static_cast<std::size_t>(
-                            static_cast<int>(served.truth.type)) -
-                        1]
-          .labeled;
-    const corpus::PatchType predicted = core::categorize(served.patch);
-    if (corpus::is_security_type(predicted)) {
-      ++stats_.categories[static_cast<std::size_t>(
-                              static_cast<int>(predicted)) -
-                          1]
-            .predicted;
-    }
-    if (predicted == served.truth.type) ++stats_.agreement;
+    tally.add(patches_[i].patch, patches_[i].truth.type);
+  }
+  stats_.security_total = tally.total;
+  stats_.agreement = tally.agreement;
+  stats_.categories.resize(corpus::kSecurityTypeCount);
+  for (std::size_t i = 0; i < corpus::kSecurityTypeCount; ++i) {
+    stats_.categories[i] = {.type = static_cast<std::int64_t>(i + 1),
+                            .labeled = tally.labeled[i],
+                            .predicted = tally.predicted[i]};
   }
   PATCHDB_GAUGE_SET("serve.dataset.patches",
                     static_cast<double>(patches_.size()));

@@ -16,7 +16,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v2";
+constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v3";
 
 void append_u64(std::string& out, std::uint64_t value) {
   out += std::to_string(value);
@@ -50,9 +50,7 @@ fs::path checkpoint_path(const fs::path& dir) { return dir / "checkpoint.csv"; }
 std::uint64_t build_fingerprint(const core::BuildOptions& options) {
   // Everything the simulated world depends on. Synthesis and
   // round-count knobs are excluded on purpose: they run after (or
-  // extend) the checkpointed rounds without invalidating them. So are
-  // the link engine's settings: every one of them selects the same
-  // candidates.
+  // extend) the checkpointed rounds without invalidating them.
   std::string canon;
   const corpus::WorldConfig& w = options.world;
   append_u64(canon, w.repos);
@@ -64,12 +62,8 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
   append_double(canon, w.wrong_link_prob);
   append_u64(canon, w.keep_nvd_snapshots ? 1 : 0);
   append_u64(canon, w.keep_wild_snapshots ? 1 : 0);
-  append_double(canon, w.label_noise);
-  append_u64(canon, w.publish_wild_pages ? 1 : 0);
   append_double(canon, w.commit.multi_file_prob);
   append_double(canon, w.commit.noise_file_prob);
-  append_u64(canon, w.commit.min_neighbor_functions);
-  append_u64(canon, w.commit.max_neighbor_functions);
   append_double(canon, w.commit.bundle_cleanup_prob);
   append_double(canon, w.commit.euphemize_prob);
   append_u64(canon, w.seed);

@@ -26,9 +26,10 @@
 
 namespace patchdb::store {
 
-/// First line of a checkpoint file ("#patchdb.checkpoint.v2"). v1
-/// files also hashed link-engine knobs into the fingerprint; they are
-/// refused as an unsupported version.
+/// First line of a checkpoint file ("#patchdb.checkpoint.v3"). v1
+/// files also hashed link-engine knobs into the fingerprint, and v2
+/// files hashed world options that are now constants; both are refused
+/// as an unsupported version.
 std::string_view checkpoint_version_line();
 
 /// `<dir>/checkpoint.csv`.
@@ -36,9 +37,9 @@ std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 
 /// Fingerprint of every option that determines the simulated world. A
 /// checkpoint written under one fingerprint refuses to resume under
-/// another: the commits it names would no longer exist. Link-engine
-/// settings (threads, k, tile width) are left out because none of them
-/// changes which candidates a round selects.
+/// another: the commits it names would no longer exist. The thread
+/// count is left out because it never changes which candidates a round
+/// selects.
 std::uint64_t build_fingerprint(const core::BuildOptions& options);
 
 /// Atomically (re)write `<dir>/checkpoint.csv`.

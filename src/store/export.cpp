@@ -282,10 +282,17 @@ ManifestWalk walk_manifest(const fs::path& root,
         report("checksum mismatch for " + path.string() +
                " (corrupted or truncated patch file)");
       } else {
+        bool parsed = true;
         try {
           decoded.patch = diff::parse_patch(content);
         } catch (const std::exception& e) {
+          parsed = false;
           report("cannot parse " + path.string() + ": " + e.what());
+        }
+        // The commit is the served key: a patch must carry its row's.
+        if (parsed && decoded.patch.commit != decoded.commit) {
+          report(path.string() + " carries commit '" + decoded.patch.commit +
+                 "', not its row's");
         }
       }
     }

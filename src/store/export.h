@@ -95,7 +95,8 @@ struct ManifestWalk {
 
 /// Open the sealed manifest under `root`, check its header, then walk
 /// its rows: check every field, reject a repeated commit, read each
-/// listed patch file, verify its checksum and parse it. Each problem
+/// listed patch file, verify its checksum, parse it and check that it
+/// carries its row's commit. Each problem
 /// goes to `problem` as "store: manifest.csv row N: ...", naming the
 /// patch file where there is one; a problem with the whole manifest ends
 /// the walk. Then each row whose commit is new and whose component is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace patchdb::util {
@@ -132,12 +133,12 @@ std::string extension(std::string_view path) {
 }
 
 bool parse_size(std::string_view text, std::size_t& out) {
-  if (text.empty()) return false;
+  // from_chars takes no sign, space or base prefix for an unsigned
+  // type, and reports overflow instead of wrapping.
   std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return false;
   out = value;
   return true;
 }

@@ -42,7 +42,9 @@ std::string replace_all(std::string_view text, std::string_view from,
 /// empty when there is none.
 std::string extension(std::string_view path);
 
-/// Parse a non-negative integer; returns false on any non-digit input.
+/// The one strict decimal parser: `text` must be all digits, with no
+/// sign or space, and at most SIZE_MAX. Returns false, leaving `out`
+/// untouched, on anything else (empty text included).
 bool parse_size(std::string_view text, std::size_t& out);
 
 /// Render `n` as a short human string: 950 -> "950", 6'200'000 -> "6.2M".

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <utility>
 
+#include "util/strings.h"
+
 namespace patchdb::util {
 
 namespace {
@@ -31,17 +33,15 @@ std::size_t threads_from_env() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup
   const char* raw = std::getenv("PATCHDB_THREADS");
   if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || raw[0] == '-' || raw[0] == '+' ||
-      value < 1 || value > kMaxDefaultPoolThreads) {
+  std::size_t value = 0;
+  if (!parse_size(raw, value) || value < 1 || value > kMaxDefaultPoolThreads) {
     std::fprintf(stderr,
                  "patchdb: PATCHDB_THREADS expects an integer in [1, %zu], "
                  "got \"%s\"\n",
                  kMaxDefaultPoolThreads, raw);
     std::exit(2);
   }
-  return static_cast<std::size_t>(value);
+  return value;
 }
 
 /// Resolution order: configure_default_pool > PATCHDB_THREADS >

@@ -71,16 +71,6 @@ TEST_F(CheckpointTest, FingerprintCoversWorldNotRoundKnobs) {
   b.world.seed = 78;
   EXPECT_NE(store::build_fingerprint(a), store::build_fingerprint(b));
 
-  // Link-engine settings never change which candidates a round picks,
-  // so a checkpoint stays valid across them.
-  b = small_options();
-  b.streaming_link.threads = 3;
-  EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
-  b = small_options();
-  b.streaming_link.top_k = 1;
-  b.streaming_link.tile_cols = 64;
-  EXPECT_EQ(store::build_fingerprint(a), store::build_fingerprint(b));
-
   // Round-count and synthesis knobs extend a checkpointed run without
   // invalidating it, so they stay out of the fingerprint.
   b = small_options();
@@ -219,65 +209,39 @@ TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
   EXPECT_FALSE(report.ok());
 }
 
-// A checkpoint from before the link-engine knobs left the fingerprint
-// carries the v1 version line. It must be refused as an unsupported
-// version, not misread as "written by a build with different options".
+// An older checkpoint carries an older version line: v1 hashed the link
+// engine's settings into the fingerprint, and v2 the world options that
+// are now constants. Each must be refused as an unsupported version, not
+// misread as "written by a build with different options".
 TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
-  core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
-  store::build_with_checkpoints(options);
-  const fs::path path = store::checkpoint_path(dir("ckpt"));
-  std::string body(
-      store::strip_checksum_trailer(store::read_file(path), "checkpoint.csv"));
-  const std::string v2 = std::string(store::checkpoint_version_line());
-  ASSERT_EQ(body.rfind(v2 + "\n", 0), 0u);
-  body.replace(0, v2.size(), "#patchdb.checkpoint.v1");
-  std::ofstream(path, std::ios::binary)
-      << store::with_checksum_trailer(std::move(body));
-
-  options.resume = true;
-  try {
+  for (const std::string old : {"#patchdb.checkpoint.v1", "#patchdb.checkpoint.v2"}) {
+    core::BuildOptions options = small_options();
+    options.checkpoint_dir = dir("ckpt");
     store::build_with_checkpoints(options);
-    ADD_FAILURE() << "resumed from a v1 checkpoint";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version"),
-              std::string::npos)
-        << e.what();
+    const fs::path path = store::checkpoint_path(dir("ckpt"));
+    std::string body(
+        store::strip_checksum_trailer(store::read_file(path), "checkpoint.csv"));
+    const std::string current = std::string(store::checkpoint_version_line());
+    ASSERT_EQ(body.rfind(current + "\n", 0), 0u);
+    body.replace(0, current.size(), old);
+    std::ofstream(path, std::ios::binary)
+        << store::with_checksum_trailer(std::move(body));
+
+    options.resume = true;
+    try {
+      store::build_with_checkpoints(options);
+      ADD_FAILURE() << "resumed from a checkpoint headed " << old;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
+
+    const store::FsckReport report = store::fsck(dir("ckpt"));
+    ASSERT_FALSE(report.ok()) << old;
+    EXPECT_NE(report.errors[0].find("unsupported version"), std::string::npos)
+        << report.errors[0];
   }
-
-  const store::FsckReport report = store::fsck(dir("ckpt"));
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.errors[0].find("unsupported version"), std::string::npos)
-      << report.errors[0];
-}
-
-// The other half of leaving link settings out of the fingerprint: a
-// build killed under the default link settings resumes under other
-// threads, k and tile width to the uninterrupted export, byte for byte.
-TEST_F(CheckpointTest, ResumeUnderOtherLinkSettingsIsBitIdentical) {
-  core::BuildOptions options = small_options();
-  store::export_patchdb(core::build_patchdb(options), dir("plain"));
-
-  options.checkpoint_dir = dir("ckpt");
-  store::FaultPlan plan;
-  plan.fail_write = 1;  // die at the second round boundary
-  store::set_fault_plan(plan);
-  EXPECT_THROW(store::build_with_checkpoints(options), store::FaultInjected);
-  store::clear_fault_plan();
-
-  options.resume = true;
-  options.streaming_link.threads = 3;
-  options.streaming_link.top_k = 1;
-  options.streaming_link.tile_cols = 64;
-
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* previous = obs::install_registry(&registry);
-  const core::PatchDb resumed = store::build_with_checkpoints(options);
-  obs::install_registry(previous);
-  EXPECT_EQ(registry.snapshot().counter("store.resumes"), 1u);
-
-  store::export_patchdb(resumed, dir("resumed"));
-  EXPECT_EQ(dir_contents(dir("plain")), dir_contents(dir("resumed")));
 }
 
 TEST_F(CheckpointTest, ResumeWithoutCheckpointStartsFresh) {

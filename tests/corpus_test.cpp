@@ -309,19 +309,6 @@ TEST(Oracle, UnknownCommitThrows) {
   EXPECT_THROW(oracle.verify_security("nope"), std::out_of_range);
 }
 
-TEST(Oracle, LabelNoiseFlipsSomeAnswers) {
-  corpus::Oracle noisy(0.3, 5);
-  for (int i = 0; i < 200; ++i) {
-    noisy.add("c" + std::to_string(i), {true, PatchType::kBoundCheck});
-  }
-  int flipped = 0;
-  for (int i = 0; i < 200; ++i) {
-    flipped += !noisy.verify_security("c" + std::to_string(i));
-  }
-  EXPECT_GT(flipped, 30);
-  EXPECT_LT(flipped, 90);
-}
-
 // -------------------------------------------------------------- world --
 
 TEST(World, SmallWorldEndToEnd) {

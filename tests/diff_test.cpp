@@ -148,6 +148,26 @@ TEST(Parse, GarbageInsideHunkThrows) {
   EXPECT_THROW(diff::parse_patch(text), diff::ParseError);
 }
 
+TEST(Parse, OverflowingHunkHeaderThrows) {
+  // 2^64 + 1 does not fit a size_t: the header is malformed, not line 1.
+  const std::string text =
+      "commit 6666666666666666666666666666666666666666\n"
+      "\n"
+      "diff --git a/a.c b/a.c\n"
+      "--- a/a.c\n"
+      "+++ b/a.c\n"
+      "@@ -18446744073709551617,1 +18446744073709551617,1 @@\n"
+      "-old\n"
+      "+new\n";
+  try {
+    diff::parse_patch(text);
+    ADD_FAILURE() << "an overflowing hunk header parsed";
+  } catch (const diff::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed hunk header"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Parse, EmptyInputThrows) {
   EXPECT_THROW(diff::parse_patch("not a patch at all"), diff::ParseError);
 }

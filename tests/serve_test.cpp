@@ -416,6 +416,14 @@ TEST(ServeDataset, RejectsBadQueries) {
   serve::AnalyzeRequest analyze;
   analyze.diff_text = "this is not a unified diff";
   EXPECT_EQ(dataset.analyze(analyze).status, serve::Status::kBadRequest);
+  // A hunk header past SIZE_MAX is malformed, not line 1.
+  analyze.diff_text =
+      "diff --git a/a.c b/a.c\n--- a/a.c\n+++ b/a.c\n"
+      "@@ -18446744073709551617,1 +18446744073709551617,1 @@\n-old\n+new\n";
+  const serve::Response overflow = dataset.analyze(analyze);
+  EXPECT_EQ(overflow.status, serve::Status::kBadRequest);
+  EXPECT_NE(overflow.error.find("malformed hunk header"), std::string::npos)
+      << overflow.error;
 }
 
 // -------------------------------------------------------------- server --

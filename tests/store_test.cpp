@@ -472,14 +472,18 @@ TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
     std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << nvd_content;
     std::ofstream(wild_patch, std::ios::binary | std::ios::trunc) << wild_content;
   };
+  // Load and fsck must agree; the damaged patch files must be refused.
   std::size_t refused = 0;
-  const auto check = [&](const std::string& name) {
+  const auto check = [&](const std::string& name, bool damaged = false) {
     const std::string thrown = load_error(root_);
     store::FsckReport report;
     ASSERT_NO_THROW(report = store::fsck_dataset(root_)) << name;
     EXPECT_EQ(report.ok(), thrown.empty())
         << name << ": load says \"" << thrown << "\", fsck says \""
         << (report.ok() ? std::string("ok") : report.errors.front()) << "\"";
+    if (damaged) {
+      EXPECT_FALSE(thrown.empty()) << name << " was accepted";
+    }
     if (!thrown.empty() && !report.ok()) {
       EXPECT_EQ(report.errors.front(), thrown) << name;
       ++refused;
@@ -545,14 +549,16 @@ TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
   std::string flipped = nvd_content;
   flipped[flipped.size() / 2] ^= 0x01;
   std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << flipped;
-  check("flipped patch file");
+  check("flipped patch file", true);
   std::ofstream(wild_patch, std::ios::binary | std::ios::trunc)
       << wild_content.substr(0, wild_content.size() / 2);
-  check("truncated patch file");
+  check("truncated patch file", true);
   fs::remove(nvd_patch);
-  check("deleted patch file");
+  check("deleted patch file", true);
 
   // Replaced and re-sealed: the row carries the new content's checksum.
+  // A whole wild patch swapped in parses, but carries another commit, so
+  // the dataset would serve two records under that key.
   for (const std::string& replacement : {std::string("stray\n"), std::string(),
                                          wild_content.substr(0, wild_content.size() / 2),
                                          wild_content}) {
@@ -562,7 +568,8 @@ TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
                      util::to_hex(util::fnv1a64(replacement)));
     reseal_manifest(lines);
     check("patch file replaced by " + std::to_string(replacement.size()) +
-          " bytes and re-sealed");
+              " bytes and re-sealed",
+          true);
   }
   EXPECT_GT(refused, 40u);
 }

@@ -2,8 +2,11 @@
 // bit-identity — streaming_nearest_link must return the exact
 // LinkResult (candidates AND total_distance) that the dense
 // nearest_link_search(distance_matrix(...)) path returns, across
-// problem shapes, top-k budgets, tile widths, thread counts, tie-heavy
-// inputs, and heap-exhausted fallback storms.
+// problem shapes, pools wider than one tile, tie-heavy inputs and
+// heap-exhausted fallback storms. The engine has no settings: k and
+// the tile width are constants, and the shard count is the default
+// pool's, so tests/CMakeLists.txt runs these tests again under
+// PATCHDB_THREADS=1 and =8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +29,7 @@
 #include "obs/metrics.h"
 #include "palette_features.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -52,47 +56,55 @@ core::LinkResult dense_link(const feature::FeatureMatrix& sec,
   return core::nearest_link_search(d);
 }
 
-TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 5}, {3, 8}, {10, 40}, {25, 200}, {40, 400}};
-  const std::size_t ks[] = {1, 2, 4, 24};
-  const std::size_t tiles[] = {1, 7, 64, 4096};
+/// The engine's fixed tile width and list length: the shapes below span
+/// several tiles and give one list more seeds than it holds.
+constexpr std::size_t kTileCols = 2048;
+constexpr std::size_t kTopK = 24;
 
+/// The engine's LinkResult, required bit-equal to the dense oracle's.
+core::StreamingLinkStats expect_matches_dense(const feature::FeatureMatrix& sec,
+                                              const feature::FeatureMatrix& wild,
+                                              std::span<const double> w,
+                                              const std::string& label) {
+  const core::LinkResult dense = dense_link(sec, wild, w);
+  core::StreamingLinkStats stats;
+  const core::LinkResult stream = core::streaming_nearest_link(sec, wild, w, &stats);
+  EXPECT_EQ(dense.candidate, stream.candidate) << label;
+  // Bitwise, not approximate: both paths must accumulate the identical
+  // float cells in the identical order.
+  EXPECT_EQ(dense.total_distance, stream.total_distance) << label;
+  EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, sec.rows()) << label;
+  EXPECT_EQ(stats.threads,
+            std::min(util::default_pool_threads(), stats.tiles))
+      << label;
+  return stats;
+}
+
+TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
+  // The last two shapes are wider than one tile and end in a partial
+  // block, so a pool of two or more workers shards them and the merge
+  // sees several heaps.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 5}, {3, 8}, {10, 40}, {25, 200}, {40, 400}, {30, 2100}, {40, 8300}};
   for (const auto& [m, n] : shapes) {
     for (std::uint64_t seed : {11ULL, 29ULL}) {
       const auto sec = random_features(m, seed);
       const auto wild = random_features(n, seed + 1000);
       const std::vector<double> w = core::maxabs_weights(sec, wild);
-      const core::LinkResult dense = dense_link(sec, wild, w);
-      ASSERT_EQ(dense.candidate.size(), m);
-
-      for (std::size_t k : ks) {
-        for (std::size_t tile : tiles) {
-          core::StreamingLinkConfig config;
-          config.top_k = k;
-          config.tile_cols = tile;
-          core::StreamingLinkStats stats;
-          const core::LinkResult stream =
-              core::streaming_nearest_link(sec, wild, w, config, &stats);
-          EXPECT_EQ(dense.candidate, stream.candidate)
-              << "m=" << m << " n=" << n << " seed=" << seed << " k=" << k
-              << " tile=" << tile;
-          // Bitwise, not approximate: both paths must accumulate the
-          // identical float cells in the identical order.
-          EXPECT_EQ(dense.total_distance, stream.total_distance)
-              << "m=" << m << " n=" << n << " seed=" << seed << " k=" << k
-              << " tile=" << tile;
-          EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m);
-        }
-      }
+      const core::StreamingLinkStats stats = expect_matches_dense(
+          sec, wild, w,
+          "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+              " seed=" + std::to_string(seed));
+      EXPECT_EQ(stats.tiles, (n + kTileCols - 1) / kTileCols);
     }
   }
 
-  // Uniform columns all have about the same norm, so the group norm
+  // Uniform columns all have about the same norm, so the block norm
   // screen never fires above. Scaling pool row c by 1 + floor(c/64)
-  // gives every 64-column SIMD group its own norm band, and the screen
-  // must skip the far bands without changing a bit of the result.
-  for (const std::size_t n : {700UL, 2000UL}) {
+  // gives every 64-column block its own norm band, and the screen must
+  // skip the far bands without changing a bit of the result — in one
+  // tile and across three.
+  for (const std::size_t n : {700UL, 2000UL, 4500UL}) {
     const std::size_t m = 30;
     const auto sec = random_features(m, 61);
     auto wild = random_features(n, 62);
@@ -100,25 +112,30 @@ TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
       for (double& v : wild[c]) v *= static_cast<double>(1 + c / 64);
     }
     const std::vector<double> w = core::maxabs_weights(sec, wild);
-    const core::LinkResult dense = dense_link(sec, wild, w);
-    for (const std::size_t k : {1UL, 8UL, 24UL}) {
-      for (const std::size_t threads : {1UL, 8UL}) {
-        core::StreamingLinkConfig config;
-        config.top_k = k;
-        config.tile_cols = 257;
-        config.threads = threads;
-        core::StreamingLinkStats stats;
-        const core::LinkResult stream =
-            core::streaming_nearest_link(sec, wild, w, config, &stats);
-        EXPECT_EQ(dense.candidate, stream.candidate)
-            << "scaled n=" << n << " k=" << k << " threads=" << threads;
-        EXPECT_EQ(dense.total_distance, stream.total_distance)
-            << "scaled n=" << n << " k=" << k << " threads=" << threads;
-        EXPECT_GT(stats.pruned_cells, 0u)
-            << "scaled n=" << n << " k=" << k << " threads=" << threads;
-      }
-    }
+    const core::StreamingLinkStats stats =
+        expect_matches_dense(sec, wild, w, "scaled n=" + std::to_string(n));
+    EXPECT_GT(stats.pruned_cells, 0u) << "scaled n=" << n;
   }
+
+  // Pool columns on the seed's own ray make the Cauchy-Schwarz bound
+  // tight: the first block holds 1.10 x the seed, the second 1.07 x,
+  // each column nudged apart. The heap fills from the first block, and
+  // the nearest columns lie in the second, whose bound is below the
+  // heap front — a screen that pruned it would lose the link.
+  const auto seed = random_features(1, 71);
+  feature::FeatureMatrix ray(2 * core::kLinkGroupCols);
+  for (std::size_t c = 0; c < ray.rows(); ++c) {
+    const double t = c < core::kLinkGroupCols ? 1.10 : 1.07;
+    for (std::size_t j = 0; j < feature::kFeatureCount; ++j) {
+      ray[c][j] = seed[0][j] * t;
+    }
+    ray[c][c % feature::kFeatureCount] +=
+        1e-3 * static_cast<double>(1 + c % core::kLinkGroupCols);
+  }
+  const std::vector<double> w = core::maxabs_weights(seed, ray);
+  const core::LinkResult dense = dense_link(seed, ray, w);
+  ASSERT_GE(dense.candidate[0], core::kLinkGroupCols);
+  expect_matches_dense(seed, ray, w, "columns on the seed's ray");
 }
 
 TEST(StreamingLink, TiesBreakTowardLowestColumn) {
@@ -153,48 +170,39 @@ TEST(StreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
   // exact match, and the tight shapes use up whole groups.
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {3, 8}, {20, 25}, {60, 700}, {120, 150}, {120, 1500}};
-  const std::size_t ks[] = {1, 2, 24};
-  const std::size_t tiles[] = {7, 64, 4096};
-  const std::size_t threads[] = {1, 2, 8};
-
+  std::size_t fallbacks = 0;
+  const auto sweep = [&](std::size_t seed_size, std::size_t pool_size,
+                         std::size_t m, std::size_t n) {
+    const Palette seeds = make_palette(seed_size, 900 + seed_size);
+    const Palette pool = make_palette(pool_size, 800 + pool_size);
+    const auto sec = palette_features(seeds, m, 31 * m + seed_size);
+    const auto wild = palette_features(pool, n, 37 * n + pool_size);
+    const std::vector<double> w = core::maxabs_weights(sec, wild);
+    const core::StreamingLinkStats stats = expect_matches_dense(
+        sec, wild, w,
+        "palettes=" + std::to_string(seed_size) + "/" +
+            std::to_string(pool_size) + " m=" + std::to_string(m) +
+            " n=" + std::to_string(n));
+    EXPECT_EQ(stats.distinct_rows, std::min(m, seed_size));
+    EXPECT_EQ(stats.distinct_cols, std::min(n, pool_size));
+    fallbacks += stats.fallback_rescans;
+    return stats;
+  };
   for (const std::size_t size : {1UL, 2UL, 5UL, 17UL, 300UL}) {
-    const Palette seeds = make_palette(size, 900 + size);
-    const Palette pool = make_palette(size, 800 + size);
-    for (const auto& [m, n] : shapes) {
-      const auto sec = palette_features(seeds, m, 31 * m + size);
-      const auto wild = palette_features(pool, n, 37 * n + size);
-      const std::vector<double> w = core::maxabs_weights(sec, wild);
-      const core::LinkResult dense = dense_link(sec, wild, w);
-      const auto label = [&](std::size_t k, std::size_t tile,
-                             std::size_t t) {
-        return "palette=" + std::to_string(size) + " m=" + std::to_string(m) +
-               " n=" + std::to_string(n) + " k=" + std::to_string(k) +
-               " tile=" + std::to_string(tile) + " threads=" +
-               std::to_string(t);
-      };
-
-      core::StreamingLinkStats stats;
-      for (const std::size_t k : ks) {
-        for (const std::size_t tile : tiles) {
-          for (const std::size_t t : threads) {
-            core::StreamingLinkConfig config;
-            config.top_k = k;
-            config.tile_cols = tile;
-            config.threads = t;
-            const core::LinkResult stream =
-                core::streaming_nearest_link(sec, wild, w, config, &stats);
-            EXPECT_EQ(dense.candidate, stream.candidate) << label(k, tile, t);
-            EXPECT_EQ(dense.total_distance, stream.total_distance)
-                << label(k, tile, t);
-            EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, m)
-                << label(k, tile, t);
-          }
-        }
-      }
-      EXPECT_EQ(stats.distinct_rows, std::min(m, size));
-      EXPECT_EQ(stats.distinct_cols, std::min(n, size));
+    for (const auto& [m, n] : shapes) sweep(size, size, m, n);
+  }
+  // A 2,500-vector pool palette is wider than one tile, so its groups
+  // span tiles and pass-1 shards. Seeds drawn from two vectors share
+  // two 24-entry lists, use them up and re-scan.
+  for (const std::size_t seed_size : {2UL, 2500UL}) {
+    for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{60, 3000},
+                               {300, 2600}}) {
+      const core::StreamingLinkStats stats = sweep(seed_size, 2500, m, n);
+      EXPECT_EQ(stats.tiles, 2u);
+      EXPECT_NE(stats.distinct_cols % core::kLinkGroupCols, 0u);
     }
   }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 TEST(StreamingLink, EquidistantGroupsTieToLowestUnusedMember) {
@@ -202,53 +210,58 @@ TEST(StreamingLink, EquidistantGroupsTieToLowestUnusedMember) {
   // groups A = {0, 3} and B = {1, 2}, and every distance is exactly 1.
   // Dense takes columns 0, 1, 2. Once column 0 is gone, B's member 1
   // must beat A's member 3 — a pick that preferred the lowest group id
-  // would take column 3 for the second seed.
-  const feature::FeatureMatrix sec(3);
-  feature::FeatureMatrix wild(4);
-  wild[0][0] = 1.0;
-  wild[1][0] = -1.0;
-  wild[2][0] = -1.0;
-  wild[3][0] = 1.0;
-  const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const core::LinkResult dense = dense_link(sec, wild, w);
-  ASSERT_EQ(dense.candidate, (std::vector<std::size_t>{0, 1, 2}));
-
-  // k = 24 holds both groups; k = 1 sends the later picks to re-scans.
-  for (const std::size_t k : {1UL, 24UL}) {
-    core::StreamingLinkConfig config;
-    config.top_k = k;
-    core::StreamingLinkStats stats;
-    const core::LinkResult stream =
-        core::streaming_nearest_link(sec, wild, w, config, &stats);
-    EXPECT_EQ(dense.candidate, stream.candidate) << "k=" << k;
-    EXPECT_EQ(dense.total_distance, stream.total_distance) << "k=" << k;
+  // would take column 3 for the second seed. The cached list holds
+  // both groups and decides every pick.
+  {
+    const feature::FeatureMatrix sec(3);
+    feature::FeatureMatrix wild(4);
+    wild[0][0] = 1.0;
+    wild[1][0] = -1.0;
+    wild[2][0] = -1.0;
+    wild[3][0] = 1.0;
+    const std::vector<double> w = core::maxabs_weights(sec, wild);
+    const core::LinkResult dense = dense_link(sec, wild, w);
+    ASSERT_EQ(dense.candidate, (std::vector<std::size_t>{0, 1, 2}));
+    const core::StreamingLinkStats stats =
+        expect_matches_dense(sec, wild, w, "two groups");
     EXPECT_EQ(stats.distinct_rows, 1u);
     EXPECT_EQ(stats.distinct_cols, 2u);
+    EXPECT_EQ(stats.fallback_rescans, 0u);
   }
+
+  // The same rule on the re-scan path. 26 unit vectors ±e_j, all at
+  // distance 1 from 25 zero seeds: A = {0, 26} holds +e0, and columns
+  // 1-25 are singleton groups. The 24-entry list holds A and the
+  // groups of columns 1-23, so the first 24 seeds take columns 0-23
+  // from it. The 25th finds only A's column 26 left in its list, which
+  // cannot rule out the outside groups, and re-scans: dense takes
+  // column 24, where a group-id rule would take A's 26.
+  const feature::FeatureMatrix sec(kTopK + 1);
+  feature::FeatureMatrix wild(kTopK + 3);
+  for (std::size_t c = 0; c < 26; ++c) wild[c][c / 2] = c % 2 == 0 ? 1.0 : -1.0;
+  wild[26][0] = 1.0;
+  const std::vector<double> w = core::maxabs_weights(sec, wild);
+  const core::LinkResult dense = dense_link(sec, wild, w);
+  ASSERT_EQ(dense.candidate.back(), 24u);
+  const core::StreamingLinkStats stats =
+      expect_matches_dense(sec, wild, w, "26 groups");
+  EXPECT_EQ(stats.distinct_cols, 26u);
+  EXPECT_EQ(stats.fallback_rescans, 1u);
 }
 
 TEST(StreamingLink, HeapExhaustedFallbackStillBitIdentical) {
-  // Identical security rows share one top-k list; with k=2 and 12 rows,
-  // ten rows find their whole heap consumed by earlier links and must
-  // take the tracked full-row re-scan — the dense collision path.
+  // Identical security rows share one 24-entry list; with 30 such rows,
+  // six find their whole list consumed by earlier links and must take
+  // the tracked full-row re-scan — the dense collision path.
   const auto one = random_features(1, 77);
-  feature::FeatureMatrix sec(12);
+  feature::FeatureMatrix sec(kTopK + 6);
   for (std::size_t i = 0; i < sec.rows(); ++i) sec.set_row(i, one[0]);
-  const auto wild = random_features(40, 78);
+  const auto wild = random_features(60, 78);
 
   const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const core::LinkResult dense = dense_link(sec, wild, w);
-
-  core::StreamingLinkConfig config;
-  config.top_k = 2;
-  core::StreamingLinkStats stats;
-  const core::LinkResult stream =
-      core::streaming_nearest_link(sec, wild, w, config, &stats);
-
-  EXPECT_GT(stats.fallback_rescans, 0u);
-  EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, sec.rows());
-  EXPECT_EQ(dense.candidate, stream.candidate);
-  EXPECT_EQ(dense.total_distance, stream.total_distance);
+  const core::StreamingLinkStats stats =
+      expect_matches_dense(sec, wild, w, "one shared list");
+  EXPECT_EQ(stats.fallback_rescans, 6u);
 }
 
 TEST(StreamingLink, RecordsObsCounters) {
@@ -256,16 +269,13 @@ TEST(StreamingLink, RecordsObsCounters) {
   auto* previous = obs::install_registry(&registry);
 
   const auto sec = random_features(8, 3);
-  const auto wild = random_features(300, 4);
-  core::StreamingLinkConfig config;
-  config.tile_cols = 64;  // force several tiles
-  const core::LinkResult link =
-      core::streaming_nearest_link(sec, wild, config);
+  const auto wild = random_features(4500, 4);  // three tiles
+  const core::LinkResult link = core::streaming_nearest_link(sec, wild);
   obs::install_registry(previous);
 
   ASSERT_EQ(link.candidate.size(), 8u);
   const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_GE(snap.counter("distance.tiles"), 5u);  // ceil(300/64)
+  EXPECT_EQ(snap.counter("distance.tiles"), 3u);
   EXPECT_GT(snap.counter("distance.cells"), 0u);
   EXPECT_EQ(snap.counter("nearest_link.topk_hits") +
                 snap.counter("nearest_link.fallback_rescans"),
@@ -273,13 +283,13 @@ TEST(StreamingLink, RecordsObsCounters) {
   EXPECT_EQ(snap.counter("nearest_link.links"), 8u);
   // Uniform rows never repeat; palette rows collapse to the palette.
   EXPECT_EQ(snap.counter("nearest_link.distinct_rows"), 8u);
-  EXPECT_EQ(snap.counter("nearest_link.distinct_cols"), 300u);
+  EXPECT_EQ(snap.counter("nearest_link.distinct_cols"), 4500u);
 
   obs::MetricsRegistry palette_registry;
   previous = obs::install_registry(&palette_registry);
   const Palette palette = make_palette(5, 17);
   core::streaming_nearest_link(palette_features(palette, 8, 5),
-                               palette_features(palette, 300, 6), config);
+                               palette_features(palette, 300, 6));
   obs::install_registry(previous);
   const obs::MetricsSnapshot palette_snap = palette_registry.snapshot();
   EXPECT_EQ(palette_snap.counter("nearest_link.distinct_rows"), 5u);
@@ -310,22 +320,19 @@ TEST(StreamingLink, RejectsBadShapes) {
 
 TEST(StreamingLinkKernel, BlockKernelMatchesScalarCellBitwise) {
   // The vectorizable block kernel must reproduce the scalar l2_cell
-  // bit-for-bit in every lane, across full and partial group widths
-  // and strides wider than the width (padded-tile layout).
+  // bit-for-bit in every lane, for full and zero-padded partial blocks.
   util::Rng rng(515);
   const std::size_t dims = feature::kFeatureCount;
   for (std::size_t width : {1UL, 7UL, core::kLinkGroupCols}) {
-    const std::size_t stride = core::kLinkGroupCols;
     std::vector<float> a(dims);
     std::vector<float> cols(width * dims);
     for (float& v : a) v = static_cast<float>(rng.uniform(-3, 3));
     for (float& v : cols) v = static_cast<float>(rng.uniform(-3, 3));
 
-    std::vector<float> packed(stride * dims);
-    core::pack_cols_dim_major(cols.data(), width, dims, stride, packed.data());
-    std::vector<float> lane(stride);
-    core::l2_cell_block(a.data(), packed.data(), dims, width, stride,
-                        lane.data());
+    std::vector<float> packed(core::kLinkGroupCols * dims);
+    core::pack_cols_dim_major(cols.data(), width, dims, packed.data());
+    std::vector<float> lane(core::kLinkGroupCols);
+    core::l2_cell_block(a.data(), packed.data(), dims, lane.data());
     for (std::size_t c = 0; c < width; ++c) {
       EXPECT_EQ(lane[c], core::l2_cell(a.data(), cols.data() + c * dims, dims))
           << "width=" << width << " lane=" << c;
@@ -334,60 +341,34 @@ TEST(StreamingLinkKernel, BlockKernelMatchesScalarCellBitwise) {
 }
 
 TEST(StreamingLinkParallel, DeterministicAcrossThreadsAndTiles) {
-  // The worker-sharded pass 1 must produce the same LinkResult as the
-  // dense path for every shard count x tile width, bitwise. Only
-  // counters may vary.
+  // Five tiles, the last ending mid-block: the worker-sharded pass 1
+  // runs one shard per worker (at most five) and must give the dense
+  // LinkResult, bitwise, under every pool size ctest runs it with.
   const std::size_t m = 30;
-  const std::size_t n = 700;
+  const std::size_t n = 8300;
   const auto sec = random_features(m, 101);
   const auto wild = random_features(n, 102);
   const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const core::LinkResult dense = dense_link(sec, wild, w);
-
-  for (std::size_t threads : {1UL, 2UL, 8UL}) {
-    for (std::size_t tile : {64UL, 257UL, 4096UL}) {
-      core::StreamingLinkConfig config;
-      config.top_k = 8;
-      config.tile_cols = tile;
-      config.threads = threads;
-      core::StreamingLinkStats stats;
-      const core::LinkResult stream =
-          core::streaming_nearest_link(sec, wild, w, config, &stats);
-      EXPECT_EQ(dense.candidate, stream.candidate)
-          << "threads=" << threads << " tile=" << tile;
-      EXPECT_EQ(dense.total_distance, stream.total_distance)
-          << "threads=" << threads << " tile=" << tile;
-      EXPECT_GE(stats.threads, 1u);
-      EXPECT_LE(stats.threads, threads);
-    }
-  }
+  const core::StreamingLinkStats stats =
+      expect_matches_dense(sec, wild, w, "five tiles");
+  EXPECT_EQ(stats.tiles, 5u);
+  EXPECT_NE(n % core::kLinkGroupCols, 0u);
 }
 
 TEST(StreamingLinkParallel, FallbackRescanDeterministicAcrossThreads) {
-  // Identical security rows share one top-k list, so with a tiny k most
-  // rows exhaust their heap and take the parallel fallback re-scan;
-  // its range-merged minimum must match the dense collision handling
-  // for every shard count.
+  // Identical security rows share one list, so most rows exhaust it and
+  // take the parallel fallback re-scan over a pool of two tiles; its
+  // range-merged minimum must match the dense collision handling under
+  // every pool size.
   const auto one = random_features(1, 313);
-  feature::FeatureMatrix sec(12);
+  feature::FeatureMatrix sec(3 * kTopK);
   for (std::size_t i = 0; i < sec.rows(); ++i) sec.set_row(i, one[0]);
-  const auto wild = random_features(300, 314);
+  const auto wild = random_features(2500, 314);
   const std::vector<double> w = core::maxabs_weights(sec, wild);
-  const core::LinkResult dense = dense_link(sec, wild, w);
-
-  for (std::size_t threads : {1UL, 2UL, 8UL}) {
-    core::StreamingLinkConfig config;
-    config.top_k = 2;
-    config.tile_cols = 64;
-    config.threads = threads;
-    core::StreamingLinkStats stats;
-    const core::LinkResult stream =
-        core::streaming_nearest_link(sec, wild, w, config, &stats);
-    EXPECT_GT(stats.fallback_rescans, 0u) << "threads=" << threads;
-    EXPECT_EQ(dense.candidate, stream.candidate) << "threads=" << threads;
-    EXPECT_EQ(dense.total_distance, stream.total_distance)
-        << "threads=" << threads;
-  }
+  const core::StreamingLinkStats stats =
+      expect_matches_dense(sec, wild, w, "shared list, two tiles");
+  EXPECT_EQ(stats.fallback_rescans, 2 * kTopK);
+  EXPECT_EQ(stats.tiles, 2u);
 }
 
 /// Run the loop for `rounds` rounds, replay them in test code on the

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -407,6 +408,17 @@ TEST(Strings, ParseSize) {
   EXPECT_FALSE(util::parse_size("", v));
   EXPECT_FALSE(util::parse_size("12a", v));
   EXPECT_FALSE(util::parse_size("-1", v));
+  EXPECT_FALSE(util::parse_size("+1", v));
+  EXPECT_FALSE(util::parse_size(" 1", v));
+  EXPECT_FALSE(util::parse_size("0x10", v));
+  EXPECT_TRUE(util::parse_size("18446744073709551615", v));
+  EXPECT_EQ(v, std::numeric_limits<std::size_t>::max());
+  // Past SIZE_MAX fails instead of wrapping, and leaves `out` alone.
+  v = 7;
+  EXPECT_FALSE(util::parse_size("18446744073709551616", v));
+  EXPECT_FALSE(util::parse_size("18446744073709551617", v));
+  EXPECT_FALSE(util::parse_size("99999999999999999999999", v));
+  EXPECT_EQ(v, 7u);
 }
 
 TEST(Strings, HumanCount) {

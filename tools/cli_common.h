@@ -5,9 +5,9 @@
 // The parsing is deliberately strict. `--nvd 4OO` used to reach
 // std::stoull and either silently truncate ("4") or escape as an
 // uncaught std::invalid_argument; now every numeric flag goes through
-// parse_size(), which accepts only a complete non-negative decimal
-// integer and otherwise prints the flag, the offending text, and exits
-// 2 (the usage-error exit the tools already use).
+// util::parse_size, which accepts only a complete non-negative decimal
+// integer, and a bad value prints the flag and the offending text and
+// exits 2 (the usage-error exit the tools already use).
 #pragma once
 
 #include <algorithm>
@@ -18,33 +18,23 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/strings.h"
 
 namespace patchdb::cli {
 
-/// Strict decimal parse of a numeric flag value. Exits 2 with a
-/// message naming the flag and the bad text on anything that is not a
-/// complete non-negative integer (letters, trailing junk, minus signs,
-/// overflow, empty string).
+/// util::parse_size of a numeric flag value. Exits 2 with a message
+/// naming the flag and the bad text on anything that is not a complete
+/// non-negative integer (letters, trailing junk, signs, overflow, empty
+/// string).
 inline std::size_t parse_size(const std::string& tool, const std::string& flag,
                               const std::string& raw) {
-  bool ok = !raw.empty();
-  unsigned long long value = 0;
-  std::size_t consumed = 0;
-  if (ok && (raw[0] == '-' || raw[0] == '+')) ok = false;
-  if (ok) {
-    try {
-      value = std::stoull(raw, &consumed);
-    } catch (const std::exception&) {
-      ok = false;
-    }
-  }
-  if (ok && consumed != raw.size()) ok = false;
-  if (!ok) {
+  std::size_t value = 0;
+  if (!util::parse_size(raw, value)) {
     std::fprintf(stderr, "%s: %s expects a non-negative integer, got \"%s\"\n",
                  tool.c_str(), flag.c_str(), raw.c_str());
     std::exit(2);
   }
-  return static_cast<std::size_t>(value);
+  return value;
 }
 
 /// `--flag value` parser over argv[first..]. Numeric lookups are

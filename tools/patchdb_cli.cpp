@@ -56,7 +56,6 @@
 //
 // Every command except `variants` (whose argument is C code) rejects a
 // flag it does not take with exit 2.
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -197,39 +196,27 @@ int cmd_stats(const std::string& dir) {
   std::printf("  nonsecurity:   %zu\n", db.nonsecurity.size());
   std::printf("  synthetic:     %zu\n", db.synthetic.size());
 
-  std::array<std::size_t, corpus::kSecurityTypeCount> truth{};
-  std::array<std::size_t, corpus::kSecurityTypeCount> predicted{};
-  std::size_t agree = 0;
-  std::size_t total = 0;
-  auto scan = [&](const std::vector<corpus::CommitRecord>& records) {
-    for (const corpus::CommitRecord& r : records) {
-      if (!corpus::is_security_type(r.truth.type)) continue;
-      ++total;
-      ++truth[static_cast<std::size_t>(static_cast<int>(r.truth.type)) - 1];
-      const corpus::PatchType p = core::categorize(r.patch);
-      if (corpus::is_security_type(p)) {
-        ++predicted[static_cast<std::size_t>(static_cast<int>(p)) - 1];
-      }
-      agree += (p == r.truth.type);
-    }
+  core::CompositionTally tally;
+  for (const auto* records : {&db.nvd_security, &db.wild_security}) {
+    for (const corpus::CommitRecord& r : *records) tally.add(r.patch, r.truth.type);
+  }
+  if (tally.total == 0) return 0;
+  const auto share = [&](std::size_t count) {
+    return util::format_percent(
+        static_cast<double>(count) / static_cast<double>(tally.total), 1);
   };
-  scan(db.nvd_security);
-  scan(db.wild_security);
-  if (total == 0) return 0;
 
   util::Table table("security patch composition (Table V taxonomy)");
   table.set_header({"ID", "Pattern", "Labeled %", "Categorizer %"});
   for (std::size_t i = 0; i < corpus::kSecurityTypeCount; ++i) {
     table.add_row({std::to_string(i + 1),
                    std::string(corpus::patch_type_name(corpus::security_types()[i])),
-                   util::format_percent(static_cast<double>(truth[i]) /
-                                            static_cast<double>(total), 1),
-                   util::format_percent(static_cast<double>(predicted[i]) /
-                                            static_cast<double>(total), 1)});
+                   share(tally.labeled[i]), share(tally.predicted[i])});
   }
   std::printf("%s", table.render().c_str());
   std::printf("  categorizer agreement with labels: %.0f%%\n",
-              100.0 * static_cast<double>(agree) / static_cast<double>(total));
+              100.0 * static_cast<double>(tally.agreement) /
+                  static_cast<double>(tally.total));
   return 0;
 }
 

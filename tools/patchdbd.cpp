@@ -66,6 +66,11 @@ int main(int argc, char** argv) {
   }
   const std::string data_dir = flags.value("--data", std::string());
   if (data_dir.empty()) return usage();
+  const std::size_t port = flags.value("--port", std::size_t{0});
+  if (port > 65535) {
+    std::fprintf(stderr, "patchdbd: --port expects 0..65535, got %zu\n", port);
+    return 2;
+  }
 
   obs::ArtifactSession cli_obs("patchdbd", cli::artifact_request(flags));
 
@@ -83,8 +88,7 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.bind_address = flags.value("--bind", std::string("127.0.0.1"));
-  options.port =
-      static_cast<std::uint16_t>(flags.value("--port", std::size_t{0}));
+  options.port = static_cast<std::uint16_t>(port);
   options.threads = flags.value("--threads", std::size_t{0});
   options.max_pending = flags.value("--max-pending", options.max_pending);
   options.read_timeout = std::chrono::milliseconds(static_cast<long>(
