@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels:
-// Levenshtein, the lexer, feature extraction, distance-matrix
-// construction, nearest link search (greedy vs exact ablation), Myers
-// diff, commit fabrication, patch synthesis, and GRU inference.
+// Levenshtein, the lexer, feature extraction, patch analysis,
+// distance-matrix construction, nearest link search (greedy vs exact
+// ablation), Myers diff, commit fabrication, patch synthesis, and GRU
+// inference.
 #include <benchmark/benchmark.h>
 
 #include <cerrno>
@@ -13,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/analyze.h"
 #include "bench_common.h"
 #include "core/categorize.h"
 #include "core/distance.h"
@@ -21,6 +23,7 @@
 #include "corpus/repo.h"
 #include "corpus/world.h"
 #include "diff/myers.h"
+#include "diff/parse.h"
 #include "feature/features.h"
 #include "lang/lexer.h"
 #include "nn/encode.h"
@@ -86,6 +89,47 @@ void BM_FeatureExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtraction);
+
+/// A patch that adds `n` straight-line units to one function, each an
+/// allocation, a null test, a store and a free (the same probe as
+/// PatchAnalysis.OutputPinned): every pointer stays in the maybe-freed
+/// set to the end, so the dataflow sets grow with n.
+std::string straight_line_probe(std::size_t n) {
+  std::string added;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    added += "+\tchar *" + p + " = malloc(16);\n";
+    added += "+\tif (" + p + " == NULL)\n";
+    added += "+\t\treturn -1;\n";
+    added += "+\t" + p + "[0] = 1;\n";
+    added += "+\tfree(" + p + ");\n";
+  }
+  return "diff --git a/probe.c b/probe.c\n"
+         "--- a/probe.c\n"
+         "+++ b/probe.c\n"
+         "@@ -1,4 +1," + std::to_string(4 + 5 * n) + " @@\n"
+         " int probe(void)\n"
+         " {\n" + added +
+         " \treturn 0;\n"
+         " }\n";
+}
+
+// analyze_patch on the straight-line probe: Args({n, interproc}). The
+// dataflow fixpoint grows faster than n, so the arms show how far from
+// linear the analysis is. Kept out of CI's filters: n = 1000 with
+// --interproc takes seconds per iteration.
+void BM_AnalyzeStraightLine(benchmark::State& state) {
+  const diff::Patch patch = diff::parse_patch(
+      straight_line_probe(static_cast<std::size_t>(state.range(0))));
+  analysis::AnalyzeOptions options;
+  options.interproc = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::analyze_patch(patch, options));
+  }
+}
+BENCHMARK(BM_AnalyzeStraightLine)
+    ->ArgsProduct({{100, 500, 1000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // One commit in either of the shapes build_world fabricates. Arg(0) is a
 // wild commit: a type from the wild mix, bundled cleanups and euphemized

@@ -129,35 +129,34 @@ void diff_interproc(const FileReport& before, const FileReport& after,
 FileReport analyze_source(std::string_view source, const AnalyzeOptions& options) {
   FileReport report;
   report.cfgs = build_cfgs(source);
+  // Each function's facts are extracted once: the call graph reads them,
+  // the summary sweeps and the final check solve over them.
+  std::vector<FunctionFacts> facts;
+  facts.reserve(report.cfgs.size());
   for (const Cfg& cfg : report.cfgs) {
     report.blocks += cfg.blocks.size();
     report.edges += cfg.edge_count();
     report.cyclomatic += cfg.cyclomatic();
+    facts.push_back(facts_for(cfg));
   }
 
-  if (!options.interproc) {
-    for (const Cfg& cfg : report.cfgs) {
-      std::vector<Diagnostic> diagnostics = run_checkers(cfg);
-      report.diagnostics.insert(report.diagnostics.end(),
-                                std::make_move_iterator(diagnostics.begin()),
-                                std::make_move_iterator(diagnostics.end()));
-    }
-    return report;
+  CallGraph graph;
+  SummaryTable table;
+  if (options.interproc) {
+    graph = build_call_graph(report.cfgs, facts);
+    table = compute_summaries(report.cfgs, facts, graph);
   }
-
-  std::vector<DataflowResult> dataflows;
-  dataflows.reserve(report.cfgs.size());
-  for (const Cfg& cfg : report.cfgs) dataflows.push_back(analyze_dataflow(cfg));
-  const CallGraph graph = build_call_graph(report.cfgs, dataflows);
-  const SummaryTable table = compute_summaries(report.cfgs, graph);
-
-  for (const Cfg& cfg : report.cfgs) {
-    const DataflowResult dataflow = analyze_dataflow(cfg, table);
-    std::vector<Diagnostic> diagnostics = run_checkers(cfg, dataflow, &table);
+  const SummaryTable* summaries = options.interproc ? &table : nullptr;
+  for (std::size_t i = 0; i < report.cfgs.size(); ++i) {
+    const Cfg& cfg = report.cfgs[i];
+    const DataflowResult dataflow =
+        solve_dataflow(cfg, std::move(facts[i]), summaries);
+    std::vector<Diagnostic> diagnostics = run_checkers(cfg, dataflow, summaries);
     report.diagnostics.insert(report.diagnostics.end(),
                               std::make_move_iterator(diagnostics.begin()),
                               std::make_move_iterator(diagnostics.end()));
   }
+  if (!options.interproc) return report;
 
   InterprocStats& stats = report.interproc;
   stats.functions = report.cfgs.size();

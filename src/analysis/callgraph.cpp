@@ -117,7 +117,7 @@ std::size_t CallGraph::index_of(std::string_view name) const {
 }
 
 CallGraph build_call_graph(const std::vector<Cfg>& cfgs,
-                           const std::vector<DataflowResult>& dataflows) {
+                           const std::vector<FunctionFacts>& facts) {
   CallGraph graph;
   graph.nodes.resize(cfgs.size());
   graph.succs.resize(cfgs.size());
@@ -127,10 +127,10 @@ CallGraph build_call_graph(const std::vector<Cfg>& cfgs,
     graph.by_name.try_emplace(cfgs[i].function, i);
   }
 
-  for (std::size_t i = 0; i < cfgs.size() && i < dataflows.size(); ++i) {
-    for (const std::vector<StatementFacts>& block : dataflows[i].facts) {
-      for (const StatementFacts& facts : block) {
-        for (const std::string& callee : facts.calls) {
+  for (std::size_t i = 0; i < cfgs.size() && i < facts.size(); ++i) {
+    for (const std::vector<StatementFacts>& block : facts[i]) {
+      for (const StatementFacts& statement : block) {
+        for (const std::string& callee : statement.calls) {
           const std::size_t j = graph.index_of(callee);
           if (j == CallGraph::npos) {
             ++graph.unresolved_calls;
@@ -162,13 +162,6 @@ CallGraph build_call_graph(const std::vector<Cfg>& cfgs,
                       graph.unresolved_calls);
   PATCHDB_COUNTER_ADD("analysis.interproc.sccs", graph.sccs.size());
   return graph;
-}
-
-CallGraph build_call_graph(const std::vector<Cfg>& cfgs) {
-  std::vector<DataflowResult> dataflows;
-  dataflows.reserve(cfgs.size());
-  for (const Cfg& cfg : cfgs) dataflows.push_back(analyze_dataflow(cfg));
-  return build_call_graph(cfgs, dataflows);
 }
 
 }  // namespace patchdb::analysis

@@ -51,12 +51,9 @@ struct CallGraph {
   std::unordered_map<std::string, std::size_t> by_name;
 };
 
-/// Build the graph from CFGs plus their (position-aligned) dataflow
-/// results; the dataflow facts already carry every call site.
+/// Build the graph from CFGs plus their statement facts (`facts` holds
+/// facts_for(cfgs[i]) at position i); the facts carry every call site.
 CallGraph build_call_graph(const std::vector<Cfg>& cfgs,
-                           const std::vector<DataflowResult>& dataflows);
-
-/// Convenience overload that computes the dataflow itself.
-CallGraph build_call_graph(const std::vector<Cfg>& cfgs);
+                           const std::vector<FunctionFacts>& facts);
 
 }  // namespace patchdb::analysis

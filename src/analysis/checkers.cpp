@@ -89,12 +89,12 @@ ArgScan scan_argument(const std::string& text) {
 
 class CheckerRun {
  public:
-  explicit CheckerRun(const Cfg& cfg, const SummaryTable* summaries = nullptr)
+  CheckerRun(const Cfg& cfg, const SummaryTable* summaries)
       : cfg_(cfg), summaries_(summaries) {}
 
   std::vector<Diagnostic> run(const DataflowResult& dataflow) {
     for (const BasicBlock& block : cfg_.blocks) {
-      FlowState state = state_at_entry(dataflow, block.id);
+      FlowState state = dataflow.entry[block.id];
       for (std::size_t s = 0; s < block.statements.size(); ++s) {
         const Statement& stmt = block.statements[s];
         const StatementFacts& facts = dataflow.facts[block.id][s];
@@ -291,11 +291,6 @@ std::string Diagnostic::key() const {
   return key;
 }
 
-std::vector<Diagnostic> run_checkers(const Cfg& cfg, const DataflowResult& dataflow) {
-  CheckerRun run(cfg);
-  return run.run(dataflow);
-}
-
 std::vector<Diagnostic> run_checkers(const Cfg& cfg, const DataflowResult& dataflow,
                                      const SummaryTable* summaries) {
   CheckerRun run(cfg, summaries);
@@ -303,8 +298,7 @@ std::vector<Diagnostic> run_checkers(const Cfg& cfg, const DataflowResult& dataf
 }
 
 std::vector<Diagnostic> run_checkers(const Cfg& cfg) {
-  const DataflowResult dataflow = analyze_dataflow(cfg);
-  return run_checkers(cfg, dataflow);
+  return run_checkers(cfg, solve_dataflow(cfg, facts_for(cfg)));
 }
 
 }  // namespace patchdb::analysis

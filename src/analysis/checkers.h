@@ -55,16 +55,15 @@ struct SummaryTable;  // summary.h
 /// Run every registered checker on one function. Diagnostics are deduped
 /// per (checker, symbol): the first offending statement wins.
 std::vector<Diagnostic> run_checkers(const Cfg& cfg);
-std::vector<Diagnostic> run_checkers(const Cfg& cfg, const DataflowResult& dataflow);
 
-/// Summary-aware run: with a non-null table the checkers additionally
-/// see through call boundaries — an unguarded pointer handed to a callee
-/// that dereferences its parameter, frees performed by wrapper
-/// functions, and allocation wrappers' size arguments. `dataflow` must
-/// have been computed against the same table (analyze_dataflow(cfg,
-/// table)) so wrapper effects are present in the replayed facts. A null
-/// table reproduces the intraprocedural run exactly.
+/// Run the checkers over a solved dataflow. With a summary table they
+/// additionally see through call boundaries — an unguarded pointer
+/// handed to a callee that dereferences its parameter, frees performed
+/// by wrapper functions, and allocation wrappers' size arguments.
+/// `dataflow` must have been solved against the same table
+/// (solve_dataflow(cfg, facts, summaries)) so wrapper effects are present
+/// in the replayed facts. A null table is the intraprocedural run.
 std::vector<Diagnostic> run_checkers(const Cfg& cfg, const DataflowResult& dataflow,
-                                     const SummaryTable* summaries);
+                                     const SummaryTable* summaries = nullptr);
 
 }  // namespace patchdb::analysis

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <string_view>
+#include <utility>
 
+#include "analysis/summary.h"
 #include "lang/lexer.h"
 #include "lang/taxonomy.h"
 
@@ -137,41 +139,6 @@ void apply(FactSet& set, const FactSet& gen, const FactSet& kill, bool gen_first
   }
 }
 
-struct PassSpec {
-  // gen/kill as a function of the statement facts.
-  FactSet (*gen)(const StatementFacts&);
-  FactSet (*kill)(const StatementFacts&);
-  bool gen_first = false;
-};
-
-FlowSets solve_forward(const Cfg& cfg,
-                       const std::vector<std::vector<StatementFacts>>& facts,
-                       const PassSpec& pass, const FactSet& entry_seed) {
-  FlowSets sets;
-  sets.entry.resize(cfg.blocks.size());
-  sets.entry[Cfg::kEntry] = entry_seed;
-
-  auto exit_of = [&](std::size_t b) {
-    FactSet set = sets.entry[b];
-    for (const StatementFacts& f : facts[b]) {
-      apply(set, pass.gen(f), pass.kill(f), pass.gen_first);
-    }
-    return set;
-  };
-
-  std::deque<std::size_t> worklist;
-  for (const BasicBlock& block : cfg.blocks) worklist.push_back(block.id);
-  while (!worklist.empty()) {
-    const std::size_t b = worklist.front();
-    worklist.pop_front();
-    const FactSet out = exit_of(b);
-    for (std::size_t succ : cfg.blocks[b].succs) {
-      if (merge_into(sets.entry[succ], out)) worklist.push_back(succ);
-    }
-  }
-  return sets;
-}
-
 // --- pass gen/kill definitions -----------------------------------------
 
 FactSet gen_uninit(const StatementFacts& f) { return f.decls_uninit; }
@@ -205,6 +172,16 @@ FactSet kill_guarded(const StatementFacts& f) {
     if (f.bound_tested.count(d) == 0) kill.insert(d);
   }
   return kill;
+}
+
+/// Union `from` into `into`, flow by flow; true when any flow grew.
+bool join(FlowState& into, const FlowState& from) {
+  bool grew = merge_into(into.maybe_uninit, from.maybe_uninit);
+  grew |= merge_into(into.maybe_freed, from.maybe_freed);
+  grew |= merge_into(into.unchecked_alloc, from.unchecked_alloc);
+  grew |= merge_into(into.unguarded_params, from.unguarded_params);
+  grew |= merge_into(into.bound_guarded, from.bound_guarded);
+  return grew;
 }
 
 }  // namespace
@@ -506,8 +483,8 @@ StatementFacts facts_for(const Statement& stmt) {
   return facts;
 }
 
-std::vector<std::vector<StatementFacts>> statement_facts(const Cfg& cfg) {
-  std::vector<std::vector<StatementFacts>> facts(cfg.blocks.size());
+FunctionFacts facts_for(const Cfg& cfg) {
+  FunctionFacts facts(cfg.blocks.size());
   for (const BasicBlock& block : cfg.blocks) {
     facts[block.id].reserve(block.statements.size());
     for (const Statement& stmt : block.statements) {
@@ -517,67 +494,49 @@ std::vector<std::vector<StatementFacts>> statement_facts(const Cfg& cfg) {
   return facts;
 }
 
-DataflowResult analyze_dataflow(const Cfg& cfg) {
-  DataflowResult result;
-  result.facts = statement_facts(cfg);
-  return resolve_dataflow(cfg, std::move(result));
-}
-
-DataflowResult resolve_dataflow(const Cfg& cfg, DataflowResult result) {
-  FactSet params(cfg.pointer_params.begin(), cfg.pointer_params.end());
-  result.maybe_uninit =
-      solve_forward(cfg, result.facts, {gen_uninit, kill_uninit, false}, {});
-  result.maybe_freed =
-      solve_forward(cfg, result.facts, {gen_freed, kill_freed, false}, {});
-  result.unchecked_alloc = solve_forward(
-      cfg, result.facts, {gen_unchecked, kill_unchecked, true}, {});
-  result.unguarded_params = solve_forward(
-      cfg, result.facts, {gen_nothing, kill_params, false}, params);
-  result.bound_guarded =
-      solve_forward(cfg, result.facts, {gen_guarded, kill_guarded, false}, {});
-
-  // Backward liveness to a fixpoint (computed after the forward passes).
-  result.live_out.resize(cfg.blocks.size());
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t b = cfg.blocks.size(); b-- > 0;) {
-      FactSet out;
-      for (std::size_t succ : cfg.blocks[b].succs) {
-        // live-in of succ = replay succ backwards from its live-out.
-        FactSet live = result.live_out[succ];
-        const std::vector<StatementFacts>& facts = result.facts[succ];
-        for (std::size_t s = facts.size(); s-- > 0;) {
-          for (const std::string& d : facts[s].defs) live.erase(d);
-          live.insert(facts[s].uses.begin(), facts[s].uses.end());
-        }
-        out.insert(live.begin(), live.end());
-      }
-      if (out != result.live_out[b]) {
-        result.live_out[b] = std::move(out);
-        changed = true;
-      }
-    }
-  }
-  return result;
-}
-
-FlowState state_at_entry(const DataflowResult& dataflow, std::size_t block) {
-  FlowState state;
-  state.maybe_uninit = dataflow.maybe_uninit.entry[block];
-  state.maybe_freed = dataflow.maybe_freed.entry[block];
-  state.unchecked_alloc = dataflow.unchecked_alloc.entry[block];
-  state.unguarded_params = dataflow.unguarded_params.entry[block];
-  state.bound_guarded = dataflow.bound_guarded.entry[block];
-  return state;
-}
-
 void advance(FlowState& state, const StatementFacts& facts) {
   apply(state.maybe_uninit, gen_uninit(facts), kill_uninit(facts), false);
   apply(state.maybe_freed, gen_freed(facts), kill_freed(facts), false);
   apply(state.unchecked_alloc, gen_unchecked(facts), kill_unchecked(facts), true);
   apply(state.unguarded_params, gen_nothing(facts), kill_params(facts), false);
   apply(state.bound_guarded, gen_guarded(facts), kill_guarded(facts), false);
+}
+
+DataflowResult solve_dataflow(const Cfg& cfg, FunctionFacts facts,
+                              const SummaryTable* summaries) {
+  if (summaries != nullptr) {
+    for (std::vector<StatementFacts>& block : facts) {
+      for (StatementFacts& f : block) augment_facts(f, *summaries);
+    }
+  }
+  DataflowResult result;
+  result.facts = std::move(facts);
+  result.entry.resize(cfg.blocks.size());
+  result.entry[Cfg::kEntry].unguarded_params =
+      FactSet(cfg.pointer_params.begin(), cfg.pointer_params.end());
+
+  // Every flow joins by union and its transfer reads only its own set,
+  // so one worklist over the whole state reaches the least fixpoint of
+  // each flow, whatever the order blocks are visited in. A block already
+  // waiting in the list is not queued twice: its visit reads the entry
+  // state as it stands then.
+  std::deque<std::size_t> worklist;
+  std::vector<bool> queued(cfg.blocks.size(), true);
+  for (const BasicBlock& block : cfg.blocks) worklist.push_back(block.id);
+  while (!worklist.empty()) {
+    const std::size_t b = worklist.front();
+    worklist.pop_front();
+    queued[b] = false;
+    FlowState out = result.entry[b];
+    for (const StatementFacts& f : result.facts[b]) advance(out, f);
+    for (std::size_t succ : cfg.blocks[b].succs) {
+      if (join(result.entry[succ], out) && !queued[succ]) {
+        queued[succ] = true;
+        worklist.push_back(succ);
+      }
+    }
+  }
+  return result;
 }
 
 }  // namespace patchdb::analysis

@@ -1,14 +1,14 @@
 // Dataflow over the CFG: per-statement def/use fact extraction plus the
-// iterative fixpoint passes the checkers consume. All facts are variable
-// names (strings) — the same level of abstraction the paper's 60
-// features work at, but now path-aware: "x was freed and not reassigned
-// on some path reaching this use", "p was never null-tested before this
-// dereference", and so on.
+// one forward fixpoint the checkers and summaries consume. All facts are
+// variable names (strings) — the same level of abstraction the paper's
+// 60 features work at, but now path-aware: "x was freed and not
+// reassigned on some path reaching this use", "p was never null-tested
+// before this dereference", and so on.
 #pragma once
 
-#include <cstddef>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/cfg.h"
@@ -37,50 +37,44 @@ struct StatementFacts {
 
 StatementFacts facts_for(const Statement& stmt);
 
-/// Per-block fact sets at block entry (index = block id). Exit sets are
-/// recomputed on demand by replaying the block's statements.
-struct FlowSets {
-  std::vector<FactSet> entry;
+/// Facts of every statement of one function: facts[block][statement],
+/// aligned with cfg.blocks[b].statements.
+using FunctionFacts = std::vector<std::vector<StatementFacts>>;
+
+FunctionFacts facts_for(const Cfg& cfg);
+
+/// The five forward may-analyses as the state before one statement. Each
+/// set joins by union where paths merge, and advance() is the one
+/// transfer function: the solver, the checkers and the summaries all step
+/// the state through it.
+struct FlowState {
+  FactSet maybe_uninit;      // declared, no assignment yet on some path
+  FactSet maybe_freed;       // freed, not reassigned, on some path
+  FactSet unchecked_alloc;   // allocation result never null-tested yet
+  FactSet unguarded_params;  // pointer params with no null test yet
+  FactSet bound_guarded;     // vars constrained by a relational condition
 };
+
+void advance(FlowState& state, const StatementFacts& facts);
 
 /// Everything the checkers need for one function.
 struct DataflowResult {
-  /// facts[block][statement] aligned with cfg.blocks[b].statements.
-  std::vector<std::vector<StatementFacts>> facts;
-  FlowSets maybe_uninit;     // declared, no assignment yet on some path
-  FlowSets maybe_freed;      // freed, not reassigned, on some path
-  FlowSets unchecked_alloc;  // allocation result never null-tested yet
-  FlowSets unguarded_params; // pointer params with no null test yet
-  FlowSets bound_guarded;    // vars constrained by a relational condition
-  /// Classic backward liveness: variables live at block exit.
-  std::vector<FactSet> live_out;
+  /// The facts the flows were solved over, aligned with cfg.blocks.
+  FunctionFacts facts;
+  /// The state at each block's entry (index = block id). Replaying a
+  /// block's facts through advance() gives the state before each of its
+  /// statements.
+  std::vector<FlowState> entry;
 };
 
-DataflowResult analyze_dataflow(const Cfg& cfg);
+struct SummaryTable;  // summary.h
 
-/// Per-statement facts of every block, aligned with cfg.blocks (the
-/// first half of analyze_dataflow, exposed so interprocedural callers
-/// can enrich the facts before solving).
-std::vector<std::vector<StatementFacts>> statement_facts(const Cfg& cfg);
-
-/// Run the fixpoint passes over already-populated (possibly enriched)
-/// facts; `partial.facts` must be aligned with cfg.blocks. The second
-/// half of analyze_dataflow.
-DataflowResult resolve_dataflow(const Cfg& cfg, DataflowResult partial);
-
-/// The five forward sets as a block-local cursor: checkers replay a
-/// block statement-by-statement, inspecting the state *before* each
-/// statement, using exactly the transfer functions the solver used.
-struct FlowState {
-  FactSet maybe_uninit;
-  FactSet maybe_freed;
-  FactSet unchecked_alloc;
-  FactSet unguarded_params;
-  FactSet bound_guarded;
-};
-
-FlowState state_at_entry(const DataflowResult& dataflow, std::size_t block);
-void advance(FlowState& state, const StatementFacts& facts);
+/// Solve the flows of one function over `facts` (facts_for(cfg)). With a
+/// summary table, every statement first takes the callee effects the
+/// table records (augment_facts), and the result holds those augmented
+/// facts, so a checker's block replay sees what the solver saw.
+DataflowResult solve_dataflow(const Cfg& cfg, FunctionFacts facts,
+                              const SummaryTable* summaries = nullptr);
 
 /// Vocabulary shared by the fact extractor, the checkers, and the
 /// interprocedural summary pass.

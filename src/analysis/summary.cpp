@@ -43,12 +43,13 @@ std::vector<std::string> argument_identifiers(const std::string& arg) {
 
 /// One bottom-up sweep over a single function: derive its summary from
 /// the (summary-augmented) dataflow and the current table.
-FunctionSummary summarize_function(const Cfg& cfg, const SummaryTable& table) {
+FunctionSummary summarize_function(const Cfg& cfg, const FunctionFacts& facts,
+                                   const SummaryTable& table) {
   FunctionSummary out;
   out.params = cfg.params;
   out.param_flags.resize(cfg.params.size());
 
-  const DataflowResult dataflow = analyze_dataflow(cfg, table);
+  const DataflowResult dataflow = solve_dataflow(cfg, facts, &table);
 
   // Flow-insensitive set of variables that ever hold a fresh allocation;
   // `p = my_malloc(n); if (!p) return NULL; return p;` must still mark
@@ -62,7 +63,7 @@ FunctionSummary summarize_function(const Cfg& cfg, const SummaryTable& table) {
   }
 
   for (const BasicBlock& block : cfg.blocks) {
-    FlowState state = state_at_entry(dataflow, block.id);
+    FlowState state = dataflow.entry[block.id];
     for (std::size_t s = 0; s < block.statements.size(); ++s) {
       const Statement& stmt = block.statements[s];
       const StatementFacts& facts = dataflow.facts[block.id][s];
@@ -182,9 +183,7 @@ std::size_t SummaryTable::flagged_count() const {
   return count;
 }
 
-StatementFacts augment_facts(const StatementFacts& facts,
-                             const SummaryTable& table) {
-  StatementFacts out = facts;
+void augment_facts(StatementFacts& facts, const SummaryTable& table) {
   bool calls_fresh_alloc = false;
   for (std::size_t c = 0; c < facts.calls.size(); ++c) {
     const FunctionSummary* g = table.find(facts.calls[c]);
@@ -195,30 +194,21 @@ StatementFacts augment_facts(const StatementFacts& facts,
     for (std::size_t j = 0; j < argc; ++j) {
       if (!g->param_flags[j].freed) continue;
       const std::string base = base_identifier(args[j]);
-      if (!base.empty()) out.freed.insert(base);
+      if (!base.empty()) facts.freed.insert(base);
     }
   }
   if (calls_fresh_alloc) {
     // Mirror the direct-allocator rule in facts_for: the assigned (or
     // declared-and-initialized) variables now hold a fresh allocation.
-    for (const std::string& d : out.defs) out.alloc_defs.insert(d);
-    for (const std::string& d : out.decls) {
-      if (out.defs.count(d)) out.alloc_defs.insert(d);
+    for (const std::string& d : facts.defs) facts.alloc_defs.insert(d);
+    for (const std::string& d : facts.decls) {
+      if (facts.defs.count(d)) facts.alloc_defs.insert(d);
     }
   }
-  return out;
-}
-
-DataflowResult analyze_dataflow(const Cfg& cfg, const SummaryTable& table) {
-  DataflowResult result;
-  result.facts = statement_facts(cfg);
-  for (std::vector<StatementFacts>& block : result.facts) {
-    for (StatementFacts& facts : block) facts = augment_facts(facts, table);
-  }
-  return resolve_dataflow(cfg, std::move(result));
 }
 
 SummaryTable compute_summaries(const std::vector<Cfg>& cfgs,
+                               const std::vector<FunctionFacts>& facts,
                                const CallGraph& graph) {
   SummaryTable table;
   for (const Cfg& cfg : cfgs) {
@@ -243,7 +233,7 @@ SummaryTable compute_summaries(const std::vector<Cfg>& cfgs,
         // Duplicate names share one slot (first definition wins, matching
         // the call graph's name table); only that definition is swept.
         if (graph.index_of(cfg.function) != v) continue;
-        FunctionSummary next = summarize_function(cfg, table);
+        FunctionSummary next = summarize_function(cfg, facts[v], table);
         FunctionSummary& current = table.by_function[cfg.function];
         if (next != current) {
           current = std::move(next);
@@ -257,10 +247,6 @@ SummaryTable compute_summaries(const std::vector<Cfg>& cfgs,
   PATCHDB_COUNTER_ADD("analysis.interproc.flagged_summaries",
                       table.flagged_count());
   return table;
-}
-
-SummaryTable compute_summaries(const std::vector<Cfg>& cfgs) {
-  return compute_summaries(cfgs, build_call_graph(cfgs));
 }
 
 }  // namespace patchdb::analysis

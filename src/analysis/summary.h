@@ -66,25 +66,17 @@ struct SummaryTable {
 };
 
 /// Compute the table for a fragment's functions, bottom-up over the
-/// condensed call graph (graph and cfgs must describe the same slice).
+/// condensed call graph. `facts` holds facts_for(cfgs[i]) at position i,
+/// and the graph was built from the same slice.
 SummaryTable compute_summaries(const std::vector<Cfg>& cfgs,
+                               const std::vector<FunctionFacts>& facts,
                                const CallGraph& graph);
 
-/// Convenience overload that builds the call graph itself.
-SummaryTable compute_summaries(const std::vector<Cfg>& cfgs);
-
-/// Copy of `facts` with callee effects from the table applied: the base
+/// Apply the table's callee effects to one statement's facts: the base
 /// identifier of an argument passed to a freeing parameter joins
 /// `freed`, and an assignment whose RHS calls a fresh-allocation wrapper
 /// marks its definitions as allocation results — so the existing
-/// gen/kill passes and checkers see through wrappers unchanged.
-StatementFacts augment_facts(const StatementFacts& facts,
-                             const SummaryTable& table);
-
-/// Summary-aware dataflow: identical to analyze_dataflow(cfg) except
-/// every statement's facts are augmented with the table's callee effects
-/// before the fixpoint solves (result.facts holds the augmented facts,
-/// keeping the checkers' block replay consistent with the solver).
-DataflowResult analyze_dataflow(const Cfg& cfg, const SummaryTable& table);
+/// gen/kill transfers and checkers see through wrappers unchanged.
+void augment_facts(StatementFacts& facts, const SummaryTable& table);
 
 }  // namespace patchdb::analysis

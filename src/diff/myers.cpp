@@ -106,12 +106,11 @@ std::vector<Edit> edit_script(std::span<const std::string_view> a,
 }  // namespace
 
 std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
-                             std::span<const std::string_view> new_lines,
-                             const DiffOptions& options) {
+                             std::span<const std::string_view> new_lines) {
   const std::vector<Edit> script = edit_script(old_lines, new_lines);
 
   // Group the script into hunks: runs of changes separated by more than
-  // 2*context keep-lines. Walk the script tracking both line counters.
+  // 2*kContextLines keep-lines. Walk the script tracking both line counters.
   std::vector<Hunk> hunks;
   std::size_t i = 0;
   std::size_t old_line = 0;  // 0-based, lines consumed from old
@@ -126,8 +125,8 @@ std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
     }
     if (i >= script.size()) break;
 
-    // The hunk ends `context` keeps into the first run of keeps that
-    // reaches the end of the script or is longer than 2*context; shorter
+    // The hunk ends kContextLines keeps into the first run of keeps that
+    // reaches the end of the script or is longer than 2*kContextLines; shorter
     // runs are absorbed. Every edit in [i, end) is one line of the hunk.
     std::size_t end = i;
     while (end < script.size()) {
@@ -139,16 +138,16 @@ std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
       while (end + run < script.size() && script[end + run].kind == EditKind::kKeep) {
         ++run;
       }
-      if (end + run >= script.size() || run > 2 * options.context) {
-        end += std::min(options.context, run);
+      if (end + run >= script.size() || run > 2 * kContextLines) {
+        end += std::min(kContextLines, run);
         break;
       }
       end += run;
     }
 
-    // Begin the hunk `context` lines before the change.
+    // Begin the hunk kContextLines lines before the change.
     Hunk hunk;
-    const std::size_t lead = std::min(options.context, old_line);
+    const std::size_t lead = std::min(kContextLines, old_line);
     const std::size_t h_old = old_line - lead;
     const std::size_t h_new = new_line - lead;
     hunk.lines.reserve(lead + (end - i));
@@ -182,14 +181,13 @@ std::vector<Hunk> diff_lines(std::span<const std::string_view> old_lines,
 }
 
 FileDiff diff_file(const std::string& path, std::span<const std::string_view> old_lines,
-                   std::span<const std::string_view> new_lines,
-                   const DiffOptions& options) {
+                   std::span<const std::string_view> new_lines) {
   FileDiff fd;
   fd.old_path = path;
   fd.new_path = path;
   if (old_lines.empty() && !new_lines.empty()) fd.change = ChangeKind::kCreate;
   if (!old_lines.empty() && new_lines.empty()) fd.change = ChangeKind::kDelete;
-  fd.hunks = diff_lines(old_lines, new_lines, options);
+  fd.hunks = diff_lines(old_lines, new_lines);
   return fd;
 }
 

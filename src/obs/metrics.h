@@ -7,8 +7,7 @@
 // JSON artifact groups naturally and future PRs can diff trajectories.
 //
 // Cost model:
-//   - no registry installed: one relaxed atomic load per call site
-//     (the macros below compile to nothing under PATCHDB_OBS_DISABLED);
+//   - no registry installed: one relaxed atomic load per call site;
 //   - registry installed: one shared-lock hash lookup plus one relaxed
 //     fetch_add on the caller's stripe. Instrumentation is placed at
 //     block/round/task granularity, never per matrix element.
@@ -201,20 +200,11 @@ void histogram_observe(std::string_view name, double value,
 
 }  // namespace patchdb::obs
 
-// Compile-time kill switch: -DPATCHDB_OBS_DISABLED strips every metric
-// call site from the binary (the RAII span macro in trace.h honors the
-// same flag). The default build keeps them: the runtime null-registry
-// check is a single relaxed load.
-#if defined(PATCHDB_OBS_DISABLED)
-#define PATCHDB_COUNTER_ADD(name, delta) ((void)0)
-#define PATCHDB_GAUGE_SET(name, value) ((void)0)
-#define PATCHDB_GAUGE_ADD(name, delta) ((void)0)
-#define PATCHDB_HISTOGRAM_OBSERVE(name, value) ((void)0)
-#else
+// Call-site macros. With no registry installed each costs the one
+// relaxed load inside the helper it names.
 #define PATCHDB_COUNTER_ADD(name, delta) \
   ::patchdb::obs::counter_add((name), (delta))
 #define PATCHDB_GAUGE_SET(name, value) ::patchdb::obs::gauge_set((name), (value))
 #define PATCHDB_GAUGE_ADD(name, delta) ::patchdb::obs::gauge_add((name), (delta))
 #define PATCHDB_HISTOGRAM_OBSERVE(name, value) \
   ::patchdb::obs::histogram_observe((name), (value))
-#endif

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
+#include "util/file.h"
 #include "util/table.h"
 
 namespace patchdb::obs {
@@ -273,11 +275,9 @@ void write_report_file(const RunReport& report, const std::string& path) {
 }
 
 RunReport read_report_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("obs: cannot read " + path);
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return RunReport::from_json(Json::parse(text));
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) throw std::runtime_error("obs: cannot read " + path);
+  return RunReport::from_json(Json::parse(*text));
 }
 
 }  // namespace patchdb::obs

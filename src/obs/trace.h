@@ -117,12 +117,8 @@ class ScopedSpan {
 
 }  // namespace patchdb::obs
 
-#if defined(PATCHDB_OBS_DISABLED)
-#define PATCHDB_TRACE_SPAN(name) ((void)0)
-#else
 #define PATCHDB_TRACE_SPAN_CONCAT2(a, b) a##b
 #define PATCHDB_TRACE_SPAN_CONCAT(a, b) PATCHDB_TRACE_SPAN_CONCAT2(a, b)
 #define PATCHDB_TRACE_SPAN(name)                 \
   ::patchdb::obs::ScopedSpan PATCHDB_TRACE_SPAN_CONCAT( \
       patchdb_obs_span_, __COUNTER__)(name)
-#endif

@@ -128,17 +128,16 @@ std::string frame(std::string_view body) {
   return out;
 }
 
-std::size_t parse_frame_header(std::span<const unsigned char> header,
-                               std::size_t max_frame_bytes) {
+std::size_t parse_frame_header(std::span<const unsigned char> header) {
   if (header.size() != kFrameHeaderBytes) {
     fail("protocol: short frame header");
   }
   std::uint32_t n = 0;
   for (int i = 3; i >= 0; --i) n = (n << 8) | header[static_cast<std::size_t>(i)];
   if (n == 0) fail("protocol: zero-length frame");
-  if (n > max_frame_bytes) {
+  if (n > kMaxFrameBytes) {
     fail("protocol: frame of " + std::to_string(n) +
-         " bytes exceeds the cap of " + std::to_string(max_frame_bytes));
+         " bytes exceeds the cap of " + std::to_string(kMaxFrameBytes));
   }
   return n;
 }

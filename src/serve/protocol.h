@@ -128,9 +128,9 @@ class WireReader {
 std::string frame(std::string_view body);
 
 /// Parse a frame header; returns the body length. Throws ProtocolError
-/// on a zero or oversized length.
-std::size_t parse_frame_header(std::span<const unsigned char> header,
-                               std::size_t max_frame_bytes = kMaxFrameBytes);
+/// on a zero length or one past kMaxFrameBytes (the oversized body is
+/// never read, let alone allocated).
+std::size_t parse_frame_header(std::span<const unsigned char> header);
 
 // ----------------------------------------------------- request types --
 

@@ -23,6 +23,9 @@ namespace {
 /// rechecking the drain flag.
 constexpr int kPollSliceMs = 100;
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+
 void close_quietly(int fd) noexcept {
   if (fd >= 0) ::close(fd);
 }
@@ -128,7 +131,7 @@ void Server::start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, options_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string reason = std::strerror(errno);
     close_quietly(listen_fd_);
     listen_fd_ = -1;
@@ -146,11 +149,7 @@ void Server::start() {
     const std::size_t hw = std::thread::hardware_concurrency();
     threads = hw > 64 ? hw : 64;
   }
-  util::ThreadPool::Options pool_options;
-  pool_options.threads = threads;
-  pool_options.max_pending = options_.max_pending;
-  pool_options.overflow = util::ThreadPool::Overflow::kReject;
-  pool_ = std::make_unique<util::ThreadPool>(pool_options);
+  pool_ = std::make_unique<util::ThreadPool>(threads);
 
   // Seed the counters the bench gate asserts on, so a clean run still
   // reports explicit zeros instead of missing metrics.
@@ -197,18 +196,21 @@ void Server::acceptor_loop() {
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     PATCHDB_COUNTER_ADD("serve.connections", 1);
-    const bool queued = pool_->try_submit([this, fd] { serve_connection(fd); });
-    if (!queued) {
-      // Backpressure: every worker busy and the pending queue at its
-      // cap. Shed with an explicit busy error rather than letting the
-      // accept backlog grow without a serving worker in sight.
+    if (open_connections_.load(std::memory_order_acquire) >=
+        pool_->size() + options_.max_pending) {
+      // Backpressure: every worker holds a connection and max_pending
+      // more wait for one. Shed with an explicit busy error rather than
+      // letting the queue grow without a serving worker in sight.
       connections_shed_.fetch_add(1, std::memory_order_relaxed);
       PATCHDB_COUNTER_ADD("serve.connections_shed", 1);
       const Response busy = error_response(
           Status::kShuttingDown, "server at capacity; retry later");
       send_all(fd, frame(encode_response(Op::kPing, busy)));
       close_quietly(fd);
+      continue;
     }
+    open_connections_.fetch_add(1, std::memory_order_relaxed);
+    pool_->submit([this, fd] { serve_connection(fd); });
   }
 }
 
@@ -246,7 +248,7 @@ void Server::serve_connection(int fd) {
 
     std::size_t body_len = 0;
     try {
-      body_len = parse_frame_header(header, options_.max_frame_bytes);
+      body_len = parse_frame_header(header);
     } catch (const ProtocolError& e) {
       fail_protocol(e.what());
       break;
@@ -312,6 +314,7 @@ void Server::serve_connection(int fd) {
 
   close_quietly(fd);
   PATCHDB_GAUGE_ADD("serve.active_connections", -1.0);
+  open_connections_.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace patchdb::serve

@@ -1,13 +1,14 @@
 // patchdbd's serving core: a TCP acceptor thread plus a worker pool
-// (util::ThreadPool in bounded-queue mode), serving the length-prefixed
-// protocol of serve/protocol.h over an immutable ServedDataset.
+// (util::ThreadPool), serving the length-prefixed protocol of
+// serve/protocol.h over an immutable ServedDataset.
 //
 // Threading model — one connection, one worker, blocking I/O:
 //   - the acceptor thread accept()s and hands each connection to the
-//     pool via try_submit; when every worker is busy and the bounded
-//     queue is at its cap the connection is answered with a
-//     kShuttingDown-style busy error and closed instead of queuing
-//     without bound (backpressure, not memory growth);
+//     pool; it counts the connections it has handed over and not yet
+//     seen closed, and once threads + max_pending are open it answers a
+//     new one with a kShuttingDown-style busy error and closes it
+//     instead of queuing without bound (backpressure, not memory
+//     growth);
 //   - a worker serves its connection's requests strictly in order until
 //     the client closes, an I/O error, a malformed frame, a read
 //     timeout, or a server drain;
@@ -53,16 +54,12 @@ struct ServerOptions {
   /// small machines; workers blocked on idle sockets cost only memory.
   std::size_t threads = 0;
   /// Connections queued past the busy workers before the acceptor
-  /// starts shedding with a busy error.
+  /// starts shedding with a busy error: it sheds once threads +
+  /// max_pending connections are open.
   std::size_t max_pending = 64;
-  /// listen(2) backlog.
-  int backlog = 128;
   /// A connection (or a partially received frame) that makes no
   /// progress for this long is closed.
   std::chrono::milliseconds read_timeout{5000};
-  /// Per-frame size cap; a larger advertised length is a protocol
-  /// error (the oversized body is never read, let alone allocated).
-  std::size_t max_frame_bytes = kMaxFrameBytes;
 };
 
 class Server {
@@ -92,7 +89,8 @@ class Server {
   std::uint64_t connections_accepted() const noexcept {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
-  /// Connections answered with a busy error because the pool was full.
+  /// Connections answered with a busy error because threads +
+  /// max_pending connections were already open.
   std::uint64_t connections_shed() const noexcept {
     return connections_shed_.load(std::memory_order_relaxed);
   }
@@ -110,6 +108,9 @@ class Server {
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<bool> draining_{false};
+  /// Handed to the pool and not yet closed; the acceptor is the only
+  /// thread that raises it.
+  std::atomic<std::size_t> open_connections_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_shed_{0};
 };

@@ -3,9 +3,12 @@
 #include <atomic>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <system_error>
+#include <utility>
 
 #include "obs/metrics.h"
+#include "util/file.h"
 #include "util/hash.h"
 
 namespace patchdb::store {
@@ -50,9 +53,9 @@ std::size_t fault_write_count() noexcept {
 }
 
 std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("store: cannot read " + path.string());
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  std::optional<std::string> content = util::read_file(path);
+  if (!content) throw std::runtime_error("store: cannot read " + path.string());
+  return std::move(*content);
 }
 
 void atomic_write_file(const fs::path& path, std::string_view content) {

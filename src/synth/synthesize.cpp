@@ -65,8 +65,6 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
     if (fd == nullptr) continue;
 
     for (const bool after_version : {false, true}) {
-      if (after_version && !options.modify_after) continue;
-      if (!after_version && !options.modify_before) continue;
       const std::vector<std::string>& lines =
           after_version ? snapshot.after : snapshot.before;
       const lang::ParsedFile parsed = lang::parse_file(lines);

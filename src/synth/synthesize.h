@@ -25,14 +25,12 @@ struct SyntheticPatch {
   corpus::GroundTruth truth;   // inherited from the origin
 };
 
+/// Variants are drawn on both file versions: AFTER, and BEFORE (the
+/// paper's "inverse modification" direction).
 struct SynthesisOptions {
   /// Cap on synthetic patches derived from one natural patch (the paper
   /// produces roughly 4x the natural count; 0 = no cap).
   std::size_t max_per_patch = 4;
-  /// Consider variants on the BEFORE version too (default yes — this is
-  /// the paper's "inverse modification" direction).
-  bool modify_before = true;
-  bool modify_after = true;
 };
 
 /// Synthesize variants of one natural patch. Requires the record to

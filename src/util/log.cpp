@@ -1,19 +1,13 @@
 #include "util/log.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <mutex>
 
 namespace patchdb::util {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-// Format flags packed into one atomic so readers never see a torn pair.
-std::atomic<unsigned> g_format{0};
-constexpr unsigned kTimestampBit = 1u;
-constexpr unsigned kThreadIdBit = 2u;
 std::mutex g_io_mutex;
 
 const char* level_name(LogLevel level) {
@@ -27,65 +21,10 @@ const char* level_name(LogLevel level) {
   return "?????";
 }
 
-/// Small dense id for the calling thread (first logger = 1, ...); far
-/// easier on the eyes than std::thread::id in interleaved output.
-unsigned local_thread_id() {
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned id = next.fetch_add(1) + 1;
-  return id;
-}
-
-void append_unsigned(std::string& out, unsigned long long value, int min_digits) {
-  char digits[24];
-  int n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  for (int pad = n; pad < min_digits; ++pad) out.push_back('0');
-  while (n > 0) out.push_back(digits[--n]);
-}
-
-void append_timestamp(std::string& out) {
-  const auto now = std::chrono::system_clock::now();
-  const std::time_t seconds = std::chrono::system_clock::to_time_t(now);
-  const auto millis = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          now.time_since_epoch())
-                          .count() %
-                      1000;
-  std::tm tm{};
-  localtime_r(&seconds, &tm);
-  append_unsigned(out, static_cast<unsigned>(tm.tm_year + 1900), 4);
-  out.push_back('-');
-  append_unsigned(out, static_cast<unsigned>(tm.tm_mon + 1), 2);
-  out.push_back('-');
-  append_unsigned(out, static_cast<unsigned>(tm.tm_mday), 2);
-  out.push_back(' ');
-  append_unsigned(out, static_cast<unsigned>(tm.tm_hour), 2);
-  out.push_back(':');
-  append_unsigned(out, static_cast<unsigned>(tm.tm_min), 2);
-  out.push_back(':');
-  append_unsigned(out, static_cast<unsigned>(tm.tm_sec), 2);
-  out.push_back('.');
-  append_unsigned(out, static_cast<unsigned long long>(millis), 3);
-}
-
 }  // namespace
 
 void set_log_level(LogLevel level) noexcept { g_level.store(level); }
 LogLevel log_level() noexcept { return g_level.load(); }
-
-void set_log_format(LogFormat format) noexcept {
-  unsigned bits = 0;
-  if (format.timestamps) bits |= kTimestampBit;
-  if (format.thread_ids) bits |= kThreadIdBit;
-  g_format.store(bits, std::memory_order_relaxed);
-}
-
-LogFormat log_format() noexcept {
-  const unsigned bits = g_format.load(std::memory_order_relaxed);
-  return LogFormat{(bits & kTimestampBit) != 0, (bits & kThreadIdBit) != 0};
-}
 
 bool log_enabled(LogLevel level) noexcept {
   return level >= g_level.load(std::memory_order_relaxed);
@@ -93,22 +32,13 @@ bool log_enabled(LogLevel level) noexcept {
 
 void log_line(LogLevel level, const std::string& message) {
   if (!log_enabled(level)) return;
-  const unsigned format = g_format.load(std::memory_order_relaxed);
 
   // Assemble the whole line up front so the critical section is one
   // write call — no printf-family formatting anywhere on this path.
   std::string line;
-  line.reserve(message.size() + 48);
+  line.reserve(message.size() + 16);
   line.push_back('[');
-  if ((format & kTimestampBit) != 0) {
-    append_timestamp(line);
-    line.push_back(' ');
-  }
   line += level_name(level);
-  if ((format & kThreadIdBit) != 0) {
-    line += " t";
-    append_unsigned(line, local_thread_id(), 2);
-  }
   line += "] ";
   line += message;
   line.push_back('\n');

@@ -18,16 +18,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;
 
-/// Optional line-prefix decorations, both off by default:
-/// timestamps ("2026-08-06 12:34:56.789") and the logging thread's id
-/// (a small dense index, not the opaque std::thread::id).
-struct LogFormat {
-  bool timestamps = false;
-  bool thread_ids = false;
-};
-void set_log_format(LogFormat format) noexcept;
-LogFormat log_format() noexcept;
-
 /// True when `level` passes the current threshold.
 bool log_enabled(LogLevel level) noexcept;
 

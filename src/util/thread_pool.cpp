@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/strings.h"
@@ -54,12 +56,7 @@ std::size_t resolve_default_threads_locked() {
 }
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : ThreadPool(Options{.threads = threads}) {}
-
-ThreadPool::ThreadPool(const Options& options)
-    : max_pending_(options.max_pending), overflow_(options.overflow) {
-  std::size_t threads = options.threads;
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -76,7 +73,6 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   task_ready_.notify_all();
-  space_free_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
@@ -119,30 +115,10 @@ void ThreadPool::set_observer(Observer observer) {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  const bool blocking = overflow_ == Overflow::kBlock;
-  if (!enqueue(std::move(task), blocking)) throw QueueFull();
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
-  return enqueue(std::move(task), /*blocking=*/false);
-}
-
-bool ThreadPool::enqueue(std::function<void()>&& task, bool blocking) {
   std::shared_ptr<const Observer> observer;
   std::size_t depth = 0;
   {
-    std::unique_lock lock(mutex_);
-    // Workers bypass the cap: they are the consumers that free slots,
-    // so blocking one on queue space could deadlock the whole pool.
-    if (max_pending_ != 0 && !t_on_pool_worker) {
-      if (blocking) {
-        space_free_.wait(lock, [this] {
-          return stopping_ || tasks_.size() < max_pending_;
-        });
-      } else if (tasks_.size() >= max_pending_ && !stopping_) {
-        return false;
-      }
-    }
+    std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));
     ++in_flight_;
     observer = observer_;
@@ -150,7 +126,6 @@ bool ThreadPool::enqueue(std::function<void()>&& task, bool blocking) {
   }
   task_ready_.notify_one();
   if (observer && observer->queue_depth) observer->queue_depth(depth);
-  return true;
 }
 
 void ThreadPool::wait_idle() {
@@ -204,7 +179,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       observer = observer_;
       depth = tasks_.size();
     }
-    if (max_pending_ != 0) space_free_.notify_one();
     if (observer && observer->queue_depth) observer->queue_depth(depth);
     const auto start = std::chrono::steady_clock::now();
     t_on_pool_worker = true;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -30,31 +29,8 @@ class ThreadPool {
     std::function<void(double ms)> task_ms;
   };
 
-  /// What submit() does when the bounded queue is at max_pending.
-  enum class Overflow {
-    kBlock,   // submit blocks until a worker frees a queue slot
-    kReject,  // submit throws QueueFull; use try_submit to probe instead
-  };
-
-  struct Options {
-    /// `threads == 0` means hardware_concurrency (at least 1).
-    std::size_t threads = 0;
-    /// Cap on *queued* (not yet running) tasks. 0 = unbounded — the
-    /// default, which preserves the original fire-and-forget behavior
-    /// for parallel_for and every existing caller.
-    std::size_t max_pending = 0;
-    Overflow overflow = Overflow::kBlock;
-  };
-
-  /// Thrown by submit() on a full queue under Overflow::kReject.
-  class QueueFull : public std::runtime_error {
-   public:
-    QueueFull() : std::runtime_error("ThreadPool: bounded queue is full") {}
-  };
-
   /// `threads == 0` means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
-  explicit ThreadPool(const Options& options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -84,28 +60,13 @@ class ThreadPool {
   /// previous observer.
   void set_observer(Observer observer);
 
-  /// The queued-task cap this pool was constructed with (0 = unbounded).
-  std::size_t max_pending() const noexcept { return max_pending_; }
-
   /// Enqueue a task; runs on some worker eventually. A task that throws
   /// does not take the worker (or the process) down: the exception is
   /// caught, counted in task_errors(), and the first one is stashed for
-  /// take_task_error(), so wait_idle() still completes.
-  ///
-  /// On a bounded pool (Options::max_pending > 0) a full queue makes
-  /// submit block for a slot (Overflow::kBlock) or throw QueueFull
-  /// (Overflow::kReject). Tasks submitted from a pool worker bypass the
-  /// cap: blocking a worker on queue space can deadlock the pool
-  /// (workers are what free slots), and parallel_for's inline nested
-  /// path never reaches here anyway.
+  /// take_task_error(), so wait_idle() still completes. The queue is
+  /// unbounded: callers that must shed load count their own work (the
+  /// serve acceptor counts open connections).
   void submit(std::function<void()> task);
-
-  /// Non-blocking submit: enqueue and return true, or return false when
-  /// a bounded queue is at max_pending (never blocks, never throws
-  /// QueueFull, regardless of the overflow policy). The backpressure
-  /// primitive for callers that would rather shed load than wait — the
-  /// serve acceptor rejects a connection instead of stalling accept.
-  [[nodiscard]] bool try_submit(std::function<void()> task);
 
   /// Block until every submitted task has finished.
   void wait_idle();
@@ -129,18 +90,12 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t worker_index);
-  /// Shared enqueue path. `blocking` selects the full-queue behavior:
-  /// wait (true) vs report failure (false).
-  bool enqueue(std::function<void()>&& task, bool blocking);
 
   std::vector<std::thread> workers_;
   std::vector<double> worker_busy_ms_;  // guarded by mutex_
   std::queue<std::function<void()>> tasks_;
-  std::size_t max_pending_ = 0;
-  Overflow overflow_ = Overflow::kBlock;
   mutable std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable space_free_;
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;

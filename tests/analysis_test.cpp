@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analyze.h"
@@ -13,8 +18,10 @@
 #include "analysis/checkers.h"
 #include "analysis/dataflow.h"
 #include "analysis/report.h"
+#include "corpus/world.h"
 #include "diff/parse.h"
 #include "feature/features.h"
+#include "util/hash.h"
 
 namespace patchdb {
 namespace {
@@ -425,6 +432,137 @@ TEST(PatchAnalysis, RendererMentionsResolvedDiagnostics) {
   const std::string report = analysis::render_report(pa, {});
   EXPECT_NE(report.find("unchecked-alloc"), std::string::npos);
   EXPECT_NE(report.find("resolved by this patch"), std::string::npos);
+}
+
+/// A patch that adds `n` straight-line units to one function, each an
+/// allocation, a null test, a store and a free: every pointer stays in
+/// the maybe-freed set to the end, so the dataflow sets grow with n.
+std::string straight_line_probe(std::size_t n) {
+  std::string added;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    added += "+\tchar *" + p + " = malloc(16);\n";
+    added += "+\tif (" + p + " == NULL)\n";
+    added += "+\t\treturn -1;\n";
+    added += "+\t" + p + "[0] = 1;\n";
+    added += "+\tfree(" + p + ");\n";
+  }
+  return "diff --git a/probe.c b/probe.c\n"
+         "--- a/probe.c\n"
+         "+++ b/probe.c\n"
+         "@@ -1,4 +1," + std::to_string(4 + 5 * n) + " @@\n"
+         " int probe(void)\n"
+         " {\n" + added +
+         " \treturn 0;\n"
+         " }\n";
+}
+
+// The analysis output, pinned. Both modes of analyze_patch are hashed:
+// every diagnostic of both sides (checker, function, line, symbol,
+// message), the resolved and introduced lists, each side's block, edge
+// and cyclomatic counts, the interprocedural stats with every summary
+// signature and fan pair, and the patch-level deltas. The kSemantic and
+// kInterproc rows join by bit pattern. The inputs are the NVD and wild
+// patches of a small simulated world, the straight-line probe at n = 50,
+// tests/data/null_guard.patch and tests/data/loop_flows.patch, whose
+// loops carry each flow around a back edge (the world's patches seldom
+// do). The constants were recorded with five separately solved forward
+// passes plus a backward liveness pass; any diagnostic, count or row
+// that moves changes them.
+TEST(PatchAnalysis, OutputPinned) {
+  std::uint64_t hash = util::fnv1a64("");
+  std::size_t diagnostics_seen = 0;
+  auto text = [&hash](std::string_view field) {
+    hash = util::fnv1a64(std::to_string(field.size()) + ":", hash);
+    hash = util::fnv1a64(field, hash);
+  };
+  auto number = [&text](std::uint64_t value) { text(std::to_string(value)); };
+  auto diagnostics = [&](const std::vector<analysis::Diagnostic>& list) {
+    number(list.size());
+    diagnostics_seen += list.size();
+    for (const analysis::Diagnostic& d : list) {
+      number(static_cast<std::uint64_t>(d.checker));
+      text(d.function);
+      number(d.line);
+      text(d.symbol);
+      text(d.message);
+    }
+  };
+  auto side = [&](const analysis::FileReport& report) {
+    diagnostics(report.diagnostics);
+    number(report.blocks);
+    number(report.edges);
+    number(report.cyclomatic);
+    const analysis::InterprocStats& s = report.interproc;
+    for (const std::size_t count :
+         {s.functions, s.call_edges, s.call_sites, s.unresolved_calls, s.sccs,
+          s.recursive_sccs, s.summary_iterations, s.flagged_summaries}) {
+      number(count);
+    }
+    number(s.summary_signatures.size());
+    for (const auto& [name, signature] : s.summary_signatures) {
+      text(name);
+      text(signature);
+    }
+    number(s.fan.size());
+    for (const auto& [name, fan] : s.fan) {
+      text(name);
+      number(fan.first);
+      number(fan.second);
+    }
+  };
+  std::size_t patches = 0;
+  auto add = [&](const diff::Patch& patch) {
+    ++patches;
+    for (const bool interproc : {false, true}) {
+      analysis::AnalyzeOptions options;
+      options.interproc = interproc;
+      const analysis::PatchAnalysis pa = analysis::analyze_patch(patch, options);
+      side(pa.before);
+      side(pa.after);
+      diagnostics(pa.resolved);
+      diagnostics(pa.introduced);
+      for (const std::size_t n : pa.resolved_by_checker) number(n);
+      for (const std::size_t n : pa.introduced_by_checker) number(n);
+      for (const long delta : {pa.net_blocks, pa.net_edges, pa.net_cyclomatic,
+                               pa.net_call_edges}) {
+        number(static_cast<std::uint64_t>(delta));
+      }
+      number(pa.summary_changes);
+      number(pa.changed_fan_in);
+      number(pa.changed_fan_out);
+    }
+    for (const feature::FeatureSpace space :
+         {feature::FeatureSpace::kSemantic, feature::FeatureSpace::kInterproc}) {
+      for (const double value : feature::extract(patch, space)) {
+        std::uint64_t bits = 0;
+        static_assert(sizeof(bits) == sizeof(value));
+        std::memcpy(&bits, &value, sizeof(bits));
+        number(bits);
+      }
+    }
+  };
+
+  corpus::WorldConfig config;
+  config.repos = 4;
+  config.nvd_security = 80;
+  config.wild_pool = 400;
+  config.seed = 11;
+  const corpus::World world = corpus::build_world(config);
+  for (const auto* records : {&world.nvd_security, &world.wild}) {
+    for (const corpus::CommitRecord& r : *records) add(r.patch);
+  }
+  add(diff::parse_patch(straight_line_probe(50)));
+  for (const char* name : {"null_guard.patch", "loop_flows.patch"}) {
+    std::ifstream in(std::string(PATCHDB_TEST_DATA_DIR) + "/" + name,
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "cannot open " << name;
+    add(diff::parse_patch(std::string(std::istreambuf_iterator<char>(in), {})));
+  }
+
+  EXPECT_EQ(patches, 459u);
+  EXPECT_EQ(diagnostics_seen, 630u);
+  EXPECT_EQ(util::to_hex(hash), "b5c120b3a0ce2c8e");
 }
 
 TEST(PatchAnalysis, NonCodeFilesAreIgnored) {

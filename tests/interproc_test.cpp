@@ -32,6 +32,25 @@ std::vector<analysis::Diagnostic> diagnostics_of(const std::string& source,
   return analysis::analyze_source(source, options).diagnostics;
 }
 
+std::vector<analysis::FunctionFacts> facts_of(const std::vector<analysis::Cfg>& cfgs) {
+  std::vector<analysis::FunctionFacts> facts;
+  for (const analysis::Cfg& cfg : cfgs) facts.push_back(analysis::facts_for(cfg));
+  return facts;
+}
+
+analysis::CallGraph graph_of(const std::vector<analysis::Cfg>& cfgs) {
+  return analysis::build_call_graph(cfgs, facts_of(cfgs));
+}
+
+analysis::SummaryTable summaries_of(const std::vector<analysis::Cfg>& cfgs,
+                                    const analysis::CallGraph& graph) {
+  return analysis::compute_summaries(cfgs, facts_of(cfgs), graph);
+}
+
+analysis::SummaryTable summaries_of(const std::vector<analysis::Cfg>& cfgs) {
+  return summaries_of(cfgs, graph_of(cfgs));
+}
+
 bool has_diagnostic(const std::vector<analysis::Diagnostic>& diagnostics,
                     CheckerId checker, std::string_view symbol) {
   return std::any_of(diagnostics.begin(), diagnostics.end(),
@@ -53,7 +72,7 @@ TEST(CallGraph, ResolvesDirectCallsAndCountsUnresolved) {
       "    int y = helper(x);\n"
       "    return external_thing(y);\n"
       "}\n");
-  const analysis::CallGraph graph = analysis::build_call_graph(cfgs);
+  const analysis::CallGraph graph = graph_of(cfgs);
   ASSERT_EQ(graph.nodes.size(), cfgs.size());
   const std::size_t helper = graph.index_of("helper");
   const std::size_t top = graph.index_of("top");
@@ -71,7 +90,7 @@ TEST(CallGraph, SccOrderIsBottomUp) {
       "static int c(int x) { return x; }\n"
       "static int b(int x) { return c(x); }\n"
       "static int a(int x) { return b(x); }\n");
-  const analysis::CallGraph graph = analysis::build_call_graph(cfgs);
+  const analysis::CallGraph graph = graph_of(cfgs);
   const std::size_t ia = graph.index_of("a");
   const std::size_t ib = graph.index_of("b");
   const std::size_t ic = graph.index_of("c");
@@ -93,7 +112,7 @@ TEST(CallGraph, MutualRecursionCondensesToOneScc) {
   const auto cfgs = analysis::build_cfgs(
       "static int even(int n) { if (n == 0) return 1; return odd(n - 1); }\n"
       "static int odd(int n) { if (n == 0) return 0; return even(n - 1); }\n");
-  const analysis::CallGraph graph = analysis::build_call_graph(cfgs);
+  const analysis::CallGraph graph = graph_of(cfgs);
   EXPECT_EQ(graph.recursive_scc_count(), 1u);
   const std::size_t ieven = graph.index_of("even");
   ASSERT_NE(ieven, analysis::CallGraph::npos);
@@ -104,7 +123,7 @@ TEST(CallGraph, MutualRecursionCondensesToOneScc) {
 
 TEST(CallGraph, EmptySourceYieldsEmptyGraph) {
   const analysis::CallGraph graph =
-      analysis::build_call_graph(analysis::build_cfgs(""));
+      graph_of(analysis::build_cfgs(""));
   EXPECT_EQ(graph.edge_count(), 0u);
   EXPECT_TRUE(graph.sccs.empty());
 }
@@ -125,7 +144,7 @@ TEST(Summaries, DirectEffectsAreRecorded) {
       "{\n"
       "    return malloc(n);\n"
       "}\n");
-  const analysis::SummaryTable table = analysis::compute_summaries(cfgs);
+  const analysis::SummaryTable table = summaries_of(cfgs);
   const analysis::FunctionSummary* sink = table.find("sink");
   ASSERT_NE(sink, nullptr);
   ASSERT_EQ(sink->param_flags.size(), 1u);
@@ -148,7 +167,7 @@ TEST(Summaries, GuardedDerefIsNotFlagged) {
       "        return;\n"
       "    *p = 0;\n"
       "}\n");
-  const analysis::SummaryTable table = analysis::compute_summaries(cfgs);
+  const analysis::SummaryTable table = summaries_of(cfgs);
   const analysis::FunctionSummary* careful = table.find("careful");
   ASSERT_NE(careful, nullptr);
   EXPECT_FALSE(careful->param_flags[0].deref_unguarded);
@@ -162,7 +181,7 @@ TEST(Summaries, EffectsPropagateThroughWrapperChains) {
       "static void sink(char *p) { *p = 0; }\n"
       "static void mid(char *q) { sink(q); }\n"
       "static void top(char *r) { mid(r); }\n");
-  const analysis::SummaryTable table = analysis::compute_summaries(cfgs);
+  const analysis::SummaryTable table = summaries_of(cfgs);
   for (const char* name : {"sink", "mid", "top"}) {
     const analysis::FunctionSummary* s = table.find(name);
     ASSERT_NE(s, nullptr) << name;
@@ -178,9 +197,9 @@ TEST(Summaries, SelfRecursionReachesFixpoint) {
       "        return down(p, n - 1);\n"
       "    return *p;\n"
       "}\n");
-  const analysis::CallGraph graph = analysis::build_call_graph(cfgs);
+  const analysis::CallGraph graph = graph_of(cfgs);
   EXPECT_EQ(graph.recursive_scc_count(), 1u);
-  const analysis::SummaryTable table = analysis::compute_summaries(cfgs, graph);
+  const analysis::SummaryTable table = summaries_of(cfgs, graph);
   const analysis::FunctionSummary* down = table.find("down");
   ASSERT_NE(down, nullptr);
   EXPECT_TRUE(down->param_flags[0].deref_unguarded);
@@ -203,7 +222,7 @@ TEST(Summaries, MutualRecursionPropagatesAcrossTheCycle) {
       "        return *p;\n"
       "    return walk_a(p, n - 1);\n"
       "}\n");
-  const analysis::SummaryTable table = analysis::compute_summaries(cfgs);
+  const analysis::SummaryTable table = summaries_of(cfgs);
   const analysis::FunctionSummary* a = table.find("walk_a");
   const analysis::FunctionSummary* b = table.find("walk_b");
   ASSERT_NE(a, nullptr);
@@ -224,8 +243,8 @@ TEST(Summaries, DegenerateInputsStayTotal) {
            "static int twice(int x) { return x + 1; }\n",
        }) {
     const auto cfgs = analysis::build_cfgs(source);
-    const analysis::CallGraph graph = analysis::build_call_graph(cfgs);
-    const analysis::SummaryTable table = analysis::compute_summaries(cfgs, graph);
+    const analysis::CallGraph graph = graph_of(cfgs);
+    const analysis::SummaryTable table = summaries_of(cfgs, graph);
     EXPECT_LE(table.by_function.size(), cfgs.size() + 1);
     analysis::AnalyzeOptions options;
     options.interproc = true;

@@ -1,9 +1,10 @@
 // Tests for the serving subsystem (src/serve): wire-protocol round
 // trips and malformed-frame rejection, bit-identity of served query
 // results against the offline kernels, the concurrent TCP server
-// (64 connections across every request type), graceful drain, and the
-// read-only store properties the daemon depends on (concurrent loads
-// of one sealed export; refusal of corrupted datasets at startup).
+// (64 connections across every request type), load shedding past
+// threads + max_pending, graceful drain, and the read-only store
+// properties the daemon depends on (concurrent loads of one sealed
+// export; refusal of corrupted datasets at startup).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -693,6 +694,65 @@ TEST(ServeServer, GracefulDrainAnswersInFlightThenRefusesNew) {
   // The listen socket is gone: new connections are refused.
   serve::Client late;
   EXPECT_THROW(late.connect("127.0.0.1", port), std::runtime_error);
+}
+
+TEST(ServeServer, ShedsConnectionsPastThreadsPlusMaxPending) {
+  // One worker and one queued connection: the third open connection is
+  // answered busy and closed at once, and the first two are served.
+  obs::MetricsRegistry registry;
+  auto* previous = obs::install_registry(&registry);
+  const serve::ServedDataset dataset = make_dataset();
+  serve::ServerOptions options;
+  options.threads = 1;
+  options.max_pending = 1;
+  serve::Server server(dataset, options);
+  server.start();
+
+  // The worker holds the first connection; the second waits for it.
+  serve::Client first;
+  first.connect("127.0.0.1", server.port());
+  ASSERT_EQ(first.ping().status, serve::Status::kOk);
+  serve::Client second;
+  second.connect("127.0.0.1", server.port());
+
+  // The acceptor takes connections in order, so the third is the one
+  // past the cap. It gets the busy frame without sending a byte.
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  unsigned char header[4];
+  std::size_t got = 0;
+  while (got < sizeof(header)) {
+    const ssize_t n = ::recv(fd, header + got, sizeof(header) - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
+  const std::size_t body_len = serve::parse_frame_header(header);
+  std::string body(body_len, '\0');
+  got = 0;
+  while (got < body_len) {
+    const ssize_t n = ::recv(fd, body.data() + got, body_len - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
+  const serve::Response busy = serve::decode_response(serve::Op::kPing, body);
+  EXPECT_EQ(busy.status, serve::Status::kShuttingDown);
+  EXPECT_NE(busy.error.find("server at capacity"), std::string::npos)
+      << busy.error;
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // orderly close
+  ::close(fd);
+
+  // Closing the first connection frees the worker for the second.
+  EXPECT_EQ(first.ping().status, serve::Status::kOk);
+  first.close();
+  EXPECT_EQ(second.ping().status, serve::Status::kOk);
+  second.close();
+
+  server.stop();
+  obs::install_registry(previous);
+  EXPECT_EQ(server.connections_shed(), 1u);
+  EXPECT_EQ(server.connections_accepted(), 3u);
+  EXPECT_EQ(registry.snapshot().counter("serve.connections_shed"), 1u);
 }
 
 // ------------------------------------------------------ read-only store --

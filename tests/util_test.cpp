@@ -1,13 +1,18 @@
 // Unit and property tests for the util module: RNG, Levenshtein, stats,
-// strings, tables, thread pool, hashing.
+// strings, whole-file reads, tables, thread pool, hashing.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,6 +22,7 @@
 
 #include "corpus/world.h"
 #include "lang/abstract.h"
+#include "util/file.h"
 #include "util/hash.h"
 #include "util/levenshtein.h"
 #include "util/log.h"
@@ -427,6 +433,26 @@ TEST(Strings, HumanCount) {
   EXPECT_EQ(util::human_count(6200000), "6.2M");
 }
 
+// --------------------------------------------------------------- file --
+
+TEST(ReadFile, ReturnsEveryByteOrNothing) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("patchdb_read_file_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::string bytes;
+  for (int i = 0; i < 70000; ++i) bytes.push_back(static_cast<char>(i * 31));
+  {
+    std::ofstream(dir / "bytes", std::ios::binary) << bytes;
+    std::ofstream(dir / "empty", std::ios::binary).flush();
+  }
+  EXPECT_EQ(util::read_file(dir / "bytes"), bytes);
+  EXPECT_EQ(util::read_file(dir / "empty"), std::string());
+  EXPECT_EQ(util::read_file(dir / "missing"), std::nullopt);
+  EXPECT_EQ(util::read_file(dir), std::nullopt);  // opens, but reads fail
+  std::filesystem::remove_all(dir);
+}
+
 // -------------------------------------------------------------- table --
 
 TEST(Table, RendersHeaderRowsAndNotes) {
@@ -575,124 +601,6 @@ TEST(ThreadPool, SizeAndPendingAccessors) {
   pool.wait_idle();
   EXPECT_EQ(pool.pending(), 0u);
   EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(ThreadPool, BoundedRejectShedsTasksPastTheCap) {
-  util::ThreadPool::Options options;
-  options.threads = 1;
-  options.max_pending = 2;
-  options.overflow = util::ThreadPool::Overflow::kReject;
-  util::ThreadPool pool(options);
-  EXPECT_EQ(pool.max_pending(), 2u);
-
-  // Park the single worker so submissions stay queued.
-  std::atomic<bool> parked{false};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    parked.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!parked.load()) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.try_submit([&] { ran.fetch_add(1); }));
-  EXPECT_TRUE(pool.try_submit([&] { ran.fetch_add(1); }));
-  // Queue is at the cap: try_submit sheds, submit throws.
-  EXPECT_FALSE(pool.try_submit([&] { ran.fetch_add(1); }));
-  EXPECT_THROW(pool.submit([&] { ran.fetch_add(1); }),
-               util::ThreadPool::QueueFull);
-
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 2);
-
-  // Slots freed: the pool accepts work again.
-  EXPECT_TRUE(pool.try_submit([&] { ran.fetch_add(1); }));
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, BoundedBlockWaitsForAQueueSlot) {
-  util::ThreadPool::Options options;
-  options.threads = 1;
-  options.max_pending = 1;
-  options.overflow = util::ThreadPool::Overflow::kBlock;
-  util::ThreadPool pool(options);
-
-  std::atomic<bool> parked{false};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    parked.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!parked.load()) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  pool.submit([&] { ran.fetch_add(1); });  // fills the single slot
-
-  // The next submit must block until the parked task finishes and the
-  // queued one is picked up. Run it on a side thread and assert it has
-  // not completed while the queue is still full.
-  std::atomic<bool> submitted{false};
-  std::thread submitter([&] {
-    pool.submit([&] { ran.fetch_add(1); });
-    submitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(submitted.load());
-
-  release.store(true);
-  submitter.join();
-  EXPECT_TRUE(submitted.load());
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, BoundedPoolStillRunsParallelFor) {
-  // parallel_for submits its chunks through the same bounded queue; a
-  // cap smaller than the chunk count must throttle, not deadlock (the
-  // caller blocks, the workers drain).
-  util::ThreadPool::Options options;
-  options.threads = 2;
-  options.max_pending = 1;
-  util::ThreadPool pool(options);
-  std::atomic<std::size_t> covered{0};
-  pool.parallel_for(100, [&](std::size_t begin, std::size_t end) {
-    covered.fetch_add(end - begin);
-  });
-  EXPECT_EQ(covered.load(), 100u);
-}
-
-TEST(ThreadPool, BoundedSubmitFromWorkerBypassesCap) {
-  // A worker enqueueing onto its own full pool must not block: workers
-  // are the consumers that free slots, so waiting would deadlock.
-  util::ThreadPool::Options options;
-  options.threads = 1;
-  options.max_pending = 1;
-  util::ThreadPool pool(options);
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    // Queue slot bookkeeping: this task is running (not queued); fill
-    // the one queued slot, then exceed it from inside the worker.
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.submit([&] { ran.fetch_add(1); });
-    ran.fetch_add(1);
-  });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, DefaultPoolStaysUnbounded) {
-  util::ThreadPool pool(2);
-  EXPECT_EQ(pool.max_pending(), 0u);
-  // No cap: a burst far past any reasonable bound enqueues without
-  // blocking or throwing.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 500);
 }
 
 TEST(ThreadPool, ShutdownDrainsPendingTasks) {

@@ -46,9 +46,11 @@
 //           [--trace-out FILE] [--sample-ms N] [--progress]
 //           [--progress-ms N]
 //       Run the build pipeline under an observability session and print
-//       the metrics/span report; --metrics-out also writes the JSON
-//       artifact (schema patchdb.obs.v2, with a resource timeline when
-//       the sampler ran); --trace-out writes a Chrome trace.
+//       the metrics/span report. The pipeline flags and their defaults
+//       are build's, so the run profiles the world `patchdb build` makes.
+//       --metrics-out also writes the JSON artifact (schema
+//       patchdb.obs.v2, with a resource timeline when the sampler ran);
+//       --trace-out writes a Chrome trace.
 //   patchdb metrics --validate FILE.json
 //       Parse a --metrics-out artifact, check the schema (v1 and v2
 //       both accepted) and JSON round-trip, and print a summary. Exit 1
@@ -59,7 +61,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -81,6 +82,7 @@
 #include "store/export.h"
 #include "store/fsck.h"
 #include "synth/variants.h"
+#include "util/file.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -116,12 +118,12 @@ int usage() {
 }
 
 std::string read_file_or_die(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> content = util::read_file(path);
+  if (!content) {
     std::fprintf(stderr, "patchdb: cannot read %s\n", path.c_str());
     std::exit(1);
   }
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return std::move(*content);
 }
 
 /// `--threads N`: size the default thread pool before anything touches
@@ -147,13 +149,9 @@ bool apply_threads_flag(const Flags& flags) {
   return true;
 }
 
-int cmd_build(const Flags& flags) {
-  if (!apply_threads_flag(flags)) return 2;
-  const std::string out = flags.value("--out", std::string());
-  if (out.empty()) {
-    std::fprintf(stderr, "patchdb build: --out DIR is required\n");
-    return 2;
-  }
+/// The pipeline flags build and metrics share, as BuildOptions: the two
+/// commands run the same world for the same flags.
+core::BuildOptions pipeline_options(const Flags& flags) {
   core::BuildOptions options;
   options.world.repos = 40;
   options.world.nvd_security = flags.value("--nvd", std::size_t{400});
@@ -161,6 +159,25 @@ int cmd_build(const Flags& flags) {
   options.world.seed = flags.value("--seed", std::size_t{42});
   options.augment.max_rounds = flags.value("--rounds", std::size_t{3});
   options.synthesis.max_per_patch = flags.value("--synth", std::size_t{4});
+  return options;
+}
+
+/// The component counts of a built PatchDB, in the one line build and
+/// metrics both print.
+void print_components(const core::PatchDb& db) {
+  std::printf("  nvd: %zu  wild: %zu  nonsecurity: %zu  synthetic: %zu\n",
+              db.nvd_security.size(), db.wild_security.size(),
+              db.nonsecurity.size(), db.synthetic.size());
+}
+
+int cmd_build(const Flags& flags) {
+  if (!apply_threads_flag(flags)) return 2;
+  const std::string out = flags.value("--out", std::string());
+  if (out.empty()) {
+    std::fprintf(stderr, "patchdb build: --out DIR is required\n");
+    return 2;
+  }
+  core::BuildOptions options = pipeline_options(flags);
   options.checkpoint_dir = flags.value("--checkpoint-dir", std::string());
   options.resume = flags.has("--resume");
 
@@ -177,9 +194,7 @@ int cmd_build(const Flags& flags) {
   std::printf("exported %zu patches (%zu feature rows) to %s\n",
               stats.patches_written, stats.feature_rows,
               stats.root.string().c_str());
-  std::printf("  nvd: %zu  wild: %zu  nonsecurity: %zu  synthetic: %zu\n",
-              db.nvd_security.size(), db.wild_security.size(),
-              db.nonsecurity.size(), db.synthetic.size());
+  print_components(db);
   for (const core::RoundStats& round : db.rounds) {
     std::printf("  round %zu: %zu candidates -> %zu security (%.0f%%)\n",
                 round.round, round.candidates, round.verified_security,
@@ -360,23 +375,15 @@ int cmd_metrics(const Flags& flags) {
     return cmd_metrics_validate(flags.value("--validate", std::string()));
   }
   if (!apply_threads_flag(flags)) return 2;
-  core::BuildOptions options;
-  options.world.repos = 20;
-  options.world.nvd_security = flags.value("--nvd", std::size_t{200});
-  options.world.wild_pool = flags.value("--wild", std::size_t{4000});
-  options.world.seed = flags.value("--seed", std::size_t{42});
-  options.augment.max_rounds = flags.value("--rounds", std::size_t{3});
-  options.synthesis.max_per_patch = flags.value("--synth", std::size_t{2});
+  const core::BuildOptions options = pipeline_options(flags);
 
   obs::ArtifactSession cli_obs("patchdb metrics", cli::artifact_request(flags));
   const core::PatchDb db = core::build_patchdb(options);
   const obs::RunReport report = cli_obs.report();
 
-  std::printf("pipeline: %zu NVD + %zu wild security, %zu nonsecurity, "
-              "%zu synthetic\n\n",
-              db.nvd_security.size(), db.wild_security.size(),
-              db.nonsecurity.size(), db.synthetic.size());
-  std::printf("%s", report.render().c_str());
+  std::printf("pipeline:\n");
+  print_components(db);
+  std::printf("\n%s", report.render().c_str());
 
   cli_obs.write_artifacts(report);
   return 0;

@@ -18,12 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "serve/client.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 #include "cli_common.h"
@@ -192,15 +192,13 @@ int run(const std::string& command, const cli::Flags& flags) {
   if (command == "analyze") {
     const std::string path = flags.positional();
     if (path.empty()) return usage();
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> diff_text = util::read_file(path);
+    if (!diff_text) {
       std::fprintf(stderr, "patchdb_client: cannot read %s\n", path.c_str());
       return 1;
     }
-    const std::string diff_text{std::istreambuf_iterator<char>(in),
-                                std::istreambuf_iterator<char>()};
     const serve::Response r =
-        client.analyze(diff_text, flags.has("--interproc"));
+        client.analyze(*diff_text, flags.has("--interproc"));
     if (r.status != serve::Status::kOk) return report_error(r);
     std::printf("category: %lld\nresolved: %llu\nintroduced: %llu\n%s",
                 static_cast<long long>(r.analyze.category),
