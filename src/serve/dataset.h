@@ -1,10 +1,10 @@
 // ServedDataset: the immutable in-memory snapshot patchdbd serves.
 // Loaded once at startup from a sealed v2 export (store::load_patchdb —
-// which verifies the manifest trailer and every per-patch content
-// checksum, so a truncated or tampered dataset is refused before the
-// socket ever opens) and then shared read-only across every worker
-// thread: queries take `const ServedDataset&` and the server never
-// mutates it, so no lock guards the hot path.
+// which verifies the manifest trailer, each pack's footer and every
+// per-patch content checksum, so a truncated or tampered dataset is
+// refused before the socket ever opens) and then shared read-only
+// across every worker thread: queries take `const ServedDataset&` and
+// the server never mutates it, so no lock guards the hot path.
 //
 // At load the snapshot precomputes what queries need:
 //   - an id -> patch index over every component,
@@ -82,8 +82,8 @@ class ServedDataset {
   // ----- query entry points (each maps to one protocol op) -----
   PingResponse ping() const;
   /// kNotFound error when the id is unknown; otherwise metadata plus
-  /// the re-rendered unified diff (byte-identical to the exported
-  /// .patch file — exports round-trip through diff::render_patch).
+  /// the re-rendered unified diff (byte-identical to its exported pack
+  /// entry — exports round-trip through diff::render_patch).
   Response lookup(const LookupRequest& request) const;
   Response features(const FeaturesRequest& request) const;
   Response nearest(const NearestRequest& request) const;

@@ -1,7 +1,5 @@
 #include "store/fsck.h"
 
-#include <iterator>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -17,8 +15,6 @@ namespace fs = std::filesystem;
 
 FsckReport fsck_dataset(const fs::path& root) {
   FsckReport report;
-  // (component, commit) of every patch file the manifest names.
-  std::set<std::pair<std::size_t, std::string>> listed;
   std::size_t natural_rows = 0;
   const ManifestWalk walk = walk_manifest(
       root,
@@ -26,23 +22,10 @@ FsckReport fsck_dataset(const fs::path& root) {
       [&](ManifestEntry&& entry) {
         ++report.manifest_rows;
         if (entry.component != kSynthetic) ++natural_rows;
-        listed.emplace(entry.component, std::move(entry.commit));
       });
   report.files_checked = walk.files;
   report.bytes_checked = walk.bytes;
   if (!walk.opened) return report;
-
-  // Orphans: patch files on disk the manifest does not describe.
-  for (std::size_t c = 0; c < std::size(kComponents); ++c) {
-    const fs::path dir = root / kComponents[c];
-    if (!fs::is_directory(dir)) continue;
-    for (const fs::directory_entry& file : fs::directory_iterator(dir)) {
-      const fs::path& p = file.path();
-      if (p.extension() == ".patch" && !listed.count({c, p.stem().string()})) {
-        report.errors.push_back("orphaned patch file " + p.string());
-      }
-    }
-  }
 
   // features.csv: sealed, versioned, one row per natural patch.
   try {

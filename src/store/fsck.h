@@ -1,9 +1,10 @@
 // Offline integrity verification for exported datasets and checkpoint
 // directories — the `patchdb fsck` subcommand. A dataset check is
 // load_patchdb's manifest walker (store/export.h) in collect-all mode,
-// with the same checks and messages, plus fsck's own: orphaned patch
-// files and features.csv. So a dataset fsck passes is one load_patchdb
-// accepts. A checkpoint is checked by read_checkpoint, any fingerprint.
+// with the same checks and messages, a pack that holds more entries
+// than the manifest lists included, plus fsck's own check of
+// features.csv. So a dataset fsck passes is one load_patchdb accepts. A
+// checkpoint is checked by read_checkpoint, any fingerprint.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,10 @@
 #include "store/io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
-#include <fstream>
+#include <cerrno>
 #include <mutex>
 #include <optional>
 #include <system_error>
@@ -26,13 +29,47 @@ std::mutex g_fault_mutex;
 FaultPlan g_fault_plan;
 std::atomic<std::size_t> g_write_index{0};
 
-void raw_write(const fs::path& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("store: cannot open " + path.string());
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  if (!out) throw std::runtime_error("store: short write to " + path.string());
-}
+/// An open file descriptor, closed when it goes out of scope.
+class Descriptor {
+ public:
+  Descriptor(const fs::path& path, int flags) : path_(path) {
+    fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
+    if (fd_ < 0) throw std::runtime_error("store: cannot open " + path.string());
+  }
+  ~Descriptor() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Descriptor(const Descriptor&) = delete;
+  Descriptor& operator=(const Descriptor&) = delete;
+
+  void write(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) throw std::runtime_error("store: cannot write " + path_.string());
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+
+  /// fsync. A filesystem that cannot sync a directory answers EINVAL;
+  /// it offers nothing stronger to ask for, so that one case passes.
+  void sync(bool directory = false) {
+    if (::fsync(fd_) != 0 && !(directory && errno == EINVAL)) {
+      throw std::runtime_error("store: cannot fsync " + path_.string());
+    }
+    PATCHDB_COUNTER_ADD("store.fsyncs", 1);
+  }
+
+  void close() {
+    if (::close(std::exchange(fd_, -1)) != 0) {
+      throw std::runtime_error("store: cannot close " + path_.string());
+    }
+  }
+
+ private:
+  fs::path path_;
+  int fd_ = -1;
+};
 
 }  // namespace
 
@@ -58,34 +95,53 @@ std::string read_file(const fs::path& path) {
   return std::move(*content);
 }
 
-void atomic_write_file(const fs::path& path, std::string_view content) {
+void atomic_write_file(const fs::path& path,
+                       const std::function<void(const ChunkSink&)>& produce) {
   const std::size_t index = g_write_index.fetch_add(1, std::memory_order_relaxed);
   FaultPlan plan;
   {
     std::lock_guard lock(g_fault_mutex);
     plan = g_fault_plan;
   }
-  if (index == plan.fail_write) {
-    if (plan.truncate) {
-      // A torn, non-atomic writer: half the bytes land at the final
-      // path. Readers must reject this via the checksum trailer.
-      raw_write(path, content.substr(0, content.size() / 2));
-    }
-    throw FaultInjected("store: injected fault at write " +
-                        std::to_string(index) + " (" + path.string() + ")");
-  }
-
   fs::path tmp = path;
   tmp += ".tmp";
-  raw_write(tmp, content);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw std::runtime_error("store: cannot rename into " + path.string());
+  std::size_t bytes = 0;
+  try {
+    Descriptor file(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+    produce([&](std::string_view chunk) {
+      file.write(chunk);
+      bytes += chunk.size();
+    });
+    if (index == plan.fail_write) {
+      if (plan.truncate) {
+        // A torn, non-atomic writer: half the bytes land at the final
+        // path. Readers must reject this via their checksums.
+        file.close();
+        fs::resize_file(tmp, bytes / 2);
+        fs::rename(tmp, path);
+      }
+      throw FaultInjected("store: injected fault at write " + std::to_string(index) +
+                          " (" + path.string() + ")");
+    }
+    file.sync();
+    file.close();
+    std::error_code ec;
+    fs::rename(tmp, path, ec);
+    if (ec) throw std::runtime_error("store: cannot rename into " + path.string());
+  } catch (...) {
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
+    throw;
   }
+  // The rename is durable once the directory entry is.
+  const fs::path dir = path.has_parent_path() ? path.parent_path() : fs::path(".");
+  Descriptor(dir, O_RDONLY | O_DIRECTORY).sync(/*directory=*/true);
   PATCHDB_COUNTER_ADD("store.writes", 1);
-  PATCHDB_COUNTER_ADD("store.bytes", content.size());
+  PATCHDB_COUNTER_ADD("store.bytes", bytes);
+}
+
+void atomic_write_file(const fs::path& path, std::string_view content) {
+  atomic_write_file(path, [content](const ChunkSink& sink) { sink(content); });
 }
 
 std::string with_checksum_trailer(std::string body) {

@@ -1,7 +1,9 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 namespace patchdb::util {
@@ -97,15 +99,27 @@ std::string Table::to_csv() const {
 }
 
 std::string format_double(double value, int decimals) {
+  if (decimals < 0) decimals = 6;  // as printf reads a negative precision
+  // Most values fit here; to_chars fails rather than truncates when not.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
+  if (const auto [end, ec] = std::to_chars(buf, std::end(buf), value,
+                                           std::chars_format::fixed, decimals);
+      ec == std::errc{}) {
+    return std::string(buf, end);
+  }
+  // A sign, DBL_MAX's 309 integer digits, the point and the decimals.
+  std::string out(std::numeric_limits<double>::max_exponent10 + 3 +
+                      static_cast<std::size_t>(decimals),
+                  '\0');
+  const char* end = std::to_chars(out.data(), out.data() + out.size(), value,
+                                  std::chars_format::fixed, decimals)
+                        .ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  return out;
 }
 
 std::string format_percent(double fraction, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);
-  return buf;
+  return format_double(fraction * 100.0, decimals) + '%';
 }
 
 }  // namespace patchdb::util

@@ -46,8 +46,12 @@ class Table {
   std::vector<std::string> notes_;
 };
 
-/// Format helpers used by the bench binaries.
+/// `value` in fixed notation with `decimals` digits after the point,
+/// byte for byte what printf("%.*f") writes, however long: the bench
+/// tables, the obs reports and the store's features.csv all format
+/// through it.
 std::string format_double(double value, int decimals);
+/// format_double(fraction * 100, decimals) and a '%'.
 std::string format_percent(double fraction, int decimals);
 
 }  // namespace patchdb::util

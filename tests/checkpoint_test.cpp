@@ -6,10 +6,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/patchdb.h"
+#include "diff/render.h"
 #include "obs/metrics.h"
 #include "store/checkpoint.h"
 #include "store/export.h"
@@ -167,25 +170,39 @@ TEST_F(CheckpointTest, KillPointSweepResumesBitIdentical) {
   }
 }
 
-// A crash mid-export must never publish a manifest describing files that
-// are not there: the manifest is written last, so re-running the export
-// heals the directory.
+// A crash mid-export must never publish a manifest describing patches
+// that are not there: the manifest is written last, so re-running the
+// export heals the directory. Every write is a kill point, both as a
+// crash before its rename and as a torn write.
 TEST_F(CheckpointTest, KilledExportLeavesNoManifestAndRetrySucceeds) {
   const core::PatchDb db = core::build_patchdb(small_options());
   store::clear_fault_plan();
   store::export_patchdb(db, dir("good"));
   const std::size_t export_writes = store::fault_write_count();
-  ASSERT_GT(export_writes, 2u);
+  ASSERT_EQ(export_writes, std::size(store::kComponents) + 2);  // + features, manifest
+  const std::map<std::string, std::string> want = dir_contents(dir("good"));
 
-  store::FaultPlan plan;
-  plan.fail_write = export_writes / 2;  // die among the patch files
-  store::set_fault_plan(plan);
-  EXPECT_THROW(store::export_patchdb(db, dir("killed")), store::FaultInjected);
-  store::clear_fault_plan();
-  EXPECT_FALSE(fs::exists(dir("killed") / "manifest.csv"));
+  for (const bool truncate : {false, true}) {
+    for (std::size_t k = 0; k < export_writes; ++k) {
+      const std::string tag = "kill" + std::to_string(k) + (truncate ? "_torn" : "");
+      const fs::path killed = dir(tag);
+      store::FaultPlan plan;
+      plan.fail_write = k;
+      plan.truncate = truncate;
+      store::set_fault_plan(plan);
+      EXPECT_THROW(store::export_patchdb(db, killed), store::FaultInjected) << tag;
+      store::clear_fault_plan();
+      // No manifest lands, except the torn last write's own half, which
+      // fails its seal.
+      const bool torn_manifest = truncate && k + 1 == export_writes;
+      EXPECT_EQ(fs::exists(killed / "manifest.csv"), torn_manifest) << tag;
+      EXPECT_FALSE(store::fsck(killed).ok()) << tag;
+      EXPECT_THROW(store::load_patchdb(killed), std::runtime_error) << tag;
 
-  store::export_patchdb(db, dir("killed"));
-  EXPECT_EQ(dir_contents(dir("killed")), dir_contents(dir("good")));
+      store::export_patchdb(db, killed);
+      EXPECT_EQ(dir_contents(killed), want) << "retry after " << tag;
+    }
+  }
 }
 
 TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
@@ -278,8 +295,8 @@ TEST_F(CheckpointTest, FsckAcceptsCleanDatasetAndCheckpoint) {
   EXPECT_EQ(dataset.manifest_rows, db.nvd_security.size() +
                                        db.wild_security.size() +
                                        db.nonsecurity.size() + db.synthetic.size());
-  // manifest + features + one file per patch.
-  EXPECT_EQ(dataset.files_checked, dataset.manifest_rows + 2);
+  // manifest + features + one pack per component.
+  EXPECT_EQ(dataset.files_checked, std::size(store::kComponents) + 2);
   EXPECT_GT(dataset.bytes_checked, 0u);
 
   const store::FsckReport checkpoint = store::fsck(dir("ckpt"));
@@ -296,19 +313,20 @@ TEST_F(CheckpointTest, FsckFlagsFlippedBytesTruncationAndOrphans) {
   store::export_patchdb(db, dir("out"));
   ASSERT_TRUE(store::fsck(dir("out")).ok());
 
-  // Flip one bit inside a patch file: content checksum catches it.
-  const fs::path victim =
-      dir("out") / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
+  // Flip one bit inside the first patch of the nvd pack: its content
+  // checksum catches it.
+  const fs::path victim = store::pack_path(dir("out"), 0);
   const std::string original = store::read_file(victim);
   std::string corrupt = original;
-  corrupt[corrupt.size() / 2] ^= 0x01;
+  corrupt[original.find('\n') + 1 +
+          diff::render_patch(db.nvd_security[0].patch).size() / 2] ^= 0x01;
   std::ofstream(victim, std::ios::binary) << corrupt;
   store::FsckReport report = store::fsck(dir("out"));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors[0].find("checksum mismatch"), std::string::npos);
   std::ofstream(victim, std::ios::binary) << original;
 
-  // Truncate the patch file instead.
+  // Truncate the pack instead.
   std::ofstream(victim, std::ios::binary)
       << original.substr(0, original.size() / 2);
   report = store::fsck(dir("out"));
@@ -325,10 +343,14 @@ TEST_F(CheckpointTest, FsckFlagsFlippedBytesTruncationAndOrphans) {
   EXPECT_FALSE(report.ok());
   std::ofstream(manifest, std::ios::binary) << good_manifest;
 
-  // A patch file the manifest does not describe is an orphan.
-  std::ofstream(dir("out") / "wild" / "0123456789abcdef.patch",
-                std::ios::binary)
-      << "stray\n";
+  // A pack entry the manifest does not describe is an orphan.
+  std::vector<std::string> wild;
+  for (const corpus::CommitRecord& record : db.wild_security) {
+    wild.push_back(diff::render_patch(record.patch));
+  }
+  wild.push_back("stray\n");
+  store::write_pack(store::pack_path(dir("out"), 1), wild.size(),
+                    [&wild](std::size_t k) { return wild[k]; });
   report = store::fsck(dir("out"));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors[0].find("orphaned"), std::string::npos);
@@ -355,6 +377,8 @@ TEST_F(CheckpointTest, StoreCountersTrackWritesAndResumes) {
   EXPECT_EQ(snap.counter("store.resumes"), 1u);
   EXPECT_GT(snap.counter("store.writes"), 0u);
   EXPECT_GT(snap.counter("store.bytes"), snap.counter("store.writes"));
+  // Each write syncs its file, then its directory.
+  EXPECT_GE(snap.counter("store.fsyncs"), snap.counter("store.writes"));
   EXPECT_EQ(snap.counter("store.checksum_failures"), 0u);
 }
 

@@ -812,7 +812,7 @@ TEST_F(ServeStoreTest, TruncatedManifestIsRefusedAtStartup) {
 }
 
 TEST_F(ServeStoreTest, CorruptedPatchContentIsRefusedAtStartup) {
-  // Flip one byte inside an exported patch file.
+  // Flip one byte of the nvd pack, inside its version line.
   fs::path victim;
   for (const auto& entry : fs::directory_iterator(root_ / "nvd")) {
     victim = entry.path();

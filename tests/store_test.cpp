@@ -1,6 +1,6 @@
 // Tests for the on-disk dataset layout: export/load round trips, layout
 // contents, strict manifest parsing, and failure handling for corrupted
-// exports (flipped bytes, truncated files, tampered manifests).
+// exports (flipped bytes, truncated packs, tampered manifests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/patchdb.h"
@@ -63,6 +64,33 @@ std::string load_error(const fs::path& root) {
   } catch (const std::runtime_error& e) {
     return e.what();
   }
+}
+
+/// Each record's patch as a pack holds it.
+std::vector<std::string> rendered(const std::vector<corpus::CommitRecord>& records) {
+  std::vector<std::string> bodies;
+  for (const corpus::CommitRecord& record : records) {
+    bodies.push_back(diff::render_patch(record.patch));
+  }
+  return bodies;
+}
+
+/// Write `bodies` as the pack at `path`, through the exporter's writer.
+void forge_pack(const fs::path& path, const std::vector<std::string>& bodies) {
+  store::write_pack(path, bodies.size(), [&bodies](std::size_t k) { return bodies[k]; });
+}
+
+/// Overwrite `path` with `bytes`, in place.
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Where a pack's first body starts: just past its version line.
+std::size_t first_body(const std::string& pack) { return pack.find('\n') + 1; }
+
+/// Where a pack's footer line starts; its offset table ends there.
+std::size_t footer_start(const std::string& pack) {
+  return pack.rfind('\n', pack.size() - 2) + 1;
 }
 
 class StoreTest : public ::testing::Test {
@@ -149,12 +177,31 @@ TEST_F(StoreTest, ExportWritesLayout) {
   EXPECT_EQ(stats.feature_rows,
             expected - db.synthetic.size());  // features for natural only
 
-  // Every NVD patch file exists and is non-empty.
-  for (const corpus::CommitRecord& r : db.nvd_security) {
-    const fs::path p = root_ / "nvd" / (r.patch.commit + ".patch");
-    ASSERT_TRUE(fs::exists(p)) << p;
-    EXPECT_GT(fs::file_size(p), 0u);
+  // Each component directory holds its pack and nothing else.
+  for (std::size_t c = 0; c < std::size(store::kComponents); ++c) {
+    std::vector<fs::path> files;
+    for (const fs::directory_entry& e :
+         fs::directory_iterator(root_ / store::kComponents[c])) {
+      files.push_back(e.path());
+    }
+    ASSERT_EQ(files.size(), 1u) << store::kComponents[c];
+    EXPECT_EQ(files[0], store::pack_path(root_, c));
   }
+
+  // The nvd pack: its version line, every NVD patch (each non-empty)
+  // back to back in manifest order, one 17-byte table line per patch,
+  // and the 40-byte footer.
+  const std::string pack = store::read_file(store::pack_path(root_, 0));
+  std::string bodies;
+  for (const std::string& body : rendered(db.nvd_security)) {
+    EXPECT_FALSE(body.empty());
+    bodies += body;
+  }
+  EXPECT_EQ(pack.substr(0, first_body(pack)), "#patchdb.pack.v1\n");
+  EXPECT_EQ(pack.substr(first_body(pack), bodies.size()), bodies);
+  EXPECT_EQ(pack.size(),
+            first_body(pack) + bodies.size() + 17 * db.nvd_security.size() + 40);
+  EXPECT_EQ(pack.substr(footer_start(pack), 6), "#pack ");
 }
 
 TEST_F(StoreTest, RoundTripPreservesEverything) {
@@ -183,6 +230,31 @@ TEST_F(StoreTest, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded.synthetic[i].modified_after, db.synthetic[i].modified_after);
     EXPECT_EQ(loaded.synthetic[i].truth.is_security,
               db.synthetic[i].truth.is_security);
+  }
+}
+
+// The reader holds a window of a pack, not the pack: patches larger
+// than that window, and the ones after them, must still round-trip.
+TEST_F(StoreTest, PatchesLargerThanTheReadWindowRoundTrip) {
+  core::PatchDb db = small_db();
+  ASSERT_GE(db.nvd_security.size(), 3u);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    std::string message;
+    for (int line = 0; line < 12000; ++line) {
+      message += "line " + std::to_string(line) + " of a long commit message\n";
+    }
+    db.nvd_security[i].patch.message = message;
+  }
+  // Each message alone is over 400 KiB, past the reader's 256 KiB window.
+  ASSERT_GT(db.nvd_security[0].patch.message.size(), 400u << 10);
+  store::export_patchdb(db, root_);
+  EXPECT_TRUE(store::fsck_dataset(root_).ok());
+  const store::LoadedPatchDb loaded = store::load_patchdb(root_);
+  ASSERT_EQ(loaded.nvd_security.size(), db.nvd_security.size());
+  for (std::size_t i = 0; i < db.nvd_security.size(); ++i) {
+    EXPECT_EQ(diff::render_patch(loaded.nvd_security[i].patch),
+              diff::render_patch(db.nvd_security[i].patch))
+        << i;
   }
 }
 
@@ -304,9 +376,13 @@ TEST_F(StoreTest, LoadRejectsGarbageFields) {
 }
 
 TEST_F(StoreTest, LoadMissingPatchFileThrows) {
-  fs::create_directories(root_ / "nvd");
+  // Four empty packs: the row's entry is not there.
+  store::export_patchdb(core::PatchDb{}, root_);
   write_sealed_manifest("deadbeef,nvd,security,1,repo,,0,0,0123456789abcdef\n");
-  EXPECT_THROW(store::load_patchdb(root_), std::runtime_error);
+  const std::string error = load_error(root_);
+  EXPECT_NE(error.find("row 3: no " + store::pack_path(root_, 0).string() + " entry 0"),
+            std::string::npos)
+      << error;
 }
 
 TEST_F(StoreTest, LoadDetectsFlippedByteInManifest) {
@@ -321,14 +397,15 @@ TEST_F(StoreTest, LoadDetectsFlippedByteInManifest) {
 TEST_F(StoreTest, LoadDetectsCorruptedPatchFile) {
   const core::PatchDb db = small_db();
   store::export_patchdb(db, root_);
-  const fs::path victim =
-      root_ / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
+  const fs::path victim = store::pack_path(root_, 0);
   std::string content = store::read_file(victim);
-  content[content.size() / 2] ^= 0x01;  // same length, one flipped bit
-  std::ofstream(victim, std::ios::binary) << content;
+  // The middle of the first body: same length, one flipped bit.
+  const std::size_t body_size = diff::render_patch(db.nvd_security[0].patch).size();
+  content[first_body(content) + body_size / 2] ^= 0x01;
+  write_bytes(victim, content);
   try {
     store::load_patchdb(root_);
-    FAIL() << "corrupted patch file loaded without error";
+    FAIL() << "corrupted patch loaded without error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
               std::string::npos);
@@ -338,11 +415,9 @@ TEST_F(StoreTest, LoadDetectsCorruptedPatchFile) {
 TEST_F(StoreTest, LoadDetectsTruncatedPatchFile) {
   const core::PatchDb db = small_db();
   store::export_patchdb(db, root_);
-  const fs::path victim =
-      root_ / "wild" / (db.wild_security[0].patch.commit + ".patch");
+  const fs::path victim = store::pack_path(root_, 1);
   const std::string content = store::read_file(victim);
-  std::ofstream(victim, std::ios::binary)
-      << content.substr(0, content.size() / 2);
+  write_bytes(victim, content.substr(0, content.size() / 2));
   EXPECT_THROW(store::load_patchdb(root_), std::runtime_error);
 }
 
@@ -401,15 +476,18 @@ TEST_F(StoreTest, FsckRejectsRepeatedCommit) {
       << "no error names row " << row;
 }
 
-// A patch file that is not a diff, with its checksum written into its
-// row and the manifest re-sealed: every checksum holds, so only a parse
-// finds it. fsck used to pass such a dataset that load_patchdb refused.
+// A pack entry that is not a diff, with the pack and the manifest
+// re-sealed around it and its checksum written into its row: every
+// checksum holds, so only a parse finds it. fsck used to pass such a
+// dataset that load_patchdb refused.
 TEST_F(StoreTest, FsckRejectsResealedNonDiffPatch) {
   const core::PatchDb db = small_db();
   store::export_patchdb(db, root_);
   const std::string commit = db.nvd_security[0].patch.commit;
-  const fs::path victim = root_ / "nvd" / (commit + ".patch");
-  std::ofstream(victim, std::ios::binary | std::ios::trunc) << "stray\n";
+  const fs::path victim = store::pack_path(root_, 0);
+  std::vector<std::string> bodies = rendered(db.nvd_security);
+  bodies[0] = "stray\n";
+  forge_pack(victim, bodies);
   std::vector<std::string> lines = manifest_lines();
   std::size_t row = 0;
   for (std::size_t i = 2; i < lines.size(); ++i) {
@@ -452,27 +530,32 @@ TEST_F(StoreTest, BothReadersRejectGarbageRowsAlike) {
   }
 }
 
-// One corruption at a time to the manifest rows and patch files of a
-// small export, with the manifest re-sealed after each so that the row
-// checks decide: fsck passes exactly the datasets load_patchdb accepts,
-// never throws, and reports load's message first.
+// One corruption at a time to the manifest rows and the packs of a
+// small export, with the manifest re-sealed after each row edit so that
+// the row checks decide: fsck passes exactly the datasets load_patchdb
+// accepts, never throws, and reports load's message first.
 TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
   const core::PatchDb db = small_db();
   ASSERT_FALSE(db.synthetic.empty());
   store::export_patchdb(db, root_);
   const std::vector<std::string> pristine = manifest_lines();
-  const fs::path nvd_patch =
-      root_ / "nvd" / (db.nvd_security[0].patch.commit + ".patch");
-  const fs::path wild_patch =
-      root_ / "wild" / (db.wild_security[0].patch.commit + ".patch");
-  const std::string nvd_content = store::read_file(nvd_patch);
-  const std::string wild_content = store::read_file(wild_patch);
+  std::vector<std::string> packs;
+  for (std::size_t c = 0; c < std::size(store::kComponents); ++c) {
+    packs.push_back(store::read_file(store::pack_path(root_, c)));
+  }
+  const fs::path nvd_pack = store::pack_path(root_, 0);
+  const fs::path wild_pack = store::pack_path(root_, 1);
+  const std::vector<std::string> nvd_bodies = rendered(db.nvd_security);
+  const std::string wild_content = diff::render_patch(db.wild_security[0].patch);
   const auto restore = [&] {
     reseal_manifest(pristine);
-    std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << nvd_content;
-    std::ofstream(wild_patch, std::ios::binary | std::ios::trunc) << wild_content;
+    for (std::size_t c = 0; c < packs.size(); ++c) {
+      fs::remove_all(root_ / store::kComponents[c]);
+      fs::create_directories(root_ / store::kComponents[c]);
+      write_bytes(store::pack_path(root_, c), packs[c]);
+    }
   };
-  // Load and fsck must agree; the damaged patch files must be refused.
+  // Load and fsck must agree; the damaged packs must be refused.
   std::size_t refused = 0;
   const auto check = [&](const std::string& name, bool damaged = false) {
     const std::string thrown = load_error(root_);
@@ -546,32 +629,85 @@ TEST_F(StoreTest, FsckAgreesWithLoadOnEveryCorruption) {
   reseal_manifest(lines);
   check("duplicated row");
 
-  std::string flipped = nvd_content;
-  flipped[flipped.size() / 2] ^= 0x01;
-  std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << flipped;
-  check("flipped patch file", true);
-  std::ofstream(wild_patch, std::ios::binary | std::ios::trunc)
-      << wild_content.substr(0, wild_content.size() / 2);
-  check("truncated patch file", true);
-  fs::remove(nvd_patch);
-  check("deleted patch file", true);
+  // One flipped byte in each part of the nvd pack: its version line, its
+  // first body, its offset table and its footer.
+  const std::string& pack = packs[0];
+  const std::pair<const char*, std::size_t> flips[] = {
+      {"version line", 1},
+      {"first body", first_body(pack) + nvd_bodies[0].size() / 2},
+      {"offset table", footer_start(pack) - 5},
+      {"footer", pack.size() - 3}};
+  for (const auto& [part, offset] : flips) {
+    std::string flipped = pack;
+    flipped[offset] ^= 0x01;
+    write_bytes(nvd_pack, flipped);
+    check(std::string("flipped byte in the nvd pack's ") + part, true);
+  }
+  write_bytes(nvd_pack, pack.substr(0, pack.size() - 1));
+  check("nvd pack one byte short", true);
+  write_bytes(nvd_pack, pack + "\n");
+  check("nvd pack one byte long", true);
+  write_bytes(wild_pack, packs[1].substr(0, packs[1].size() / 2));
+  check("wild pack cut in half", true);
+  std::vector<std::string> extra = nvd_bodies;
+  extra.push_back(wild_content);
+  forge_pack(nvd_pack, extra);
+  check("nvd pack with an entry the manifest does not list", true);
+  fs::remove(nvd_pack);
+  check("missing nvd pack", true);
 
-  // Replaced and re-sealed: the row carries the new content's checksum.
-  // A whole wild patch swapped in parses, but carries another commit, so
-  // the dataset would serve two records under that key.
+  // An export from before packs: one .patch file per commit, no pack.
+  // The refusal names the missing pack and asks for a re-export.
+  for (std::size_t c = 0; c < packs.size(); ++c) fs::remove(store::pack_path(root_, c));
+  const std::vector<corpus::CommitRecord>* natural[] = {
+      &db.nvd_security, &db.wild_security, &db.nonsecurity};
+  for (std::size_t c = 0; c < std::size(natural); ++c) {
+    for (const corpus::CommitRecord& record : *natural[c]) {
+      write_bytes(root_ / store::kComponents[c] / (record.patch.commit + ".patch"),
+                  diff::render_patch(record.patch));
+    }
+  }
+  for (const synth::SyntheticPatch& patch : db.synthetic) {
+    write_bytes(root_ / store::kComponents[store::kSynthetic] /
+                    (patch.patch.commit + ".patch"),
+                diff::render_patch(patch.patch));
+  }
+  const std::string per_file = load_error(root_);
+  EXPECT_NE(per_file.find(nvd_pack.string()), std::string::npos) << per_file;
+  EXPECT_NE(per_file.find("re-export"), std::string::npos) << per_file;
+  check("per-file export", true);
+
+  // What perfbench's corrupt-export hook does: flip bit 5 of byte 0 of
+  // the first file under nvd/.
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(root_ / "nvd")) {
+    if (!entry.is_regular_file()) continue;
+    std::string bytes = store::read_file(entry.path());
+    bytes[0] ^= 0x20;
+    write_bytes(entry.path(), bytes);
+    break;
+  }
+  check("perfbench's corrupt-export hook", true);
+
+  // Replaced and re-sealed: the pack is rewritten around the new entry
+  // and the row carries its checksum. A whole wild patch swapped in
+  // parses, but carries another commit, so the dataset would serve two
+  // records under that key.
   for (const std::string& replacement : {std::string("stray\n"), std::string(),
                                          wild_content.substr(0, wild_content.size() / 2),
                                          wild_content}) {
-    std::ofstream(nvd_patch, std::ios::binary | std::ios::trunc) << replacement;
+    std::vector<std::string> bodies = nvd_bodies;
+    bodies[0] = replacement;
+    forge_pack(nvd_pack, bodies);
     lines = pristine;
     lines[2].replace(lines[2].rfind(',') + 1, std::string::npos,
                      util::to_hex(util::fnv1a64(replacement)));
     reseal_manifest(lines);
-    check("patch file replaced by " + std::to_string(replacement.size()) +
+    check("nvd entry 0 replaced by " + std::to_string(replacement.size()) +
               " bytes and re-sealed",
           true);
   }
-  EXPECT_GT(refused, 40u);
+  EXPECT_GT(refused, 50u);
 }
 
 }  // namespace

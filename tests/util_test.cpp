@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -431,6 +434,49 @@ TEST(Strings, HumanCount) {
   EXPECT_EQ(util::human_count(950), "950");
   EXPECT_EQ(util::human_count(100000), "100K");
   EXPECT_EQ(util::human_count(6200000), "6.2M");
+}
+
+// format_double writes features.csv, so it must match printf("%.*f")
+// byte for byte, at every length: the 64-byte buffer it once used cut
+// 1e56 to 63 of its 64 characters.
+TEST(Strings, FormatDoubleMatchesPrintf) {
+  const auto printf_fixed = [](double value, int decimals) {
+    std::string out(
+        static_cast<std::size_t>(std::snprintf(nullptr, 0, "%.*f", decimals, value)),
+        '\0');
+    std::snprintf(out.data(), out.size() + 1, "%.*f", decimals, value);
+    return out;
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -2.5, 0.125, 1e56, -1e56, 1e300,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  // Exact ties at every decimal place: k/2^n with n up to 20.
+  for (int n = 1; n <= 20; ++n) {
+    for (int k = 1; k < 64; k += 2) values.push_back(std::ldexp(k, -n));
+  }
+  for (int e = 56; e <= 308; e += 12) values.push_back(std::pow(10.0, e) * 1.2345);
+  util::Rng rng(0xf0f0);
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    values.push_back(value);
+    // Subnormals: a random mantissa under a zero exponent.
+    const std::uint64_t subnormal = bits & 0x800fffffffffffffULL;
+    std::memcpy(&value, &subnormal, sizeof value);
+    values.push_back(value);
+  }
+  for (const double value : values) {
+    for (int decimals = 0; decimals <= 6; ++decimals) {
+      ASSERT_EQ(util::format_double(value, decimals), printf_fixed(value, decimals))
+          << std::hexfloat << value << " at " << decimals << " decimals";
+    }
+  }
+  EXPECT_EQ(util::format_double(1e56, 6).size(), 64u);
 }
 
 // --------------------------------------------------------------- file --

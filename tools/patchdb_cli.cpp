@@ -21,8 +21,9 @@
 //       distribution, categorizer agreement.
 //   patchdb fsck DIR
 //       Verify an exported dataset and/or checkpoint directory: manifest
-//       and features checksums, strict row parsing, per-patch content
-//       checksums, orphaned files. Exit 1 when anything is corrupted.
+//       and features checksums, strict row parsing, each pack's footer
+//       and table, per-patch content checksums, orphaned pack entries.
+//       Exit 1 when anything is corrupted.
 //   patchdb features FILE.patch [--all] [--semantic] [--interproc]
 //       Print the Table I feature vector of a patch file (--semantic
 //       appends the 12 CFG/checker dimensions, --interproc a further 8
