@@ -1,10 +1,16 @@
-// Shared helpers for the experiment benches: scaled world construction,
-// feature dataset assembly, and paper-vs-measured table plumbing.
+// Shared helpers for the experiment benches: the one bench front end
+// (Session), scaled world construction, feature dataset assembly, and
+// paper-vs-measured table plumbing.
 //
-// Every bench accepts an optional scale multiplier as argv[1] (default
-// 1.0). The default scale is roughly 1:5 of the paper's (4076 NVD
-// patches -> 800; 100K/200K pools -> 20K/40K) so the full suite runs on
-// one machine in minutes; pass 5 to run at paper scale.
+// Every bench takes a scale multiplier as its one positional argument,
+// wherever it sits among the flags (default 1.0). The default scale is
+// roughly 1:5 of the paper's (4076 NVD patches -> 800; 100K/200K pools
+// -> 20K/40K) so the full suite runs on one machine in minutes; pass 5
+// to run at paper scale. The flags are the obs ones every binary takes
+// (--metrics-out FILE, --trace-out FILE, --sample-ms N, --progress) plus
+// any a bench declares, all through util::Flags: `--name value` is the
+// only form, and an unknown flag, a second positional argument or a bad
+// scale exits 2 and names the argument.
 #pragma once
 
 #include <cerrno>
@@ -12,8 +18,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "corpus/repo.h"
@@ -25,35 +31,35 @@
 #include "nn/vocab.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "util/strings.h"
+#include "util/flags.h"
 #include "util/thread_pool.h"
 #include "util/table.h"
 
 namespace patchdb::bench {
 
-inline double parse_scale(int argc, char** argv) {
-  // google-benchmark style flags (e.g. --benchmark_filter) are ignored.
-  if (argc > 1 && argv[1][0] != '-') {
-    // Full-consumption parse: "5x" or "1.5GB" is a typo'd run that
-    // would otherwise silently bench the wrong scale — fail loudly.
-    // isfinite + ERANGE reject "inf" and overflowing exponents like
-    // "1e999" (strtod returns HUGE_VAL without an error flag in the
-    // return value alone), which would otherwise ask for an infinite
-    // world size.
-    char* end = nullptr;
-    errno = 0;
-    const double s = std::strtod(argv[1], &end);
-    if (end == argv[1] || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(s) || !(s > 0.0)) {
-      std::fprintf(stderr,
-                   "bench: bad scale \"%s\" (want a positive number, e.g. 1 "
-                   "or 0.25 or 5)\n",
-                   argv[1]);
-      std::exit(2);
-    }
-    return s;
+/// The scale, the one positional argument: a strict positive number,
+/// or 1 when there is none.
+inline double parse_scale(const util::Flags& flags) {
+  const std::string text = flags.positional();
+  if (text.empty()) return 1.0;
+  // Full-consumption parse: "5x" or "1.5GB" is a typo'd run that
+  // would otherwise silently bench the wrong scale — fail loudly.
+  // isfinite + ERANGE reject "inf" and overflowing exponents like
+  // "1e999" (strtod returns HUGE_VAL without an error flag in the
+  // return value alone), which would otherwise ask for an infinite
+  // world size.
+  char* end = nullptr;
+  errno = 0;
+  const double s = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(s) || !(s > 0.0)) {
+    std::fprintf(stderr,
+                 "%s: bad scale \"%s\" (want a positive number, e.g. 1 "
+                 "or 0.25 or 5)\n",
+                 flags.tool().c_str(), text.c_str());
+    std::exit(2);
   }
-  return 1.0;
+  return s;
 }
 
 inline std::size_t scaled(std::size_t base, double scale) {
@@ -147,117 +153,43 @@ inline std::vector<std::string> tokens_of(const diff::Patch& patch) {
 inline void print_header(const std::string& title, double scale) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
-  std::printf("scale multiplier: %.2f (pass a number as argv[1] to change; 5 = paper scale)\n",
+  std::printf("scale multiplier: %.2f (pass a number to change; 5 = paper scale)\n",
               scale);
   std::printf("================================================================\n\n");
 }
 
-/// Value of `--NAME FILE` / `--NAME=FILE` at any argv position. Empty
-/// when absent.
-inline std::string parse_flag_value(int argc, char** argv,
-                                    std::string_view name) {
-  const std::string eq_form = "--" + std::string(name) + "=";
-  const std::string flag_form = "--" + std::string(name);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == flag_form && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(eq_form, 0) == 0) {
-      return std::string(arg.substr(eq_form.size()));
-    }
-  }
-  return {};
+/// The argv of a bench after util::Flags::accept: the obs flags and
+/// `values`, and at most one positional argument (the scale). Exits 2
+/// on anything else.
+inline util::Flags bench_flags(int argc, char** argv,
+                               std::vector<std::string> values) {
+  util::Flags flags(argc, argv, 1,
+                    std::filesystem::path(argv[0]).filename().string());
+  values.insert(values.end(), obs::kArtifactValueFlags.begin(),
+                obs::kArtifactValueFlags.end());
+  if (!flags.accept(values, {"--progress"}, 1)) std::exit(2);
+  return flags;
 }
 
-inline bool parse_flag_present(int argc, char** argv, std::string_view name) {
-  const std::string flag_form = "--" + std::string(name);
-  for (int i = 1; i < argc; ++i) {
-    if (flag_form == argv[i]) return true;
-  }
-  return false;
-}
-
-/// util::parse_size of a numeric flag value: full consumption, no
-/// sign, overflow rejected — exits 2 with the offending text, like
-/// parse_scale.
-inline std::uint64_t parse_uint_flag(std::string_view flag,
-                                     const std::string& text) {
-  std::size_t value = 0;
-  if (!util::parse_size(text, value)) {
-    std::fprintf(stderr, "bench: bad --%.*s value \"%s\" (want a non-negative "
-                 "integer)\n",
-                 static_cast<int>(flag.size()), flag.data(), text.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-/// The obs artifacts and progress heartbeat a bench's flags ask for
-/// (any argv position, `--flag V` or `--flag=V`):
+/// The bench front end. Construct it first thing in main(): it parses
+/// argv (bench_flags), prints the bench header and runs an
+/// obs::ObsSession, so every instrumented pipeline stage the bench
+/// touches records into one registry. `values` are the bench's own
+/// value flags, read through flags().
 ///
-///   --metrics-out FILE   write the RunReport JSON
-///   --trace-out FILE     write a Chrome trace (load in Perfetto)
-///   --sample-ms N        run a ResourceSampler at N ms (default 50
-///                        whenever --trace-out or --metrics-out is on)
-///   --progress[-ms N]    heartbeat lines from instrumented loops
-inline obs::ArtifactRequest artifact_request(int argc, char** argv) {
-  obs::ArtifactRequest request;
-  request.metrics_out = parse_flag_value(argc, argv, "metrics-out");
-  request.trace_out = parse_flag_value(argc, argv, "trace-out");
-  const std::string sample_ms = parse_flag_value(argc, argv, "sample-ms");
-  if (!sample_ms.empty()) request.sample_ms = parse_uint_flag("sample-ms", sample_ms);
-  request.progress = parse_flag_present(argc, argv, "progress");
-  const std::string progress_ms = parse_flag_value(argc, argv, "progress-ms");
-  if (!progress_ms.empty()) {
-    request.progress_ms = parse_uint_flag("progress-ms", progress_ms);
-  }
-  return request;
-}
-
-/// Per-bench observability session. Construct it first thing in main():
-/// it parses the scale plus the shared obs flags (artifact_request),
-/// prints the bench header, and runs an obs::ArtifactSession so every
-/// instrumented pipeline stage the bench touches records into one
-/// registry.
-///
-/// Call add_items() with the bench's natural unit of work; finish()
-/// (implicit in the destructor) prints the one-line summary — items,
-/// wall ms, items/s — straight from the registry and writes the
-/// requested artifacts.
+/// Call add_items() with the bench's natural unit of work; the
+/// destructor prints the one-line summary — items, wall ms, items/s —
+/// straight from the report and writes the requested artifacts.
 class Session {
  public:
-  Session(const std::string& title, int argc, char** argv)
-      : scale_(parse_scale(argc, argv)), obs_(title, artifact_request(argc, argv)) {
+  Session(const std::string& title, int argc, char** argv,
+          std::vector<std::string> values = {})
+      : flags_(bench_flags(argc, argv, std::move(values))),
+        scale_(parse_scale(flags_)),
+        obs_(title, obs::artifact_request(flags_)) {
     print_header(title, scale_);
   }
-  ~Session() { finish(); }
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  double scale() const noexcept { return scale_; }
-
-  /// Count `n` units of bench work (counter `bench.items`).
-  void add_items(std::size_t n) { obs::counter_add("bench.items", n); }
-
-  void finish() {
-    if (finished_) return;
-    finished_ = true;
-    if (obs_.session().installed()) {
-      // Record the pool's actual shape into the artifact: the worker
-      // count as a gauge and each worker's cumulative busy time as a
-      // histogram observation. A single-threaded pathology (the
-      // pool.threads: 1 bench runs this replaces) then shows up as
-      // workers_active = 1 with one hot histogram lane, instead of
-      // silently producing a serial measurement.
-      const std::vector<double> busy = util::default_pool().worker_busy_ms();
-      std::size_t active = 0;
-      for (const double ms : busy) {
-        obs::histogram_observe("pool.worker_busy_ms", ms);
-        if (ms > 0.0) ++active;
-      }
-      obs::gauge_set("pool.threads",
-                     static_cast<double>(util::default_pool().size()));
-      obs::gauge_set("pool.workers_active", static_cast<double>(active));
-    }
+  ~Session() {
     const obs::RunReport report = obs_.report();
     const std::uint64_t items = report.metrics.counter("bench.items");
     const double rate =
@@ -265,15 +197,23 @@ class Session {
             ? static_cast<double>(items) / (report.wall_ms / 1000.0)
             : 0.0;
     std::printf("[bench] %s: %llu items in %.1f ms (%.0f items/s)\n",
-                obs_.session().name().c_str(), static_cast<unsigned long long>(items),
+                obs_.name().c_str(), static_cast<unsigned long long>(items),
                 report.wall_ms, rate);
     obs_.write_artifacts(report);
   }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  double scale() const noexcept { return scale_; }
+  const util::Flags& flags() const noexcept { return flags_; }
+
+  /// Count `n` units of bench work (counter `bench.items`).
+  void add_items(std::size_t n) { obs::counter_add("bench.items", n); }
 
  private:
+  util::Flags flags_;
   double scale_;
-  obs::ArtifactSession obs_;
-  bool finished_ = false;
+  obs::ObsSession obs_;
 };
 
 /// Run `fn` under a trace span and return its wall time in milliseconds

@@ -5,11 +5,8 @@
 // inference.
 #include <benchmark/benchmark.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "synth/synthesize.h"
+#include "util/flags.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
 
@@ -275,12 +273,14 @@ void BM_SynthesizePatch(benchmark::State& state) {
 BENCHMARK(BM_SynthesizePatch);
 
 // Reduced-scale dense-vs-streaming probe for the CI gate: one dense run
-// and one streaming run over the same inputs, with the verdict recorded
-// as nearest_link.bench.* gauges in the metrics artifact. bench_diff
-// then enforces machine-independent rules (identical = 1, a speedup
-// floor, pool.threads >= 2) without paying the full 1000 x 100000
-// ablation scale on every push.
-bool run_link_check(std::size_t m, std::size_t n) {
+// and one streaming run over the same 250 x 25000 inputs, with the
+// verdict recorded as nearest_link.bench.* gauges in the metrics
+// artifact. bench_diff then enforces machine-independent rules
+// (identical = 1, a speedup floor, pool.threads >= 2) without paying
+// the full 1000 x 100000 ablation scale on every push.
+bool run_link_check() {
+  constexpr std::size_t m = 250;
+  constexpr std::size_t n = 25000;
   const auto sec = random_features(m, 7);
   const auto wild = random_features(n, 8);
   const std::vector<double> w = core::maxabs_weights(sec, wild);
@@ -381,97 +381,31 @@ BENCHMARK(BM_GruInference);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): google-benchmark aborts on
-// flags it does not know, so the obs flags (--metrics-out, --trace-out,
-// --sample-ms) and --link-check[=MxN] are peeled off argv first. When
-// given, the whole run executes under an obs::ArtifactSession, which
+// Custom main instead of BENCHMARK_MAIN(): benchmark::Initialize takes
+// its own --benchmark_* flags out of argv, and util::Flags parses the
+// rest — the obs flags every binary takes, and --link-check, which runs
+// the dense-vs-streaming probe and the pipeline panel after the
+// benchmarks. The whole run executes under an obs::ObsSession, which
 // samples resources while an artifact is requested, and the
 // counters/spans the kernels record (distance.tiles, nearest_link.*)
 // land in machine-readable artifacts — this is what the CI bench-smoke
 // job uploads.
 int main(int argc, char** argv) {
-  patchdb::obs::ArtifactRequest request;
-  bool link_check = false;
-  std::size_t link_m = 250;
-  std::size_t link_n = 25000;
-  std::vector<char*> args;
-  // Strict MxN parse: rejects overflow (ERANGE wraps strtoull to
-  // ULLONG_MAX silently otherwise), trailing junk, and zero extents.
-  const auto parse_shape = [](const std::string& shape, std::size_t& out_m,
-                              std::size_t& out_n) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long m_val = std::strtoull(shape.c_str(), &end, 10);
-    const bool m_ok =
-        end != shape.c_str() && *end == 'x' && m_val > 0 && errno != ERANGE;
-    const char* n_text = m_ok ? end + 1 : end;
-    errno = 0;
-    const unsigned long long n_val = std::strtoull(n_text, &end, 10);
-    if (!m_ok || end == n_text || *end != '\0' || n_val == 0 ||
-        errno == ERANGE) {
-      std::fprintf(stderr,
-                   "micro_core: bad --link-check shape \"%s\" (want MxN, "
-                   "e.g. 250x25000)\n",
-                   shape.c_str());
-      return false;
-    }
-    out_m = static_cast<std::size_t>(m_val);
-    out_n = static_cast<std::size_t>(n_val);
-    return true;
-  };
-  const auto peel = [&](std::string_view arg, std::string_view name,
-                        int& i, std::string& out) {
-    const std::string flag = "--" + std::string(name);
-    if (arg == flag && i + 1 < argc) {
-      out = argv[++i];
-      return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    return false;
-  };
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    std::string sample_value;
-    if (peel(arg, "metrics-out", i, request.metrics_out) ||
-        peel(arg, "trace-out", i, request.trace_out)) {
-      continue;
-    }
-    // --link-check[=MxN]: run the dense-vs-streaming identity/speedup
-    // probe after the benchmarks (default shape 250x25000), then the
-    // fixed-shape pipeline panel.
-    if (arg == "--link-check") {
-      link_check = true;
-      continue;
-    }
-    if (arg.rfind("--link-check=", 0) == 0) {
-      link_check = true;
-      const std::string shape(arg.substr(std::strlen("--link-check=")));
-      if (!parse_shape(shape, link_m, link_n)) return 2;
-      continue;
-    }
-    if (peel(arg, "sample-ms", i, sample_value)) {
-      request.sample_ms = patchdb::bench::parse_uint_flag("sample-ms", sample_value);
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
+  using namespace patchdb;
+  benchmark::Initialize(&argc, argv);
+  util::Flags flags(argc, argv, 1, "micro_core");
+  if (!flags.accept(obs::kArtifactValueFlags, {"--progress", "--link-check"}, 0)) {
+    return 2;
   }
   bool link_ok = true;
   {
-    patchdb::obs::ArtifactSession obs("micro_core", std::move(request));
+    obs::ObsSession session("micro_core", obs::artifact_request(flags));
     benchmark::RunSpecifiedBenchmarks();
-    if (link_check) {
-      link_ok = run_link_check(link_m, link_n);
+    if (flags.has("--link-check")) {
+      link_ok = run_link_check();
       if (!run_pipeline_link_check()) link_ok = false;
     }
-    obs.write_artifacts(obs.report());
+    session.write_artifacts(session.report());
   }
   benchmark::Shutdown();
   if (!link_ok) {

@@ -12,9 +12,11 @@
 //
 //   micro_serve [SCALE] [--conns N] [--reps N] [--k K]
 //               [--host H --port P]            (skip in-process server)
-//               [--metrics-out FILE] [--trace-out FILE]
+//               [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
+//               [--progress]
 //
-// SCALE multiplies the in-process dataset size (default 1.0).
+// SCALE multiplies the in-process dataset size (default 1.0), and may
+// sit anywhere among the flags.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -34,19 +36,6 @@
 namespace {
 
 using namespace patchdb;
-
-std::size_t flag_or(int argc, char** argv, std::string_view name,
-                    std::size_t fallback) {
-  const std::string raw = bench::parse_flag_value(argc, argv, name);
-  if (raw.empty()) return fallback;
-  std::size_t value = 0;
-  if (!util::parse_size(raw, value)) {
-    std::fprintf(stderr, "micro_serve: bad --%s \"%s\"\n",
-                 std::string(name).c_str(), raw.c_str());
-    std::exit(2);
-  }
-  return value;
-}
 
 /// One connection's worth of load: `reps` five-op cycles, latencies
 /// appended to `latencies_out` under `mutex`.
@@ -118,13 +107,14 @@ double quantile(std::vector<double>& sorted, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Session session("micro_serve", argc, argv);
-
-  const std::size_t conns = flag_or(argc, argv, "conns", 8);
-  const std::size_t reps = flag_or(argc, argv, "reps", 20);
-  const auto k = static_cast<std::uint32_t>(flag_or(argc, argv, "k", 5));
-  const std::string ext_host = bench::parse_flag_value(argc, argv, "host");
-  const std::size_t ext_port = flag_or(argc, argv, "port", 0);
+  bench::Session session("micro_serve", argc, argv,
+                         {"--conns", "--reps", "--k", "--host", "--port"});
+  const util::Flags& flags = session.flags();
+  const std::size_t conns = flags.value("--conns", std::size_t{8});
+  const std::size_t reps = flags.value("--reps", std::size_t{20});
+  const auto k = static_cast<std::uint32_t>(flags.value("--k", std::size_t{5}));
+  const std::string ext_host = flags.value("--host", std::string());
+  const std::size_t ext_port = flags.value("--port", std::size_t{0});
   if (ext_port > 65535) {
     std::fprintf(stderr, "micro_serve: bad --port \"%zu\" (want 0..65535)\n", ext_port);
     return 2;

@@ -7,7 +7,6 @@
 
 #include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/patchdb.h"
@@ -16,6 +15,7 @@
 #include "store/export.h"
 #include "store/fsck.h"
 #include "store/io.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -126,34 +126,19 @@ BENCHMARK(BM_FsckDataset)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Peels --metrics-out, the one obs flag micro_store takes, and emits
-// the store.* counters through the same obs::ArtifactSession as the
-// tools and the other benches, without a resource sampler.
+// benchmark::Initialize takes its own --benchmark_* flags out of argv,
+// and util::Flags parses the rest: the obs flags every binary takes.
+// The store.* counters and spans land in the artifacts of the same
+// obs::ObsSession as the tools and the other benches.
 int main(int argc, char** argv) {
-  patchdb::obs::ArtifactRequest request;
-  request.sample_ms.reset();
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--metrics-out") {
-      if (i + 1 < argc) request.metrics_out = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      request.metrics_out = arg.substr(std::string_view("--metrics-out=").size());
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
-  }
+  using namespace patchdb;
+  benchmark::Initialize(&argc, argv);
+  util::Flags flags(argc, argv, 1, "micro_store");
+  if (!flags.accept(obs::kArtifactValueFlags, {"--progress"}, 0)) return 2;
   {
-    patchdb::obs::ArtifactSession obs("micro_store", std::move(request));
+    obs::ObsSession session("micro_store", obs::artifact_request(flags));
     benchmark::RunSpecifiedBenchmarks();
-    obs.write_artifacts(obs.report());
+    session.write_artifacts(session.report());
   }
   benchmark::Shutdown();
   return 0;

@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "core/augment.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace {

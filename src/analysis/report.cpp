@@ -56,25 +56,23 @@ std::string render_report(const PatchAnalysis& analysis, const ReportOptions& op
   }
   out += table.render();
 
-  if (options.show_cfg_summary) {
-    out += "  control flow: ";
-    out += std::to_string(analysis.before.cfgs.size());
-    out += " -> ";
-    out += std::to_string(analysis.after.cfgs.size());
-    out += " functions, ";
-    out += std::to_string(analysis.before.blocks);
-    out += " -> ";
-    out += std::to_string(analysis.after.blocks);
-    out += " blocks, ";
-    out += std::to_string(analysis.before.edges);
-    out += " -> ";
-    out += std::to_string(analysis.after.edges);
-    out += " edges, cyclomatic ";
-    out += std::to_string(analysis.before.cyclomatic);
-    out += " -> ";
-    out += std::to_string(analysis.after.cyclomatic);
-    out += '\n';
-  }
+  out += "  control flow: ";
+  out += std::to_string(analysis.before.cfgs.size());
+  out += " -> ";
+  out += std::to_string(analysis.after.cfgs.size());
+  out += " functions, ";
+  out += std::to_string(analysis.before.blocks);
+  out += " -> ";
+  out += std::to_string(analysis.after.blocks);
+  out += " blocks, ";
+  out += std::to_string(analysis.before.edges);
+  out += " -> ";
+  out += std::to_string(analysis.after.edges);
+  out += " edges, cyclomatic ";
+  out += std::to_string(analysis.before.cyclomatic);
+  out += " -> ";
+  out += std::to_string(analysis.after.cyclomatic);
+  out += '\n';
 
   if (analysis.interproc) {
     out += "  call graph: ";
@@ -108,18 +106,16 @@ std::string render_report(const PatchAnalysis& analysis, const ReportOptions& op
     out += '\n';
   }
 
-  if (options.show_diagnostics) {
-    if (!analysis.resolved.empty()) {
-      out += "resolved by this patch:\n";
-      append_diagnostic_lines(out, analysis.resolved, "-");
-    }
-    if (!analysis.introduced.empty()) {
-      out += "introduced by this patch:\n";
-      append_diagnostic_lines(out, analysis.introduced, "+");
-    }
-    if (analysis.resolved.empty() && analysis.introduced.empty()) {
-      out += "no checker-visible change between BEFORE and AFTER\n";
-    }
+  if (!analysis.resolved.empty()) {
+    out += "resolved by this patch:\n";
+    append_diagnostic_lines(out, analysis.resolved, "-");
+  }
+  if (!analysis.introduced.empty()) {
+    out += "introduced by this patch:\n";
+    append_diagnostic_lines(out, analysis.introduced, "+");
+  }
+  if (analysis.resolved.empty() && analysis.introduced.empty()) {
+    out += "no checker-visible change between BEFORE and AFTER\n";
   }
 
   if (options.show_unchanged) {

@@ -10,9 +10,7 @@
 namespace patchdb::analysis {
 
 struct ReportOptions {
-  bool show_diagnostics = true;   // list resolved/introduced findings
-  bool show_cfg_summary = true;   // per-side block/edge/complexity totals
-  bool show_unchanged = false;    // also list diagnostics present on both sides
+  bool show_unchanged = false;  // also list diagnostics present on both sides
 };
 
 std::string render_report(const PatchAnalysis& analysis,

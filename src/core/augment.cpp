@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "util/log.h"
 
 namespace patchdb::core {
 
@@ -114,9 +113,6 @@ RoundStats AugmentationLoop::run_round() {
   }
   pool_features_.truncate(pool_.size());
 
-  util::log_info() << "augment round " << stats.round << ": " << stats.candidates
-                   << " candidates, " << stats.verified_security
-                   << " security (" << stats.ratio * 100.0 << "%)";
   history_.push_back(stats);
   return stats;
 }

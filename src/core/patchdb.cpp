@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/log.h"
 
 namespace patchdb::core {
 
@@ -55,10 +54,6 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
     db.synthetic.insert(db.synthetic.end(), wild_synth.begin(), wild_synth.end());
   }
 
-  util::log_info() << "patchdb: " << db.nvd_security.size() << " NVD + "
-                   << db.wild_security.size() << " wild security, "
-                   << db.nonsecurity.size() << " non-security, "
-                   << db.synthetic.size() << " synthetic";
   return db;
 }
 

@@ -8,7 +8,6 @@
 #include "diff/render.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace patchdb::corpus {
@@ -180,10 +179,6 @@ World build_world(const WorldConfig& config) {
     world.nvd_security.push_back(std::move(record));
   }
 
-  util::log_info() << "world: " << world.nvd_security.size()
-                   << " NVD-collected patches, " << world.wild.size()
-                   << " wild commits, " << world.remote.page_count()
-                   << " remote pages";
   return world;
 }
 

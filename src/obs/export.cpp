@@ -107,7 +107,7 @@ Json trace_events_json(const RunReport& report) {
 
   Json other = Json::object();
   other.set("report", Json(report.name));
-  other.set("schema", Json(report.schema));
+  other.set("schema", Json(kReportSchemaV2));
   other.set("wall_ms", Json(report.wall_ms));
   other.set("spans_dropped", Json(report.spans_dropped));
 

@@ -34,20 +34,43 @@ void attach_pool(util::ThreadPool& pool) {
 
 void detach_pool(util::ThreadPool& pool) { pool.set_observer({}); }
 
-ObsSession::ObsSession(std::string name, Options options)
+ArtifactRequest artifact_request(const util::Flags& flags) {
+  ArtifactRequest request;
+  request.metrics_out = flags.value("--metrics-out", std::string());
+  request.trace_out = flags.value("--trace-out", std::string());
+  request.sample_ms = flags.value("--sample-ms", request.sample_ms);
+  request.progress = flags.has("--progress");
+  return request;
+}
+
+ObsSession::ObsSession(std::string name, ArtifactRequest request)
     : name_(std::move(name)),
-      options_(options),
+      request_(std::move(request)),
       installed_(!obs_env_disabled()),
       start_(std::chrono::steady_clock::now()) {
+  if (request_.progress) set_progress_interval_ms(1000);
   if (!installed_) return;  // inert session: all sinks stay as they were
   previous_registry_ = install_registry(&registry_);
   previous_tracer_ = install_tracer(&tracer_);
-  if (options_.attach_default_pool) attach_pool(util::default_pool());
+  attach_pool(util::default_pool());
+  if (!request_.metrics_out.empty() || !request_.trace_out.empty()) {
+    // Clamp before the signed cast: a size_t like 2^63 would wrap to a
+    // negative interval. One hour is already far beyond any useful
+    // sampling period.
+    constexpr std::size_t kMaxSampleMs = 3'600'000;
+    ResourceSampler::Options options;
+    options.interval = std::chrono::milliseconds(
+        static_cast<long long>(std::min(request_.sample_ms, kMaxSampleMs)));
+    sampler_ = std::make_unique<ResourceSampler>(options);
+    sampler_->start();
+  }
 }
 
 ObsSession::~ObsSession() {
   if (!installed_) return;
-  if (options_.attach_default_pool) detach_pool(util::default_pool());
+  // The sampler reads the installed tracer: stop it before the sinks go.
+  sampler_.reset();
+  detach_pool(util::default_pool());
   install_tracer(previous_tracer_);
   install_registry(previous_registry_);
 }
@@ -58,13 +81,31 @@ double ObsSession::elapsed_ms() const {
       .count();
 }
 
-RunReport ObsSession::report() const {
+RunReport ObsSession::report() {
   RunReport report;
   report.name = name_;
   report.wall_ms = elapsed_ms();
+  if (!installed_) return report;
+  if (sampler_) sampler_->stop();
   report.spans_dropped = tracer_.dropped();
   report.metrics = registry_.snapshot();
   report.spans = tracer_.snapshot();
+
+  // The pool's actual shape. A single-threaded pathology then shows up
+  // as workers_active = 1 with one hot histogram lane, instead of
+  // silently producing a serial measurement. Computed here, not in
+  // the registry, so a second report() does not count it twice.
+  MetricsRegistry shape;
+  std::size_t active = 0;
+  for (const double ms : util::default_pool().worker_busy_ms()) {
+    shape.histogram("pool.worker_busy_ms").observe(ms);
+    if (ms > 0.0) ++active;
+  }
+  report.metrics.gauges["pool.workers_active"] = static_cast<double>(active);
+  for (HistogramSnapshot& h : shape.snapshot().histograms) {
+    report.metrics.histograms.push_back(std::move(h));
+  }
+
   // Derived gauge: fraction of the session's wall x threads the pool
   // spent running tasks.
   const double busy_us =
@@ -74,7 +115,7 @@ RunReport ObsSession::report() const {
     const double utilization = busy_us / (report.wall_ms * 1000.0 * threads);
     report.metrics.gauges["pool.utilization"] = utilization;
   }
-  if (sampler_ != nullptr) {
+  if (sampler_) {
     report.resource_timeline = sampler_->samples();
     // Samples are stamped relative to the sampler's own start; shift
     // them onto the tracer epoch so the exporter's counter tracks line
@@ -88,32 +129,7 @@ RunReport ObsSession::report() const {
   return report;
 }
 
-ArtifactSession::ArtifactSession(std::string name, ArtifactRequest request)
-    : request_(std::move(request)), session_(std::move(name)) {
-  if (request_.progress) set_progress_interval_ms(1000);
-  if (request_.progress_ms > 0) set_progress_interval_ms(request_.progress_ms);
-  const bool want_artifacts =
-      !request_.metrics_out.empty() || !request_.trace_out.empty();
-  if (session_.installed() && want_artifacts && request_.sample_ms) {
-    // Clamp before the signed cast: a size_t like 2^63 would wrap to a
-    // negative interval. One hour is already far beyond any useful
-    // sampling period.
-    constexpr std::size_t kMaxSampleMs = 3'600'000;
-    ResourceSampler::Options options;
-    options.interval = std::chrono::milliseconds(
-        static_cast<long long>(std::min(*request_.sample_ms, kMaxSampleMs)));
-    sampler_ = std::make_unique<ResourceSampler>(options);
-    session_.attach_sampler(sampler_.get());
-    sampler_->start();
-  }
-}
-
-RunReport ArtifactSession::report() {
-  if (sampler_) sampler_->stop();
-  return session_.report();
-}
-
-void ArtifactSession::write_artifacts(const RunReport& report) const {
+void ObsSession::write_artifacts(const RunReport& report) const {
   if (!request_.metrics_out.empty()) {
     write_report_file(report, request_.metrics_out);
     std::printf("metrics written to %s\n", request_.metrics_out.c_str());

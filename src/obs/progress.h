@@ -6,10 +6,10 @@
 //
 //   [progress] link.tiles: 14/52 (26.9%)  3.1/s  eta 12s
 //
-// Reporting is off by default. The CLI and bench binaries enable it
-// behind --progress [--progress-ms N] via set_progress_interval_ms();
-// 0 disables globally, so instrumented loops cost nothing in normal
-// runs and tests.
+// Reporting is off by default. Every binary's --progress switch has its
+// obs::ObsSession set a one-second interval through
+// set_progress_interval_ms(); 0 disables globally, so instrumented
+// loops cost nothing in normal runs and tests.
 #pragma once
 
 #include <atomic>

@@ -108,7 +108,7 @@ ResourceSample sample_from_json(const Json& json) {
 Json RunReport::to_json() const {
   Json out = Json::object();
   out.set("report", Json(name));
-  out.set("schema", Json(schema));
+  out.set("schema", Json(kReportSchemaV2));
   out.set("wall_ms", Json(wall_ms));
   out.set("spans_dropped", Json(spans_dropped));
 
@@ -130,8 +130,7 @@ Json RunReport::to_json() const {
   for (const SpanRecord& s : spans) span_array.push_back(span_to_json(s));
   out.set("spans", std::move(span_array));
 
-  // Optional v2 block. Omitted when empty so v1 artifacts round-trip
-  // byte-identically and samplerless v2 runs stay as small as v1 ones.
+  // Optional block, omitted when empty so samplerless runs stay small.
   if (!resource_timeline.empty()) {
     Json timeline = Json::array();
     for (const ResourceSample& s : resource_timeline) {
@@ -145,10 +144,10 @@ Json RunReport::to_json() const {
 RunReport RunReport::from_json(const Json& json) {
   RunReport report;
   report.name = json.at("report").as_string();
-  report.schema = json.at("schema").as_string();
-  if (report.schema != kReportSchemaV1 && report.schema != kReportSchemaV2) {
-    throw JsonError("obs: unsupported report schema \"" + report.schema +
-                    "\" (expected patchdb.obs.v1 or patchdb.obs.v2)");
+  const std::string& schema = json.at("schema").as_string();
+  if (schema != kReportSchemaV2) {
+    throw JsonError("obs: unsupported report schema \"" + schema +
+                    "\" (expected " + std::string(kReportSchemaV2) + ")");
   }
   report.wall_ms = json.at("wall_ms").as_number();
   report.spans_dropped =

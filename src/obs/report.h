@@ -5,10 +5,8 @@
 // util/table.h. Bench binaries write one per run via --metrics-out;
 // those artifacts are the repo's perf trajectory.
 //
-// Schema: new reports are `patchdb.obs.v2` (v1 plus the optional
-// `resource_timeline` block). v1 artifacts still parse, keep their
-// schema string, and round-trip byte-identically — the perf-trajectory
-// files checked in before the sampler existed stay valid.
+// Schema: `patchdb.obs.v2`, with an optional `resource_timeline` block.
+// It is the only schema a report is read or written under.
 #pragma once
 
 #include <string>
@@ -21,15 +19,11 @@
 
 namespace patchdb::obs {
 
-inline constexpr std::string_view kReportSchemaV1 = "patchdb.obs.v1";
 inline constexpr std::string_view kReportSchemaV2 = "patchdb.obs.v2";
 
 struct RunReport {
   /// Run identity ("table2_augmentation", "patchdb metrics", ...).
   std::string name;
-  /// Schema tag this report serializes under. from_json preserves the
-  /// artifact's own tag so validation round-trips are exact.
-  std::string schema{kReportSchemaV2};
   /// Wall time covered by the report, in milliseconds.
   double wall_ms = 0.0;
   /// Spans dropped to ring overflow (0 in healthy runs).
@@ -37,7 +31,7 @@ struct RunReport {
 
   MetricsSnapshot metrics;
   std::vector<SpanRecord> spans;
-  /// Periodic RSS/CPU/pool samples (v2; empty when no sampler ran).
+  /// Periodic RSS/CPU/pool samples (empty when no sampler ran).
   /// t_us shares the spans' timebase (the tracer epoch).
   std::vector<ResourceSample> resource_timeline;
 

@@ -75,14 +75,13 @@ ResourceSample ResourceSampler::sample_now(util::ThreadPool* pool) {
 }
 
 void ResourceSampler::record_locked(std::chrono::steady_clock::time_point now) {
-  ResourceSample s = sample_now(options_.pool);
+  ResourceSample s = sample_now();
   s.t_us =
       std::chrono::duration_cast<std::chrono::microseconds>(now - start_).count();
-  if (options_.publish_gauges) {
-    gauge_set("proc.rss_bytes", static_cast<double>(s.rss_bytes));
-    gauge_set("proc.peak_rss_bytes", static_cast<double>(s.peak_rss_bytes));
-    gauge_set("proc.cpu_us", static_cast<double>(s.cpu_us));
-  }
+  // The latest sample, live in the installed registry.
+  gauge_set("proc.rss_bytes", static_cast<double>(s.rss_bytes));
+  gauge_set("proc.peak_rss_bytes", static_cast<double>(s.peak_rss_bytes));
+  gauge_set("proc.cpu_us", static_cast<double>(s.cpu_us));
   if (samples_.size() < options_.max_samples) {
     samples_.push_back(s);
   } else {

@@ -44,11 +44,6 @@ class ResourceSampler {
     std::chrono::milliseconds interval{100};
     /// Hard cap on recorded samples; ticks past it count as overflow.
     std::size_t max_samples = 4096;
-    /// Pool whose gauges each sample reads; nullptr = util::default_pool().
-    util::ThreadPool* pool = nullptr;
-    /// Mirror the latest sample into the installed metrics registry
-    /// (gauges `proc.rss_bytes`, `proc.peak_rss_bytes`, `proc.cpu_us`).
-    bool publish_gauges = true;
   };
 
   ResourceSampler() : ResourceSampler(Options{}) {}
@@ -71,7 +66,8 @@ class ResourceSampler {
   std::chrono::steady_clock::time_point start_time() const;
 
   /// One sample of the current process state, usable without a running
-  /// sampler (t_us is 0). `pool` as in Options.
+  /// sampler (t_us is 0). `pool` is the pool whose gauges it reads;
+  /// nullptr = util::default_pool().
   static ResourceSample sample_now(util::ThreadPool* pool = nullptr);
 
  private:

@@ -1,11 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "obs/metrics.h"
-#include "util/strings.h"
 
 #if defined(__linux__)
 #include <time.h>  // NOLINT(modernize-deprecated-headers): clock_gettime
@@ -36,19 +33,17 @@ std::int64_t thread_cpu_us() noexcept {
 /// plus the live `obs.spans_dropped` counter so a running sampler (or a
 /// human watching `patchdb metrics`) sees drops before the final report.
 struct Tracer::ThreadRing {
-  explicit ThreadRing(std::size_t ring_capacity) : capacity(ring_capacity) {
-    slots.reserve(capacity);
-  }
+  ThreadRing() { slots.reserve(kSpanRingCapacity); }
 
   void push(SpanRecord&& record) {
     bool overflowed = false;
     {
       std::lock_guard lock(mutex);
-      if (slots.size() < capacity) {
+      if (slots.size() < kSpanRingCapacity) {
         slots.push_back(std::move(record));
       } else {
         slots[next] = std::move(record);
-        next = (next + 1) % capacity;
+        next = (next + 1) % kSpanRingCapacity;
         ++dropped;
         overflowed = true;
       }
@@ -59,7 +54,6 @@ struct Tracer::ThreadRing {
   }
 
   std::mutex mutex;
-  const std::size_t capacity;
   std::uint32_t thread_index = 0;
   std::vector<SpanRecord> slots;
   std::size_t next = 0;  // oldest slot once the ring has wrapped
@@ -85,21 +79,8 @@ LocalTraceState& local_trace_state() {
 
 }  // namespace
 
-std::size_t parse_span_ring_capacity(const char* text) {
-  if (text == nullptr || *text == '\0') return kSpanRingCapacity;
-  std::size_t value = 0;
-  if (!util::parse_size(text, value) || value == 0) {
-    throw std::runtime_error(
-        "obs: invalid PATCHDB_SPAN_RING value \"" + std::string(text) +
-        "\" (want a positive integer number of spans per thread)");
-  }
-  return value;
-}
-
 Tracer::Tracer()
     : epoch_(std::chrono::steady_clock::now()),
-      // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup
-      ring_capacity_(parse_span_ring_capacity(std::getenv("PATCHDB_SPAN_RING"))),
       generation_(g_generation.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 Tracer::~Tracer() {
@@ -111,7 +92,7 @@ Tracer::~Tracer() {
 std::shared_ptr<Tracer::ThreadRing> Tracer::local_ring() {
   LocalTraceState& state = local_trace_state();
   if (state.generation == generation_ && state.ring) return state.ring;
-  auto ring = std::make_shared<ThreadRing>(ring_capacity_);
+  auto ring = std::make_shared<ThreadRing>();
   {
     std::lock_guard lock(rings_mutex_);
     ring->thread_index = static_cast<std::uint32_t>(rings_.size());
@@ -134,9 +115,9 @@ std::vector<SpanRecord> Tracer::snapshot() const {
     std::lock_guard lock(ring->mutex);
     // Oldest first: [next, end) then [0, next) once wrapped.
     for (std::size_t i = 0; i < ring->slots.size(); ++i) {
-      const std::size_t idx = ring->slots.size() < ring->capacity
+      const std::size_t idx = ring->slots.size() < kSpanRingCapacity
                                   ? i
-                                  : (ring->next + i) % ring->capacity;
+                                  : (ring->next + i) % kSpanRingCapacity;
       out.push_back(ring->slots[idx]);
     }
   }

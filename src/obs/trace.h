@@ -5,13 +5,11 @@
 // — which record wall and thread-CPU time into a per-thread ring buffer
 // when a Tracer is installed, and cost one relaxed atomic load when none
 // is. Spans nest: each completed record carries its parent's id and its
-// depth, so a RunReport can rebuild the call tree. Rings are fixed-size
-// (kSpanRingCapacity by default, overridable per run via the
-// PATCHDB_SPAN_RING environment variable); when a thread overflows its
-// ring the oldest spans are dropped and counted — both on the tracer
-// (dropped()) and live on the installed registry as the
-// `obs.spans_dropped` counter — never reallocated: tracing the
-// augmentation loop must not perturb it.
+// depth, so a RunReport can rebuild the call tree. Rings hold
+// kSpanRingCapacity spans; when a thread overflows its ring the oldest
+// spans are dropped and counted — both on the tracer (dropped()) and
+// live on the installed registry as the `obs.spans_dropped` counter —
+// never reallocated: tracing the augmentation loop must not perturb it.
 #pragma once
 
 #include <atomic>
@@ -25,12 +23,8 @@
 
 namespace patchdb::obs {
 
+/// Spans each thread's ring holds.
 inline constexpr std::size_t kSpanRingCapacity = 4096;
-
-/// Parse a PATCHDB_SPAN_RING override. nullptr / "" fall back to
-/// kSpanRingCapacity; anything that is not a positive integer (with
-/// nothing trailing) throws std::runtime_error with the offending text.
-std::size_t parse_span_ring_capacity(const char* text);
 
 /// One completed span. Times are microseconds; start is relative to the
 /// owning Tracer's epoch so runs serialize small, diffable numbers.
@@ -51,9 +45,6 @@ class Tracer {
   /// in trace.cpp can hold a reference.
   struct ThreadRing;
 
-  /// Reads PATCHDB_SPAN_RING at construction (not cached statically, so
-  /// env changes between sessions take effect); throws
-  /// std::runtime_error on a malformed override.
   Tracer();
   ~Tracer();
   Tracer(const Tracer&) = delete;
@@ -66,9 +57,6 @@ class Tracer {
 
   /// Spans dropped to ring overflow, across all threads.
   std::uint64_t dropped() const noexcept;
-
-  /// Per-thread ring capacity this tracer was constructed with.
-  std::size_t span_ring_capacity() const noexcept { return ring_capacity_; }
 
   std::chrono::steady_clock::time_point epoch() const noexcept { return epoch_; }
 
@@ -83,7 +71,6 @@ class Tracer {
   }
 
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t ring_capacity_ = kSpanRingCapacity;
   std::atomic<std::uint64_t> next_id_{0};
   mutable std::mutex rings_mutex_;
   std::vector<std::shared_ptr<ThreadRing>> rings_;

@@ -1,5 +1,6 @@
 #include "store/checkpoint.h"
 
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -8,7 +9,6 @@
 #include "store/csv.h"
 #include "store/io.h"
 #include "util/hash.h"
-#include "util/log.h"
 
 namespace patchdb::store {
 
@@ -172,8 +172,8 @@ core::PatchDb build_with_checkpoints(const core::BuildOptions& options) {
                             corpus::World& world) -> bool {
     if (!options.resume) return false;
     if (!fs::exists(checkpoint_path(dir))) {
-      util::log_info() << "store: no checkpoint in " << dir.string()
-                       << ", starting fresh";
+      std::fprintf(stderr, "store: no checkpoint in %s, starting fresh\n",
+                   dir.string().c_str());
       return false;
     }
     const core::LoopCheckpoint cp = read_checkpoint(dir, fingerprint);
@@ -185,10 +185,11 @@ core::PatchDb build_with_checkpoints(const core::BuildOptions& options) {
     loop.restore(cp, by_commit);
     world.oracle.set_effort(cp.oracle_effort);
     PATCHDB_COUNTER_ADD("store.resumes", 1);
-    util::log_info() << "store: resumed from " << checkpoint_path(dir).string()
-                     << " at round " << cp.rounds_run << " ("
-                     << cp.wild_security.size() << " wild finds, "
-                     << cp.pool.size() << " pool remaining)";
+    std::fprintf(stderr,
+                 "store: resumed from %s at round %zu (%zu wild finds, %zu "
+                 "pool remaining)\n",
+                 checkpoint_path(dir).string().c_str(), cp.rounds_run,
+                 cp.wild_security.size(), cp.pool.size());
     return true;
   };
   hooks.after_round = [&dir, fingerprint](const core::AugmentationLoop& loop,

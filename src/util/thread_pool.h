@@ -50,9 +50,9 @@ class ThreadPool {
 
   /// Cumulative wall time each worker has spent executing tasks, in
   /// milliseconds, indexed by worker. Always maintained (two clock
-  /// reads per task); the per-worker histogram the bench sessions
-  /// record is derived from this, so a single-threaded pool pathology
-  /// shows up as one busy worker and N-1 zeros in the artifact.
+  /// reads per task); the per-worker histogram every obs::ObsSession
+  /// report carries is derived from this, so a single-threaded pool
+  /// pathology shows up as one busy worker and N-1 zeros in the artifact.
   std::vector<double> worker_busy_ms() const;
 
   /// Install (or, with a default-constructed Observer, clear) the metric

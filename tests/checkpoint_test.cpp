@@ -273,6 +273,32 @@ TEST_F(CheckpointTest, ResumeWithoutCheckpointStartsFresh) {
   EXPECT_EQ(dir_contents(dir("plain")), dir_contents(dir("fresh")));
 }
 
+// A --resume build says on stderr where it started: fresh when the
+// directory holds no checkpoint, else the checkpoint file and its round.
+TEST_F(CheckpointTest, ResumeSaysWhereItStartedOnStderr) {
+  core::BuildOptions options = small_options();
+  options.checkpoint_dir = dir("ckpt");
+  options.resume = true;
+  options.augment.max_rounds = 1;
+  ::testing::internal::CaptureStderr();
+  store::build_with_checkpoints(options);
+  const std::string fresh = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(fresh.find("store: no checkpoint in " + dir("ckpt").string() +
+                       ", starting fresh\n"),
+            std::string::npos)
+      << fresh;
+
+  options.augment.max_rounds = 2;
+  ::testing::internal::CaptureStderr();
+  store::build_with_checkpoints(options);
+  const std::string resumed = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(resumed.find("store: resumed from " +
+                         store::checkpoint_path(dir("ckpt")).string() +
+                         " at round 1 ("),
+            std::string::npos)
+      << resumed;
+}
+
 TEST_F(CheckpointTest, ResumeRefusesCheckpointFromDifferentBuild) {
   core::BuildOptions options = small_options();
   options.checkpoint_dir = dir("ckpt");

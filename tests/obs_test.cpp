@@ -339,21 +339,18 @@ TEST(Report, SessionsNestAndRestore) {
 }
 
 TEST(Report, PoolMetricsFlowThroughSession) {
-  util::ThreadPool pool(2);
-  obs::ObsSession::Options options;
-  options.attach_default_pool = false;
-  obs::ObsSession session("pool_test", options);
-  obs::attach_pool(pool);
+  obs::ObsSession session("pool_test");  // attaches the default pool
+  util::ThreadPool& pool = util::default_pool();
   pool.parallel_for(64, [](std::size_t, std::size_t) {});
   pool.wait_idle();
-  obs::detach_pool(pool);
 
   const obs::RunReport report = session.report();
   EXPECT_GT(report.metrics.counter("pool.tasks"), 0u);
   const obs::HistogramSnapshot* h = report.metrics.histogram("pool.task_ms");
   ASSERT_NE(h, nullptr);
   EXPECT_GT(h->count, 0u);
-  EXPECT_DOUBLE_EQ(report.metrics.gauge("pool.threads"), 2.0);
+  EXPECT_DOUBLE_EQ(report.metrics.gauge("pool.threads"),
+                   static_cast<double>(pool.size()));
 }
 
 // ------------------------------------------------- disabled fast path --

@@ -1,9 +1,9 @@
 // Tests for the second observability layer: Chrome trace export (golden
 // round-trip through the repo's own JSON parser), the background
 // resource sampler (including concurrent access — this file runs under
-// the TSan CI job), progress heartbeats, the bench_diff rule engine,
-// the PATCHDB_SPAN_RING override with its live drop counter, and
-// v1-artifact backward compatibility.
+// the TSan CI job), the ObsSession an artifact request drives, progress
+// heartbeats, the bench_diff rule engine, the live span-drop counter,
+// and the one report schema.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -194,7 +194,6 @@ TEST(ObsExport, WriteTraceFileRoundTripsAndFailsLoudly) {
 TEST(ObsSampler, RecordsMonotonicTimelineWhileRunning) {
   obs::ResourceSampler::Options options;
   options.interval = std::chrono::milliseconds(1);
-  options.publish_gauges = false;
   obs::ResourceSampler sampler(options);
   sampler.start();
   EXPECT_TRUE(sampler.running());
@@ -220,7 +219,6 @@ TEST(ObsSampler, RecordsMonotonicTimelineWhileRunning) {
 TEST(ObsSampler, ConcurrentReadersSeeConsistentState) {
   obs::ResourceSampler::Options options;
   options.interval = std::chrono::milliseconds(1);
-  options.publish_gauges = false;
   obs::ResourceSampler sampler(options);
   sampler.start();
   sampler.start();  // second start is a no-op, not a second thread
@@ -253,7 +251,6 @@ TEST(ObsSampler, OverflowCountsInsteadOfGrowing) {
   obs::ResourceSampler::Options options;
   options.interval = std::chrono::milliseconds(1);
   options.max_samples = 3;
-  options.publish_gauges = false;
   obs::ResourceSampler sampler(options);
   sampler.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -270,23 +267,25 @@ TEST(ObsSampler, SampleNowWorksWithoutThread) {
   EXPECT_GE(s.cpu_us, 0);
 }
 
+/// A metrics request whose file lands in the test's temp directory.
+obs::ArtifactRequest metrics_request(const std::string& file) {
+  obs::ArtifactRequest request;
+  request.metrics_out = ::testing::TempDir() + file;
+  request.sample_ms = 2;
+  return request;
+}
+
 TEST(ObsSampler, TimelineRidesAlongInSessionReport) {
-  obs::ObsSession session("sampler_report_test");
+  obs::ObsSession session("sampler_report_test",
+                          metrics_request("sampler_report_test.json"));
   if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
-  obs::ResourceSampler::Options options;
-  options.interval = std::chrono::milliseconds(2);
-  obs::ResourceSampler sampler(options);
-  session.attach_sampler(&sampler);
-  sampler.start();
   { PATCHDB_TRACE_SPAN("sampler.work"); }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  sampler.stop();
 
   const obs::RunReport report = session.report();
-  EXPECT_EQ(report.schema, obs::kReportSchemaV2);
   ASSERT_GE(report.resource_timeline.size(), 2u);
   // Re-anchored onto the tracer epoch: a sampler started after the
-  // session opened cannot produce negative timestamps.
+  // tracer cannot produce negative timestamps.
   EXPECT_GE(report.resource_timeline.front().t_us, 0);
 
   // And the timeline survives the report round trip.
@@ -296,6 +295,60 @@ TEST(ObsSampler, TimelineRidesAlongInSessionReport) {
             report.resource_timeline.back().rss_bytes);
   EXPECT_EQ(back.resource_timeline.back().t_us,
             report.resource_timeline.back().t_us);
+}
+
+// ------------------------------------------------------------ session --
+
+TEST(ObsSession, MetricsRequestWritesReportWithTimelineAndPoolShape) {
+  const obs::ArtifactRequest request = metrics_request("obs_session_test.json");
+  std::remove(request.metrics_out.c_str());
+  obs::ObsSession session("obs_session_test", request);
+  if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+  util::ThreadPool& pool = util::default_pool();
+  pool.parallel_for(64, [](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  pool.wait_idle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const obs::RunReport report = session.report();
+  session.write_artifacts(report);
+
+  const obs::RunReport written = obs::read_report_file(request.metrics_out);
+  EXPECT_EQ(written.name, "obs_session_test");
+  EXPECT_GE(written.resource_timeline.size(), 2u);
+  EXPECT_EQ(written.metrics.gauges.count("proc.rss_bytes"), 1u);
+  // The pool's shape: its size, the workers that ran a task, and one
+  // busy-time observation per worker.
+  EXPECT_EQ(written.metrics.gauge("pool.threads"),
+            static_cast<double>(pool.size()));
+  EXPECT_GE(written.metrics.gauge("pool.workers_active"), 1.0);
+  EXPECT_LE(written.metrics.gauge("pool.workers_active"),
+            static_cast<double>(pool.size()));
+  const obs::HistogramSnapshot* busy =
+      written.metrics.histogram("pool.worker_busy_ms");
+  ASSERT_NE(busy, nullptr);
+  EXPECT_EQ(busy->count, pool.size());
+  EXPECT_GT(busy->max, 0.0);
+
+  // The shape is computed into each report, not recorded into the
+  // registry, so a second report does not count it twice.
+  const obs::RunReport again = session.report();
+  ASSERT_NE(again.metrics.histogram("pool.worker_busy_ms"), nullptr);
+  EXPECT_EQ(again.metrics.histogram("pool.worker_busy_ms")->count, pool.size());
+  EXPECT_EQ(again.resource_timeline.size(), report.resource_timeline.size());
+  std::remove(request.metrics_out.c_str());
+}
+
+TEST(ObsSession, NoRequestRunsNoSampler) {
+  obs::ObsSession session("obs_session_bare");
+  if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const obs::RunReport report = session.report();
+  EXPECT_TRUE(report.resource_timeline.empty());
+  EXPECT_EQ(report.metrics.gauges.count("proc.rss_bytes"), 0u);
+  // Every report carries the pool's shape, requested artifact or not.
+  EXPECT_EQ(report.metrics.gauges.count("pool.workers_active"), 1u);
+  ASSERT_NE(report.metrics.histogram("pool.worker_busy_ms"), nullptr);
 }
 
 // ----------------------------------------------------------- progress --
@@ -332,56 +385,20 @@ TEST(ObsProgress, UnknownTotalStillTicks) {
   EXPECT_EQ(progress.done(), 42u);
 }
 
-// -------------------------------------------------- span ring override --
+// ----------------------------------------------------------- span ring --
 
-TEST(ObsSpanRing, ParseRejectsMalformedValuesLoudly) {
-  EXPECT_EQ(obs::parse_span_ring_capacity(nullptr), obs::kSpanRingCapacity);
-  EXPECT_EQ(obs::parse_span_ring_capacity(""), obs::kSpanRingCapacity);
-  EXPECT_EQ(obs::parse_span_ring_capacity("8"), 8u);
-  EXPECT_EQ(obs::parse_span_ring_capacity("65536"), 65536u);
-  EXPECT_THROW(obs::parse_span_ring_capacity("abc"), std::runtime_error);
-  EXPECT_THROW(obs::parse_span_ring_capacity("12abc"), std::runtime_error);
-  EXPECT_THROW(obs::parse_span_ring_capacity("0"), std::runtime_error);
-  EXPECT_THROW(obs::parse_span_ring_capacity("-5"), std::runtime_error);
-  try {
-    obs::parse_span_ring_capacity("5x");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("PATCHDB_SPAN_RING"),
-              std::string::npos);
+TEST(ObsSpanRing, OverflowingSessionCountsDropsLive) {
+  obs::ObsSession session("ring_overflow_test");
+  if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+  for (std::size_t i = 0; i < obs::kSpanRingCapacity + 6; ++i) {
+    PATCHDB_TRACE_SPAN("ring.overflow");
   }
-}
-
-TEST(ObsSpanRing, EnvOverrideShrinksRingAndCountsDropsLive) {
-  ASSERT_EQ(setenv("PATCHDB_SPAN_RING", "4", 1), 0);
-  {
-    // The override is read at Tracer construction, so sessions started
-    // under the env var get the small ring.
-    obs::ObsSession session("ring_override_test");
-    obs::Tracer* tracer = obs::tracer();
-    if (tracer != nullptr) {  // null when PATCHDB_OBS_DISABLED is set
-      EXPECT_EQ(tracer->span_ring_capacity(), 4u);
-      for (int i = 0; i < 10; ++i) {
-        PATCHDB_TRACE_SPAN("ring.overflow");
-      }
-      const obs::RunReport report = session.report();
-      EXPECT_EQ(report.spans.size(), 4u);
-      EXPECT_EQ(report.spans_dropped, 6u);
-      // The live counter lets a sampler/metrics reader observe drops
-      // mid-run instead of only in the final report.
-      EXPECT_EQ(report.metrics.counter("obs.spans_dropped"), 6u);
-    }
-  }
-  ASSERT_EQ(setenv("PATCHDB_SPAN_RING", "banana", 1), 0);
-  EXPECT_THROW(
-      {
-        obs::Tracer bad_tracer;
-        (void)bad_tracer;
-      },
-      std::runtime_error);
-  ASSERT_EQ(unsetenv("PATCHDB_SPAN_RING"), 0);
-  obs::Tracer restored;
-  EXPECT_EQ(restored.span_ring_capacity(), obs::kSpanRingCapacity);
+  const obs::RunReport report = session.report();
+  EXPECT_EQ(report.spans.size(), obs::kSpanRingCapacity);
+  EXPECT_EQ(report.spans_dropped, 6u);
+  // The live counter lets a sampler/metrics reader observe drops
+  // mid-run instead of only in the final report.
+  EXPECT_EQ(report.metrics.counter("obs.spans_dropped"), 6u);
 }
 
 // ---------------------------------------------------- obs env disable --
@@ -428,32 +445,7 @@ TEST(ObsHistogramEdge, EmptyHistogramQuantileIsPinnedToZero) {
   EXPECT_EQ(text.find("nan"), std::string::npos);
 }
 
-// ------------------------------------------------------- v1 back-compat --
-
-TEST(ObsReportCompat, V1ArtifactRoundTripsByteIdentically) {
-  // A pre-sampler artifact exactly as the v1 writer emitted it: no
-  // resource_timeline key anywhere.
-  const std::string v1_text = R"({
-  "counters": {"old.counter": 7},
-  "gauges": {"old.gauge": 1.5},
-  "histograms": {},
-  "report": "legacy_run",
-  "schema": "patchdb.obs.v1",
-  "spans": [],
-  "spans_dropped": 0,
-  "wall_ms": 12.5
-})";
-  const obs::Json parsed = obs::Json::parse(v1_text);
-  const obs::RunReport report = obs::RunReport::from_json(parsed);
-  EXPECT_EQ(report.schema, obs::kReportSchemaV1);
-  EXPECT_EQ(report.metrics.counter("old.counter"), 7u);
-  EXPECT_TRUE(report.resource_timeline.empty());
-  // Re-serializing reproduces the exact same JSON value — the schema
-  // tag is preserved and no v2 keys sneak in. This is the property
-  // `patchdb metrics --validate` checks on checked-in v1 baselines.
-  EXPECT_EQ(report.to_json(), parsed);
-  EXPECT_FALSE(report.to_json().contains("resource_timeline"));
-}
+// ------------------------------------------------------------- schema --
 
 TEST(ObsReportCompat, V2OmitsEmptyTimelineAndKeepsNonEmptyOne) {
   obs::RunReport no_samples;
@@ -469,8 +461,12 @@ TEST(ObsReportCompat, V2OmitsEmptyTimelineAndKeepsNonEmptyOne) {
 
 TEST(ObsReportCompat, UnsupportedSchemaIsRejected) {
   obs::Json json = golden_report().to_json();
-  json.set("schema", obs::Json("patchdb.obs.v99"));
-  EXPECT_THROW(obs::RunReport::from_json(json), obs::JsonError);
+  EXPECT_EQ(json.at("schema").as_string(), obs::kReportSchemaV2);
+  // v1 included: nothing writes it, and no committed artifact is v1.
+  for (const char* schema : {"patchdb.obs.v1", "patchdb.obs.v99"}) {
+    json.set("schema", obs::Json(schema));
+    EXPECT_THROW(obs::RunReport::from_json(json), obs::JsonError) << schema;
+  }
 }
 
 // ---------------------------------------------------------- diff rules --

@@ -28,7 +28,6 @@
 #include "util/file.h"
 #include "util/hash.h"
 #include "util/levenshtein.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"

@@ -3,7 +3,7 @@
 //   patchdb build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]
 //           [--synth N] [--threads N] [--checkpoint-dir D] [--resume]
 //           [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
-//           [--progress] [--progress-ms N]
+//           [--progress]
 //       Build a simulated PatchDB (NVD crawl -> nearest-link augmentation
 //       -> synthesis) and export it to DIR in the release layout.
 //       --synth N caps the synthetic patches derived from one natural
@@ -15,7 +15,8 @@
 //       default: hardware concurrency); the export is bit-identical for
 //       every value. --metrics-out writes the JSON metrics artifact and
 //       --trace-out a Chrome trace of the run (load in Perfetto);
-//       --progress prints heartbeat lines from the long loops.
+//       --progress prints a heartbeat line from the long loops every
+//       second.
 //   patchdb stats DIR
 //       Summarize an exported dataset: component sizes, Table V type
 //       distribution, categorizer agreement.
@@ -45,7 +46,6 @@
 //   patchdb metrics [--nvd N] [--wild N] [--rounds R] [--seed S]
 //           [--synth N] [--threads N] [--metrics-out FILE]
 //           [--trace-out FILE] [--sample-ms N] [--progress]
-//           [--progress-ms N]
 //       Run the build pipeline under an observability session and print
 //       the metrics/span report. The pipeline flags and their defaults
 //       are build's, so the run profiles the world `patchdb build` makes.
@@ -53,8 +53,8 @@
 //       patchdb.obs.v2, with a resource timeline when the sampler ran);
 //       --trace-out writes a Chrome trace.
 //   patchdb metrics --validate FILE.json
-//       Parse a --metrics-out artifact, check the schema (v1 and v2
-//       both accepted) and JSON round-trip, and print a summary. Exit 1
+//       Parse a --metrics-out artifact, check the schema (patchdb.obs.v2,
+//       the only one) and JSON round-trip, and print a summary. Exit 1
 //       when malformed.
 //
 // Every command except `variants` (whose argument is C code) rejects a
@@ -84,16 +84,15 @@
 #include "store/fsck.h"
 #include "synth/variants.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
-#include "cli_common.h"
-
 namespace {
 
 using namespace patchdb;
-using cli::Flags;
+using util::Flags;
 
 int usage() {
   std::fprintf(stderr,
@@ -101,11 +100,13 @@ int usage() {
                "  build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
                "        [--synth N] [--threads N] [--checkpoint-dir D] [--resume]\n"
                "        [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
-               "        [--progress] [--progress-ms N]\n"
+               "        [--progress]\n"
                "  stats DIR\n"
                "  fsck DIR\n"
                "  features FILE.patch [--all] [--semantic] [--interproc]\n"
-               "  analyze FILE.patch [--unchanged] [--interproc] [--trace-out FILE]\n"
+               "  analyze FILE.patch [--unchanged] [--interproc]\n"
+               "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
+               "          [--progress]\n"
                "  categorize FILE.patch\n"
                "  tokens FILE.patch\n"
                "  variants \"CONDITION\"\n"
@@ -113,7 +114,7 @@ int usage() {
                "  metrics [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
                "          [--synth N] [--threads N]\n"
                "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
-               "          [--progress] [--progress-ms N]\n"
+               "          [--progress]\n"
                "  metrics --validate FILE.json\n");
   return 2;
 }
@@ -187,7 +188,7 @@ int cmd_build(const Flags& flags) {
               options.augment.max_rounds,
               static_cast<std::size_t>(options.world.seed),
               options.checkpoint_dir.empty() ? "" : " (checkpointed)");
-  obs::ArtifactSession cli_obs("patchdb build", cli::artifact_request(flags));
+  obs::ObsSession cli_obs("patchdb build", obs::artifact_request(flags));
   const core::PatchDb db = store::build_with_checkpoints(options);
   const store::ExportStats stats = store::export_patchdb(db, out);
   cli_obs.write_artifacts(cli_obs.report());
@@ -278,7 +279,7 @@ int cmd_features(const std::string& path, bool all, bool semantic,
 int cmd_analyze(const Flags& flags) {
   const std::string path = flags.positional();
   const diff::Patch patch = diff::parse_patch(read_file_or_die(path));
-  obs::ArtifactSession cli_obs("patchdb analyze", cli::artifact_request(flags));
+  obs::ObsSession cli_obs("patchdb analyze", obs::artifact_request(flags));
   analysis::AnalyzeOptions analyze_options;
   analyze_options.interproc = flags.has("--interproc");
   const analysis::PatchAnalysis pa =
@@ -357,7 +358,7 @@ int cmd_metrics_validate(const std::string& path) {
     return 1;
   }
   std::printf("%s: valid %s report \"%s\"\n", path.c_str(),
-              report.schema.c_str(), report.name.c_str());
+              std::string(obs::kReportSchemaV2).c_str(), report.name.c_str());
   std::printf("  wall: %.1f ms, %zu counters, %zu gauges, %zu histograms, "
               "%zu spans (%llu dropped)",
               report.wall_ms, report.metrics.counters.size(),
@@ -378,7 +379,7 @@ int cmd_metrics(const Flags& flags) {
   if (!apply_threads_flag(flags)) return 2;
   const core::BuildOptions options = pipeline_options(flags);
 
-  obs::ArtifactSession cli_obs("patchdb metrics", cli::artifact_request(flags));
+  obs::ObsSession cli_obs("patchdb metrics", obs::artifact_request(flags));
   const core::PatchDb db = core::build_patchdb(options);
   const obs::RunReport report = cli_obs.report();
 
@@ -411,13 +412,12 @@ struct CommandFlags {
 /// nullopt for `variants`, whose argument is C code and may start with
 /// "--"; no flags at all for the commands that take only paths.
 std::optional<CommandFlags> command_flags(const std::string& command) {
-  // cli::artifact_request reads these on the pipeline commands.
-  const std::vector<std::string> obs_values = {"--trace-out", "--metrics-out",
-                                               "--sample-ms", "--progress-ms"};
-  // The world, round and thread knobs build and metrics share.
+  // The world, round and thread knobs build and metrics share, and the
+  // obs flags obs::artifact_request reads.
   std::vector<std::string> pipeline = {"--nvd",  "--wild",  "--rounds",
                                        "--seed", "--synth", "--threads"};
-  pipeline.insert(pipeline.end(), obs_values.begin(), obs_values.end());
+  pipeline.insert(pipeline.end(), obs::kArtifactValueFlags.begin(),
+                  obs::kArtifactValueFlags.end());
   if (command == "build") {
     pipeline.insert(pipeline.end(), {"--out", "--checkpoint-dir"});
     return CommandFlags{pipeline, {"--resume", "--progress"}};
@@ -427,7 +427,7 @@ std::optional<CommandFlags> command_flags(const std::string& command) {
     return CommandFlags{pipeline, {"--progress"}};
   }
   if (command == "analyze") {
-    return CommandFlags{obs_values,
+    return CommandFlags{obs::kArtifactValueFlags,
                         {"--unchanged", "--interproc", "--progress"}};
   }
   if (command == "features") {

@@ -24,9 +24,8 @@
 
 #include "serve/client.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/strings.h"
-
-#include "cli_common.h"
 
 namespace {
 
@@ -68,7 +67,7 @@ int report_error(const serve::Response& response) {
 
 /// Declare `command`'s flags; false (after naming the flag) when an
 /// argument is a flag it does not take.
-bool accept_flags(const std::string& command, cli::Flags& flags) {
+bool accept_flags(const std::string& command, util::Flags& flags) {
   std::vector<std::string> values = {"--host", "--port"};
   std::vector<std::string> switches;
   if (command == "features") switches = {"--semantic", "--interproc"};
@@ -78,7 +77,7 @@ bool accept_flags(const std::string& command, cli::Flags& flags) {
   return flags.accept(values, switches);
 }
 
-int run(const std::string& command, const cli::Flags& flags) {
+int run(const std::string& command, const util::Flags& flags) {
   const std::string host = flags.value("--host", std::string("127.0.0.1"));
   const std::size_t port = flags.value("--port", std::size_t{0});
   if (port == 0 || port > 65535) {
@@ -238,7 +237,7 @@ int run(const std::string& command, const cli::Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  cli::Flags flags(argc, argv, 2, "patchdb_client");
+  util::Flags flags(argc, argv, 2, "patchdb_client");
   if (!accept_flags(command, flags)) return 2;
   try {
     return run(command, flags);

@@ -8,8 +8,9 @@
 //   patchdbd --data DIR [--bind ADDR] [--port P] [--threads N]
 //            [--max-pending N] [--read-timeout-ms N] [--port-file FILE]
 //            [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
+//            [--progress]
 //
-// An unknown flag is a usage error (exit 2).
+// An unknown flag or any positional argument is a usage error (exit 2).
 // --port 0 (the default) binds an ephemeral port; --port-file writes
 // the bound port for scripts that need to find the daemon. SIGINT or
 // SIGTERM drains gracefully: accepting stops, in-flight requests
@@ -24,11 +25,12 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "obs/obs.h"
 #include "serve/dataset.h"
 #include "serve/server.h"
-
-#include "cli_common.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -40,7 +42,8 @@ int usage() {
                "                [--threads N] [--max-pending N]\n"
                "                [--read-timeout-ms N] [--port-file FILE]\n"
                "                [--metrics-out FILE] [--trace-out FILE]"
-               " [--sample-ms N]\n");
+               " [--sample-ms N]\n"
+               "                [--progress]\n");
   return 2;
 }
 
@@ -56,14 +59,14 @@ void on_signal(int signo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::Flags flags(argc, argv, 1, "patchdbd");
-  if (!flags.accept({"--data", "--bind", "--port", "--threads",
-                     "--max-pending", "--read-timeout-ms", "--port-file",
-                     "--metrics-out", "--trace-out", "--sample-ms",
-                     "--progress-ms"},
-                    {"--progress"})) {
-    return 2;
-  }
+  util::Flags flags(argc, argv, 1, "patchdbd");
+  std::vector<std::string> values = {"--data",        "--bind",
+                                     "--port",        "--threads",
+                                     "--max-pending", "--read-timeout-ms",
+                                     "--port-file"};
+  values.insert(values.end(), obs::kArtifactValueFlags.begin(),
+                obs::kArtifactValueFlags.end());
+  if (!flags.accept(values, {"--progress"}, 0)) return 2;
   const std::string data_dir = flags.value("--data", std::string());
   if (data_dir.empty()) return usage();
   const std::size_t port = flags.value("--port", std::size_t{0});
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::ArtifactSession cli_obs("patchdbd", cli::artifact_request(flags));
+  obs::ObsSession cli_obs("patchdbd", obs::artifact_request(flags));
 
   serve::ServedDataset dataset;
   try {
