@@ -179,7 +179,9 @@ inline util::Flags bench_flags(int argc, char** argv,
 ///
 /// Call add_items() with the bench's natural unit of work; the
 /// destructor prints the one-line summary — items, wall ms, items/s —
-/// straight from the report and writes the requested artifacts.
+/// straight from the report and writes the requested artifacts. An
+/// artifact that cannot be written ends the process with exit 1, after
+/// write_artifacts has named the file.
 class Session {
  public:
   Session(const std::string& title, int argc, char** argv,
@@ -199,7 +201,9 @@ class Session {
     std::printf("[bench] %s: %llu items in %.1f ms (%.0f items/s)\n",
                 obs_.name().c_str(), static_cast<unsigned long long>(items),
                 report.wall_ms, rate);
-    obs_.write_artifacts(report);
+    // A destructor cannot hand main() an exit status, and must not
+    // throw: exit here, as every other binary returns 1.
+    if (!obs_.write_artifacts(report)) std::exit(1);
   }
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -398,6 +398,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   bool link_ok = true;
+  bool written = false;
   {
     obs::ObsSession session("micro_core", obs::artifact_request(flags));
     benchmark::RunSpecifiedBenchmarks();
@@ -405,7 +406,7 @@ int main(int argc, char** argv) {
       link_ok = run_link_check();
       if (!run_pipeline_link_check()) link_ok = false;
     }
-    session.write_artifacts(session.report());
+    written = session.write_artifacts(session.report());
   }
   benchmark::Shutdown();
   if (!link_ok) {
@@ -414,5 +415,5 @@ int main(int argc, char** argv) {
                  "diverged from dense)\n");
     return 1;
   }
-  return 0;
+  return written ? 0 : 1;
 }

@@ -135,11 +135,12 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   util::Flags flags(argc, argv, 1, "micro_store");
   if (!flags.accept(obs::kArtifactValueFlags, {"--progress"}, 0)) return 2;
+  bool written = false;
   {
     obs::ObsSession session("micro_store", obs::artifact_request(flags));
     benchmark::RunSpecifiedBenchmarks();
-    session.write_artifacts(session.report());
+    written = session.write_artifacts(session.report());
   }
   benchmark::Shutdown();
-  return 0;
+  return written ? 0 : 1;
 }

@@ -1,140 +1,42 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
 #include <mutex>
+#include <utility>
 
 namespace patchdb::obs {
 
 namespace {
 
-std::uint64_t double_bits(double v) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) noexcept {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// CAS-accumulate a double stored as bits in an atomic u64.
-void atomic_double_add(std::atomic<std::uint64_t>& bits, double delta) noexcept {
-  std::uint64_t expected = bits.load(std::memory_order_relaxed);
-  while (!bits.compare_exchange_weak(
-      expected, double_bits(bits_double(expected) + delta),
-      std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_double_min(std::atomic<std::uint64_t>& bits, double value) noexcept {
-  std::uint64_t expected = bits.load(std::memory_order_relaxed);
-  while (value < bits_double(expected) &&
-         !bits.compare_exchange_weak(expected, double_bits(value),
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_double_max(std::atomic<std::uint64_t>& bits, double value) noexcept {
-  std::uint64_t expected = bits.load(std::memory_order_relaxed);
-  while (value > bits_double(expected) &&
-         !bits.compare_exchange_weak(expected, double_bits(value),
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 std::atomic<MetricsRegistry*> g_registry{nullptr};
 
 }  // namespace
 
-std::size_t thread_shard() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-const BucketLayout& BucketLayout::time_ms() {
-  static const BucketLayout layout{{0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-                                    25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
-                                    2500.0, 5000.0, 10000.0}};
-  return layout;
-}
-
-const BucketLayout& BucketLayout::ratio() {
-  static const BucketLayout layout = [] {
-    BucketLayout l;
-    for (int i = 1; i <= 20; ++i) l.bounds.push_back(0.05 * i);
-    return l;
-  }();
-  return layout;
-}
-
-const BucketLayout& BucketLayout::count() {
-  static const BucketLayout layout = [] {
-    BucketLayout l;
-    for (double b = 1.0; b <= 16'777'216.0; b *= 4.0) l.bounds.push_back(b);
-    return l;
-  }();
-  return layout;
-}
-
-Histogram::Histogram(const BucketLayout& layout)
-    : bounds_(layout.bounds),
-      buckets_(kMetricShards * (layout.bounds.size() + 1)),
-      min_bits_(double_bits(std::numeric_limits<double>::infinity())),
-      max_bits_(double_bits(-std::numeric_limits<double>::infinity())) {}
-
 void Histogram::observe(double value) noexcept {
-  const std::size_t shard = thread_shard();
-  Shard& s = shards_[shard];
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_double_add(s.sum_bits, value);
   // First bucket whose upper bound admits the value; last slot = +inf.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[shard * (bounds_.size() + 1) + bucket].fetch_add(
-      1, std::memory_order_relaxed);
-  atomic_double_min(min_bits_, value);
-  atomic_double_max(max_bits_, value);
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(kHistogramBoundsMs.begin(), kHistogramBoundsMs.end(),
+                       value) -
+      kHistogramBoundsMs.begin());
+  std::lock_guard lock(mutex_);
+  ++count_;
+  sum_ += value;
+  min_ = std::min(min_, value);
+  max_ = std::max(max_, value);
+  ++buckets_[bucket];
 }
 
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::sum() const noexcept {
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += bits_double(s.sum_bits.load(std::memory_order_relaxed));
-  }
-  return total;
-}
-
-double Histogram::min() const noexcept {
-  return bits_double(min_bits_.load(std::memory_order_relaxed));
-}
-
-double Histogram::max() const noexcept {
-  return bits_double(max_bits_.load(std::memory_order_relaxed));
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  const std::size_t n = bounds_.size() + 1;
-  std::vector<std::uint64_t> out(n, 0);
-  for (std::size_t shard = 0; shard < kMetricShards; ++shard) {
-    for (std::size_t b = 0; b < n; ++b) {
-      out[b] += buckets_[shard * n + b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
+HistogramSnapshot Histogram::snapshot(std::string name) const {
+  HistogramSnapshot h;
+  h.name = std::move(name);
+  h.bounds.assign(kHistogramBoundsMs.begin(), kHistogramBoundsMs.end());
+  std::lock_guard lock(mutex_);
+  h.count = count_;
+  h.sum = sum_;
+  h.min = min_;
+  h.max = max_;
+  h.buckets.assign(buckets_.begin(), buckets_.end());
+  return h;
 }
 
 double HistogramSnapshot::quantile(double q) const noexcept {
@@ -179,10 +81,10 @@ double MetricsSnapshot::gauge(std::string_view name) const noexcept {
   return it == gauges.end() ? 0.0 : it->second;
 }
 
-template <typename T, typename... Args>
+template <typename T>
 T& MetricsRegistry::find_or_create(
     std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
-    std::string_view name, Args&&... args) {
+    std::string_view name) {
   {
     std::shared_lock lock(mutex_);
     const auto it = map.find(name);
@@ -191,8 +93,7 @@ T& MetricsRegistry::find_or_create(
   std::unique_lock lock(mutex_);
   const auto it = map.find(name);
   if (it != map.end()) return *it->second;
-  const auto inserted = map.emplace(
-      std::string(name), std::make_unique<T>(std::forward<Args>(args)...));
+  const auto inserted = map.emplace(std::string(name), std::make_unique<T>());
   return *inserted.first->second;
 }
 
@@ -204,9 +105,8 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return find_or_create(gauges_, name);
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      const BucketLayout& layout) {
-  return find_or_create(histograms_, name, layout);
+Histogram& MetricsRegistry::histogram(std::string_view name) {
+  return find_or_create(histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -219,15 +119,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.emplace(name, gauge->value());
   }
   for (const auto& [name, histogram] : histograms_) {
-    HistogramSnapshot h;
-    h.name = name;
-    h.count = histogram->count();
-    h.sum = histogram->sum();
-    h.min = histogram->min();
-    h.max = histogram->max();
-    h.bounds = histogram->bounds();
-    h.buckets = histogram->bucket_counts();
-    snap.histograms.push_back(std::move(h));
+    snap.histograms.push_back(histogram->snapshot(name));
   }
   return snap;
 }
@@ -254,11 +146,6 @@ void gauge_add(std::string_view name, double delta) noexcept {
 
 void histogram_observe(std::string_view name, double value) noexcept {
   if (MetricsRegistry* r = registry()) r->histogram(name).observe(value);
-}
-
-void histogram_observe(std::string_view name, double value,
-                       const BucketLayout& layout) noexcept {
-  if (MetricsRegistry* r = registry()) r->histogram(name, layout).observe(value);
 }
 
 }  // namespace patchdb::obs

@@ -1,23 +1,29 @@
-// Lock-cheap metrics registry: counters, gauges, and fixed-bucket
-// histograms, updated through per-thread shards (cache-line padded
-// atomic stripes) and aggregated only when a snapshot is taken.
+// Metrics registry: counters, gauges and fixed-bucket histograms, found
+// by name and aggregated into a snapshot when a report is taken.
 //
 // Metric names follow the `stage.metric` dotted convention
-// ("distance.rows", "pool.task_ms", "augment.round.3.hit_ratio") so the
-// JSON artifact groups naturally and future PRs can diff trajectories.
+// ("distance.rows", "serve.request_ms", "augment.round.3.hit_ratio") so
+// the JSON artifact groups naturally and future PRs can diff
+// trajectories.
 //
 // Cost model:
 //   - no registry installed: one relaxed atomic load per call site;
-//   - registry installed: one shared-lock hash lookup plus one relaxed
-//     fetch_add on the caller's stripe. Instrumentation is placed at
-//     block/round/task granularity, never per matrix element.
+//   - registry installed: a shared lock and a std::map lookup by name,
+//     then one relaxed atomic update (counter, gauge) or one short
+//     mutex hold (histogram). Instrumentation is placed at block, round and
+//     request granularity, never per matrix element or per pool task:
+//     the busiest traffic is a few updates per served request, so one
+//     atomic per counter is enough, and the name lookup, not the
+//     update, is the cost.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -25,37 +31,22 @@
 
 namespace patchdb::obs {
 
-/// Number of counter stripes. Threads hash onto stripes round-robin;
-/// 16 stripes keep the false-sharing odds low for the pool sizes the
-/// repo uses (hardware_concurrency workers) without bloating snapshots.
-inline constexpr std::size_t kMetricShards = 16;
-
-/// Stable per-thread stripe index in [0, kMetricShards).
-std::size_t thread_shard() noexcept;
-
 class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-    shards_[thread_shard()].value.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> value{0};
-  };
-  std::array<Shard, kMetricShards> shards_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-writer-wins double value (plus add() for accumulating gauges
-/// like queue depth deltas). Single atomic: gauges are set at round or
-/// configuration granularity, not in hot loops.
+/// Last-writer-wins double value (plus add() for accumulating gauges).
+/// Single atomic: gauges are set at round or configuration granularity,
+/// not in hot loops.
 class Gauge {
  public:
   void set(double value) noexcept {
@@ -86,50 +77,15 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{0x0ULL};  // 0.0
 };
 
-/// Fixed upper-bound bucket layout shared by histograms of one unit.
-/// The last implicit bucket is +inf; `bounds` must be strictly
-/// ascending.
-struct BucketLayout {
-  std::vector<double> bounds;
+/// The upper bounds of every histogram's buckets, in milliseconds
+/// (0.05 ms .. 10 s in roughly 1-2.5-5 steps); a last, implicit bucket
+/// holds everything above. Every histogram the repo records is a
+/// latency or a busy time.
+inline constexpr std::array<double, 17> kHistogramBoundsMs = {
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
+    50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0};
 
-  /// Latencies in milliseconds: 0.05 ms .. 10 s, roughly 1-2.5-5 steps.
-  static const BucketLayout& time_ms();
-  /// Ratios/fractions in [0, 1], 0.05 steps.
-  static const BucketLayout& ratio();
-  /// Item counts: powers of four from 1 to ~16M.
-  static const BucketLayout& count();
-};
-
-class Histogram {
- public:
-  explicit Histogram(const BucketLayout& layout);
-
-  void observe(double value) noexcept;
-
-  std::uint64_t count() const noexcept;
-  double sum() const noexcept;
-  /// +inf / -inf when empty.
-  double min() const noexcept;
-  double max() const noexcept;
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
-  /// Per-bucket counts, size bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_bits{0};  // double, CAS-accumulated
-    // bucket counts live in a flat array indexed [shard][bucket]
-  };
-
-  std::vector<double> bounds_;
-  std::array<Shard, kMetricShards> shards_{};
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // kMetricShards * n_buckets
-  std::atomic<std::uint64_t> min_bits_;
-  std::atomic<std::uint64_t> max_bits_;
-};
-
-/// Aggregated, immutable view of a registry at one point in time.
+/// One histogram at one point in time.
 struct HistogramSnapshot {
   std::string name;
   std::uint64_t count = 0;
@@ -147,6 +103,26 @@ struct HistogramSnapshot {
   double quantile(double q) const noexcept;
 };
 
+/// One count, sum, min, max and bucket array behind one mutex, so a
+/// snapshot always sees the buckets add up to the count.
+class Histogram {
+ public:
+  void observe(double value) noexcept;
+
+  /// The histogram now, named `name`. min and max are +inf / -inf when
+  /// it is empty.
+  HistogramSnapshot snapshot(std::string name) const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::array<std::uint64_t, kHistogramBoundsMs.size() + 1> buckets_{};
+};
+
+/// Aggregated, immutable view of a registry at one point in time.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -167,15 +143,14 @@ class MetricsRegistry {
   /// lifetime (metrics are never removed).
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name,
-                       const BucketLayout& layout = BucketLayout::time_ms());
+  Histogram& histogram(std::string_view name);
 
   MetricsSnapshot snapshot() const;
 
  private:
-  template <typename T, typename... Args>
+  template <typename T>
   T& find_or_create(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
-                    std::string_view name, Args&&... args);
+                    std::string_view name);
 
   mutable std::shared_mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
@@ -195,8 +170,6 @@ void counter_add(std::string_view name, std::uint64_t delta = 1) noexcept;
 void gauge_set(std::string_view name, double value) noexcept;
 void gauge_add(std::string_view name, double delta) noexcept;
 void histogram_observe(std::string_view name, double value) noexcept;
-void histogram_observe(std::string_view name, double value,
-                       const BucketLayout& layout) noexcept;
 
 }  // namespace patchdb::obs
 

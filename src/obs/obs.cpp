@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "obs/export.h"
 #include "obs/progress.h"
+#include "util/thread_pool.h"
 
 namespace patchdb::obs {
 
@@ -15,24 +17,6 @@ bool obs_env_disabled() noexcept {
   const char* value = std::getenv("PATCHDB_OBS_DISABLED");
   return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
 }
-
-void attach_pool(util::ThreadPool& pool) {
-  util::ThreadPool::Observer observer;
-  observer.queue_depth = [](std::size_t depth) {
-    const double d = static_cast<double>(depth);
-    gauge_set("pool.queue_depth", d);
-    histogram_observe("pool.queue_depth.dist", d, BucketLayout::count());
-  };
-  observer.task_ms = [](double ms) {
-    counter_add("pool.tasks", 1);
-    counter_add("pool.busy_us", static_cast<std::uint64_t>(ms * 1000.0));
-    histogram_observe("pool.task_ms", ms, BucketLayout::time_ms());
-  };
-  gauge_set("pool.threads", static_cast<double>(pool.size()));
-  pool.set_observer(std::move(observer));
-}
-
-void detach_pool(util::ThreadPool& pool) { pool.set_observer({}); }
 
 ArtifactRequest artifact_request(const util::Flags& flags) {
   ArtifactRequest request;
@@ -52,7 +36,7 @@ ObsSession::ObsSession(std::string name, ArtifactRequest request)
   if (!installed_) return;  // inert session: all sinks stay as they were
   previous_registry_ = install_registry(&registry_);
   previous_tracer_ = install_tracer(&tracer_);
-  attach_pool(util::default_pool());
+  pool_busy_at_start_ = util::default_pool().worker_busy_ms();
   if (!request_.metrics_out.empty() || !request_.trace_out.empty()) {
     // Clamp before the signed cast: a size_t like 2^63 would wrap to a
     // negative interval. One hour is already far beyond any useful
@@ -70,7 +54,6 @@ ObsSession::~ObsSession() {
   if (!installed_) return;
   // The sampler reads the installed tracer: stop it before the sinks go.
   sampler_.reset();
-  detach_pool(util::default_pool());
   install_tracer(previous_tracer_);
   install_registry(previous_registry_);
 }
@@ -91,29 +74,28 @@ RunReport ObsSession::report() {
   report.metrics = registry_.snapshot();
   report.spans = tracer_.snapshot();
 
-  // The pool's actual shape. A single-threaded pathology then shows up
-  // as workers_active = 1 with one hot histogram lane, instead of
-  // silently producing a serial measurement. Computed here, not in
-  // the registry, so a second report() does not count it twice.
-  MetricsRegistry shape;
+  // The pool's shape over this session. A single-threaded pathology
+  // then shows up as workers_active = 1 with one hot histogram lane,
+  // instead of silently producing a serial measurement. Computed here,
+  // not in the registry, so a second report() does not count it twice.
+  const util::ThreadPool& pool = util::default_pool();
+  const std::vector<double> busy_now = pool.worker_busy_ms();
+  Histogram busy;
+  double busy_ms = 0.0;
   std::size_t active = 0;
-  for (const double ms : util::default_pool().worker_busy_ms()) {
-    shape.histogram("pool.worker_busy_ms").observe(ms);
+  for (std::size_t w = 0; w < busy_now.size(); ++w) {
+    const double ms = busy_now[w] - pool_busy_at_start_[w];
+    busy.observe(ms);
+    busy_ms += ms;
     if (ms > 0.0) ++active;
   }
+  const double threads = static_cast<double>(pool.size());
+  report.metrics.gauges["pool.threads"] = threads;
   report.metrics.gauges["pool.workers_active"] = static_cast<double>(active);
-  for (HistogramSnapshot& h : shape.snapshot().histograms) {
-    report.metrics.histograms.push_back(std::move(h));
-  }
-
-  // Derived gauge: fraction of the session's wall x threads the pool
-  // spent running tasks.
-  const double busy_us =
-      static_cast<double>(report.metrics.counter("pool.busy_us"));
-  const double threads = report.metrics.gauge("pool.threads");
-  if (busy_us > 0.0 && threads > 0.0 && report.wall_ms > 0.0) {
-    const double utilization = busy_us / (report.wall_ms * 1000.0 * threads);
-    report.metrics.gauges["pool.utilization"] = utilization;
+  report.metrics.histograms.push_back(busy.snapshot("pool.worker_busy_ms"));
+  if (busy_ms > 0.0 && report.wall_ms > 0.0) {
+    report.metrics.gauges["pool.utilization"] =
+        busy_ms / (report.wall_ms * threads);
   }
   if (sampler_) {
     report.resource_timeline = sampler_->samples();
@@ -129,16 +111,22 @@ RunReport ObsSession::report() {
   return report;
 }
 
-void ObsSession::write_artifacts(const RunReport& report) const {
-  if (!request_.metrics_out.empty()) {
-    write_report_file(report, request_.metrics_out);
-    std::printf("metrics written to %s\n", request_.metrics_out.c_str());
+bool ObsSession::write_artifacts(const RunReport& report) const {
+  try {
+    if (!request_.metrics_out.empty()) {
+      write_report_file(report, request_.metrics_out);
+      std::printf("metrics written to %s\n", request_.metrics_out.c_str());
+    }
+    if (!request_.trace_out.empty()) {
+      write_trace_file(report, request_.trace_out);
+      std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
+                  request_.trace_out.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+    return false;
   }
-  if (!request_.trace_out.empty()) {
-    write_trace_file(report, request_.trace_out);
-    std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
-                request_.trace_out.c_str());
-  }
+  return true;
 }
 
 }  // namespace patchdb::obs

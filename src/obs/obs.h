@@ -1,17 +1,18 @@
 // One-stop observability session, the one every binary runs. Constructing
 // an ObsSession installs a fresh metrics registry and tracer as the
-// process-global sinks and wires the default thread pool's queue-depth
-// gauge and task-latency histogram; destroying it restores whatever was
+// process-global sinks and notes how long each worker of the default
+// thread pool has been busy so far; destroying it restores whatever was
 // installed before, so sessions nest and tests can't leak state. The
 // ArtifactRequest a binary's obs flags make (artifact_request) adds the
 // rest: the --progress heartbeat, a ResourceSampler while an artifact is
 // requested, and the artifact files themselves. report() captures
-// everything recorded so far as a RunReport.
+// everything recorded so far as a RunReport, with the pool's work over
+// this session alone.
 //
 //   {
 //     obs::ObsSession session("table2_augmentation", request);
 //     run_pipeline();
-//     session.write_artifacts(session.report());
+//     if (!session.write_artifacts(session.report())) return 1;
 //   }  // sinks restored
 //
 // Setting the PATCHDB_OBS_DISABLED environment variable (to anything
@@ -32,7 +33,6 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 
 namespace patchdb::obs {
 
@@ -40,13 +40,6 @@ namespace patchdb::obs {
 /// non-empty value other than "0". Checked once per ObsSession
 /// construction (not cached), so tests can flip it.
 bool obs_env_disabled() noexcept;
-
-/// Wire `pool`'s observer to the *globally installed* registry: gauge
-/// `pool.queue_depth`, histogram `pool.queue_depth.dist`, histogram
-/// `pool.task_ms`, counters `pool.tasks` / `pool.busy_us`, gauge
-/// `pool.threads`. Pass detach_pool to undo.
-void attach_pool(util::ThreadPool& pool);
-void detach_pool(util::ThreadPool& pool);
 
 /// What a binary's obs flags ask for.
 struct ArtifactRequest {
@@ -83,15 +76,19 @@ class ObsSession {
 
   /// Stop the sampler (idempotent) and snapshot metrics + spans now.
   /// The report also carries what the registry does not: the default
-  /// pool's shape (gauge `pool.workers_active`, the workers that have
-  /// run a task, and histogram `pool.worker_busy_ms`, each worker's
-  /// cumulative busy time), `pool.utilization` (busy time / (wall x
+  /// pool's shape over this session (gauge `pool.threads`, its size;
+  /// gauge `pool.workers_active`, the workers that ran a task; histogram
+  /// `pool.worker_busy_ms`, each worker's busy time; and, once any
+  /// worker was busy, gauge `pool.utilization`, busy time / (wall x
   /// threads)) and the sampler's timeline, re-anchored onto the tracer
-  /// epoch. Safe to call more than once.
+  /// epoch. Busy time counts the tasks that finished since the session
+  /// started. Safe to call more than once.
   RunReport report();
 
-  /// Write each requested artifact, saying so on stdout.
-  void write_artifacts(const RunReport& report) const;
+  /// Write each requested artifact, saying so on stdout. When one cannot
+  /// be written, prints `<name>: <why>` on stderr and returns false; the
+  /// binary then exits 1.
+  [[nodiscard]] bool write_artifacts(const RunReport& report) const;
 
  private:
   std::string name_;
@@ -102,6 +99,7 @@ class ObsSession {
   Tracer tracer_;
   MetricsRegistry* previous_registry_ = nullptr;
   Tracer* previous_tracer_ = nullptr;
+  std::vector<double> pool_busy_at_start_;    // worker_busy_ms() when installed
   std::unique_ptr<ResourceSampler> sampler_;  // only while an artifact is requested
 };
 

@@ -106,26 +106,13 @@ std::exception_ptr ThreadPool::take_task_error() {
   return std::exchange(task_error_, nullptr);
 }
 
-void ThreadPool::set_observer(Observer observer) {
-  auto shared = (observer.queue_depth || observer.task_ms)
-                    ? std::make_shared<const Observer>(std::move(observer))
-                    : nullptr;
-  std::lock_guard lock(mutex_);
-  observer_ = std::move(shared);
-}
-
 void ThreadPool::submit(std::function<void()> task) {
-  std::shared_ptr<const Observer> observer;
-  std::size_t depth = 0;
   {
     std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));
     ++in_flight_;
-    observer = observer_;
-    depth = tasks_.size();
   }
   task_ready_.notify_one();
-  if (observer && observer->queue_depth) observer->queue_depth(depth);
 }
 
 void ThreadPool::wait_idle() {
@@ -168,18 +155,13 @@ void ThreadPool::parallel_for(
 void ThreadPool::worker_loop(std::size_t worker_index) {
   while (true) {
     std::function<void()> task;
-    std::shared_ptr<const Observer> observer;
-    std::size_t depth = 0;
     {
       std::unique_lock lock(mutex_);
       task_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stopping with an empty queue
       task = std::move(tasks_.front());
       tasks_.pop();
-      observer = observer_;
-      depth = tasks_.size();
     }
-    if (observer && observer->queue_depth) observer->queue_depth(depth);
     const auto start = std::chrono::steady_clock::now();
     t_on_pool_worker = true;
     // A throwing task must not escape into the thread body (that would
@@ -198,7 +180,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     const double task_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-    if (observer && observer->task_ms) observer->task_ms(task_ms);
     {
       std::lock_guard lock(mutex_);
       worker_busy_ms_[worker_index] += task_ms;

@@ -2,13 +2,18 @@
 // search computes an M x N weighted distance matrix (Section III-B);
 // at paper scale (4076 x 200K) that is the dominant cost, so the matrix
 // is computed in row blocks across the pool.
+//
+// The pool has no metric hooks and no obs dependency, so the util
+// library stays at the bottom of the dependency order. What obs reports
+// about it is read from the outside: each worker's busy time
+// (worker_busy_ms), and the pending and running counts the resource
+// sampler polls.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -18,17 +23,6 @@ namespace patchdb::util {
 
 class ThreadPool {
  public:
-  /// Metric hooks, invoked outside the pool lock. Both optional. The
-  /// observability layer (src/obs) installs these; the pool itself has
-  /// no obs dependency so the util library stays at the bottom of the
-  /// dependency order.
-  struct Observer {
-    /// Queue depth after every enqueue and dequeue.
-    std::function<void(std::size_t depth)> queue_depth;
-    /// Wall-clock latency of each completed task, in milliseconds.
-    std::function<void(double ms)> task_ms;
-  };
-
   /// `threads == 0` means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
@@ -49,16 +43,12 @@ class ThreadPool {
   std::size_t running() const;
 
   /// Cumulative wall time each worker has spent executing tasks, in
-  /// milliseconds, indexed by worker. Always maintained (two clock
-  /// reads per task); the per-worker histogram every obs::ObsSession
-  /// report carries is derived from this, so a single-threaded pool
-  /// pathology shows up as one busy worker and N-1 zeros in the artifact.
+  /// milliseconds, indexed by worker, since the pool was made. Always
+  /// maintained (two clock reads per task). An obs::ObsSession reads it
+  /// when it starts and again in report(), and reports the difference,
+  /// so a single-threaded pool pathology shows up as one busy worker and
+  /// N-1 zeros in the artifact.
   std::vector<double> worker_busy_ms() const;
-
-  /// Install (or, with a default-constructed Observer, clear) the metric
-  /// hooks. Thread-safe; tasks already running may still report to the
-  /// previous observer.
-  void set_observer(Observer observer);
 
   /// Enqueue a task; runs on some worker eventually. A task that throws
   /// does not take the worker (or the process) down: the exception is
@@ -101,9 +91,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::size_t task_errors_ = 0;
   std::exception_ptr task_error_;
-  /// Shared so submit/worker can invoke hooks after dropping the lock
-  /// even while set_observer swaps in a replacement.
-  std::shared_ptr<const Observer> observer_;
 };
 
 /// Process-wide default pool. Sized, in priority order, from

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -137,8 +138,7 @@ TEST(Metrics, HistogramIsExactUnderContention) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&registry, t] {
-      obs::Histogram& h =
-          registry.histogram("latency", obs::BucketLayout::time_ms());
+      obs::Histogram& h = registry.histogram("latency");
       for (int i = 0; i < kPerThread; ++i) {
         h.observe(static_cast<double>(t) + 0.5);  // 0.5 .. 7.5
       }
@@ -339,18 +339,37 @@ TEST(Report, SessionsNestAndRestore) {
 }
 
 TEST(Report, PoolMetricsFlowThroughSession) {
-  obs::ObsSession session("pool_test");  // attaches the default pool
+  obs::ObsSession session("pool_test");
   util::ThreadPool& pool = util::default_pool();
-  pool.parallel_for(64, [](std::size_t, std::size_t) {});
-  pool.wait_idle();
+  pool.parallel_for(64, [](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  });
 
+  // A pool task records no metric: the registry holds no pool.* name.
+  const obs::MetricsSnapshot live = session.registry().snapshot();
+  const auto is_pool = [](const std::string& name) {
+    return name.rfind("pool.", 0) == 0;
+  };
+  for (const auto& [name, value] : live.counters) EXPECT_FALSE(is_pool(name)) << name;
+  for (const auto& [name, value] : live.gauges) EXPECT_FALSE(is_pool(name)) << name;
+  for (const obs::HistogramSnapshot& h : live.histograms) {
+    EXPECT_FALSE(is_pool(h.name)) << h.name;
+  }
+
+  // report() reads the pool's shape from its busy time: its size, the
+  // workers that ran a task, one busy time per worker and the
+  // utilization.
   const obs::RunReport report = session.report();
-  EXPECT_GT(report.metrics.counter("pool.tasks"), 0u);
-  const obs::HistogramSnapshot* h = report.metrics.histogram("pool.task_ms");
-  ASSERT_NE(h, nullptr);
-  EXPECT_GT(h->count, 0u);
   EXPECT_DOUBLE_EQ(report.metrics.gauge("pool.threads"),
                    static_cast<double>(pool.size()));
+  EXPECT_GE(report.metrics.gauge("pool.workers_active"), 1.0);
+  const obs::HistogramSnapshot* h = report.metrics.histogram("pool.worker_busy_ms");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, pool.size());
+  EXPECT_GT(h->max, 0.0);
+  ASSERT_EQ(report.metrics.gauges.count("pool.utilization"), 1u);
+  EXPECT_GT(report.metrics.gauge("pool.utilization"), 0.0);
+  EXPECT_LE(report.metrics.gauge("pool.utilization"), 1.0);
 }
 
 // ------------------------------------------------- disabled fast path --

@@ -311,7 +311,7 @@ TEST(ObsSession, MetricsRequestWritesReportWithTimelineAndPoolShape) {
   pool.wait_idle();
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const obs::RunReport report = session.report();
-  session.write_artifacts(report);
+  ASSERT_TRUE(session.write_artifacts(report));
 
   const obs::RunReport written = obs::read_report_file(request.metrics_out);
   EXPECT_EQ(written.name, "obs_session_test");
@@ -337,6 +337,30 @@ TEST(ObsSession, MetricsRequestWritesReportWithTimelineAndPoolShape) {
   EXPECT_EQ(again.metrics.histogram("pool.worker_busy_ms")->count, pool.size());
   EXPECT_EQ(again.resource_timeline.size(), report.resource_timeline.size());
   std::remove(request.metrics_out.c_str());
+}
+
+TEST(ObsSession, ReportsOnlyItsOwnPoolWork) {
+  util::ThreadPool& pool = util::default_pool();
+  {
+    obs::ObsSession first("obs_session_first");
+    if (!first.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+    pool.parallel_for(64, [](std::size_t, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    EXPECT_GE(first.report().metrics.gauge("pool.workers_active"), 1.0);
+  }
+  // A later session that runs no pool work reports an idle pool: the
+  // first session's busy time is not its own.
+  obs::ObsSession second("obs_session_second");
+  const obs::RunReport report = second.report();
+  EXPECT_EQ(report.metrics.gauges.count("pool.workers_active"), 1u);
+  EXPECT_EQ(report.metrics.gauge("pool.workers_active"), 0.0);
+  const obs::HistogramSnapshot* busy =
+      report.metrics.histogram("pool.worker_busy_ms");
+  ASSERT_NE(busy, nullptr);
+  EXPECT_EQ(busy->count, pool.size());
+  EXPECT_EQ(busy->max, 0.0);
+  EXPECT_EQ(report.metrics.gauges.count("pool.utilization"), 0u);
 }
 
 TEST(ObsSession, NoRequestRunsNoSampler) {

@@ -9,7 +9,7 @@
 # when the bench exits nonzero, when the JSON does not parse/round-trip
 # (patchdb metrics --validate), or when the report is missing the
 # pipeline signals the bench is supposed to produce (per-round hit-ratio
-# gauges, augmentation round spans, thread-pool histograms).
+# gauges, augmentation round spans, the thread pool's shape).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -43,7 +43,8 @@ for round in 1 2 3 4 5; do
   require "\"augment.round.${round}.hit_ratio\""
 done
 require '"name": "augment.round"'
-require '"pool.task_ms"'
+require '"pool.worker_busy_ms"'
+require '"pool.threads"'
 require '"bench.items"'
 
 echo "bench_smoke.sh: OK (${bench_bin##*/} --metrics-out artifact is valid)"

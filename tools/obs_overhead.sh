@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Obs-overhead check: how much wall time does the observability layer
 # cost an instrumented kernel? Runs the same micro_core benchmark with
-# the ObsSession installed (spans, counters, pool observer) and inert
-# under PATCHDB_OBS_DISABLED, in interleaved pairs: each pair runs one
+# the ObsSession installed (spans and counters) and inert under
+# PATCHDB_OBS_DISABLED, in interleaved pairs: each pair runs one
 # repetition of each mode, the two orders alternating from pair to pair,
 # so a slow spell of the host lands on both modes instead of one. The
 # overhead is the median over the pairs of on/off, read from the
@@ -26,7 +26,7 @@ out_json="${2:-${repo_root}/bench/BENCH_obs_overhead.json}"
 max_pct="${3:-2.0}"
 reps="${OBS_OVERHEAD_REPS:-5}"
 # The streaming nearest-link kernel is the most densely instrumented
-# code path (spans + counters + pool tasks per tile).
+# code path (spans + counters per tile).
 filter="${OBS_OVERHEAD_FILTER:-BM_NearestLinkStreaming/100/2000}"
 
 if ((reps < 1)); then

@@ -58,8 +58,9 @@
 //       when malformed.
 //
 // Every command except `variants` (whose argument is C code) rejects a
-// flag it does not take with exit 2.
+// flag it does not take, and a path past the ones it names, with exit 2.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -129,10 +130,10 @@ std::string read_file_or_die(const std::string& path) {
 }
 
 /// `--threads N`: size the default thread pool before anything touches
-/// it (the obs session attaches the pool, so this must run first in the
-/// command). Strict like every numeric flag — 0, junk, or a value after
-/// the pool already exists at a different size is a usage error. Wins
-/// over the PATCHDB_THREADS environment variable.
+/// it (the obs session reads the pool's busy time when it starts, so
+/// this must run first in the command). Strict like every numeric flag —
+/// 0, junk, or a value after the pool already exists at a different size
+/// is a usage error. Wins over the PATCHDB_THREADS environment variable.
 bool apply_threads_flag(const Flags& flags) {
   if (!flags.has("--threads")) return true;
   const std::size_t threads = flags.value("--threads", std::size_t{0});
@@ -191,7 +192,7 @@ int cmd_build(const Flags& flags) {
   obs::ObsSession cli_obs("patchdb build", obs::artifact_request(flags));
   const core::PatchDb db = store::build_with_checkpoints(options);
   const store::ExportStats stats = store::export_patchdb(db, out);
-  cli_obs.write_artifacts(cli_obs.report());
+  if (!cli_obs.write_artifacts(cli_obs.report())) return 1;
 
   std::printf("exported %zu patches (%zu feature rows) to %s\n",
               stats.patches_written, stats.feature_rows,
@@ -289,8 +290,7 @@ int cmd_analyze(const Flags& flags) {
   analysis::ReportOptions options;
   options.show_unchanged = flags.has("--unchanged");
   std::printf("%s", analysis::render_report(pa, options).c_str());
-  cli_obs.write_artifacts(cli_obs.report());
-  return 0;
+  return cli_obs.write_artifacts(cli_obs.report()) ? 0 : 1;
 }
 
 int cmd_categorize(const std::string& path) {
@@ -387,8 +387,7 @@ int cmd_metrics(const Flags& flags) {
   print_components(db);
   std::printf("\n%s", report.render().c_str());
 
-  cli_obs.write_artifacts(report);
-  return 0;
+  return cli_obs.write_artifacts(report) ? 0 : 1;
 }
 
 int cmd_variants(const std::string& condition) {
@@ -402,15 +401,17 @@ int cmd_variants(const std::string& condition) {
   return 0;
 }
 
-/// The flags one command takes: `values` each take the next argument,
-/// `switches` stand alone.
+/// The arguments one command takes: `values` each take the next
+/// argument, `switches` stand alone, and at most `positionals` paths.
 struct CommandFlags {
   std::vector<std::string> values;
   std::vector<std::string> switches;
+  std::size_t positionals = SIZE_MAX;
 };
 
 /// nullopt for `variants`, whose argument is C code and may start with
-/// "--"; no flags at all for the commands that take only paths.
+/// "--"; no flags at all for the commands that take only paths. An
+/// unknown command takes anything, and gets the usage text.
 std::optional<CommandFlags> command_flags(const std::string& command) {
   // The world, round and thread knobs build and metrics share, and the
   // obs flags obs::artifact_request reads.
@@ -420,19 +421,24 @@ std::optional<CommandFlags> command_flags(const std::string& command) {
                   obs::kArtifactValueFlags.end());
   if (command == "build") {
     pipeline.insert(pipeline.end(), {"--out", "--checkpoint-dir"});
-    return CommandFlags{pipeline, {"--resume", "--progress"}};
+    return CommandFlags{pipeline, {"--resume", "--progress"}, 0};
   }
   if (command == "metrics") {
     pipeline.emplace_back("--validate");
-    return CommandFlags{pipeline, {"--progress"}};
+    return CommandFlags{pipeline, {"--progress"}, 0};
   }
   if (command == "analyze") {
     return CommandFlags{obs::kArtifactValueFlags,
-                        {"--unchanged", "--interproc", "--progress"}};
+                        {"--unchanged", "--interproc", "--progress"}, 1};
   }
   if (command == "features") {
-    return CommandFlags{{}, {"--all", "--semantic", "--interproc"}};
+    return CommandFlags{{}, {"--all", "--semantic", "--interproc"}, 1};
   }
+  if (command == "stats" || command == "fsck" || command == "categorize" ||
+      command == "tokens") {
+    return CommandFlags{{}, {}, 1};
+  }
+  if (command == "presence") return CommandFlags{{}, {}, 2};
   if (command == "variants") return std::nullopt;
   return CommandFlags{};
 }
@@ -444,7 +450,8 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   Flags flags(argc, argv, 2, "patchdb " + command);
   const std::optional<CommandFlags> accepted = command_flags(command);
-  if (accepted && !flags.accept(accepted->values, accepted->switches)) {
+  if (accepted && !flags.accept(accepted->values, accepted->switches,
+                                accepted->positionals)) {
     return 2;
   }
   try {

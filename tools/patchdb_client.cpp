@@ -12,9 +12,10 @@
 //
 // Exit 0 on a kOk response, 1 on a server-reported error or transport
 // failure, 2 on usage errors, including a flag the command does not
-// take.
+// take and an argument past the ID or FILE it names.
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -65,16 +66,27 @@ int report_error(const serve::Response& response) {
   return 1;
 }
 
-/// Declare `command`'s flags; false (after naming the flag) when an
-/// argument is a flag it does not take.
+/// Declare `command`'s flags and its one ID or FILE; false (after naming
+/// the argument) when an argument is a flag it does not take or a
+/// positional one past that. An unknown command takes anything, and
+/// gets the usage text.
 bool accept_flags(const std::string& command, util::Flags& flags) {
   std::vector<std::string> values = {"--host", "--port"};
   std::vector<std::string> switches;
+  std::size_t positionals = SIZE_MAX;
+  if (command == "ping" || command == "stats" || command == "ids") {
+    positionals = 0;
+  }
+  // nearest takes its ID, or none with --vector.
+  if (command == "lookup" || command == "features" || command == "nearest" ||
+      command == "analyze") {
+    positionals = 1;
+  }
   if (command == "features") switches = {"--semantic", "--interproc"};
   if (command == "nearest") values.insert(values.end(), {"--k", "--vector"});
   if (command == "analyze") switches = {"--interproc"};
   if (command == "ids") values.insert(values.end(), {"--component", "--limit"});
-  return flags.accept(values, switches);
+  return flags.accept(values, switches, positionals);
 }
 
 int run(const std::string& command, const util::Flags& flags) {

@@ -149,6 +149,5 @@ int main(int argc, char** argv) {
   std::printf("patchdbd: drained; %llu connections served, %llu shed\n",
               static_cast<unsigned long long>(server.connections_accepted()),
               static_cast<unsigned long long>(server.connections_shed()));
-  cli_obs.write_artifacts(cli_obs.report());
-  return 0;
+  return cli_obs.write_artifacts(cli_obs.report()) ? 0 : 1;
 }
