@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
         bench::make_nonsecurity_set(bench::scaled(32, session.scale()), 911),
         {});
     serve::ServerOptions options;
-    options.threads = conns;
+    options.max_connections = conns + 1;  // the load's and the setup's
     server = std::make_unique<serve::Server>(dataset, options);
     server->start();
     port = server->port();

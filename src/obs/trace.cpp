@@ -54,10 +54,13 @@ struct Tracer::ThreadRing {
   }
 
   std::mutex mutex;
-  std::uint32_t thread_index = 0;
+  std::uint32_t thread_index = 0;  // of the thread writing here now
   std::vector<SpanRecord> slots;
   std::size_t next = 0;  // oldest slot once the ring has wrapped
   std::uint64_t dropped = 0;
+  /// Set when that thread exits or moves to another tracer: the ring,
+  /// with the spans it holds, then passes to the next thread to register.
+  std::atomic<bool> retired{false};
 };
 
 namespace {
@@ -67,6 +70,12 @@ namespace {
 /// children their parent ids. A generation mismatch (tracer swapped)
 /// resets everything lazily on the next span open.
 struct LocalTraceState {
+  ~LocalTraceState() { retire(); }
+
+  void retire() noexcept {
+    if (ring) ring->retired.store(true, std::memory_order_release);
+  }
+
   std::uint64_t generation = 0;
   std::shared_ptr<Tracer::ThreadRing> ring;
   std::vector<std::uint64_t> stack;
@@ -92,11 +101,20 @@ Tracer::~Tracer() {
 std::shared_ptr<Tracer::ThreadRing> Tracer::local_ring() {
   LocalTraceState& state = local_trace_state();
   if (state.generation == generation_ && state.ring) return state.ring;
-  auto ring = std::make_shared<ThreadRing>();
+  state.retire();
+  std::shared_ptr<ThreadRing> ring;
   {
+    // Take over a ring whose thread is gone (see trace.h); each record
+    // keeps the index of the thread that wrote it.
     std::lock_guard lock(rings_mutex_);
-    ring->thread_index = static_cast<std::uint32_t>(rings_.size());
-    rings_.push_back(ring);
+    for (const std::shared_ptr<ThreadRing>& candidate : rings_) {
+      if (candidate->retired.exchange(false, std::memory_order_acquire)) {
+        ring = candidate;
+        break;
+      }
+    }
+    if (!ring) ring = rings_.emplace_back(std::make_shared<ThreadRing>());
+    ring->thread_index = next_thread_index_++;
   }
   state.generation = generation_;
   state.ring = ring;
@@ -150,7 +168,7 @@ Tracer* install_tracer(Tracer* tracer) noexcept {
 
 Tracer* tracer() noexcept { return g_tracer.load(std::memory_order_acquire); }
 
-ScopedSpan::ScopedSpan(std::string_view name) {
+ScopedSpan::ScopedSpan(const char* name) {
   Tracer* t = tracer();
   if (t == nullptr) return;  // disabled: nothing below runs
   LocalTraceState& state = local_trace_state();
@@ -184,7 +202,7 @@ ScopedSpan::~ScopedSpan() {
   if (!state.stack.empty()) state.stack.pop_back();
 
   SpanRecord record;
-  record.name = std::string(name_);
+  record.name = name_;
   record.thread_index = state.ring->thread_index;
   record.span_id = span_id_;
   record.parent_id = parent_id_;

@@ -10,6 +10,9 @@
 // spans are dropped and counted — both on the tracer (dropped()) and
 // live on the installed registry as the `obs.spans_dropped` counter —
 // never reallocated: tracing the augmentation loop must not perturb it.
+// A thread that exits leaves its ring, and the spans in it, to the next
+// thread that opens a span, so rings grow with the threads alive at
+// once, not with every thread a server ever started.
 #pragma once
 
 #include <atomic>
@@ -18,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace patchdb::obs {
@@ -64,7 +66,8 @@ class Tracer {
   friend class ScopedSpan;
 
   /// The calling thread's ring within this tracer (registered on first
-  /// use; the shared_ptr in rings_ keeps data alive past thread exit).
+  /// use; the shared_ptr in rings_ keeps data alive past thread exit,
+  /// until a later thread takes the ring over).
   std::shared_ptr<ThreadRing> local_ring();
   std::uint64_t next_span_id() noexcept {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -74,6 +77,7 @@ class Tracer {
   std::atomic<std::uint64_t> next_id_{0};
   mutable std::mutex rings_mutex_;
   std::vector<std::shared_ptr<ThreadRing>> rings_;
+  std::uint32_t next_thread_index_ = 0;  // guarded by rings_mutex_
   std::uint64_t generation_ = 0;  // distinguishes re-installed tracers
 };
 
@@ -85,7 +89,10 @@ Tracer* tracer() noexcept;
 
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name);
+  /// `name` must outlive the span: a literal or a static table entry.
+  /// The span keeps the pointer until it closes, and a std::string does
+  /// not convert, so a name built in a temporary does not compile.
+  explicit ScopedSpan(const char* name);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -93,7 +100,7 @@ class ScopedSpan {
  private:
   bool active_ = false;  // false = no tracer installed; destructor no-ops
   std::uint64_t generation_ = 0;  // tracer generation captured at open
-  std::string_view name_;
+  const char* name_ = nullptr;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_id_ = 0;
   std::uint32_t depth_ = 0;

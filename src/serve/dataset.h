@@ -3,7 +3,7 @@
 // which verifies the manifest trailer, each pack's footer and every
 // per-patch content checksum, so a truncated or tampered dataset is
 // refused before the socket ever opens) and then shared read-only
-// across every worker thread: queries take `const ServedDataset&` and
+// across every connection thread: queries take `const ServedDataset&` and
 // the server never mutates it, so no lock guards the hot path.
 //
 // At load the snapshot precomputes what queries need:

@@ -18,6 +18,13 @@ void check_vector_len(std::uint32_t n, std::size_t elem_bytes,
   }
 }
 
+/// A wire bool: 0 or 1, anything else malformed.
+bool read_bool(WireReader& r, const char* what) {
+  const std::uint8_t byte = r.u8();
+  if (byte > 1) fail(std::string("protocol: ") + what + " must be 0 or 1");
+  return byte == 1;
+}
+
 }  // namespace
 
 std::string_view op_name(Op op) noexcept {
@@ -206,9 +213,7 @@ Request decode_request(std::string_view body) {
       break;
     }
     case Op::kNearest: {
-      const std::uint8_t by_id = r.u8();
-      if (by_id > 1) fail("protocol: nearest by_id must be 0 or 1");
-      request.nearest.by_id = by_id == 1;
+      request.nearest.by_id = read_bool(r, "nearest by_id");
       if (request.nearest.by_id) {
         request.nearest.id = r.str();
       } else {
@@ -224,7 +229,7 @@ Request decode_request(std::string_view body) {
     }
     case Op::kAnalyze:
       request.analyze.diff_text = r.str();
-      request.analyze.interproc = r.u8() == 1;
+      request.analyze.interproc = read_bool(r, "analyze interproc");
       break;
     case Op::kListIds: {
       const std::uint8_t component = r.u8();
@@ -326,7 +331,7 @@ Response decode_response(Op op, std::string_view body) {
         fail("protocol: bad lookup component " + std::to_string(component));
       }
       response.lookup.component = static_cast<WireComponent>(component);
-      response.lookup.is_security = r.u8() == 1;
+      response.lookup.is_security = read_bool(r, "lookup is_security");
       response.lookup.type = r.i64();
       response.lookup.repo = r.str();
       response.lookup.origin = r.str();

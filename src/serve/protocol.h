@@ -14,11 +14,11 @@
 // The protocol is deliberately dumb: no compression, no multiplexing,
 // one outstanding request per connection. Requests on one connection
 // are served strictly in order; concurrency comes from opening more
-// connections (the daemon's worker pool serves each connection on a
-// worker). Malformed frames — oversized length, short payload, unknown
-// opcode, trailing bytes — are answered with kBadRequest where a
-// response is still possible and the connection is closed; a client
-// that lies about lengths can never wedge a worker for more than the
+// connections (the daemon serves each connection on its own thread).
+// Malformed frames — oversized length, short payload, unknown opcode, a
+// bool byte past 1, trailing bytes — are answered with kBadRequest where
+// a response is still possible and the connection is closed; a client
+// that lies about lengths can never hold a thread for more than the
 // server's read timeout.
 //
 // A peer that simply hangs up mid-frame (EOF after part of a header or
@@ -44,7 +44,7 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 
 /// Hard cap on a frame body. Large enough for any realistic patch or
 /// analyze report, small enough that a hostile length prefix cannot
-/// make a worker allocate gigabytes.
+/// make the server allocate gigabytes.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
 /// Bytes of the frame header (the u32 body length).

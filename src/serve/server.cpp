@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -25,6 +26,29 @@ constexpr int kPollSliceMs = 100;
 
 /// listen(2) backlog.
 constexpr int kListenBacklog = 128;
+
+/// One op's span, request counter and latency histogram: "serve." +
+/// op_name(op), "serve.requests." + op_name(op) and "serve." +
+/// op_name(op) + "_ms", written out once so no request builds them.
+struct OpNames {
+  const char* span;
+  const char* requests;
+  const char* latency_ms;
+};
+
+/// Indexed by Op; decode_request admits only kPing..kListIds.
+constexpr OpNames kOpNames[] = {
+    {nullptr, nullptr, nullptr},
+    {"serve.ping", "serve.requests.ping", "serve.ping_ms"},
+    {"serve.lookup", "serve.requests.lookup", "serve.lookup_ms"},
+    {"serve.features", "serve.requests.features", "serve.features_ms"},
+    {"serve.nearest", "serve.requests.nearest", "serve.nearest_ms"},
+    {"serve.stats", "serve.requests.stats", "serve.stats_ms"},
+    {"serve.analyze", "serve.requests.analyze", "serve.analyze_ms"},
+    {"serve.list_ids", "serve.requests.list_ids", "serve.list_ids_ms"},
+};
+static_assert(std::size(kOpNames) ==
+              static_cast<std::size_t>(Op::kListIds) + 1);
 
 void close_quietly(int fd) noexcept {
   if (fd >= 0) ::close(fd);
@@ -144,13 +168,6 @@ void Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  std::size_t threads = options_.threads;
-  if (threads == 0) {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    threads = hw > 64 ? hw : 64;
-  }
-  pool_ = std::make_unique<util::ThreadPool>(threads);
-
   // Seed the counters the bench gate asserts on, so a clean run still
   // reports explicit zeros instead of missing metrics.
   PATCHDB_COUNTER_ADD("serve.protocol_errors", 0);
@@ -172,11 +189,10 @@ void Server::stop() {
   if (acceptor_.joinable()) acceptor_.join();
   close_quietly(listen_fd_);
   listen_fd_ = -1;
-  // In-flight connection handlers notice the drain flag at their next
-  // poll slice, finish the request they are serving, and return; the
-  // pool destructor joins the workers after the queue empties.
-  pool_->wait_idle();
-  pool_.reset();
+  // Connection threads notice the drain flag at their next poll slice,
+  // finish the request they are serving, and return.
+  for (Connection& connection : connections_) connection.thread.join();
+  connections_.clear();
 }
 
 void Server::acceptor_loop() {
@@ -188,6 +204,7 @@ void Server::acceptor_loop() {
       if (errno == EINTR) continue;
       break;  // listen socket gone; nothing left to accept
     }
+    reap_connections();
     if (ready == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -196,26 +213,60 @@ void Server::acceptor_loop() {
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     PATCHDB_COUNTER_ADD("serve.connections", 1);
-    if (open_connections_.load(std::memory_order_acquire) >=
-        pool_->size() + options_.max_pending) {
-      // Backpressure: every worker holds a connection and max_pending
-      // more wait for one. Shed with an explicit busy error rather than
-      // letting the queue grow without a serving worker in sight.
-      connections_shed_.fetch_add(1, std::memory_order_relaxed);
-      PATCHDB_COUNTER_ADD("serve.connections_shed", 1);
-      const Response busy = error_response(
-          Status::kShuttingDown, "server at capacity; retry later");
-      send_all(fd, frame(encode_response(Op::kPing, busy)));
-      close_quietly(fd);
+    if (connections_.size() >= options_.max_connections) {
+      shed(fd);
       continue;
     }
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    pool_->submit([this, fd] { serve_connection(fd); });
+    Connection* connection = nullptr;
+    try {
+      connection = &connections_.emplace_back();
+      connection->thread = std::thread([this, fd, connection] {
+        serve_connection(fd);
+        connection->done.store(true, std::memory_order_release);
+      });
+    } catch (const std::exception&) {
+      // No thread (or no memory) to serve it: shed it like one past the
+      // limit.
+      if (connection != nullptr) connections_.pop_back();
+      shed(fd);
+    }
   }
 }
 
-void Server::serve_connection(int fd) {
+void Server::reap_connections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Server::shed(int fd) {
+  connections_shed_.fetch_add(1, std::memory_order_relaxed);
+  PATCHDB_COUNTER_ADD("serve.connections_shed", 1);
+  const Response busy = error_response(Status::kShuttingDown,
+                                       "server at capacity; retry later");
+  send_all(fd, frame(encode_response(Op::kPing, busy)));
+  close_quietly(fd);
+}
+
+void Server::serve_connection(int fd) noexcept {
   PATCHDB_GAUGE_ADD("serve.active_connections", 1.0);
+  try {
+    serve_requests(fd);
+  } catch (...) {
+    // A failure outside any one request (an allocation) ends this
+    // connection alone; the thread must not take the process down.
+    PATCHDB_COUNTER_ADD("serve.server_errors", 1);
+  }
+  close_quietly(fd);
+  PATCHDB_GAUGE_ADD("serve.active_connections", -1.0);
+}
+
+void Server::serve_requests(int fd) {
   std::vector<unsigned char> header(kFrameHeaderBytes);
   std::string body;
 
@@ -232,26 +283,26 @@ void Server::serve_connection(int fd) {
                    draining_, /*stop_at_boundary=*/true);
     if (outcome == ReadOutcome::kTimeout) {
       PATCHDB_COUNTER_ADD("serve.timeouts", 1);
-      break;
+      return;
     }
     if (outcome == ReadOutcome::kPeerGone) {
       // Peer hung up after sending part of a header: an ordinary
       // disconnect on a slow socket, not frame corruption.
       PATCHDB_COUNTER_ADD("serve.disconnects_midframe", 1);
-      break;
+      return;
     }
     if (outcome == ReadOutcome::kError) {
       PATCHDB_COUNTER_ADD("serve.socket_errors", 1);
-      break;
+      return;
     }
-    if (outcome != ReadOutcome::kOk) break;  // kClosed / kDrain: clean end
+    if (outcome != ReadOutcome::kOk) return;  // kClosed / kDrain: clean end
 
     std::size_t body_len = 0;
     try {
       body_len = parse_frame_header(header);
     } catch (const ProtocolError& e) {
       fail_protocol(e.what());
-      break;
+      return;
     }
 
     // Frame body: the request is now in flight, so a drain no longer
@@ -262,34 +313,34 @@ void Server::serve_connection(int fd) {
                          /*stop_at_boundary=*/false);
     if (outcome == ReadOutcome::kTimeout) {
       PATCHDB_COUNTER_ADD("serve.timeouts", 1);
-      break;
+      return;
     }
     if (outcome == ReadOutcome::kClosed || outcome == ReadOutcome::kPeerGone) {
       // The header promised body_len bytes and the peer hung up before
       // delivering them (kClosed here still means mid-frame: the header
       // was already consumed). Ordinary disconnect, not corruption.
       PATCHDB_COUNTER_ADD("serve.disconnects_midframe", 1);
-      break;
+      return;
     }
     if (outcome == ReadOutcome::kError) {
       PATCHDB_COUNTER_ADD("serve.socket_errors", 1);
-      break;
+      return;
     }
-    if (outcome != ReadOutcome::kOk) break;
+    if (outcome != ReadOutcome::kOk) return;
 
     Request request;
     try {
       request = decode_request(body);
     } catch (const ProtocolError& e) {
       fail_protocol(e.what());
-      break;
+      return;
     }
 
-    const std::string op = std::string(op_name(request.op));
+    const OpNames& names = kOpNames[static_cast<std::size_t>(request.op)];
     Response response;
     const auto start = std::chrono::steady_clock::now();
     {
-      obs::ScopedSpan span("serve." + op);
+      obs::ScopedSpan span(names.span);
       try {
         response = dataset_.handle(request);
       } catch (const std::exception& e) {
@@ -300,21 +351,26 @@ void Server::serve_connection(int fd) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+    std::string reply;
+    try {
+      reply = frame(encode_response(request.op, response));
+    } catch (const ProtocolError& e) {
+      // Too large to frame (a lookup of a patch past the cap): the
+      // client learns why instead of waiting for a reply.
+      response = error_response(Status::kServerError, e.what());
+      reply = frame(encode_response(request.op, response));
+    }
     PATCHDB_COUNTER_ADD("serve.requests", 1);
-    PATCHDB_COUNTER_ADD("serve.requests." + op, 1);
+    PATCHDB_COUNTER_ADD(names.requests, 1);
     PATCHDB_HISTOGRAM_OBSERVE("serve.request_ms", ms);
-    PATCHDB_HISTOGRAM_OBSERVE("serve." + op + "_ms", ms);
+    PATCHDB_HISTOGRAM_OBSERVE(names.latency_ms, ms);
     if (response.status == Status::kServerError) {
       PATCHDB_COUNTER_ADD("serve.server_errors", 1);
     }
 
-    if (!send_all(fd, frame(encode_response(request.op, response)))) break;
-    if (draining_.load(std::memory_order_relaxed)) break;
+    if (!send_all(fd, reply)) return;
+    if (draining_.load(std::memory_order_relaxed)) return;
   }
-
-  close_quietly(fd);
-  PATCHDB_GAUGE_ADD("serve.active_connections", -1.0);
-  open_connections_.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace patchdb::serve

@@ -1,28 +1,31 @@
-// patchdbd's serving core: a TCP acceptor thread plus a worker pool
-// (util::ThreadPool), serving the length-prefixed protocol of
+// patchdbd's serving core: a TCP acceptor thread that starts one thread
+// per connection, serving the length-prefixed protocol of
 // serve/protocol.h over an immutable ServedDataset.
 //
-// Threading model — one connection, one worker, blocking I/O:
-//   - the acceptor thread accept()s and hands each connection to the
-//     pool; it counts the connections it has handed over and not yet
-//     seen closed, and once threads + max_pending are open it answers a
-//     new one with a kShuttingDown-style busy error and closes it
-//     instead of queuing without bound (backpressure, not memory
-//     growth);
-//   - a worker serves its connection's requests strictly in order until
+// Threading model — one connection, one thread, blocking I/O:
+//   - the acceptor thread accept()s each connection and starts a thread
+//     that serves it, so no connection ever waits behind another, idle
+//     or busy. It owns those threads: before it counts them it joins the
+//     ones that have finished, and once max_connections are open it
+//     answers a new connection with a kShuttingDown-style busy error and
+//     closes it (backpressure, not memory growth). A connection whose
+//     thread cannot be started is shed the same way;
+//   - a connection's thread serves its requests strictly in order until
 //     the client closes, an I/O error, a malformed frame, a read
-//     timeout, or a server drain;
-//   - reads poll in short slices so a blocked worker notices stop()
+//     timeout, or a server drain. Nothing escapes it: a response too
+//     large to frame is answered kServerError, and any other failure
+//     ends that connection alone;
+//   - reads poll in short slices so a blocked thread notices stop()
 //     quickly; a partial frame that stops making progress for longer
 //     than ServerOptions::read_timeout closes the connection — one bad
-//     client cannot wedge a worker.
+//     client cannot hold a thread for longer than that.
 //
 // Shutdown sequence (stop(), also the SIGINT/SIGTERM path in the
-// daemon): mark draining -> close the listen socket (unblocks accept;
-// no new connections) -> workers finish the request they are executing,
-// write its response, and close their connections at the next frame
-// boundary -> wait_idle on the pool. In-flight requests always complete;
-// idle keep-alive connections are dropped.
+// daemon): mark draining -> join the acceptor and close the listen
+// socket (no new connections) -> connection threads finish the request
+// they are executing, write its response, and close their connections
+// at the next frame boundary -> join them. In-flight requests always
+// complete; idle keep-alive connections are dropped.
 //
 // Observability: per-request spans (serve.<op>), latency histograms
 // (serve.request_ms, serve.<op>_ms), request/error/timeout counters and
@@ -33,12 +36,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <string>
 #include <thread>
 
 #include "serve/dataset.h"
-#include "util/thread_pool.h"
 
 namespace patchdb::serve {
 
@@ -48,15 +50,10 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; read the bound port from Server::port().
   std::uint16_t port = 0;
-  /// Worker threads == the concurrent-connection capacity (blocking
-  /// I/O, one connection per worker). 0 = max(hardware_concurrency, 64)
-  /// so a default daemon meets the 64-concurrent-connection bar even on
-  /// small machines; workers blocked on idle sockets cost only memory.
-  std::size_t threads = 0;
-  /// Connections queued past the busy workers before the acceptor
-  /// starts shedding with a busy error: it sheds once threads +
-  /// max_pending connections are open.
-  std::size_t max_pending = 64;
+  /// Connections served at once, each on its own thread; one more is
+  /// answered with a busy error and closed. An idle connection costs a
+  /// parked thread until the read timeout closes it.
+  std::size_t max_connections = 128;
   /// A connection (or a partially received frame) that makes no
   /// progress for this long is closed.
   std::chrono::milliseconds read_timeout{5000};
@@ -65,14 +62,14 @@ struct ServerOptions {
 class Server {
  public:
   /// The dataset must outlive the server; it is shared read-only
-  /// across workers.
+  /// across connection threads.
   Server(const ServedDataset& dataset, ServerOptions options);
   ~Server();  // stop() if still running
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn acceptor and workers. Throws
-  /// std::runtime_error when the socket cannot be bound.
+  /// Bind + listen + spawn the acceptor. Throws std::runtime_error when
+  /// the socket cannot be bound.
   void start();
 
   /// The bound port (valid after start(); resolves port 0 requests).
@@ -80,7 +77,7 @@ class Server {
 
   /// Graceful drain: stop accepting, finish in-flight requests, join
   /// everything. Idempotent; also safe to call from a signal-notified
-  /// thread (not from a handler itself — it takes locks).
+  /// thread (not from a handler itself — it joins threads).
   void stop();
 
   bool running() const noexcept { return started_ && !stopped_; }
@@ -89,30 +86,42 @@ class Server {
   std::uint64_t connections_accepted() const noexcept {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
-  /// Connections answered with a busy error because threads +
-  /// max_pending connections were already open.
+  /// Connections answered with a busy error: max_connections were
+  /// already open, or no thread could be started to serve them.
   std::uint64_t connections_shed() const noexcept {
     return connections_shed_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// An accepted connection's thread; `done` is set once it has closed
+  /// the socket, so the acceptor can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void acceptor_loop();
-  void serve_connection(int fd);
+  /// Join and forget the connections whose threads have finished.
+  void reap_connections();
+  /// Answer `fd` with the busy error and close it.
+  void shed(int fd);
+  /// Serve one connection to its end and close it; never throws.
+  void serve_connection(int fd) noexcept;
+  /// The request loop of serve_connection.
+  void serve_requests(int fd);
 
   const ServedDataset& dataset_;
   ServerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::thread acceptor_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<bool> draining_{false};
-  /// Handed to the pool and not yet closed; the acceptor is the only
-  /// thread that raises it.
-  std::atomic<std::size_t> open_connections_{0};
+  /// The acceptor's alone while it runs; stop() joins what is left.
+  std::list<Connection> connections_;
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_shed_{0};
+  std::thread acceptor_;
 };
 
 }  // namespace patchdb::serve

@@ -81,11 +81,6 @@ std::size_t ThreadPool::pending() const {
   return tasks_.size();
 }
 
-std::size_t ThreadPool::in_flight() const {
-  std::lock_guard lock(mutex_);
-  return in_flight_;
-}
-
 std::size_t ThreadPool::running() const {
   std::lock_guard lock(mutex_);
   return in_flight_ > tasks_.size() ? in_flight_ - tasks_.size() : 0;
@@ -94,16 +89,6 @@ std::size_t ThreadPool::running() const {
 std::vector<double> ThreadPool::worker_busy_ms() const {
   std::lock_guard lock(mutex_);
   return worker_busy_ms_;
-}
-
-std::size_t ThreadPool::task_errors() const {
-  std::lock_guard lock(mutex_);
-  return task_errors_;
-}
-
-std::exception_ptr ThreadPool::take_task_error() {
-  std::lock_guard lock(mutex_);
-  return std::exchange(task_error_, nullptr);
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -164,18 +149,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     }
     const auto start = std::chrono::steady_clock::now();
     t_on_pool_worker = true;
-    // A throwing task must not escape into the thread body (that would
-    // std::terminate the process) or skip the in_flight_ bookkeeping
-    // below (that would deadlock wait_idle forever). parallel_for wraps
-    // its chunks in its own handler, so anything caught here came from
-    // a bare submit(): stash the first, count the rest.
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard lock(mutex_);
-      ++task_errors_;
-      if (!task_error_) task_error_ = std::current_exception();
-    }
+    task();
     t_on_pool_worker = false;
     const double task_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)

@@ -1,7 +1,9 @@
-// Fixed-size thread pool with a blocking parallel_for. The nearest link
-// search computes an M x N weighted distance matrix (Section III-B);
-// at paper scale (4076 x 200K) that is the dominant cost, so the matrix
-// is computed in row blocks across the pool.
+// Fixed-size thread pool whose one way in is a blocking parallel_for.
+// The nearest link search computes an M x N weighted distance matrix
+// (Section III-B); at paper scale (4076 x 200K) that is the dominant
+// cost, so the matrix is computed in row blocks across the pool. Work
+// that holds a thread for long (a patchdbd connection) runs on its own
+// thread, not here.
 //
 // The pool has no metric hooks and no obs dependency, so the util
 // library stays at the bottom of the dependency order. What obs reports
@@ -12,7 +14,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -32,43 +33,19 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Tasks enqueued but not yet picked up by a worker.
+  /// Chunks enqueued but not yet picked up by a worker.
   std::size_t pending() const;
 
-  /// Tasks enqueued and not yet finished (pending + running).
-  std::size_t in_flight() const;
-
-  /// Tasks currently executing on a worker (in_flight - pending, read
-  /// under one lock so the two can't tear).
+  /// Chunks currently executing on a worker.
   std::size_t running() const;
 
-  /// Cumulative wall time each worker has spent executing tasks, in
+  /// Cumulative wall time each worker has spent executing chunks, in
   /// milliseconds, indexed by worker, since the pool was made. Always
-  /// maintained (two clock reads per task). An obs::ObsSession reads it
+  /// maintained (two clock reads per chunk). An obs::ObsSession reads it
   /// when it starts and again in report(), and reports the difference,
   /// so a single-threaded pool pathology shows up as one busy worker and
   /// N-1 zeros in the artifact.
   std::vector<double> worker_busy_ms() const;
-
-  /// Enqueue a task; runs on some worker eventually. A task that throws
-  /// does not take the worker (or the process) down: the exception is
-  /// caught, counted in task_errors(), and the first one is stashed for
-  /// take_task_error(), so wait_idle() still completes. The queue is
-  /// unbounded: callers that must shed load count their own work (the
-  /// serve acceptor counts open connections).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
-  /// Submitted tasks that terminated with an exception. parallel_for
-  /// reports its errors by rethrowing on the caller and never counts
-  /// here.
-  std::size_t task_errors() const;
-
-  /// The first exception thrown by a submit() task since the last call;
-  /// clears the slot. Null when no task has thrown.
-  std::exception_ptr take_task_error();
 
   /// Partition [0, n) into contiguous chunks and run `body(begin, end)`
   /// on the pool; blocks until all chunks are done. Exceptions thrown by
@@ -79,6 +56,13 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body);
 
  private:
+  /// Enqueue one chunk. Chunks never throw: parallel_for catches its
+  /// body's exceptions inside the chunk.
+  void submit(std::function<void()> task);
+
+  /// Block until every submitted chunk has finished.
+  void wait_idle();
+
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
@@ -87,10 +71,8 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
+  std::size_t in_flight_ = 0;  // submitted and not yet finished
   bool stopping_ = false;
-  std::size_t task_errors_ = 0;
-  std::exception_ptr task_error_;
 };
 
 /// Process-wide default pool. Sized, in priority order, from

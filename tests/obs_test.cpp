@@ -257,6 +257,31 @@ TEST(Trace, ThreadsGetDistinctIndices) {
   for (int t = 0; t < kThreads; ++t) EXPECT_TRUE(seen[t]);
 }
 
+TEST(Trace, ExitedThreadsHandTheirRingOn) {
+  // Threads that run one after another share one ring, so a server that
+  // starts a thread per connection holds a ring per thread alive at
+  // once: 50 threads of 100 spans each overflow a single ring.
+  obs::Tracer tracer;
+  obs::Tracer* previous = obs::install_tracer(&tracer);
+  constexpr std::size_t kThreads = 50;
+  constexpr std::size_t kSpans = 100;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::thread([] {
+      for (std::size_t i = 0; i < kSpans; ++i) {
+        obs::ScopedSpan span("handoff");
+      }
+    }).join();
+  }
+  obs::install_tracer(previous);
+
+  const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+  EXPECT_EQ(spans.size(), obs::kSpanRingCapacity);
+  EXPECT_EQ(tracer.dropped(), kThreads * kSpans - obs::kSpanRingCapacity);
+  // A record keeps the index of the thread that wrote it.
+  EXPECT_EQ(spans.front().thread_index, 9u);  // the oldest survivors
+  EXPECT_EQ(spans.back().thread_index, kThreads - 1);
+}
+
 TEST(Trace, RingOverflowDropsOldestAndCounts) {
   obs::Tracer tracer;
   obs::Tracer* previous = obs::install_tracer(&tracer);

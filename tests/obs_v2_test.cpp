@@ -308,7 +308,6 @@ TEST(ObsSession, MetricsRequestWritesReportWithTimelineAndPoolShape) {
   pool.parallel_for(64, [](std::size_t, std::size_t) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   });
-  pool.wait_idle();
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const obs::RunReport report = session.report();
   ASSERT_TRUE(session.write_artifacts(report));

@@ -1,10 +1,12 @@
 // Tests for the serving subsystem (src/serve): wire-protocol round
 // trips and malformed-frame rejection, bit-identity of served query
 // results against the offline kernels, the concurrent TCP server
-// (64 connections across every request type), load shedding past
-// threads + max_pending, graceful drain, and the read-only store
-// properties the daemon depends on (concurrent loads of one sealed
-// export; refusal of corrupted datasets at startup).
+// (64 connections across every request type, a thread per connection,
+// so idle clients delay no one), load shedding past max_connections, a
+// response too large to frame, the per-op span and metric names,
+// graceful drain, and the read-only store properties the daemon depends
+// on (concurrent loads of one sealed export; refusal of corrupted
+// datasets at startup).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -29,11 +31,13 @@
 #include "diff/render.h"
 #include "feature/features.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "serve/client.h"
 #include "serve/dataset.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "store/export.h"
+#include "synth/synthesize.h"
 #include "util/rng.h"
 
 namespace patchdb {
@@ -189,6 +193,24 @@ TEST(ServeProtocol, MalformedFramesAreRejected) {
   w.u64(0);          // 8 bytes of "elements"
   w.u32(5);          // k
   EXPECT_THROW(serve::decode_request(w.take()), serve::ProtocolError);
+
+  // A bool byte past 1: analyze.interproc (the request's last byte) and
+  // lookup.is_security (the response's third byte).
+  serve::Request analyze;
+  analyze.op = serve::Op::kAnalyze;
+  analyze.analyze.diff_text = "diff";
+  std::string bad_interproc = serve::encode_request(analyze);
+  EXPECT_NO_THROW(serve::decode_request(bad_interproc));
+  bad_interproc.back() = '\x02';
+  EXPECT_THROW(serve::decode_request(bad_interproc), serve::ProtocolError);
+  serve::Response found;
+  found.lookup.component = serve::WireComponent::kNvd;
+  std::string bad_security =
+      serve::encode_response(serve::Op::kLookup, found);
+  EXPECT_NO_THROW(serve::decode_response(serve::Op::kLookup, bad_security));
+  bad_security[2] = '\xff';
+  EXPECT_THROW(serve::decode_response(serve::Op::kLookup, bad_security),
+               serve::ProtocolError);
 }
 
 // ----------------------------------------------------- shared dataset --
@@ -431,9 +453,7 @@ TEST(ServeDataset, RejectsBadQueries) {
 
 TEST(ServeServer, Serves64ConcurrentConnectionsAcrossAllOps) {
   const serve::ServedDataset dataset = make_dataset();
-  serve::ServerOptions options;
-  options.threads = 64;
-  serve::Server server(dataset, options);
+  serve::Server server(dataset, serve::ServerOptions{});
   server.start();
 
   const std::vector<const diff::Patch*> natural = natural_patches();
@@ -498,9 +518,7 @@ TEST(ServeServer, Serves64ConcurrentConnectionsAcrossAllOps) {
 
 TEST(ServeServer, MalformedFrameGetsErrorResponseAndClose) {
   const serve::ServedDataset dataset = make_dataset();
-  serve::ServerOptions options;
-  options.threads = 2;
-  serve::Server server(dataset, options);
+  serve::Server server(dataset, serve::ServerOptions{});
   server.start();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -566,9 +584,7 @@ TEST(ServeServer, MidFrameDisconnectIsNotAProtocolError) {
   obs::MetricsRegistry registry;
   auto* previous = obs::install_registry(&registry);
   const serve::ServedDataset dataset = make_dataset();
-  serve::ServerOptions options;
-  options.threads = 2;
-  serve::Server server(dataset, options);
+  serve::Server server(dataset, serve::ServerOptions{});
   server.start();
 
   // Connection 1: a complete header promising 100 body bytes, then only
@@ -609,9 +625,7 @@ TEST(ServeServer, ZeroLengthFrameIsStillMalformed) {
   obs::MetricsRegistry registry;
   auto* previous = obs::install_registry(&registry);
   const serve::ServedDataset dataset = make_dataset();
-  serve::ServerOptions options;
-  options.threads = 2;
-  serve::Server server(dataset, options);
+  serve::Server server(dataset, serve::ServerOptions{});
   server.start();
 
   const int fd = connect_to(server.port());
@@ -650,9 +664,7 @@ TEST(ServeServer, ZeroLengthFrameIsStillMalformed) {
 
 TEST(ServeServer, GracefulDrainAnswersInFlightThenRefusesNew) {
   const serve::ServedDataset dataset = make_dataset();
-  serve::ServerOptions options;
-  options.threads = 8;
-  serve::Server server(dataset, options);
+  serve::Server server(dataset, serve::ServerOptions{});
   server.start();
   const std::uint16_t port = server.port();
 
@@ -696,27 +708,26 @@ TEST(ServeServer, GracefulDrainAnswersInFlightThenRefusesNew) {
   EXPECT_THROW(late.connect("127.0.0.1", port), std::runtime_error);
 }
 
-TEST(ServeServer, ShedsConnectionsPastThreadsPlusMaxPending) {
-  // One worker and one queued connection: the third open connection is
-  // answered busy and closed at once, and the first two are served.
+TEST(ServeServer, ShedsConnectionsPastMaxConnections) {
+  // A limit of two: the second connection is served while the first
+  // stays open, and the third is answered busy and closed at once.
   obs::MetricsRegistry registry;
   auto* previous = obs::install_registry(&registry);
   const serve::ServedDataset dataset = make_dataset();
   serve::ServerOptions options;
-  options.threads = 1;
-  options.max_pending = 1;
+  options.max_connections = 2;
   serve::Server server(dataset, options);
   server.start();
 
-  // The worker holds the first connection; the second waits for it.
   serve::Client first;
   first.connect("127.0.0.1", server.port());
   ASSERT_EQ(first.ping().status, serve::Status::kOk);
   serve::Client second;
-  second.connect("127.0.0.1", server.port());
+  second.connect("127.0.0.1", server.port(), std::chrono::milliseconds(2000));
+  ASSERT_EQ(second.ping().status, serve::Status::kOk);
 
   // The acceptor takes connections in order, so the third is the one
-  // past the cap. It gets the busy frame without sending a byte.
+  // past the limit. It gets the busy frame without sending a byte.
   const int fd = connect_to(server.port());
   ASSERT_GE(fd, 0);
   unsigned char header[4];
@@ -742,10 +753,9 @@ TEST(ServeServer, ShedsConnectionsPastThreadsPlusMaxPending) {
   EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // orderly close
   ::close(fd);
 
-  // Closing the first connection frees the worker for the second.
   EXPECT_EQ(first.ping().status, serve::Status::kOk);
-  first.close();
   EXPECT_EQ(second.ping().status, serve::Status::kOk);
+  first.close();
   second.close();
 
   server.stop();
@@ -753,6 +763,133 @@ TEST(ServeServer, ShedsConnectionsPastThreadsPlusMaxPending) {
   EXPECT_EQ(server.connections_shed(), 1u);
   EXPECT_EQ(server.connections_accepted(), 3u);
   EXPECT_EQ(registry.snapshot().counter("serve.connections_shed"), 1u);
+}
+
+TEST(ServeServer, IdleConnectionsDoNotDelayAPing) {
+  // Six silent connections under a limit of eight: each has its own
+  // thread, so a ping on a seventh is answered at once instead of
+  // waiting for an idle socket's read timeout.
+  const serve::ServedDataset dataset = make_dataset();
+  serve::ServerOptions options;
+  options.max_connections = 8;
+  options.read_timeout = std::chrono::milliseconds(3000);
+  serve::Server server(dataset, options);
+  server.start();
+
+  std::vector<int> idle;
+  for (int i = 0; i < 6; ++i) {
+    idle.push_back(connect_to(server.port()));
+    ASSERT_GE(idle.back(), 0);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port(), std::chrono::milliseconds(2000));
+  const serve::Response pong = client.ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(pong.status, serve::Status::kOk);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+
+  client.close();
+  for (const int fd : idle) ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.connections_shed(), 0u);
+}
+
+TEST(ServeServer, ResponsePastTheFrameCapIsAServerError) {
+  // A lookup of an 18 MB patch cannot be framed under the 16 MiB cap:
+  // the client gets kServerError within the read timeout rather than no
+  // reply, the connection goes on, and once it closes its slot serves
+  // the next one.
+  const core::PatchDb& db = shared_db();
+  const std::string huge_id(40, 'f');
+  std::vector<synth::SyntheticPatch> synthetic(1);
+  diff::Patch& huge = synthetic.front().patch;
+  huge.commit = huge_id;
+  diff::FileDiff& file = huge.files.emplace_back();
+  file.old_path = file.new_path = "huge.c";
+  diff::Hunk& hunk = file.hunks.emplace_back();
+  hunk.old_start = hunk.new_start = 1;
+  hunk.lines.assign(300'000, diff::Line{diff::LineKind::kAdded,
+                                        std::string(59, 'x')});
+  hunk.new_count = hunk.lines.size();
+  ASSERT_GT(diff::render_patch(huge).size(), serve::kMaxFrameBytes);
+  const serve::ServedDataset dataset = serve::ServedDataset::from_components(
+      db.nvd_security, db.wild_security, db.nonsecurity, std::move(synthetic));
+
+  serve::ServerOptions options;
+  options.max_connections = 1;
+  options.read_timeout = std::chrono::milliseconds(2000);
+  serve::Server server(dataset, options);
+  server.start();
+
+  serve::Client client;
+  client.connect("127.0.0.1", server.port(), options.read_timeout);
+  const serve::Response refused = client.lookup(huge_id);
+  EXPECT_EQ(refused.status, serve::Status::kServerError);
+  EXPECT_NE(refused.error.find("frame cap"), std::string::npos)
+      << refused.error;
+  EXPECT_EQ(client.ping().status, serve::Status::kOk);
+  client.close();
+
+  // The server notices the close a moment later; until then a new
+  // connection is shed, after that it is served.
+  serve::Response pong;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    serve::Client next;
+    next.connect("127.0.0.1", server.port(), options.read_timeout);
+    pong = next.ping();
+    if (pong.status != serve::Status::kShuttingDown) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(pong.status, serve::Status::kOk);
+  server.stop();
+}
+
+TEST(ServeServer, RequestSpansAndMetricsAreNamedByOp) {
+  // Each op's span, request counter and latency histogram carry exactly
+  // the op's own name, once per request.
+  obs::ObsSession session("serve_names");
+  if (!session.installed()) GTEST_SKIP() << "PATCHDB_OBS_DISABLED set";
+  const serve::ServedDataset dataset = make_dataset();
+  serve::Server server(dataset, serve::ServerOptions{});
+  server.start();
+
+  const std::string id = natural_patches().front()->commit;
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+  ASSERT_EQ(client.ping().status, serve::Status::kOk);
+  const serve::Response lookup = client.lookup(id);
+  ASSERT_EQ(lookup.status, serve::Status::kOk);
+  ASSERT_EQ(client.features(id).status, serve::Status::kOk);
+  ASSERT_EQ(client.nearest_by_id(id, 3).status, serve::Status::kOk);
+  ASSERT_EQ(client.stats().status, serve::Status::kOk);
+  ASSERT_EQ(client.analyze(lookup.lookup.patch_text).status,
+            serve::Status::kOk);
+  ASSERT_EQ(client.list_ids().status, serve::Status::kOk);
+  client.close();
+  server.stop();  // joins the connection's thread: its spans are closed
+
+  const std::vector<obs::SpanRecord> spans = session.tracer().snapshot();
+  const obs::MetricsSnapshot metrics = session.registry().snapshot();
+  for (const serve::Op op :
+       {serve::Op::kPing, serve::Op::kLookup, serve::Op::kFeatures,
+        serve::Op::kNearest, serve::Op::kStats, serve::Op::kAnalyze,
+        serve::Op::kListIds}) {
+    const std::string name = "serve." + std::string(serve::op_name(op));
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [&](const obs::SpanRecord& span) {
+                              return span.name == name;
+                            }),
+              1)
+        << name;
+    EXPECT_EQ(metrics.counter("serve.requests." +
+                              std::string(serve::op_name(op))),
+              1u)
+        << name;
+    const obs::HistogramSnapshot* latency = metrics.histogram(name + "_ms");
+    ASSERT_NE(latency, nullptr) << name;
+    EXPECT_EQ(latency->count, 1u) << name;
+  }
 }
 
 // ------------------------------------------------------ read-only store --

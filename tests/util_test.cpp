@@ -581,87 +581,32 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 40);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  util::ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, SubmittedTaskThrowingDoesNotKillPool) {
-  // A throwing submit() task used to escape worker_loop: the exception
-  // left the thread body, which is std::terminate. Now it is caught,
-  // counted, and the first one is stashed; wait_idle still returns.
-  util::ThreadPool pool(2);
-  EXPECT_EQ(pool.task_errors(), 0u);
-  EXPECT_EQ(pool.take_task_error(), nullptr);
-
-  for (int i = 0; i < 3; ++i) {
-    pool.submit([] { throw std::runtime_error("task failed"); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(pool.task_errors(), 3u);
-
-  std::exception_ptr error = pool.take_task_error();
-  ASSERT_NE(error, nullptr);
-  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
-  // The slot holds only the first error and clears on take.
-  EXPECT_EQ(pool.take_task_error(), nullptr);
-
-  // The workers survived and still run tasks.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 10);
-  EXPECT_EQ(pool.task_errors(), 3u);  // unchanged by successful tasks
-}
-
 TEST(ThreadPool, SizeAndPendingAccessors) {
   util::ThreadPool pool(2);
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(pool.running(), 0u);
 
-  // Park both workers so further submissions stay queued.
+  // Seven one-index chunks on two workers: every chunk parks until
+  // released, so two run and five stay queued.
   std::atomic<int> parked{0};
   std::atomic<bool> release{false};
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
+  std::thread caller([&] {
+    pool.parallel_for(7, [&](std::size_t, std::size_t) {
       parked.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
     });
-  }
-  while (parked.load() < 2) std::this_thread::yield();
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([] {});
+  });
+  // Both workers parked, and the caller has queued every chunk.
+  while (parked.load() < 2 || pool.pending() + pool.running() < 7) {
+    std::this_thread::yield();
   }
   EXPECT_EQ(pool.pending(), 5u);
-  EXPECT_EQ(pool.in_flight(), 7u);
+  EXPECT_EQ(pool.running(), 2u);
   release.store(true);
-  pool.wait_idle();
+  caller.join();
   EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingTasks) {
-  // Regression: destroying a pool while tasks are still queued must run
-  // every one of them (drain semantics), not drop the backlog.
-  std::atomic<int> count{0};
-  {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        count.fetch_add(1);
-      });
-    }
-  }  // destructor joins while most of the 64 tasks are still pending
-  EXPECT_EQ(count.load(), 64);
+  EXPECT_EQ(pool.running(), 0u);
 }
 
 TEST(ThreadPool, WorkerBusyTimeAccumulatesPerWorker) {
@@ -669,12 +614,9 @@ TEST(ThreadPool, WorkerBusyTimeAccumulatesPerWorker) {
   ASSERT_EQ(pool.worker_busy_ms().size(), 2u);
   for (double ms : pool.worker_busy_ms()) EXPECT_EQ(ms, 0.0);
 
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-  }
-  pool.wait_idle();
+  pool.parallel_for(32, [](std::size_t lo, std::size_t hi) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hi - lo));
+  });
   const std::vector<double> busy = pool.worker_busy_ms();
   ASSERT_EQ(busy.size(), 2u);
   // 32 x 1ms split across 2 workers: total busy time must reflect the

@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# Obs-overhead check: how much wall time does the observability layer
+# Obs-overhead check: how much CPU time does the observability layer
 # cost an instrumented kernel? Runs the same micro_core benchmark with
 # the ObsSession installed (spans and counters) and inert under
 # PATCHDB_OBS_DISABLED, in interleaved pairs: each pair runs one
 # repetition of each mode, the two orders alternating from pair to pair,
 # so a slow spell of the host lands on both modes instead of one. The
 # overhead is the median over the pairs of on/off, read from the
-# benchmark's own per-iteration real time (process wall would lie:
-# google-benchmark adapts iteration counts to the kernel speed, so a
-# faster kernel runs MORE iterations). Records it as a patchdb.obs.v2
-# report.
+# benchmark's own per-iteration CPU time of the calling thread, which
+# records the spans and counters (its real time swings more from run to
+# run than the effect; process wall would lie too: google-benchmark
+# adapts iteration counts to the kernel speed, so a faster kernel runs
+# MORE iterations). Records it as a patchdb.obs.v2 report.
 #
 #   tools/obs_overhead.sh [BUILD_DIR] [OUT_JSON] [MAX_PCT]
 #
 # BUILD_DIR defaults to ./build, OUT_JSON to bench/BENCH_obs_overhead.json,
-# MAX_PCT to 2.0 (the acceptance bound: obs must cost < 2% wall). Exits 1
+# MAX_PCT to 2.0 (the acceptance bound: obs must cost < 2% CPU). Exits 1
 # when the measured overhead exceeds MAX_PCT. OBS_OVERHEAD_REPS (the
 # number of pairs, default 5) and OBS_OVERHEAD_FILTER override the pair
 # count and benchmark subset.
@@ -54,9 +55,9 @@ run_ms() {  # $1 = "on" | "off"
     csv=$("${bench}" "${bench_args[@]}" 2> /dev/null)
   fi
   # CSV row: name,iterations,real_time,cpu_time,time_unit,... — the
-  # first benchmark row's real_time, in the benchmark's own time unit
+  # first benchmark row's cpu_time, in the benchmark's own time unit
   # (identical across both modes, so the ratios below are unitless).
-  echo "${csv}" | awk -F, 'NR > 1 && $1 ~ /^"?BM_/ { printf "%.4f", $3; exit }'
+  echo "${csv}" | awk -F, 'NR > 1 && $1 ~ /^"?BM_/ { printf "%.4f", $4; exit }'
 }
 
 median() {  # of the arguments
@@ -89,7 +90,7 @@ enabled_ms=$(awk -v m="$(median "${enabled[@]}")" 'BEGIN { printf "%.4f", m }')
 disabled_ms=$(awk -v m="$(median "${disabled[@]}")" 'BEGIN { printf "%.4f", m }')
 overhead_pct=$(awk -v r="$(median "${ratios[@]}")" 'BEGIN { printf "%.3f", (r - 1) * 100.0 }')
 
-echo "obs_overhead.sh: enabled ${enabled_ms} ms/iter, disabled ${disabled_ms} ms/iter" \
+echo "obs_overhead.sh: enabled ${enabled_ms} CPU ms/iter, disabled ${disabled_ms} CPU ms/iter" \
   "(medians), overhead ${overhead_pct}% (median on/off of ${reps} interleaved pairs," \
   "filter ${filter})"
 

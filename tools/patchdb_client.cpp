@@ -96,6 +96,15 @@ int run(const std::string& command, const util::Flags& flags) {
     std::fprintf(stderr, "patchdb_client: --port P (1..65535) is required\n");
     return 2;
   }
+  // Both travel as u32: a larger value must not wrap to a small one.
+  for (const char* name : {"--k", "--limit"}) {
+    const std::size_t value = flags.value(name, std::size_t{0});
+    if (value > UINT32_MAX) {
+      std::fprintf(stderr, "patchdb_client: %s expects 0..%u, got %zu\n", name,
+                   UINT32_MAX, value);
+      return 2;
+    }
+  }
 
   serve::Client client;
   client.connect(host, static_cast<std::uint16_t>(port));

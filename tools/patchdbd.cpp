@@ -3,16 +3,19 @@
 // once, verified (manifest trailer + per-patch checksums — a truncated
 // or tampered dataset is refused and the daemon exits 1 without ever
 // opening the socket), precomputed into an immutable snapshot, and
-// shared read-only across a worker pool.
+// shared read-only across the connections, each served on its own
+// thread.
 //
-//   patchdbd --data DIR [--bind ADDR] [--port P] [--threads N]
-//            [--max-pending N] [--read-timeout-ms N] [--port-file FILE]
+//   patchdbd --data DIR [--bind ADDR] [--port P] [--max-connections N]
+//            [--read-timeout-ms N] [--port-file FILE]
 //            [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
 //            [--progress]
 //
 // An unknown flag or any positional argument is a usage error (exit 2).
 // --port 0 (the default) binds an ephemeral port; --port-file writes
-// the bound port for scripts that need to find the daemon. SIGINT or
+// the bound port for scripts that need to find the daemon. Past
+// --max-connections open connections (default 128, at least 1) a new
+// one is answered with a busy error and closed. SIGINT or
 // SIGTERM drains gracefully: accepting stops, in-flight requests
 // finish and are answered, then the daemon writes its obs artifacts
 // (--metrics-out / --trace-out) and exits 0.
@@ -39,8 +42,8 @@ using namespace patchdb;
 int usage() {
   std::fprintf(stderr,
                "usage: patchdbd --data DIR [--bind ADDR] [--port P]\n"
-               "                [--threads N] [--max-pending N]\n"
-               "                [--read-timeout-ms N] [--port-file FILE]\n"
+               "                [--max-connections N] [--read-timeout-ms N]\n"
+               "                [--port-file FILE]\n"
                "                [--metrics-out FILE] [--trace-out FILE]"
                " [--sample-ms N]\n"
                "                [--progress]\n");
@@ -60,9 +63,8 @@ void on_signal(int signo) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, 1, "patchdbd");
-  std::vector<std::string> values = {"--data",        "--bind",
-                                     "--port",        "--threads",
-                                     "--max-pending", "--read-timeout-ms",
+  std::vector<std::string> values = {"--data", "--bind", "--port",
+                                     "--max-connections", "--read-timeout-ms",
                                      "--port-file"};
   values.insert(values.end(), obs::kArtifactValueFlags.begin(),
                 obs::kArtifactValueFlags.end());
@@ -72,6 +74,13 @@ int main(int argc, char** argv) {
   const std::size_t port = flags.value("--port", std::size_t{0});
   if (port > 65535) {
     std::fprintf(stderr, "patchdbd: --port expects 0..65535, got %zu\n", port);
+    return 2;
+  }
+  serve::ServerOptions options;
+  options.max_connections =
+      flags.value("--max-connections", options.max_connections);
+  if (options.max_connections == 0) {
+    std::fprintf(stderr, "patchdbd: --max-connections expects at least 1\n");
     return 2;
   }
 
@@ -89,11 +98,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serve::ServerOptions options;
   options.bind_address = flags.value("--bind", std::string("127.0.0.1"));
   options.port = static_cast<std::uint16_t>(port);
-  options.threads = flags.value("--threads", std::size_t{0});
-  options.max_pending = flags.value("--max-pending", options.max_pending);
   options.read_timeout = std::chrono::milliseconds(static_cast<long>(
       flags.value("--read-timeout-ms", std::size_t{5000})));
 
@@ -132,7 +138,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // Park until a signal arrives; everything else happens on the
-  // acceptor and worker threads.
+  // acceptor and connection threads.
   unsigned char signo = 0;
   for (;;) {
     const ssize_t n = ::read(g_signal_pipe[0], &signo, 1);

@@ -101,8 +101,10 @@ if [[ "${daemon_exit}" -ne 0 ]]; then
 fi
 
 "${cli_bin}" metrics --validate "${workdir}/daemon_metrics.json"
+# "serve.lookup" is the lookup requests' span name, spelled exactly.
 for signal in '"serve.requests"' '"serve.request_ms"' \
-              '"serve.active_connections"' '"serve.dataset.patches"'; do
+              '"serve.active_connections"' '"serve.dataset.patches"' \
+              '"serve.lookup"'; do
   if ! grep -q -- "${signal}" "${workdir}/daemon_metrics.json"; then
     echo "serve_smoke.sh: daemon report is missing ${signal}" >&2
     exit 1
