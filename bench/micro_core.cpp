@@ -129,20 +129,15 @@ BENCHMARK(BM_AnalyzeStraightLine)
     ->ArgsProduct({{100, 500, 1000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// One commit in either of the shapes build_world fabricates. Arg(0) is a
-// wild commit: a type from the wild mix, bundled cleanups and euphemized
-// messages at build_world's rates, no snapshots. Arg(1) is an NVD
-// commit: a security type from the NVD mix, with snapshots.
+// One commit in either of the shapes build_world fabricates, from the
+// same options it uses. Arg(0) is a wild commit: a type from the wild
+// mix, bundled cleanups and euphemized messages, no snapshots. Arg(1) is
+// an NVD commit: a security type from the NVD mix, with snapshots.
 void BM_MakeCommit(benchmark::State& state) {
   const bool nvd = state.range(0) == 1;
   const corpus::WorldConfig world;
-  corpus::CommitOptions options = world.commit;
-  if (nvd) {
-    options.keep_snapshots = true;
-  } else {
-    options.bundle_cleanup_prob = 0.5;
-    options.euphemize_prob = 0.61;
-  }
+  const corpus::CommitOptions options = nvd ? corpus::nvd_commit_options(world)
+                                            : corpus::wild_commit_options(world);
   const corpus::TypeDistribution nvd_types = corpus::nvd_type_distribution();
   const corpus::TypeDistribution wild_types = corpus::wild_type_distribution();
   util::Rng rng(13);

@@ -22,6 +22,26 @@ std::string draw_cve_id(util::Rng& rng, std::size_t serial, int* year_out) {
 
 }  // namespace
 
+CommitOptions nvd_commit_options(const WorldConfig& config) {
+  CommitOptions options;
+  options.keep_snapshots = config.keep_nvd_snapshots;
+  return options;
+}
+
+CommitOptions wild_commit_options(const WorldConfig& config) {
+  CommitOptions options;
+  options.keep_snapshots = config.keep_wild_snapshots;
+  // Silent wild fixes frequently bundle unrelated cleanups; NVD-indexed
+  // fixes are minimal (see CommitOptions::bundle_cleanup_prob).
+  options.bundle_cleanup_prob = 0.5;
+  // 61% of real security patches never mention their security impact
+  // (paper Sec. I, citing [35]): the wild side is euphemized at exactly
+  // that rate, while NVD-referenced fixes keep (and build_world
+  // enriches) their descriptive messages.
+  options.euphemize_prob = 0.61;
+  return options;
+}
+
 World build_world(const WorldConfig& config) {
   if (config.repos == 0) throw std::invalid_argument("build_world: repos == 0");
   // The stand-in for the NVD and GitHub crawl (DESIGN §2): in memory, so
@@ -40,18 +60,8 @@ World build_world(const WorldConfig& config) {
   // 1. Fabricate the NVD-side security commits (these are what the CVE
   //    entries will reference) and the wild pool, in parallel.
   // ------------------------------------------------------------------
-  CommitOptions nvd_commit = config.commit;
-  nvd_commit.keep_snapshots = config.keep_nvd_snapshots;
-  CommitOptions wild_commit = config.commit;
-  wild_commit.keep_snapshots = config.keep_wild_snapshots;
-  // Silent wild fixes frequently bundle unrelated cleanups; NVD-indexed
-  // fixes are minimal (see CommitOptions::bundle_cleanup_prob).
-  wild_commit.bundle_cleanup_prob = 0.5;
-  // 61% of real security patches never mention their security impact
-  // (paper Sec. I, citing [35]) — the wild side is euphemized at exactly
-  // that rate; NVD-referenced fixes keep (and below, enrich) their
-  // descriptive messages.
-  wild_commit.euphemize_prob = 0.61;
+  const CommitOptions nvd_commit = nvd_commit_options(config);
+  const CommitOptions wild_commit = wild_commit_options(config);
 
   // Security-type mixes (Fig. 6 shapes).
   const TypeDistribution nvd_types = nvd_type_distribution();

@@ -38,10 +38,15 @@ struct WorldConfig {
   bool keep_nvd_snapshots = true;
   bool keep_wild_snapshots = false;
 
-  CommitOptions commit;
-
   std::uint64_t seed = 42;
 };
+
+/// The two commit shapes build_world fabricates, each keeping snapshots
+/// as `config` asks. An NVD-referenced fix is minimal and says what it
+/// fixes. A silent wild fix bundles an unrelated cleanup half the time,
+/// and 61% of them hide their security impact behind a euphemism.
+CommitOptions nvd_commit_options(const WorldConfig& config);
+CommitOptions wild_commit_options(const WorldConfig& config);
 
 struct World {
   WorldConfig config;

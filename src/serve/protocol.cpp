@@ -1,29 +1,14 @@
 #include "serve/protocol.h"
 
 #include <bit>
-#include <cstring>
+#include <concepts>
+#include <type_traits>
 
 namespace patchdb::serve {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw ProtocolError(what); }
-
-void check_vector_len(std::uint32_t n, std::size_t elem_bytes,
-                      std::size_t remaining, const char* what) {
-  // A hostile count must not drive a huge allocation: the elements have
-  // to actually fit in the bytes that arrived.
-  if (static_cast<std::size_t>(n) * elem_bytes > remaining) {
-    fail(std::string("protocol: ") + what + " count exceeds payload");
-  }
-}
-
-/// A wire bool: 0 or 1, anything else malformed.
-bool read_bool(WireReader& r, const char* what) {
-  const std::uint8_t byte = r.u8();
-  if (byte > 1) fail(std::string("protocol: ") + what + " must be 0 or 1");
-  return byte == 1;
-}
 
 }  // namespace
 
@@ -149,246 +134,211 @@ std::size_t parse_frame_header(std::span<const unsigned char> header) {
   return n;
 }
 
-// ----------------------------------------------------------- request --
+// ------------------------------------------------------ field lists --
+//
+// Each payload's wire layout is written once, as `fields(io, message)`
+// over the primitives below. Encode runs a field list over a writer
+// (the message is const) and Decode over a reader (the message is
+// filled in), so the two directions cannot drift apart.
+
+namespace {
+
+/// Appends each field to the frame body.
+struct Encode : WireWriter {
+  void flag(bool v, const char*) { u8(v ? 1 : 0); }
+  template <class E>
+  void choice(E v, E, E, const char*) { u8(static_cast<std::uint8_t>(v)); }
+  template <class T>
+  void list(const std::vector<T>& items, const char*) {
+    u32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) fields(*this, item);
+  }
+};
+
+/// Reads each field from a received body, rejecting what Encode cannot
+/// have written.
+struct Decode {
+  WireReader r;
+
+  void u32(std::uint32_t& v) { v = r.u32(); }
+  void u64(std::uint64_t& v) { v = r.u64(); }
+  void i64(std::int64_t& v) { v = r.i64(); }
+  void f32(float& v) { v = r.f32(); }
+  void f64(double& v) { v = r.f64(); }
+  void str(std::string& v) { v = r.str(); }
+  /// A bool is the byte 0 or 1.
+  void flag(bool& v, const char* what) {
+    const std::uint8_t byte = r.u8();
+    if (byte > 1) fail(std::string("protocol: ") + what + " must be 0 or 1");
+    v = byte == 1;
+  }
+  /// An enum is one byte in [lo, hi].
+  template <class E>
+  void choice(E& v, E lo, E hi, const char* what) {
+    const std::uint8_t byte = r.u8();
+    if (byte < static_cast<std::uint8_t>(lo) || byte > static_cast<std::uint8_t>(hi)) {
+      fail(std::string("protocol: unknown ") + what + " " + std::to_string(byte));
+    }
+    v = static_cast<E>(byte);
+  }
+  /// A list is a u32 count and its elements. A hostile count must not
+  /// drive a huge allocation: the elements have to fit in the bytes that
+  /// arrived, each taking at least the bytes of an empty one (numbers at
+  /// full width, strings and lists as their u32 count).
+  template <class T>
+  void list(std::vector<T>& items, const char* what) {
+    static const std::size_t min_bytes = [] {
+      Encode io;
+      const T empty{};
+      fields(io, empty);
+      return io.buffer().size();
+    }();
+    const std::uint32_t n = r.u32();
+    if (static_cast<std::size_t>(n) * min_bytes > r.remaining()) {
+      fail(std::string("protocol: ") + what + " count exceeds payload");
+    }
+    items.resize(n);
+    for (T& item : items) fields(*this, item);
+  }
+};
+
+/// `M` is `T`, or `const T` when encoding. The list primitives above
+/// find the element overloads below by argument-dependent lookup on the
+/// IO type, when they are instantiated.
+template <class M, class T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
+
+void fields(auto& io, Of<double> auto& v) { io.f64(v); }
+void fields(auto& io, Of<std::string> auto& v) { io.str(v); }
+
+void fields(auto&, Of<PingRequest> auto&) {}
+void fields(auto& io, Of<LookupRequest> auto& m) { io.str(m.id); }
+void fields(auto& io, Of<FeaturesRequest> auto& m) {
+  io.str(m.id);
+  io.choice(m.space, WireFeatureSpace::kSyntactic, WireFeatureSpace::kInterproc,
+            "feature space");
+}
+void fields(auto& io, Of<NearestRequest> auto& m) {
+  io.flag(m.by_id, "nearest by_id");
+  if (m.by_id) {
+    io.str(m.id);
+  } else {
+    io.list(m.vector, "nearest vector");
+  }
+  io.u32(m.k);
+}
+void fields(auto&, Of<StatsRequest> auto&) {}
+void fields(auto& io, Of<AnalyzeRequest> auto& m) {
+  io.str(m.diff_text);
+  io.flag(m.interproc, "analyze interproc");
+}
+void fields(auto& io, Of<ListIdsRequest> auto& m) {
+  io.choice(m.component, WireComponent::kAll, WireComponent::kSynthetic,
+            "component");
+  io.u32(m.limit);
+}
+
+void fields(auto& io, Of<PingResponse> auto& m) {
+  io.u32(m.protocol_version);
+  io.u64(m.patches);
+}
+void fields(auto& io, Of<LookupResponse> auto& m) {
+  io.choice(m.component, WireComponent::kNvd, WireComponent::kSynthetic,
+            "lookup component");
+  io.flag(m.is_security, "lookup is_security");
+  io.i64(m.type);
+  io.str(m.repo);
+  io.str(m.origin);
+  io.str(m.patch_text);
+}
+void fields(auto& io, Of<FeaturesResponse> auto& m) {
+  io.list(m.vector, "features vector");
+}
+void fields(auto& io, Of<NearestHit> auto& m) {
+  io.str(m.id);
+  io.f32(m.distance);
+}
+void fields(auto& io, Of<NearestResponse> auto& m) {
+  io.list(m.hits, "nearest hits");
+}
+void fields(auto& io, Of<CategoryCount> auto& m) {
+  io.i64(m.type);
+  io.u64(m.labeled);
+  io.u64(m.predicted);
+}
+void fields(auto& io, Of<StatsResponse> auto& m) {
+  io.u64(m.nvd);
+  io.u64(m.wild);
+  io.u64(m.nonsecurity);
+  io.u64(m.synthetic);
+  io.u64(m.security_total);
+  io.u64(m.agreement);
+  io.list(m.categories, "stats categories");
+}
+void fields(auto& io, Of<AnalyzeResponse> auto& m) {
+  io.i64(m.category);
+  io.u64(m.resolved);
+  io.u64(m.introduced);
+  io.str(m.report);
+}
+void fields(auto& io, Of<ListIdsResponse> auto& m) {
+  io.list(m.ids, "id list");
+}
+
+/// The one switch: the payload an op carries. Request and Response name
+/// their payload members alike, so it serves both.
+void with_payload(Op op, auto& message, auto&& visit) {
+  switch (op) {
+    case Op::kPing: return visit(message.ping);
+    case Op::kLookup: return visit(message.lookup);
+    case Op::kFeatures: return visit(message.features);
+    case Op::kNearest: return visit(message.nearest);
+    case Op::kStats: return visit(message.stats);
+    case Op::kAnalyze: return visit(message.analyze);
+    case Op::kListIds: return visit(message.list_ids);
+  }
+}
+
+/// A request is its opcode and that op's payload.
+void fields(auto& io, Of<Request> auto& m) {
+  io.choice(m.op, Op::kPing, Op::kListIds, "opcode");
+  with_payload(m.op, m, [&](auto& payload) { fields(io, payload); });
+}
+
+/// A response is its status, then the error text or the op's payload.
+void fields(auto& io, Op op, Of<Response> auto& m) {
+  io.choice(m.status, Status::kOk, Status::kShuttingDown, "status");
+  if (m.status != Status::kOk) return io.str(m.error);
+  with_payload(op, m, [&](auto& payload) { fields(io, payload); });
+}
+
+}  // namespace
 
 std::string encode_request(const Request& request) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(request.op));
-  switch (request.op) {
-    case Op::kPing:
-    case Op::kStats:
-      break;
-    case Op::kLookup:
-      w.str(request.lookup.id);
-      break;
-    case Op::kFeatures:
-      w.str(request.features.id);
-      w.u8(static_cast<std::uint8_t>(request.features.space));
-      break;
-    case Op::kNearest:
-      w.u8(request.nearest.by_id ? 1 : 0);
-      if (request.nearest.by_id) {
-        w.str(request.nearest.id);
-      } else {
-        w.u32(static_cast<std::uint32_t>(request.nearest.vector.size()));
-        for (double v : request.nearest.vector) w.f64(v);
-      }
-      w.u32(request.nearest.k);
-      break;
-    case Op::kAnalyze:
-      w.str(request.analyze.diff_text);
-      w.u8(request.analyze.interproc ? 1 : 0);
-      break;
-    case Op::kListIds:
-      w.u8(static_cast<std::uint8_t>(request.list_ids.component));
-      w.u32(request.list_ids.limit);
-      break;
-  }
-  return w.take();
+  Encode io;
+  fields(io, request);
+  return io.take();
 }
 
 Request decode_request(std::string_view body) {
-  WireReader r(body);
+  Decode io{WireReader(body)};
   Request request;
-  const std::uint8_t op = r.u8();
-  if (op < static_cast<std::uint8_t>(Op::kPing) ||
-      op > static_cast<std::uint8_t>(Op::kListIds)) {
-    fail("protocol: unknown opcode " + std::to_string(op));
-  }
-  request.op = static_cast<Op>(op);
-  switch (request.op) {
-    case Op::kPing:
-    case Op::kStats:
-      break;
-    case Op::kLookup:
-      request.lookup.id = r.str();
-      break;
-    case Op::kFeatures: {
-      request.features.id = r.str();
-      const std::uint8_t space = r.u8();
-      if (space > static_cast<std::uint8_t>(WireFeatureSpace::kInterproc)) {
-        fail("protocol: unknown feature space " + std::to_string(space));
-      }
-      request.features.space = static_cast<WireFeatureSpace>(space);
-      break;
-    }
-    case Op::kNearest: {
-      request.nearest.by_id = read_bool(r, "nearest by_id");
-      if (request.nearest.by_id) {
-        request.nearest.id = r.str();
-      } else {
-        const std::uint32_t dims = r.u32();
-        check_vector_len(dims, 8, r.remaining(), "nearest vector");
-        request.nearest.vector.resize(dims);
-        for (std::uint32_t j = 0; j < dims; ++j) {
-          request.nearest.vector[j] = r.f64();
-        }
-      }
-      request.nearest.k = r.u32();
-      break;
-    }
-    case Op::kAnalyze:
-      request.analyze.diff_text = r.str();
-      request.analyze.interproc = read_bool(r, "analyze interproc");
-      break;
-    case Op::kListIds: {
-      const std::uint8_t component = r.u8();
-      if (component > static_cast<std::uint8_t>(WireComponent::kSynthetic)) {
-        fail("protocol: unknown component " + std::to_string(component));
-      }
-      request.list_ids.component = static_cast<WireComponent>(component);
-      request.list_ids.limit = r.u32();
-      break;
-    }
-  }
-  r.finish(std::string(op_name(request.op)) + " request");
+  fields(io, request);
+  io.r.finish(std::string(op_name(request.op)) + " request");
   return request;
 }
 
-// ---------------------------------------------------------- response --
-
 std::string encode_response(Op op, const Response& response) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(response.status));
-  if (response.status != Status::kOk) {
-    w.str(response.error);
-    return w.take();
-  }
-  switch (op) {
-    case Op::kPing:
-      w.u32(response.ping.protocol_version);
-      w.u64(response.ping.patches);
-      break;
-    case Op::kLookup:
-      w.u8(static_cast<std::uint8_t>(response.lookup.component));
-      w.u8(response.lookup.is_security ? 1 : 0);
-      w.i64(response.lookup.type);
-      w.str(response.lookup.repo);
-      w.str(response.lookup.origin);
-      w.str(response.lookup.patch_text);
-      break;
-    case Op::kFeatures:
-      w.u32(static_cast<std::uint32_t>(response.features.vector.size()));
-      for (double v : response.features.vector) w.f64(v);
-      break;
-    case Op::kNearest:
-      w.u32(static_cast<std::uint32_t>(response.nearest.hits.size()));
-      for (const NearestHit& hit : response.nearest.hits) {
-        w.str(hit.id);
-        w.f32(hit.distance);
-      }
-      break;
-    case Op::kStats:
-      w.u64(response.stats.nvd);
-      w.u64(response.stats.wild);
-      w.u64(response.stats.nonsecurity);
-      w.u64(response.stats.synthetic);
-      w.u64(response.stats.security_total);
-      w.u64(response.stats.agreement);
-      w.u32(static_cast<std::uint32_t>(response.stats.categories.size()));
-      for (const CategoryCount& c : response.stats.categories) {
-        w.i64(c.type);
-        w.u64(c.labeled);
-        w.u64(c.predicted);
-      }
-      break;
-    case Op::kAnalyze:
-      w.i64(response.analyze.category);
-      w.u64(response.analyze.resolved);
-      w.u64(response.analyze.introduced);
-      w.str(response.analyze.report);
-      break;
-    case Op::kListIds:
-      w.u32(static_cast<std::uint32_t>(response.list_ids.ids.size()));
-      for (const std::string& id : response.list_ids.ids) w.str(id);
-      break;
-  }
-  return w.take();
+  Encode io;
+  fields(io, op, response);
+  return io.take();
 }
 
 Response decode_response(Op op, std::string_view body) {
-  WireReader r(body);
+  Decode io{WireReader(body)};
   Response response;
-  const std::uint8_t status = r.u8();
-  if (status > static_cast<std::uint8_t>(Status::kShuttingDown)) {
-    fail("protocol: unknown status " + std::to_string(status));
-  }
-  response.status = static_cast<Status>(status);
-  if (response.status != Status::kOk) {
-    response.error = r.str();
-    r.finish("error response");
-    return response;
-  }
-  switch (op) {
-    case Op::kPing:
-      response.ping.protocol_version = r.u32();
-      response.ping.patches = r.u64();
-      break;
-    case Op::kLookup: {
-      const std::uint8_t component = r.u8();
-      if (component == 0 ||
-          component > static_cast<std::uint8_t>(WireComponent::kSynthetic)) {
-        fail("protocol: bad lookup component " + std::to_string(component));
-      }
-      response.lookup.component = static_cast<WireComponent>(component);
-      response.lookup.is_security = read_bool(r, "lookup is_security");
-      response.lookup.type = r.i64();
-      response.lookup.repo = r.str();
-      response.lookup.origin = r.str();
-      response.lookup.patch_text = r.str();
-      break;
-    }
-    case Op::kFeatures: {
-      const std::uint32_t dims = r.u32();
-      check_vector_len(dims, 8, r.remaining(), "features vector");
-      response.features.vector.resize(dims);
-      for (std::uint32_t j = 0; j < dims; ++j) {
-        response.features.vector[j] = r.f64();
-      }
-      break;
-    }
-    case Op::kNearest: {
-      const std::uint32_t n = r.u32();
-      check_vector_len(n, 4 + 4, r.remaining(), "nearest hits");
-      response.nearest.hits.resize(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        response.nearest.hits[i].id = r.str();
-        response.nearest.hits[i].distance = r.f32();
-      }
-      break;
-    }
-    case Op::kStats: {
-      response.stats.nvd = r.u64();
-      response.stats.wild = r.u64();
-      response.stats.nonsecurity = r.u64();
-      response.stats.synthetic = r.u64();
-      response.stats.security_total = r.u64();
-      response.stats.agreement = r.u64();
-      const std::uint32_t n = r.u32();
-      check_vector_len(n, 8 + 8 + 8, r.remaining(), "stats categories");
-      response.stats.categories.resize(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        response.stats.categories[i].type = r.i64();
-        response.stats.categories[i].labeled = r.u64();
-        response.stats.categories[i].predicted = r.u64();
-      }
-      break;
-    }
-    case Op::kAnalyze:
-      response.analyze.category = r.i64();
-      response.analyze.resolved = r.u64();
-      response.analyze.introduced = r.u64();
-      response.analyze.report = r.str();
-      break;
-    case Op::kListIds: {
-      const std::uint32_t n = r.u32();
-      check_vector_len(n, 4, r.remaining(), "id list");
-      response.list_ids.ids.resize(n);
-      for (std::uint32_t i = 0; i < n; ++i) response.list_ids.ids[i] = r.str();
-      break;
-    }
-  }
-  r.finish(std::string(op_name(op)) + " response");
+  fields(io, op, response);
+  io.r.finish(std::string(op_name(op)) + " response");
   return response;
 }
 

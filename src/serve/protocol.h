@@ -11,15 +11,24 @@
 // strings are `u32 length` + raw bytes — no terminator, no text
 // escaping, so a patch file with any byte content round-trips.
 //
+// Each payload's layout is written once, in protocol.cpp, as a list of
+// typed fields (u32, u64, i64, f32, f64, string, bool, enum, counted
+// list); the encoder and the decoder run the same list, and one switch
+// picks the payload for an op. A new op is one field list and one case
+// of that switch (and of op_name); a new status widens the status
+// field's range. The decoder accepts only what the encoder can write: a
+// bool byte is 0 or 1, an enum byte lies in its field's range, a list's
+// count fits in the bytes that arrived, and no byte trails.
+//
 // The protocol is deliberately dumb: no compression, no multiplexing,
 // one outstanding request per connection. Requests on one connection
 // are served strictly in order; concurrency comes from opening more
 // connections (the daemon serves each connection on its own thread).
 // Malformed frames — oversized length, short payload, unknown opcode, a
-// bool byte past 1, trailing bytes — are answered with kBadRequest where
-// a response is still possible and the connection is closed; a client
-// that lies about lengths can never hold a thread for more than the
-// server's read timeout.
+// bool or enum byte out of range, trailing bytes — are answered with
+// kBadRequest where a response is still possible and the connection is
+// closed; a client that lies about lengths can never hold a thread for
+// more than the server's read timeout.
 //
 // A peer that simply hangs up mid-frame (EOF after part of a header or
 // before a declared body finished arriving) is NOT malformed: the

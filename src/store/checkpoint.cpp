@@ -16,7 +16,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v3";
+constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v4";
 
 void append_u64(std::string& out, std::uint64_t value) {
   out += std::to_string(value);
@@ -62,10 +62,6 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
   append_double(canon, w.wrong_link_prob);
   append_u64(canon, w.keep_nvd_snapshots ? 1 : 0);
   append_u64(canon, w.keep_wild_snapshots ? 1 : 0);
-  append_double(canon, w.commit.multi_file_prob);
-  append_double(canon, w.commit.noise_file_prob);
-  append_double(canon, w.commit.bundle_cleanup_prob);
-  append_double(canon, w.commit.euphemize_prob);
   append_u64(canon, w.seed);
   return util::fnv1a64(canon);
 }

@@ -26,10 +26,12 @@
 
 namespace patchdb::store {
 
-/// First line of a checkpoint file ("#patchdb.checkpoint.v3"). v1
-/// files also hashed link-engine knobs into the fingerprint, and v2
-/// files hashed world options that are now constants; both are refused
-/// as an unsupported version.
+/// First line of a checkpoint file ("#patchdb.checkpoint.v4"). v1
+/// files also hashed link-engine knobs into the fingerprint, v2 files
+/// world options that are now constants, and v3 files the world's
+/// commit rates (now fixed by corpus::nvd_commit_options and
+/// wild_commit_options); all three are refused as an unsupported
+/// version.
 std::string_view checkpoint_version_line();
 
 /// `<dir>/checkpoint.csv`.

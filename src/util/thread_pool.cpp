@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,15 +8,14 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "util/strings.h"
 
 namespace patchdb::util {
 
 namespace {
-// True while the current thread is executing a pool task; used to run
-// nested parallel_for bodies inline instead of deadlocking on wait_idle.
+// True while the current thread is executing a pool chunk; used to run
+// nested parallel_for bodies inline instead of deadlocking the pool.
 thread_local bool t_on_pool_worker = false;
 
 constexpr std::size_t kMaxDefaultPoolThreads = 1024;
@@ -56,6 +54,13 @@ std::size_t resolve_default_threads_locked() {
 }
 }  // namespace
 
+struct ThreadPool::Call {
+  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+  std::size_t unfinished = 0;      // guarded by the pool's mutex_
+  std::exception_ptr first_error;  // guarded by the pool's mutex_
+  std::condition_variable done;    // notified when unfinished reaches 0
+};
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -72,37 +77,23 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  task_ready_.notify_all();
+  chunk_ready_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
 std::size_t ThreadPool::pending() const {
   std::lock_guard lock(mutex_);
-  return tasks_.size();
+  return chunks_.size();
 }
 
 std::size_t ThreadPool::running() const {
   std::lock_guard lock(mutex_);
-  return in_flight_ > tasks_.size() ? in_flight_ - tasks_.size() : 0;
+  return running_;
 }
 
 std::vector<double> ThreadPool::worker_busy_ms() const {
   std::lock_guard lock(mutex_);
   return worker_busy_ms_;
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(
@@ -117,49 +108,54 @@ void ThreadPool::parallel_for(
   const std::size_t chunks = std::min(n, workers * 4);
   const std::size_t chunk = (n + chunks - 1) / chunks;
 
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
+  Call call;
+  call.body = &body;
+  std::unique_lock lock(mutex_);
   for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    submit([&, begin, end] {
-      if (failed.load(std::memory_order_relaxed)) return;
-      try {
-        body(begin, end);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-    });
+    chunks_.push({&call, begin, std::min(n, begin + chunk)});
+    ++call.unfinished;
   }
-  wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
+  chunk_ready_.notify_all();
+  call.done.wait(lock, [&] { return call.unfinished == 0; });
+  if (call.first_error) std::rethrow_exception(call.first_error);
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
+  std::unique_lock lock(mutex_);
   while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      task_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping with an empty queue
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
+    chunk_ready_.wait(lock, [this] { return stopping_ || !chunks_.empty(); });
+    if (chunks_.empty()) return;  // stopping with an empty queue
+    const Chunk chunk = chunks_.front();
+    chunks_.pop();
+    Call& call = *chunk.call;
+    // Once one chunk of a call has thrown, its remaining chunks are
+    // skipped: the caller rethrows that first error.
+    const bool skip = call.first_error != nullptr;
+    ++running_;
+    lock.unlock();
+
     const auto start = std::chrono::steady_clock::now();
-    t_on_pool_worker = true;
-    task();
-    t_on_pool_worker = false;
-    const double task_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    {
-      std::lock_guard lock(mutex_);
-      worker_busy_ms_[worker_index] += task_ms;
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
+    std::exception_ptr error;
+    if (!skip) {
+      t_on_pool_worker = true;
+      try {
+        (*call.body)(chunk.begin, chunk.end);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      t_on_pool_worker = false;
     }
+    const double chunk_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+    lock.lock();
+    worker_busy_ms_[worker_index] += chunk_ms;
+    --running_;
+    if (error && !call.first_error) call.first_error = error;
+    // Notified under the lock: the caller cannot wake, return and
+    // destroy `call` until this worker lets go of the mutex.
+    if (--call.unfinished == 0) call.done.notify_one();
   }
 }
 

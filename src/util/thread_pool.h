@@ -3,7 +3,9 @@
 // (Section III-B); at paper scale (4076 x 200K) that is the dominant
 // cost, so the matrix is computed in row blocks across the pool. Work
 // that holds a thread for long (a patchdbd connection) runs on its own
-// thread, not here.
+// thread, not here. Several threads may call parallel_for at once (two
+// concurrent dataset loads, say): their chunks share the workers, and
+// each call waits for its own chunks only, never for another's.
 //
 // The pool has no metric hooks and no obs dependency, so the util
 // library stays at the bottom of the dependency order. What obs reports
@@ -48,30 +50,34 @@ class ThreadPool {
   std::vector<double> worker_busy_ms() const;
 
   /// Partition [0, n) into contiguous chunks and run `body(begin, end)`
-  /// on the pool; blocks until all chunks are done. Exceptions thrown by
-  /// the body are rethrown (first one wins) on the calling thread.
-  /// Nested calls from a worker thread run the body inline (serially):
-  /// blocking a worker on wait_idle() would deadlock the pool, and the
-  /// outer parallelism already saturates it.
+  /// on the pool; blocks until this call's chunks are done. Concurrent
+  /// calls share the workers but not their waits: each returns once its
+  /// own chunks have run, whatever else the pool is doing. Exceptions
+  /// thrown by the body are rethrown (first one wins) on the calling
+  /// thread, and the call's chunks not yet started are skipped. Nested
+  /// calls from a worker thread run the body inline (serially): a worker
+  /// waiting on its own chunks could deadlock the pool, and the outer
+  /// parallelism already saturates it.
   void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body);
 
  private:
-  /// Enqueue one chunk. Chunks never throw: parallel_for catches its
-  /// body's exceptions inside the chunk.
-  void submit(std::function<void()> task);
+  struct Call;  // one parallel_for's body, unfinished chunks and error
 
-  /// Block until every submitted chunk has finished.
-  void wait_idle();
+  /// Chunk [begin, end) of a call.
+  struct Chunk {
+    Call* call;
+    std::size_t begin;
+    std::size_t end;
+  };
 
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
   std::vector<double> worker_busy_ms_;  // guarded by mutex_
-  std::queue<std::function<void()>> tasks_;
+  std::queue<Chunk> chunks_;
   mutable std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;  // submitted and not yet finished
+  std::condition_variable chunk_ready_;
+  std::size_t running_ = 0;  // chunks picked up and not yet finished
   bool stopping_ = false;
 };
 

@@ -227,11 +227,13 @@ TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
 }
 
 // An older checkpoint carries an older version line: v1 hashed the link
-// engine's settings into the fingerprint, and v2 the world options that
-// are now constants. Each must be refused as an unsupported version, not
-// misread as "written by a build with different options".
+// engine's settings into the fingerprint, v2 the world options that are
+// now constants, and v3 the world's commit rates. Each must be refused
+// as an unsupported version, not misread as "written by a build with
+// different options".
 TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
-  for (const std::string old : {"#patchdb.checkpoint.v1", "#patchdb.checkpoint.v2"}) {
+  for (const std::string old : {"#patchdb.checkpoint.v1", "#patchdb.checkpoint.v2",
+                                "#patchdb.checkpoint.v3"}) {
     core::BuildOptions options = small_options();
     options.checkpoint_dir = dir("ckpt");
     store::build_with_checkpoints(options);

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -184,16 +185,6 @@ TEST(ServeProtocol, MalformedFramesAreRejected) {
                serve::ProtocolError);
   EXPECT_THROW(serve::decode_request(good + "x"), serve::ProtocolError);
 
-  // A hostile element count: claims 2^31 doubles in a 16-byte payload.
-  serve::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(serve::Op::kNearest));
-  w.u8(0);           // by_vector
-  w.str("");         // id
-  w.u32(0x80000000); // element count
-  w.u64(0);          // 8 bytes of "elements"
-  w.u32(5);          // k
-  EXPECT_THROW(serve::decode_request(w.take()), serve::ProtocolError);
-
   // A bool byte past 1: analyze.interproc (the request's last byte) and
   // lookup.is_security (the response's third byte).
   serve::Request analyze;
@@ -211,6 +202,256 @@ TEST(ServeProtocol, MalformedFramesAreRejected) {
   bad_security[2] = '\xff';
   EXPECT_THROW(serve::decode_response(serve::Op::kLookup, bad_security),
                serve::ProtocolError);
+}
+
+/// Fails the test unless `decode` rejects its frame for a count past the
+/// bytes that arrived (not for truncation or trailing bytes).
+void expect_count_rejected(const std::function<void()>& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "a hostile count decoded";
+  } catch (const serve::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("count exceeds payload"),
+              std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    // std::bad_alloc, say, from a count that reached an allocation.
+    ADD_FAILURE() << "not a ProtocolError: " << e.what();
+  }
+}
+
+TEST(ServeProtocol, HostileCountsReachTheirBound) {
+  // Each counted list claims 2^31 elements where the decoder reads its
+  // count, followed by one element's worth of bytes: the count, not the
+  // payload's length, must be what is refused, before any allocation.
+  constexpr std::uint32_t kHostile = 0x80000000;
+  {
+    serve::WireWriter w;
+    w.u8(static_cast<std::uint8_t>(serve::Op::kNearest));
+    w.u8(0);          // by vector
+    w.u32(kHostile);  // vector count
+    w.u64(0);         // one f64
+    w.u32(5);         // k
+    const std::string body = w.take();
+    expect_count_rejected([&] { serve::decode_request(body); });
+  }
+  const auto response = [](serve::Op op,
+                            const std::function<void(serve::WireWriter&)>& fill) {
+    serve::WireWriter w;
+    w.u8(static_cast<std::uint8_t>(serve::Status::kOk));
+    fill(w);
+    const std::string body = w.take();
+    expect_count_rejected([&] { serve::decode_response(op, body); });
+  };
+  response(serve::Op::kFeatures, [&](serve::WireWriter& w) {
+    w.u32(kHostile);
+    w.u64(0);  // one f64
+  });
+  response(serve::Op::kNearest, [&](serve::WireWriter& w) {
+    w.u32(kHostile);
+    w.str("");  // one hit: its id and its f32 distance
+    w.u32(0);
+  });
+  response(serve::Op::kStats, [&](serve::WireWriter& w) {
+    for (int i = 0; i < 6; ++i) w.u64(0);  // the six component totals
+    w.u32(kHostile);
+    w.u64(0);  // one category: type, labeled, predicted
+    w.u64(0);
+    w.u64(0);
+  });
+  response(serve::Op::kListIds, [&](serve::WireWriter& w) {
+    w.u32(kHostile);
+    w.str("");  // one id
+  });
+}
+
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+/// One populated instance of every request (both nearest forms).
+std::vector<serve::Request> sample_requests() {
+  std::vector<serve::Request> out(8);
+  out[0].op = serve::Op::kPing;
+  out[1].op = serve::Op::kLookup;
+  out[1].lookup.id = "beef";
+  out[2].op = serve::Op::kFeatures;
+  out[2].features = {"cafe", serve::WireFeatureSpace::kSemantic};
+  out[3].op = serve::Op::kNearest;
+  out[3].nearest.id = "01";
+  out[3].nearest.k = 7;
+  out[4].op = serve::Op::kNearest;
+  out[4].nearest.by_id = false;
+  out[4].nearest.vector = {1.5, -2.25};
+  out[4].nearest.k = 3;
+  out[5].op = serve::Op::kStats;
+  out[6].op = serve::Op::kAnalyze;
+  out[6].analyze = {"diff\n", true};
+  out[7].op = serve::Op::kListIds;
+  out[7].list_ids = {serve::WireComponent::kWild, 9};
+  return out;
+}
+
+/// One populated instance of every response, indexed by op - 1, then
+/// one error response (answering a lookup).
+std::vector<std::pair<serve::Op, serve::Response>> sample_responses() {
+  std::vector<std::pair<serve::Op, serve::Response>> out;
+  serve::Response r;
+  r.ping.patches = 12345;
+  out.emplace_back(serve::Op::kPing, r);
+  r = {};
+  r.lookup = {serve::WireComponent::kSynthetic, true, -3, "ssl", "o", "p\n"};
+  out.emplace_back(serve::Op::kLookup, r);
+  r = {};
+  r.features.vector = {0.5, -1.0};
+  out.emplace_back(serve::Op::kFeatures, r);
+  r = {};
+  r.nearest.hits = {{"aa", 0.0f}, {"b", 1.25f}};
+  out.emplace_back(serve::Op::kNearest, r);
+  r = {};
+  r.stats = {1, 2, 3, 4, 5, 6, {{3, 10, 9}}};
+  out.emplace_back(serve::Op::kStats, r);
+  r = {};
+  r.analyze = {5, 2, 1, "r"};
+  out.emplace_back(serve::Op::kAnalyze, r);
+  r = {};
+  r.list_ids.ids = {"x", "yz"};
+  out.emplace_back(serve::Op::kListIds, r);
+  out.emplace_back(serve::Op::kLookup,
+                   serve::error_response(serve::Status::kNotFound, "no id"));
+  return out;
+}
+
+TEST(ServeProtocol, WireBytesPinned) {
+  // The exact bytes of protocol version 1. A change to any payload's
+  // layout breaks every client in the field, so it must show here.
+  const std::vector<std::string> requests = {
+      "01",
+      "020400000062656566",
+      "03040000006361666501",
+      "0401020000003031" "07000000",
+      "0400" "02000000" "000000000000f83f" "00000000000002c0" "03000000",
+      "05",
+      "0605000000646966660a01",
+      "070209000000",
+  };
+  const std::vector<std::string> responses = {
+      "00" "01000000" "3930000000000000",
+      "000401" "fdffffffffffffff" "0300000073736c" "010000006f" "02000000700a",
+      "00" "02000000" "000000000000e03f" "000000000000f0bf",
+      "00" "02000000" "020000006161" "00000000" "0100000062" "0000a03f",
+      "00" "0100000000000000" "0200000000000000" "0300000000000000"
+      "0400000000000000" "0500000000000000" "0600000000000000"
+      "01000000" "0300000000000000" "0a00000000000000" "0900000000000000",
+      "00" "0500000000000000" "0200000000000000" "0100000000000000"
+      "0100000072",
+      "00" "02000000" "0100000078" "02000000797a",
+      "02" "050000006e6f206964",
+  };
+  const std::vector<serve::Request> sample = sample_requests();
+  ASSERT_EQ(sample.size(), requests.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    const std::string body = serve::encode_request(sample[i]);
+    EXPECT_EQ(hex(body), requests[i]) << serve::op_name(sample[i].op);
+    EXPECT_EQ(serve::encode_request(serve::decode_request(body)), body);
+  }
+  const auto answers = sample_responses();
+  ASSERT_EQ(answers.size(), responses.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    const auto& [op, response] = answers[i];
+    const std::string body = serve::encode_response(op, response);
+    EXPECT_EQ(hex(body), responses[i]) << serve::op_name(op);
+    EXPECT_EQ(serve::encode_response(op, serve::decode_response(op, body)), body);
+  }
+  EXPECT_EQ(serve::kProtocolVersion, 1u);
+}
+
+/// xorshift64* (Vigna 2016): a small, fast fuzzing RNG.
+struct XorShift64Star {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+    return state * 2685821657736338717ULL;
+  }
+  std::size_t below(std::size_t n) { return static_cast<std::size_t>(next() % n); }
+};
+
+/// Flip a bit, overwrite a byte, cut a range or insert random bytes:
+/// one to three such edits of a valid frame body.
+std::string mutate_frame(std::string body, XorShift64Star& rng) {
+  const std::size_t edits = 1 + rng.below(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = rng.below(body.size() + 1);
+    switch (rng.below(4)) {
+      case 0:
+        if (at < body.size()) body[at] = static_cast<char>(body[at] ^ (1 << rng.below(8)));
+        break;
+      case 1:
+        if (at < body.size()) body[at] = static_cast<char>(rng.next());
+        break;
+      case 2:
+        body.erase(at, 1 + rng.below(4));
+        break;
+      default:
+        for (std::size_t n = 1 + rng.below(4); n > 0; --n) {
+          body.insert(body.begin() + static_cast<std::ptrdiff_t>(at),
+                      static_cast<char>(rng.next()));
+        }
+        break;
+    }
+  }
+  return body;
+}
+
+TEST(ServeProtocol, MutatedFramesAreRejectedOrCanonical) {
+  // The reader accepts nothing the writer cannot emit: a mutated frame
+  // either throws ProtocolError (and nothing else) or decodes to a
+  // message that encodes back to exactly its bytes.
+  constexpr int kMutationsPerMessage = 4000;
+  XorShift64Star rng{0x9e3779b97f4a7c15ULL};
+  std::size_t accepted = 0;
+  for (const serve::Request& request : sample_requests()) {
+    const std::string valid = serve::encode_request(request);
+    for (int i = 0; i < kMutationsPerMessage; ++i) {
+      const std::string body = mutate_frame(valid, rng);
+      serve::Request decoded;
+      try {
+        decoded = serve::decode_request(body);
+      } catch (const serve::ProtocolError&) {
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(hex(serve::encode_request(decoded)), hex(body))
+          << "from " << hex(valid);
+    }
+  }
+  for (const auto& [op, response] : sample_responses()) {
+    const std::string valid = serve::encode_response(op, response);
+    for (int i = 0; i < kMutationsPerMessage; ++i) {
+      const std::string body = mutate_frame(valid, rng);
+      serve::Response decoded;
+      try {
+        decoded = serve::decode_response(op, body);
+      } catch (const serve::ProtocolError&) {
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(hex(serve::encode_response(op, decoded)), hex(body))
+          << serve::op_name(op) << " from " << hex(valid);
+    }
+  }
+  // Flipped number bytes stay valid, so a good share is accepted: the
+  // canonical check above is not vacuous.
+  EXPECT_GT(accepted, std::size_t{1000});
 }
 
 // ----------------------------------------------------- shared dataset --

@@ -8,12 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -607,6 +609,41 @@ TEST(ThreadPool, SizeAndPendingAccessors) {
   caller.join();
   EXPECT_EQ(pool.pending(), 0u);
   EXPECT_EQ(pool.running(), 0u);
+}
+
+TEST(ThreadPool, ConcurrentCallsWaitOnlyForTheirOwnChunks) {
+  // One caller's chunk parks a worker for up to two seconds. Another
+  // caller's one-chunk call runs on a free worker and returns at once:
+  // it waits for its own chunks, not for the pool to go idle.
+  util::ThreadPool pool(4);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool parked = false;
+  bool release = false;
+  std::thread slow([&] {
+    pool.parallel_for(1, [&](std::size_t, std::size_t) {
+      std::unique_lock lock(mutex);
+      parked = true;
+      changed.notify_all();
+      changed.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    });
+  });
+  {
+    std::unique_lock lock(mutex);
+    changed.wait(lock, [&] { return parked; });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  bool ran = false;
+  pool.parallel_for(1, [&](std::size_t, std::size_t) { ran = true; });
+  const auto waited = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard lock(mutex);
+    release = true;
+  }
+  changed.notify_all();
+  slow.join();
+  EXPECT_TRUE(ran);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
 }
 
 TEST(ThreadPool, WorkerBusyTimeAccumulatesPerWorker) {

@@ -15,10 +15,11 @@
 // --port 0 (the default) binds an ephemeral port; --port-file writes
 // the bound port for scripts that need to find the daemon. Past
 // --max-connections open connections (default 128, at least 1) a new
-// one is answered with a busy error and closed. SIGINT or
-// SIGTERM drains gracefully: accepting stops, in-flight requests
-// finish and are answered, then the daemon writes its obs artifacts
-// (--metrics-out / --trace-out) and exits 0.
+// one is answered with a busy error and closed. A connection that makes
+// no progress for --read-timeout-ms (1 to 86400000, one day; default
+// 5000) is closed. SIGINT or SIGTERM drains gracefully: accepting
+// stops, in-flight requests finish and are answered, then the daemon
+// writes its obs artifacts (--metrics-out / --trace-out) and exits 0.
 #include <poll.h>
 #include <signal.h>
 #include <unistd.h>
@@ -39,6 +40,9 @@ namespace {
 
 using namespace patchdb;
 
+/// The longest --read-timeout-ms: one day.
+constexpr std::size_t kMaxReadTimeoutMs = 86'400'000;
+
 int usage() {
   std::fprintf(stderr,
                "usage: patchdbd --data DIR [--bind ADDR] [--port P]\n"
@@ -46,7 +50,8 @@ int usage() {
                "                [--port-file FILE]\n"
                "                [--metrics-out FILE] [--trace-out FILE]"
                " [--sample-ms N]\n"
-               "                [--progress]\n");
+               "                [--progress]\n"
+               "--read-timeout-ms is 1..86400000 (one day; default 5000).\n");
   return 2;
 }
 
@@ -83,6 +88,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "patchdbd: --max-connections expects at least 1\n");
     return 2;
   }
+  // Bounded so the deadline read_exact adds to the steady clock stays
+  // far inside its nanosecond range: a wrapped or overflowed timeout
+  // would close every connection before its first frame.
+  const std::size_t read_timeout_ms =
+      flags.value("--read-timeout-ms", std::size_t{5000});
+  if (read_timeout_ms < 1 || read_timeout_ms > kMaxReadTimeoutMs) {
+    std::fprintf(stderr, "patchdbd: --read-timeout-ms expects 1..%zu, got %zu\n",
+                 kMaxReadTimeoutMs, read_timeout_ms);
+    return 2;
+  }
+  options.read_timeout = std::chrono::milliseconds(read_timeout_ms);
 
   obs::ObsSession cli_obs("patchdbd", obs::artifact_request(flags));
 
@@ -100,8 +116,6 @@ int main(int argc, char** argv) {
 
   options.bind_address = flags.value("--bind", std::string("127.0.0.1"));
   options.port = static_cast<std::uint16_t>(port);
-  options.read_timeout = std::chrono::milliseconds(static_cast<long>(
-      flags.value("--read-timeout-ms", std::size_t{5000})));
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "patchdbd: pipe: %s\n", std::strerror(errno));
