@@ -225,13 +225,11 @@ int main(int argc, char** argv) {
                    identical ? "yes (bitwise)" : "NO — MISMATCH"});
     std::printf("%s", table.render().c_str());
     std::printf("  speedup %.2fx, working-set reduction %.0fx; topk hits %llu,\n"
-                "  fallback rescans %llu, pruned %llu of %llu cells\n",
+                "  fallback rescans %llu, %llu cells\n",
                 speedup, mem_ratio,
                 static_cast<unsigned long long>(stats.topk_hits),
                 static_cast<unsigned long long>(stats.fallback_rescans),
-                static_cast<unsigned long long>(stats.pruned_cells),
-                static_cast<unsigned long long>(stats.pruned_cells +
-                                                stats.exact_cells));
+                static_cast<unsigned long long>(stats.exact_cells));
 
     PATCHDB_GAUGE_SET("nearest_link.bench.dense_ms", dense_ms);
     PATCHDB_GAUGE_SET("nearest_link.bench.streaming_ms", stream_ms);

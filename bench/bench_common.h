@@ -7,7 +7,7 @@
 // roughly 1:5 of the paper's (4076 NVD patches -> 800; 100K/200K pools
 // -> 20K/40K) so the full suite runs on one machine in minutes; pass 5
 // to run at paper scale. The flags are the obs ones every binary takes
-// (--metrics-out FILE, --trace-out FILE, --sample-ms N, --progress) plus
+// (--metrics-out FILE, --trace-out FILE, --progress) plus
 // any a bench declares, all through util::Flags: `--name value` is the
 // only form, and an unknown flag, a second positional argument or a bad
 // scale exits 2 and names the argument.

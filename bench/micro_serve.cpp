@@ -12,8 +12,7 @@
 //
 //   micro_serve [SCALE] [--conns N] [--reps N] [--k K]
 //               [--host H --port P]            (skip in-process server)
-//               [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
-//               [--progress]
+//               [--metrics-out FILE] [--trace-out FILE] [--progress]
 //
 // SCALE multiplies the in-process dataset size (default 1.0), and may
 // sit anywhere among the flags.

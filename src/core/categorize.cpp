@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,14 +111,8 @@ bool pure_move(const ChangeView& view) {
 /// Last-resort tie-break from checker evidence: if the patch resolves
 /// diagnostics of some checker, map that checker to the Table V type the
 /// fix corresponds to. Returns kOther when no checker fired.
-corpus::PatchType semantic_tiebreak(const diff::Patch& patch,
-                                    const CategorizeOptions& options) {
+corpus::PatchType semantic_tiebreak(const analysis::PatchAnalysis& pa) {
   using corpus::PatchType;
-  analysis::AnalyzeOptions analyze_options;
-  analyze_options.interproc = options.interproc;
-  const analysis::PatchAnalysis pa =
-      analysis::analyze_patch(patch, analyze_options);
-
   std::size_t best_checker = analysis::kCheckerCount;
   std::size_t best_resolved = 0;
   for (std::size_t c = 0; c < analysis::kCheckerCount; ++c) {
@@ -148,10 +143,9 @@ corpus::PatchType semantic_tiebreak(const diff::Patch& patch,
   return PatchType::kOther;
 }
 
-}  // namespace
-
-corpus::PatchType categorize(const diff::Patch& patch,
-                             const CategorizeOptions& options) {
+/// The syntactic rule cascade: a Table V type, or nothing when every
+/// rule comes up empty and the checkers must break the tie.
+std::optional<corpus::PatchType> syntactic_category(const diff::Patch& patch) {
   const ChangeView view = collect(patch);
   using corpus::PatchType;
 
@@ -298,13 +292,22 @@ corpus::PatchType categorize(const diff::Patch& patch,
     }
   }
 
-  // Every syntactic rule came up empty; let the CFG checkers vote before
-  // giving up on the patch as kOther.
-  return semantic_tiebreak(patch, options);
+  // Every syntactic rule came up empty; the CFG checkers vote before
+  // the patch is given up as kOther.
+  return std::nullopt;
 }
 
+}  // namespace
+
 corpus::PatchType categorize(const diff::Patch& patch) {
-  return categorize(patch, CategorizeOptions{});
+  if (const auto type = syntactic_category(patch)) return *type;
+  return semantic_tiebreak(analysis::analyze_patch(patch));
+}
+
+corpus::PatchType categorize(const diff::Patch& patch,
+                             const analysis::PatchAnalysis& analysis) {
+  if (const auto type = syntactic_category(patch)) return *type;
+  return semantic_tiebreak(analysis);
 }
 
 void CompositionTally::add(const diff::Patch& patch, corpus::PatchType label) {

@@ -13,26 +13,28 @@
 #include "corpus/taxonomy.h"
 #include "diff/patch.h"
 
-namespace patchdb::core {
+namespace patchdb::analysis {
+struct PatchAnalysis;
+}
 
-struct CategorizeOptions {
-  /// Run the checker tie-break with the interprocedural engine
-  /// (analysis/callgraph.h, analysis/summary.h) so cross-function fixes
-  /// — a guard added inside a callee, a wrapper-free use-after-free —
-  /// count as checker evidence. Off by default: the default categorize()
-  /// stays bit-identical to the intraprocedural cascade.
-  bool interproc = false;
-};
+namespace patchdb::core {
 
 /// Classify a patch's code change into a Table V category. When the
 /// syntactic rule cascade is inconclusive (would fall through to
 /// kOther), the CFG-based checkers break the tie: a patch whose AFTER
 /// version resolves e.g. a missing-null-guard diagnostic is classified
 /// as an added null check even if the guard's text eluded the line
-/// rules.
+/// rules. This overload analyzes the patch intraprocedurally, and only
+/// when the cascade needs the tie-break.
 corpus::PatchType categorize(const diff::Patch& patch);
+
+/// The same cascade, breaking ties with `analysis`, the caller's own
+/// analysis::analyze_patch result for `patch` — say an interprocedural
+/// one, so cross-function fixes (a guard added inside a callee, a
+/// wrapper-free use-after-free) count as checker evidence. The patch is
+/// not analyzed again.
 corpus::PatchType categorize(const diff::Patch& patch,
-                             const CategorizeOptions& options);
+                             const analysis::PatchAnalysis& analysis);
 
 /// Table V composition of labeled security patches: per security type
 /// the ground-truth count and the categorizer's count, and how often

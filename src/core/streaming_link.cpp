@@ -32,40 +32,14 @@ bool lex_less(const Entry& a, const Entry& b) noexcept {
   return a.d < b.d || (a.d == b.d && a.col < b.col);
 }
 
-/// Norm of one scaled row, accumulated in double so the screening
-/// bounds lose almost nothing to rounding.
-double row_norm_s(const float* v, std::size_t dims) noexcept {
-  double total = 0.0;
-  for (std::size_t j = 0; j < dims; ++j) {
-    const double x = v[j];
-    total += x * x;
-  }
-  return std::sqrt(total);
-}
-
-/// Conservative relative margin for comparing a double-precision
-/// squared bound against an exact float-kernel distance: the float
-/// kernel's sequential accumulation is off by at most ~(dims+2) float
-/// ulps relative, the double side by ~dims double ulps. 4x headroom.
-double screening_margin(std::size_t dims) noexcept {
-  return 4.0 * static_cast<double>(dims + 2) * 0x1p-24 + 1e-7;
-}
-
 /// Candidates cached per distinct seed row. A longer list absorbs more
 /// collisions before a fallback re-scan; no length changes a result.
 constexpr std::size_t kTopK = 24;
 
 /// Pool blocks per pass-1 tile: 2,048 columns, whose 60-dim packed
-/// floats fit in a typical L2 slice. Tiles are the unit of sharding.
+/// floats fit in a typical L2 slice. Each pass-1 chunk runs all of its
+/// rows over one tile before it moves on to the next.
 constexpr std::size_t kTileBlocks = 32;
-
-/// Private pass-1 tallies, one per shard, padded so neighboring shards
-/// never share a cache line (the whole point is no contended writes).
-struct alignas(64) ShardTally {
-  std::uint64_t pruned = 0;
-  std::uint64_t exact = 0;
-  std::uint64_t tiles = 0;
-};
 
 /// Bit-identical feature rows collapsed into groups. Ids follow first
 /// occurrence, so a group's id order is the order of its lowest member;
@@ -148,43 +122,6 @@ std::vector<float> scale_groups(const feature::FeatureMatrix& matrix,
   return scale_features(matrix, weights, firsts);
 }
 
-/// The distinct pool as pass 1 and every re-scan read it: one pack, and
-/// each block's range of column norms for the screen — block b's real
-/// columns (padded lanes excluded) have norms in [lo[b], hi[b]].
-struct Pool {
-  PackedCorpus pack;
-  std::vector<double> lo;
-  std::vector<double> hi;
-};
-
-/// Scale the distinct pool, pack it and take each block's norm range
-/// from the row-major rows, which are freed on return.
-Pool pack_pool(const feature::FeatureMatrix& wild,
-               std::span<const double> weights, const RowGroups& cols) {
-  const std::vector<float> scaled = scale_groups(wild, weights, cols);
-  const std::size_t dims = weights.size();
-  const std::size_t nu = cols.size();
-  const std::size_t blocks = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
-  Pool pool{pack_corpus(scaled, dims), std::vector<double>(blocks),
-            std::vector<double>(blocks)};
-  util::default_pool().parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t b = begin; b < end; ++b) {
-      const std::size_t c0 = b * kLinkGroupCols;
-      const std::size_t c1 = std::min(c0 + kLinkGroupCols, nu);
-      double mn = row_norm_s(scaled.data() + c0 * dims, dims);
-      double mx = mn;
-      for (std::size_t c = c0 + 1; c < c1; ++c) {
-        const double norm = row_norm_s(scaled.data() + c * dims, dims);
-        mn = std::min(mn, norm);
-        mx = std::max(mx, norm);
-      }
-      pool.lo[b] = mn;
-      pool.hi[b] = mx;
-    }
-  });
-  return pool;
-}
-
 /// A greedy pick: the distance, the pool column, and its group.
 /// Candidates compare by (d, member) — the dense scan's first-win order.
 struct Pick {
@@ -219,10 +156,9 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("nearest_link.links", m);
 
   // ---- Distinct vectors. Bit-identical rows give bit-identical cells,
-  // so pass 1, the merge and every re-scan run over distinct seeds (mu)
-  // x distinct pool vectors (nu). Heap entries are indexed by group,
-  // not by row or column; only the greedy below walks the original rows
-  // and columns.
+  // so pass 1 and every re-scan run over distinct seeds (mu) x distinct
+  // pool vectors (nu). Heap entries are indexed by group, not by row or
+  // column; only the greedy below walks the original rows and columns.
   const RowGroups rows = group_rows(security);
   const RowGroups cols = group_rows(wild);
   const std::size_t mu = rows.size();
@@ -230,173 +166,98 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   PATCHDB_COUNTER_ADD("nearest_link.distinct_rows", mu);
   PATCHDB_COUNTER_ADD("nearest_link.distinct_cols", nu);
 
-  // k clamps to the distinct pool and the last tile ends with it; the
-  // shards are the default pool's workers, at most one per tile.
+  // k clamps to the distinct pool and the last tile ends with it.
   const std::size_t k = std::min(kTopK, nu);
   const std::size_t blocks = (nu + kLinkGroupCols - 1) / kLinkGroupCols;
-  const std::size_t tiles_total = (blocks + kTileBlocks - 1) / kTileBlocks;
-  const std::size_t shards = std::min(util::default_pool_threads(), tiles_total);
+  const std::size_t tiles = (blocks + kTileBlocks - 1) / kTileBlocks;
 
   // Same scale-then-cast as the dense kernel: identical float inputs.
+  // The row-major scaled pool is freed once it is packed.
   const std::vector<float> sec = scale_groups(security, weights, rows);
-  const Pool pool = pack_pool(wild, weights, cols);
+  const PackedCorpus pool = pack_corpus(scale_groups(wild, weights, cols), dims);
 
-  std::vector<double> row_norm(mu);  // ||a||
-  util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      row_norm[r] = row_norm_s(sec.data() + r * dims, dims);
-    }
-  });
+  // ---- Pass 1: the default pool splits the distinct seed rows, and
+  // each chunk streams the pack a tile at a time for its own rows. One
+  // thread fills each row's top-k heap (flat: row r owns [r*k, r*k+k))
+  // in column order, as a serial scan would, so there is nothing to
+  // merge; the heap is sorted ascending once the pack is done.
+  std::vector<Entry> entries(mu * k);
+  std::vector<std::uint32_t> heap_size(mu, 0);
+  obs::Progress row_progress("link.rows", mu);
 
-  const double margin = screening_margin(dims);
-  const double sqf = 1.0 - 2.0 * margin;  // factor on squared bounds
-
-  // ---- Pass 1: worker-sharded tile stream over the pack. Shard s owns
-  // the contiguous tile range [s*T/S, (s+1)*T/S) and fills private
-  // per-row top-k heaps (flat: row r owns [r*(k+1), r*(k+1)+k)) plus
-  // private tallies — no shared mutable state until the merge below.
-  std::vector<std::vector<Entry>> shard_entries(shards);
-  std::vector<std::vector<std::uint32_t>> shard_sizes(shards);
-  std::vector<ShardTally> tally(shards);
-  obs::Progress tile_progress("link.tiles", tiles_total);
-
-  util::default_pool().parallel_for(shards, [&](std::size_t shard_begin,
-                                                std::size_t shard_end) {
-    for (std::size_t s = shard_begin; s < shard_end; ++s) {
-      const std::size_t tile_lo = s * tiles_total / shards;
-      const std::size_t tile_hi = (s + 1) * tiles_total / shards;
-      std::vector<Entry>& entries = shard_entries[s];
-      std::vector<std::uint32_t>& heap_size = shard_sizes[s];
-      entries.resize(mu * (k + 1));
-      heap_size.assign(mu, 0);
-
-      float lane[kLinkGroupCols];
-      std::uint64_t pruned = 0;
-      std::uint64_t exact = 0;
-
-      for (std::size_t t = tile_lo; t < tile_hi; ++t) {
-        const std::size_t block_lo = t * kTileBlocks;
-        const std::size_t block_hi = std::min(block_lo + kTileBlocks, blocks);
-        for (std::size_t r = 0; r < mu; ++r) {
-          const float* a = sec.data() + r * dims;
-          const double na_s = row_norm[r];
-          Entry* h = entries.data() + r * (k + 1);
-          std::uint32_t sz = heap_size[r];
-          for (std::size_t b = block_lo; b < block_hi; ++b) {
-            const std::size_t c0 = b * kLinkGroupCols;
-            const std::size_t gw = std::min(kLinkGroupCols, nu - c0);
+  util::default_pool().parallel_for(mu, [&](std::size_t row_begin,
+                                            std::size_t row_end) {
+    float lane[kLinkGroupCols];
+    for (std::size_t block_lo = 0; block_lo < blocks; block_lo += kTileBlocks) {
+      const std::size_t block_hi = std::min(block_lo + kTileBlocks, blocks);
+      for (std::size_t r = row_begin; r < row_end; ++r) {
+        const float* a = sec.data() + r * dims;
+        Entry* h = entries.data() + r * k;
+        std::uint32_t sz = heap_size[r];
+        for (std::size_t b = block_lo; b < block_hi; ++b) {
+          // Exact blocked kernel over the whole block: lane i holds the
+          // float squared distance with scalar-identical accumulation
+          // (padded lanes compute garbage, never read).
+          const std::size_t c0 = b * kLinkGroupCols;
+          const std::size_t gw = std::min(kLinkGroupCols, nu - c0);
+          sq_cell_block(a, pool.blocks.data() + c0 * dims, dims, lane);
+          if (sz == k) {
+            // Vectorized block rejection: the scalar loop below skips
+            // any lane with sq > front^2 * (1 + 2^-21), so when every
+            // lane clears that bar the whole block is a no-op and the
+            // branchy per-lane pass can be skipped. The bar is
+            // rounded *up* to float (nextafter) so a lane is never
+            // skipped here that the scalar screen would scan; the
+            // heap front only shrinks within a block, so the bar
+            // taken before the scan is the loosest one. Padded lanes
+            // can only force the scan, never suppress it.
+            const double fsq = static_cast<double>(h[0].d) *
+                               static_cast<double>(h[0].d);
+            if (fsq > 1e-60) {
+              const float cut = std::nextafterf(
+                  static_cast<float>(fsq * (1.0 + 0x1p-21)), HUGE_VALF);
+              int any = 0;
+              for (std::size_t i = 0; i < kLinkGroupCols; ++i) {
+                any |= lane[i] <= cut;
+              }
+              if (!any) continue;
+            }
+          }
+          for (std::size_t i = 0; i < gw; ++i) {
+            const float sq = lane[i];
             if (sz == k) {
-              // Hoisted Cauchy-Schwarz screen, one decision per block:
-              // ||a-b||^2 >= (||a|| - ||b||)^2, and the gap from ||a||
-              // to the block's norm range lower-bounds every column's
-              // gap. The significance guard keeps catastrophic
-              // cancellation from producing an overconfident bound;
-              // both conditions imply the per-column originals, so
-              // nothing a serial per-cell screen would keep is lost.
+              // Cheap pre-sqrt rejection: if sq exceeds the front's
+              // square by more than a float ulp's worth, the rounded
+              // root is strictly above the front and can't enter.
+              // (Guard excludes denormal fronts where the relative
+              // margin stops covering one ulp.)
               const double fsq = static_cast<double>(h[0].d) *
                                  static_cast<double>(h[0].d);
-              const double bd = na_s < pool.lo[b] ? pool.lo[b] - na_s
-                                : na_s > pool.hi[b] ? na_s - pool.hi[b]
-                                                    : 0.0;
-              if (bd > (na_s + pool.hi[b]) * 1e-9 && bd * bd * sqf > fsq) {
-                pruned += gw;
+              if (fsq > 1e-60 &&
+                  static_cast<double>(sq) > fsq * (1.0 + 0x1p-21)) {
                 continue;
               }
             }
-            // Exact blocked kernel over the whole block: lane i holds
-            // the float squared distance with scalar-identical
-            // accumulation (padded lanes compute garbage, never read).
-            exact += gw;
-            sq_cell_block(a, pool.pack.blocks.data() + c0 * dims, dims, lane);
-            if (sz == k) {
-              // Vectorized block rejection: the scalar loop below skips
-              // any lane with sq > front^2 * (1 + 2^-21), so when every
-              // lane clears that bar the whole block is a no-op and the
-              // branchy per-lane pass can be skipped. The bar is
-              // rounded *up* to float (nextafter) so a lane is never
-              // skipped here that the scalar screen would scan; the
-              // heap front only shrinks within a block, so the bar
-              // taken before the scan is the loosest one. Padded lanes
-              // can only force the scan, never suppress it.
-              const double fsq = static_cast<double>(h[0].d) *
-                                 static_cast<double>(h[0].d);
-              if (fsq > 1e-60) {
-                const float cut = std::nextafterf(
-                    static_cast<float>(fsq * (1.0 + 0x1p-21)), HUGE_VALF);
-                int any = 0;
-                for (std::size_t i = 0; i < kLinkGroupCols; ++i) {
-                  any |= lane[i] <= cut;
-                }
-                if (!any) continue;
-              }
-            }
-            for (std::size_t i = 0; i < gw; ++i) {
-              const float sq = lane[i];
-              if (sz == k) {
-                // Cheap pre-sqrt rejection: if sq exceeds the front's
-                // square by more than a float ulp's worth, the rounded
-                // root is strictly above the front and can't enter.
-                // (Guard excludes denormal fronts where the relative
-                // margin stops covering one ulp.)
-                const double fsq = static_cast<double>(h[0].d) *
-                                   static_cast<double>(h[0].d);
-                if (fsq > 1e-60 &&
-                    static_cast<double>(sq) > fsq * (1.0 + 0x1p-21)) {
-                  continue;
-                }
-              }
-              const Entry e{std::sqrt(sq), static_cast<std::uint32_t>(c0 + i)};
-              if (sz < k) {
-                h[sz++] = e;
-                std::push_heap(h, h + sz, lex_less);
-              } else if (lex_less(e, h[0])) {
-                std::pop_heap(h, h + k, lex_less);
-                h[k - 1] = e;
-                std::push_heap(h, h + k, lex_less);
-              }
+            const Entry e{std::sqrt(sq), static_cast<std::uint32_t>(c0 + i)};
+            if (sz < k) {
+              h[sz++] = e;
+              std::push_heap(h, h + sz, lex_less);
+            } else if (lex_less(e, h[0])) {
+              std::pop_heap(h, h + k, lex_less);
+              h[k - 1] = e;
+              std::push_heap(h, h + k, lex_less);
             }
           }
-          heap_size[r] = sz;
         }
-        tile_progress.tick();
+        heap_size[r] = sz;
       }
-      tally[s].pruned = pruned;
-      tally[s].exact = exact;
-      tally[s].tiles = tile_hi - tile_lo;
     }
-  });
-
-  // ---- Deterministic merge: per row, the k lexicographically smallest
-  // of the shard top-k union. Columns are unique so (d, col) is a total
-  // order — the merged list is the same for every shard count, and it
-  // equals the serial top-k because an entry among the k global minima
-  // is always inside its own shard's top-k.
-  std::vector<Entry> entries(mu * (k + 1));
-  std::vector<std::uint32_t> heap_size(mu, 0);
-  util::default_pool().parallel_for(mu, [&](std::size_t begin, std::size_t end) {
-    std::vector<Entry> scratch;
-    scratch.reserve(shards * k);
-    for (std::size_t r = begin; r < end; ++r) {
-      scratch.clear();
-      for (std::size_t s = 0; s < shards; ++s) {
-        const Entry* h = shard_entries[s].data() + r * (k + 1);
-        scratch.insert(scratch.end(), h, h + shard_sizes[s][r]);
-      }
-      std::sort(scratch.begin(), scratch.end(), lex_less);
-      const std::size_t keep = std::min<std::size_t>(k, scratch.size());
-      std::copy_n(scratch.begin(), keep, entries.begin() + r * (k + 1));
-      heap_size[r] = static_cast<std::uint32_t>(keep);
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+      Entry* h = entries.data() + r * k;
+      std::sort_heap(h, h + heap_size[r], lex_less);
     }
+    row_progress.tick(row_end - row_begin);
   });
-
-  std::uint64_t pruned_total = 0;
-  std::uint64_t exact_total = 0;
-  std::uint64_t tiles = 0;
-  for (const ShardTally& t : tally) {
-    pruned_total += t.pruned;
-    exact_total += t.exact;
-    tiles += t.tiles;
-  }
 
   // Pool group g's unused columns are members[next[g], start[g+1]):
   // members of a group tie for every row, so the dense first-win scan
@@ -409,41 +270,25 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // Exact full-row re-scan over the distinct pool, identical to the
   // dense path's collision handling: the minimum of (distance, lowest
   // unused member) over the live groups, which is the (distance,
-  // column) minimum over the unused columns. It runs through the
-  // blocked SIMD kernel over pass 1's pack: l2_cell_block is per-lane
-  // bit-identical to the scalar l2_cell, so every value compared is a
-  // float the dense matrix also holds. Fixed block ranges scan in
-  // parallel and merge under the same total order, so the parallel
-  // re-scan is deterministic.
+  // column) minimum over the unused columns. It runs serially through
+  // the blocked SIMD kernel over pass 1's pack: l2_cell_block is
+  // per-lane bit-identical to the scalar l2_cell, so every value
+  // compared is a float the dense matrix also holds.
   auto full_row_rescan = [&](std::size_t r) {
     const float* a = sec.data() + r * dims;
-    std::vector<Pick> range_best(shards);
-    util::default_pool().parallel_for(
-        shards, [&](std::size_t range_begin, std::size_t range_end) {
-          for (std::size_t s = range_begin; s < range_end; ++s) {
-            Pick best;
-            const std::size_t b_lo = s * blocks / shards;
-            const std::size_t b_hi = (s + 1) * blocks / shards;
-            float block[kLinkGroupCols];
-            for (std::size_t b = b_lo; b < b_hi; ++b) {
-              const std::size_t c0 = b * kLinkGroupCols;
-              const std::size_t w = std::min(kLinkGroupCols, nu - c0);
-              l2_cell_block(a, pool.pack.blocks.data() + c0 * dims, dims, block);
-              for (std::size_t c = 0; c < w; ++c) {
-                const auto id = static_cast<std::uint32_t>(c0 + c);
-                if (block[c] > best.d || !live(id)) continue;
-                const Pick cand{block[c], cols.members[next[id]], id};
-                if (pick_less(cand, best)) best = cand;
-              }
-            }
-            range_best[s] = best;
-          }
-        });
-    Pick out;
-    for (const Pick& rb : range_best) {
-      if (pick_less(rb, out)) out = rb;
+    Pick best;
+    float block[kLinkGroupCols];
+    for (std::size_t c0 = 0; c0 < nu; c0 += kLinkGroupCols) {
+      const std::size_t w = std::min(kLinkGroupCols, nu - c0);
+      l2_cell_block(a, pool.blocks.data() + c0 * dims, dims, block);
+      for (std::size_t c = 0; c < w; ++c) {
+        const auto id = static_cast<std::uint32_t>(c0 + c);
+        if (block[c] > best.d || !live(id)) continue;
+        const Pick cand{block[c], cols.members[next[id]], id};
+        if (pick_less(cand, best)) best = cand;
+      }
     }
-    return out;
+    return best;
   };
 
   // ---- Pass 2: greedy selection (Algorithm 1 lines 5-17) over the
@@ -453,7 +298,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   // (u, row), where u is the row's distinct list head.
   std::vector<std::pair<float, std::uint32_t>> order(m);
   for (std::size_t r = 0; r < m; ++r) {
-    order[r] = {entries[rows.group_of[r] * (k + 1)].d,
+    order[r] = {entries[rows.group_of[r] * k].d,
                 static_cast<std::uint32_t>(r)};
   }
   std::sort(order.begin(), order.end());
@@ -466,7 +311,7 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
   for (const auto& step : order) {
     const std::uint32_t r = step.second;
     const std::uint32_t u = rows.group_of[r];
-    const Entry* h = entries.data() + u * (k + 1);
+    const Entry* h = entries.data() + u * k;
     const std::uint32_t sz = heap_size[u];
     std::uint32_t pos = cursor[u];
     while (pos < sz && !live(h[pos].col)) ++pos;
@@ -504,31 +349,29 @@ LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
     ++next[pick.group];
   }
 
+  // Pass 1 runs the exact kernel over every distinct cell.
+  const std::uint64_t cells = static_cast<std::uint64_t>(mu) * nu;
   PATCHDB_COUNTER_ADD("distance.tiles", tiles);
-  PATCHDB_COUNTER_ADD("distance.cells", exact_total);
-  PATCHDB_COUNTER_ADD("distance.flops", exact_total * (3 * dims + 1));
+  PATCHDB_COUNTER_ADD("distance.cells", cells);
+  PATCHDB_COUNTER_ADD("distance.flops", cells * (3 * dims + 1));
   PATCHDB_COUNTER_ADD("nearest_link.topk_hits", topk_hits);
   PATCHDB_COUNTER_ADD("nearest_link.fallback_rescans", fallbacks);
   // Every fallback is one full-row scan: the dense path's meaning.
   PATCHDB_COUNTER_ADD("nearest_link.rescans", fallbacks);
-  PATCHDB_COUNTER_ADD("nearest_link.streaming.pruned_cells", pruned_total);
 
   if (stats != nullptr) {
     stats->tiles = tiles;
-    stats->pruned_cells = pruned_total;
-    stats->exact_cells = exact_total;
+    stats->exact_cells = cells;
     stats->topk_hits = topk_hits;
     stats->fallback_rescans = fallbacks;
     stats->distinct_rows = mu;
     stats->distinct_cols = nu;
-    stats->threads = shards;
-    // Shard-private and merged heaps with their sizes, cursors, row
-    // norms and block norm ranges. The pack replaces the row-major
-    // scaled pool and, like the scaled seeds, is input-sized.
+    stats->threads = std::min(util::default_pool().size(), mu);
+    // One heap per distinct seed with its size and greedy cursor. The
+    // pack replaces the row-major scaled pool and, like the scaled
+    // seeds, is input-sized.
     stats->working_set_bytes =
-        (shards + 1) * mu * ((k + 1) * sizeof(Entry) + sizeof(std::uint32_t)) +
-        mu * (sizeof(std::uint32_t) + sizeof(double)) +
-        2 * blocks * sizeof(double);
+        mu * (k * sizeof(Entry) + 2 * sizeof(std::uint32_t));
   }
   return result;
 }

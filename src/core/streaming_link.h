@@ -14,27 +14,22 @@
 //      tied groups (DESIGN.md §3d has the exactness argument);
 //   1. packs the distinct pool once, dim-major in kLinkGroupCols-column
 //      blocks (core::PackedCorpus, the layout patchdbd's nearest query
-//      scans too), with a norm range per block;
-//   2. shards the pack across the thread pool in tiles of 32 blocks:
-//      each worker owns a contiguous range of tiles and fills *private*
-//      per-row top-k candidate heaps with private prune/flop counters,
-//      so the pass-1 stream runs with no shared mutable state (no
-//      atomics, no locks on the hot path). Each block runs through the
-//      blocked SIMD kernel (core/link_kernel.h), and the Cauchy-Schwarz
-//      norm screen is one decision per block;
-//   3. merges the worker heaps per row after the stream — sort the
-//      union under the strict (distance, column) order and keep the k
-//      smallest. The order is total (columns are unique), so the merge
-//      is deterministic for every shard count and equals the top-k a
-//      serial scan produces; and
-//   4. drives the greedy selection in the static order of each row's
+//      scans too);
+//   2. splits the distinct seed rows across the default thread pool:
+//      each chunk streams the pack in tiles of 32 blocks for its own
+//      rows, so one thread fills each row's top-k candidate heap in
+//      column order, exactly as a serial scan would, with no shared
+//      mutable state and nothing to merge. Each block runs through the
+//      blocked SIMD kernel (core/link_kernel.h), and a block or lane
+//      whose exact distance cannot enter the full heap skips the heap;
+//   3. drives the greedy selection in the static order of each row's
 //      cached minimum instead of the dense path's O(M^2) linear
-//      argmin sweep. When a row's cached list cannot prove its pick
-//      (used up by earlier links, or a tie may lie outside it) the
-//      engine falls back to a tracked full-row re-scan (counter
-//      `nearest_link.fallback_rescans`) through the same blocked
-//      kernel over the same pack, parallelized over fixed block ranges
-//      with a deterministic merge.
+//      argmin sweep; and
+//   4. when a row's cached list cannot prove its pick (used up by
+//      earlier links, or a tie may lie outside it), falls back to a
+//      tracked full-row re-scan (counter
+//      `nearest_link.fallback_rescans`): one serial pass of the same
+//      blocked kernel over the same pack.
 //
 // Results are bit-identical to
 //   nearest_link_search(distance_matrix(security, wild, weights))
@@ -42,16 +37,14 @@
 // scalar kernel (core::l2_cell) lane-parallel (see link_kernel.h for
 // why vectorizing across columns preserves each lane bit-for-bit),
 // identical rows give identical cells, ties break toward the lowest
-// unused column index, and the screening bounds carry
-// conservative error margins so no cell that could enter a heap is ever
-// pruned. Pruning and shard counts therefore affect speed and counters,
-// never the LinkResult.
+// unused column index, and a cell skips a heap only when its exact
+// distance provably cannot enter it. The pool size therefore affects
+// speed, never the LinkResult.
 //
 // Nothing is tunable. k (24 candidates per distinct seed) and the tile
 // width (2,048 columns) are constants clamped to the distinct counts,
-// and the shard count is the default pool's worker count (`--threads` /
-// PATCHDB_THREADS), at most one per tile. DESIGN.md §3d shows that none
-// of them can change a LinkResult.
+// and pass 1 runs on the default pool (`--threads` / PATCHDB_THREADS).
+// DESIGN.md §3d shows that none of them can change a LinkResult.
 #pragma once
 
 #include <cstddef>
@@ -63,25 +56,22 @@
 namespace patchdb::core {
 
 /// Per-run introspection (mirrors the obs counters, usable without a
-/// registry installed). Prune/exact counts depend on the shard count
-/// and block screening, so they are stable for a fixed pool size but
-/// not comparable across pool sizes — unlike the LinkResult, which
-/// never varies.
+/// registry installed). Every count but `threads` is a function of the
+/// inputs alone, the same for every pool size — like the LinkResult.
 struct StreamingLinkStats {
-  std::size_t tiles = 0;             // streaming tiles processed
-  std::size_t pruned_cells = 0;      // skipped by a block norm screen
-  std::size_t exact_cells = 0;       // ran the blocked exact kernel
+  std::size_t tiles = 0;             // 2,048-column tiles in the pack
+  std::size_t exact_cells = 0;       // distinct seeds x distinct pool
   std::size_t topk_hits = 0;         // links served from a row's heap
   std::size_t fallback_rescans = 0;  // links that re-scanned a full row
   std::size_t distinct_rows = 0;     // seed rows, identical ones as one
   std::size_t distinct_cols = 0;     // pool rows, identical ones as one
-  std::size_t threads = 0;           // pass-1 shard count
+  std::size_t threads = 0;           // min(pool workers, distinct_rows)
   std::size_t working_set_bytes = 0; // engine-owned footprint
 };
 
 /// Algorithm 1 end to end — bit-identical LinkResult to the dense
 /// nearest_link_search over distance_matrix(security, wild, weights),
-/// O(M·k·T + N·d) memory instead of O(M·N).
+/// O(M·k + N·d) memory instead of O(M·N).
 LinkResult streaming_nearest_link(const feature::FeatureMatrix& security,
                                   const feature::FeatureMatrix& wild,
                                   std::span<const double> weights,

@@ -1,10 +1,10 @@
 #include "obs/obs.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/progress.h"
@@ -22,7 +22,6 @@ ArtifactRequest artifact_request(const util::Flags& flags) {
   ArtifactRequest request;
   request.metrics_out = flags.value("--metrics-out", std::string());
   request.trace_out = flags.value("--trace-out", std::string());
-  request.sample_ms = flags.value("--sample-ms", request.sample_ms);
   request.progress = flags.has("--progress");
   return request;
 }
@@ -38,13 +37,8 @@ ObsSession::ObsSession(std::string name, ArtifactRequest request)
   previous_tracer_ = install_tracer(&tracer_);
   pool_busy_at_start_ = util::default_pool().worker_busy_ms();
   if (!request_.metrics_out.empty() || !request_.trace_out.empty()) {
-    // Clamp before the signed cast: a size_t like 2^63 would wrap to a
-    // negative interval. One hour is already far beyond any useful
-    // sampling period.
-    constexpr std::size_t kMaxSampleMs = 3'600'000;
     ResourceSampler::Options options;
-    options.interval = std::chrono::milliseconds(
-        static_cast<long long>(std::min(request_.sample_ms, kMaxSampleMs)));
+    options.interval = std::chrono::milliseconds(50);
     sampler_ = std::make_unique<ResourceSampler>(options);
     sampler_->start();
   }

@@ -4,10 +4,10 @@
 // thread pool has been busy so far; destroying it restores whatever was
 // installed before, so sessions nest and tests can't leak state. The
 // ArtifactRequest a binary's obs flags make (artifact_request) adds the
-// rest: the --progress heartbeat, a ResourceSampler while an artifact is
-// requested, and the artifact files themselves. report() captures
-// everything recorded so far as a RunReport, with the pool's work over
-// this session alone.
+// rest: the --progress heartbeat, a ResourceSampler (one sample every
+// 50 ms) while an artifact is requested, and the artifact files
+// themselves. report() captures everything recorded so far as a
+// RunReport, with the pool's work over this session alone.
 //
 //   {
 //     obs::ObsSession session("table2_augmentation", request);
@@ -43,16 +43,15 @@ bool obs_env_disabled() noexcept;
 
 /// What a binary's obs flags ask for.
 struct ArtifactRequest {
-  std::string metrics_out;     // --metrics-out FILE: the RunReport JSON
-  std::string trace_out;       // --trace-out FILE: a Chrome trace
-  std::size_t sample_ms = 50;  // --sample-ms N: the sampler's period
-  bool progress = false;       // --progress: a heartbeat every second
+  std::string metrics_out;  // --metrics-out FILE: the RunReport JSON
+  std::string trace_out;    // --trace-out FILE: a Chrome trace
+  bool progress = false;    // --progress: a heartbeat every second
 };
 
 /// The obs value flags, for util::Flags::accept; the obs switch is
-/// --progress. Every binary that writes artifacts takes all four.
+/// --progress. Every binary that writes artifacts takes all three.
 inline const std::vector<std::string> kArtifactValueFlags = {
-    "--metrics-out", "--trace-out", "--sample-ms"};
+    "--metrics-out", "--trace-out"};
 
 /// The request the obs flags of an accept()ed argv make.
 ArtifactRequest artifact_request(const util::Flags& flags);

@@ -1,10 +1,10 @@
 // Heartbeat progress reporting for long-running loops. A Progress
-// object wraps one loop (augmentation rounds, streaming-link tiles,
+// object wraps one loop (augmentation rounds, streaming-link seed rows,
 // checkpointed build phases); tick() is cheap enough to call per
 // iteration (one relaxed load on the disabled fast path) and prints a
 // rate/ETA line to stderr at most once per configured interval:
 //
-//   [progress] link.tiles: 14/52 (26.9%)  3.1/s  eta 12s
+//   [progress] link.rows: 2048/8017 (25.5%)  1843.2/s  eta 3s
 //
 // Reporting is off by default. Every binary's --progress switch has its
 // obs::ObsSession set a one-second interval through

@@ -251,11 +251,9 @@ Response ServedDataset::analyze(const AnalyzeRequest& request) const {
   analyze_options.interproc = request.interproc;
   const analysis::PatchAnalysis pa =
       analysis::analyze_patch(patch, analyze_options);
-  core::CategorizeOptions categorize_options;
-  categorize_options.interproc = request.interproc;
   Response response;
-  response.analyze.category = static_cast<std::int64_t>(
-      core::categorize(patch, categorize_options));
+  response.analyze.category =
+      static_cast<std::int64_t>(core::categorize(patch, pa));
   response.analyze.resolved = pa.resolved.size();
   response.analyze.introduced = pa.introduced.size();
   response.analyze.report = analysis::render_report(pa);

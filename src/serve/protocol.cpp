@@ -31,7 +31,7 @@ std::string_view status_name(Status status) noexcept {
     case Status::kBadRequest: return "bad_request";
     case Status::kNotFound: return "not_found";
     case Status::kServerError: return "server_error";
-    case Status::kShuttingDown: return "shutting_down";
+    case Status::kBusy: return "busy";
   }
   return "unknown";
 }
@@ -307,7 +307,7 @@ void fields(auto& io, Of<Request> auto& m) {
 
 /// A response is its status, then the error text or the op's payload.
 void fields(auto& io, Op op, Of<Response> auto& m) {
-  io.choice(m.status, Status::kOk, Status::kShuttingDown, "status");
+  io.choice(m.status, Status::kOk, Status::kBusy, "status");
   if (m.status != Status::kOk) return io.str(m.error);
   with_payload(op, m, [&](auto& payload) { fields(io, payload); });
 }

@@ -74,7 +74,7 @@ enum class Status : std::uint8_t {
   kBadRequest = 1,   // malformed payload or semantically invalid input
   kNotFound = 2,     // unknown patch id
   kServerError = 3,  // request raised an unexpected exception
-  kShuttingDown = 4, // daemon is draining; retry against a live instance
+  kBusy = 4,         // daemon is at max_connections; retry later
 };
 
 std::string_view op_name(Op op) noexcept;

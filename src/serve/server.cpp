@@ -247,8 +247,8 @@ void Server::reap_connections() {
 void Server::shed(int fd) {
   connections_shed_.fetch_add(1, std::memory_order_relaxed);
   PATCHDB_COUNTER_ADD("serve.connections_shed", 1);
-  const Response busy = error_response(Status::kShuttingDown,
-                                       "server at capacity; retry later");
+  const Response busy =
+      error_response(Status::kBusy, "server at capacity; retry later");
   send_all(fd, frame(encode_response(Op::kPing, busy)));
   close_quietly(fd);
 }

@@ -7,8 +7,8 @@
 //     that serves it, so no connection ever waits behind another, idle
 //     or busy. It owns those threads: before it counts them it joins the
 //     ones that have finished, and once max_connections are open it
-//     answers a new connection with a kShuttingDown-style busy error and
-//     closes it (backpressure, not memory growth). A connection whose
+//     answers a new connection with a kBusy error and closes it
+//     (backpressure, not memory growth). A connection whose
 //     thread cannot be started is shed the same way;
 //   - a connection's thread serves its requests strictly in order until
 //     the client closes, an I/O error, a malformed frame, a read

@@ -472,8 +472,11 @@ TEST(InterprocFeatures, MatrixWidthMatchesSpace) {
 }
 
 TEST(InterprocCategorize, DefaultOptionsMatchTheOldBehaviour) {
+  // Handed a default (intraprocedural) analysis, categorize breaks ties
+  // exactly as the overload that analyzes the patch itself.
   const diff::Patch patch = diff::parse_patch(kWrapperFreePatch);
-  EXPECT_EQ(core::categorize(patch), core::categorize(patch, {}));
+  EXPECT_EQ(core::categorize(patch),
+            core::categorize(patch, analysis::analyze_patch(patch)));
 }
 
 }  // namespace

@@ -271,7 +271,6 @@ TEST(ObsSampler, SampleNowWorksWithoutThread) {
 obs::ArtifactRequest metrics_request(const std::string& file) {
   obs::ArtifactRequest request;
   request.metrics_out = ::testing::TempDir() + file;
-  request.sample_ms = 2;
   return request;
 }
 

@@ -661,6 +661,48 @@ TEST(ServeDataset, LookupAndAnalyzeMatchOfflinePaths) {
             static_cast<std::int64_t>(core::categorize(record.patch)));
 }
 
+TEST(ServeDataset, AnalyzeRunsTheAnalysisOnce) {
+  // The removed dereference carries no call, check, declaration or
+  // jump, so the syntactic cascade is inconclusive and the checkers
+  // break the tie with the request's own analysis. The free hides
+  // inside a wrapper, so only the interprocedural analysis sees a
+  // use-after-free fixed; the intraprocedural one sees an unguarded
+  // dereference of a parameter go.
+  const serve::ServedDataset dataset = make_dataset();
+  serve::AnalyzeRequest analyze;
+  analyze.diff_text =
+      "diff --git a/ctx.c b/ctx.c\n"
+      "--- a/ctx.c\n"
+      "+++ b/ctx.c\n"
+      "@@ -1,4 +1,4 @@ static void release_ctx(char *c)\n"
+      " static void release_ctx(char *c)\n"
+      " {\n"
+      "     free(c);\n"
+      " }\n"
+      "@@ -10,6 +10,5 @@ static int handle(char *c, int n)\n"
+      " static int handle(char *c, int n)\n"
+      " {\n"
+      "     release_ctx(c);\n"
+      "-    n = *c;\n"
+      "     return n;\n"
+      " }\n";
+  for (const bool interproc : {false, true}) {
+    analyze.interproc = interproc;
+    obs::MetricsRegistry registry;
+    obs::MetricsRegistry* previous = obs::install_registry(&registry);
+    const serve::Response analyzed = dataset.analyze(analyze);
+    obs::install_registry(previous);
+    ASSERT_EQ(analyzed.status, serve::Status::kOk) << analyzed.error;
+    const corpus::PatchType expected = interproc
+                                           ? corpus::PatchType::kVarValue
+                                           : corpus::PatchType::kNullCheck;
+    EXPECT_EQ(analyzed.analyze.category, static_cast<std::int64_t>(expected))
+        << "interproc " << interproc;
+    EXPECT_EQ(registry.snapshot().counter("analysis.patches"), 1u)
+        << "interproc " << interproc;
+  }
+}
+
 TEST(ServeDataset, RejectsBadQueries) {
   const serve::ServedDataset dataset = make_dataset();
 
@@ -987,7 +1029,7 @@ TEST(ServeServer, ShedsConnectionsPastMaxConnections) {
     got += static_cast<std::size_t>(n);
   }
   const serve::Response busy = serve::decode_response(serve::Op::kPing, body);
-  EXPECT_EQ(busy.status, serve::Status::kShuttingDown);
+  EXPECT_EQ(busy.status, serve::Status::kBusy);
   EXPECT_NE(busy.error.find("server at capacity"), std::string::npos)
       << busy.error;
   char byte = 0;
@@ -1079,7 +1121,7 @@ TEST(ServeServer, ResponsePastTheFrameCapIsAServerError) {
     serve::Client next;
     next.connect("127.0.0.1", server.port(), options.read_timeout);
     pong = next.ping();
-    if (pong.status != serve::Status::kShuttingDown) break;
+    if (pong.status != serve::Status::kBusy) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(pong.status, serve::Status::kOk);

@@ -4,9 +4,9 @@
 // nearest_link_search(distance_matrix(...)) path returns, across
 // problem shapes, pools wider than one tile, tie-heavy inputs and
 // heap-exhausted fallback storms. The engine has no settings: k and
-// the tile width are constants, and the shard count is the default
-// pool's, so tests/CMakeLists.txt runs these tests again under
-// PATCHDB_THREADS=1 and =8.
+// the tile width are constants, and pass 1 splits the seed rows across
+// the default pool, so tests/CMakeLists.txt runs these tests again
+// under PATCHDB_THREADS=1 and =8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,15 +75,14 @@ core::StreamingLinkStats expect_matches_dense(const feature::FeatureMatrix& sec,
   EXPECT_EQ(dense.total_distance, stream.total_distance) << label;
   EXPECT_EQ(stats.topk_hits + stats.fallback_rescans, sec.rows()) << label;
   EXPECT_EQ(stats.threads,
-            std::min(util::default_pool_threads(), stats.tiles))
+            std::min(util::default_pool_threads(), stats.distinct_rows))
       << label;
   return stats;
 }
 
 TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
   // The last two shapes are wider than one tile and end in a partial
-  // block, so a pool of two or more workers shards them and the merge
-  // sees several heaps.
+  // block, so every row's heap fills across several tiles.
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {1, 5}, {3, 8}, {10, 40}, {25, 200}, {40, 400}, {30, 2100}, {40, 8300}};
   for (const auto& [m, n] : shapes) {
@@ -99,11 +98,10 @@ TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
     }
   }
 
-  // Uniform columns all have about the same norm, so the block norm
-  // screen never fires above. Scaling pool row c by 1 + floor(c/64)
-  // gives every 64-column block its own norm band, and the screen must
-  // skip the far bands without changing a bit of the result — in one
-  // tile and across three.
+  // Uniform columns all have about the same norm. Scaling pool row c by
+  // 1 + floor(c/64) gives every 64-column block its own norm band, so
+  // whole far blocks clear the full heap's bar — in one tile and across
+  // three — without changing a bit of the result.
   for (const std::size_t n : {700UL, 2000UL, 4500UL}) {
     const std::size_t m = 30;
     const auto sec = random_features(m, 61);
@@ -112,16 +110,13 @@ TEST(StreamingLink, PropertySweepMatchesDenseBitwise) {
       for (double& v : wild[c]) v *= static_cast<double>(1 + c / 64);
     }
     const std::vector<double> w = core::maxabs_weights(sec, wild);
-    const core::StreamingLinkStats stats =
-        expect_matches_dense(sec, wild, w, "scaled n=" + std::to_string(n));
-    EXPECT_GT(stats.pruned_cells, 0u) << "scaled n=" << n;
+    expect_matches_dense(sec, wild, w, "scaled n=" + std::to_string(n));
   }
 
-  // Pool columns on the seed's own ray make the Cauchy-Schwarz bound
-  // tight: the first block holds 1.10 x the seed, the second 1.07 x,
-  // each column nudged apart. The heap fills from the first block, and
-  // the nearest columns lie in the second, whose bound is below the
-  // heap front — a screen that pruned it would lose the link.
+  // Pool columns on the seed's own ray: the first block holds 1.10 x
+  // the seed, the second 1.07 x, each column nudged apart. The heap
+  // fills from the first block, and the nearest columns lie in the
+  // second — a block rejection that skipped it would lose the link.
   const auto seed = random_features(1, 71);
   feature::FeatureMatrix ray(2 * core::kLinkGroupCols);
   for (std::size_t c = 0; c < ray.rows(); ++c) {
@@ -192,8 +187,8 @@ TEST(StreamingLink, DuplicatePaletteSweepMatchesDenseBitwise) {
     for (const auto& [m, n] : shapes) sweep(size, size, m, n);
   }
   // A 2,500-vector pool palette is wider than one tile, so its groups
-  // span tiles and pass-1 shards. Seeds drawn from two vectors share
-  // two 24-entry lists, use them up and re-scan.
+  // span tiles. Seeds drawn from two vectors share two 24-entry lists,
+  // use them up and re-scan.
   for (const std::size_t seed_size : {2UL, 2500UL}) {
     for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{60, 3000},
                                {300, 2600}}) {
@@ -341,9 +336,9 @@ TEST(StreamingLinkKernel, BlockKernelMatchesScalarCellBitwise) {
 }
 
 TEST(StreamingLinkParallel, DeterministicAcrossThreadsAndTiles) {
-  // Five tiles, the last ending mid-block: the worker-sharded pass 1
-  // runs one shard per worker (at most five) and must give the dense
-  // LinkResult, bitwise, under every pool size ctest runs it with.
+  // Five tiles, the last ending mid-block: pass 1 splits the 30 rows
+  // across the workers and must give the dense LinkResult, bitwise,
+  // under every pool size ctest runs it with.
   const std::size_t m = 30;
   const std::size_t n = 8300;
   const auto sec = random_features(m, 101);
@@ -357,9 +352,8 @@ TEST(StreamingLinkParallel, DeterministicAcrossThreadsAndTiles) {
 
 TEST(StreamingLinkParallel, FallbackRescanDeterministicAcrossThreads) {
   // Identical security rows share one list, so most rows exhaust it and
-  // take the parallel fallback re-scan over a pool of two tiles; its
-  // range-merged minimum must match the dense collision handling under
-  // every pool size.
+  // take the fallback re-scan over a pool of two tiles; its minimum
+  // must match the dense collision handling under every pool size.
   const auto one = random_features(1, 313);
   feature::FeatureMatrix sec(3 * kTopK);
   for (std::size_t i = 0; i < sec.rows(); ++i) sec.set_row(i, one[0]);

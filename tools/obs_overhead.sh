@@ -26,8 +26,9 @@ build_dir="${1:-${repo_root}/build}"
 out_json="${2:-${repo_root}/bench/BENCH_obs_overhead.json}"
 max_pct="${3:-2.0}"
 reps="${OBS_OVERHEAD_REPS:-5}"
-# The streaming nearest-link kernel is the most densely instrumented
-# code path (spans + counters per tile).
+# The streaming nearest-link engine on a small input: its spans and
+# counters are recorded per call (and a progress tick per pass-1
+# chunk), so a 100 x 2,000 link gives them the largest share of time.
 filter="${OBS_OVERHEAD_FILTER:-BM_NearestLinkStreaming/100/2000}"
 
 if ((reps < 1)); then

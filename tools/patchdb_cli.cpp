@@ -2,8 +2,7 @@
 //
 //   patchdb build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]
 //           [--synth N] [--threads N] [--checkpoint-dir D] [--resume]
-//           [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
-//           [--progress]
+//           [--metrics-out FILE] [--trace-out FILE] [--progress]
 //       Build a simulated PatchDB (NVD crawl -> nearest-link augmentation
 //       -> synthesis) and export it to DIR in the release layout.
 //       --synth N caps the synthetic patches derived from one natural
@@ -45,7 +44,7 @@
 //       the target file? Prints patched/vulnerable/partial/unknown.
 //   patchdb metrics [--nvd N] [--wild N] [--rounds R] [--seed S]
 //           [--synth N] [--threads N] [--metrics-out FILE]
-//           [--trace-out FILE] [--sample-ms N] [--progress]
+//           [--trace-out FILE] [--progress]
 //       Run the build pipeline under an observability session and print
 //       the metrics/span report. The pipeline flags and their defaults
 //       are build's, so the run profiles the world `patchdb build` makes.
@@ -100,22 +99,19 @@ int usage() {
                "usage: patchdb <command> [args]\n"
                "  build --out DIR [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
                "        [--synth N] [--threads N] [--checkpoint-dir D] [--resume]\n"
-               "        [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
-               "        [--progress]\n"
+               "        [--metrics-out FILE] [--trace-out FILE] [--progress]\n"
                "  stats DIR\n"
                "  fsck DIR\n"
                "  features FILE.patch [--all] [--semantic] [--interproc]\n"
                "  analyze FILE.patch [--unchanged] [--interproc]\n"
-               "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
-               "          [--progress]\n"
+               "          [--metrics-out FILE] [--trace-out FILE] [--progress]\n"
                "  categorize FILE.patch\n"
                "  tokens FILE.patch\n"
                "  variants \"CONDITION\"\n"
                "  presence FILE.patch TARGET_SOURCE_FILE\n"
                "  metrics [--nvd N] [--wild N] [--rounds R] [--seed S]\n"
                "          [--synth N] [--threads N]\n"
-               "          [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]\n"
-               "          [--progress]\n"
+               "          [--metrics-out FILE] [--trace-out FILE] [--progress]\n"
                "  metrics --validate FILE.json\n");
   return 2;
 }

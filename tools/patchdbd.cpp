@@ -8,8 +8,7 @@
 //
 //   patchdbd --data DIR [--bind ADDR] [--port P] [--max-connections N]
 //            [--read-timeout-ms N] [--port-file FILE]
-//            [--metrics-out FILE] [--trace-out FILE] [--sample-ms N]
-//            [--progress]
+//            [--metrics-out FILE] [--trace-out FILE] [--progress]
 //
 // An unknown flag or any positional argument is a usage error (exit 2).
 // --port 0 (the default) binds an ephemeral port; --port-file writes
@@ -49,8 +48,7 @@ int usage() {
                "                [--max-connections N] [--read-timeout-ms N]\n"
                "                [--port-file FILE]\n"
                "                [--metrics-out FILE] [--trace-out FILE]"
-               " [--sample-ms N]\n"
-               "                [--progress]\n"
+               " [--progress]\n"
                "--read-timeout-ms is 1..86400000 (one day; default 5000).\n");
   return 2;
 }
