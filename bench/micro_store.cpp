@@ -66,34 +66,26 @@ void BM_LoadPatchDb(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadPatchDb)->Unit(benchmark::kMillisecond);
 
-core::LoopCheckpoint sample_checkpoint(std::size_t commits) {
-  core::LoopCheckpoint cp;
-  cp.rounds_run = 3;
-  cp.oracle_effort = commits;
-  for (std::size_t r = 1; r <= cp.rounds_run; ++r) {
-    core::RoundStats stats;
-    stats.round = r;
-    stats.pool_size = commits - r;
-    stats.candidates = 40;
-    stats.verified_security = 11;
-    cp.history.push_back(stats);
-  }
+/// `commits` verdicts, one in four a wild find (build-deep's share is
+/// 27%).
+store::Verdicts sample_verdicts(std::size_t commits) {
+  store::Verdicts verdicts;
   for (std::size_t i = 0; i < commits; ++i) {
     const std::string id = "c" + std::to_string(i);
     std::string hex;
     for (char c : id) hex += "0123456789abcdef"[static_cast<unsigned char>(c) % 16];
-    (i % 8 == 0 ? cp.wild_security : i % 8 == 1 ? cp.nonsecurity : cp.pool)
+    (i % 4 == 0 ? verdicts.security : verdicts.nonsecurity)
         .push_back(hex + std::string(12, 'a'));
   }
-  return cp;
+  return verdicts;
 }
 
 void BM_CheckpointWrite(benchmark::State& state) {
-  const core::LoopCheckpoint cp =
-      sample_checkpoint(static_cast<std::size_t>(state.range(0)));
+  const store::Verdicts verdicts =
+      sample_verdicts(static_cast<std::size_t>(state.range(0)));
   const fs::path dir = bench_dir("ckpt_write");
   for (auto _ : state) {
-    store::write_checkpoint(dir, cp, 0xfeedu);
+    store::write_checkpoint(dir, verdicts, 0xfeedu);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   fs::remove_all(dir);
@@ -103,10 +95,10 @@ BENCHMARK(BM_CheckpointWrite)->Arg(1000)->Arg(20000)->Unit(benchmark::kMilliseco
 void BM_CheckpointRead(benchmark::State& state) {
   const fs::path dir = bench_dir("ckpt_read");
   store::write_checkpoint(
-      dir, sample_checkpoint(static_cast<std::size_t>(state.range(0))), 0xfeedu);
+      dir, sample_verdicts(static_cast<std::size_t>(state.range(0))), 0xfeedu);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        store::read_checkpoint(dir, store::kAnyFingerprint).pool.size());
+        store::read_checkpoint(dir, store::kAnyFingerprint).nonsecurity.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   fs::remove_all(dir);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "core/streaming_link.h"
@@ -113,7 +112,6 @@ RoundStats AugmentationLoop::run_round() {
   }
   pool_features_.truncate(pool_.size());
 
-  history_.push_back(stats);
   return stats;
 }
 
@@ -122,71 +120,15 @@ std::vector<RoundStats> AugmentationLoop::run(const AugmentOptions& options) {
   // stops on the hit-ratio criterion first, so the heartbeat reports
   // round throughput against the cap.
   obs::Progress progress("augment.rounds", options.max_rounds);
-  while (rounds_run_ < options.max_rounds && !finished_) {
-    const RoundStats stats = run_round();
+  std::vector<RoundStats> history;
+  bool finished = false;
+  while (rounds_run_ < options.max_rounds && !finished) {
+    const RoundStats stats = history.emplace_back(run_round());
     progress.tick();
-    if (stats.candidates == 0 || stats.ratio < options.stop_ratio) {
-      finished_ = true;
-    }
+    finished = stats.candidates == 0 || stats.ratio < options.stop_ratio;
     if (on_round_) on_round_(*this, stats);
   }
-  return history_;
-}
-
-LoopCheckpoint AugmentationLoop::checkpoint() const {
-  LoopCheckpoint cp;
-  cp.rounds_run = rounds_run_;
-  cp.finished = finished_;
-  cp.oracle_effort = oracle_.effort();
-  cp.history = history_;
-  cp.wild_security.reserve(security_.size() - seed_count_);
-  for (std::size_t i = seed_count_; i < security_.size(); ++i) {
-    cp.wild_security.push_back(security_[i]->patch.commit);
-  }
-  cp.nonsecurity.reserve(nonsecurity_.size());
-  for (const corpus::CommitRecord* r : nonsecurity_) {
-    cp.nonsecurity.push_back(r->patch.commit);
-  }
-  cp.pool.reserve(pool_.size());
-  for (const corpus::CommitRecord* r : pool_) {
-    cp.pool.push_back(r->patch.commit);
-  }
-  return cp;
-}
-
-void AugmentationLoop::restore(const LoopCheckpoint& checkpoint,
-                               const CommitIndex& by_commit) {
-  if (rounds_run_ != 0 || !pool_.empty() || !nonsecurity_.empty()) {
-    throw std::logic_error("augment: restore requires a fresh loop");
-  }
-  const auto lookup = [&by_commit](const std::string& commit) {
-    const auto it = by_commit.find(commit);
-    if (it == by_commit.end()) {
-      throw std::runtime_error("augment: checkpoint names unknown commit " +
-                               commit);
-    }
-    return it->second;
-  };
-  for (const std::string& commit : checkpoint.wild_security) {
-    security_.push_back(lookup(commit));
-  }
-  const feature::FeatureMatrix wild =
-      features_of(std::span(security_).subspan(seed_count_));
-  for (std::size_t i = 0; i < wild.rows(); ++i) {
-    security_features_.push_back(wild[i]);
-  }
-  nonsecurity_.reserve(checkpoint.nonsecurity.size());
-  for (const std::string& commit : checkpoint.nonsecurity) {
-    nonsecurity_.push_back(lookup(commit));
-  }
-  pool_.reserve(checkpoint.pool.size());
-  for (const std::string& commit : checkpoint.pool) {
-    pool_.push_back(lookup(commit));
-  }
-  pool_features_ = features_of(pool_);
-  rounds_run_ = checkpoint.rounds_run;
-  finished_ = checkpoint.finished;
-  history_ = checkpoint.history;
+  return history;
 }
 
 std::vector<const corpus::CommitRecord*> AugmentationLoop::wild_security() const {

@@ -7,10 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/oracle.h"
@@ -33,31 +30,6 @@ struct AugmentOptions {
   double stop_ratio = 0.0;
 };
 
-/// Serializable loop state captured at a round boundary. Everything a
-/// resumed build needs to continue bit-identically: the round counter,
-/// the verified security / non-security sets in discovery order, and
-/// the residual pool in its exact post-swap-erase order (pool order
-/// feeds candidate selection, so it must be preserved, not re-derived).
-/// Commits identify records; the world is rebuilt deterministically
-/// from the same seed and the commits are resolved against it.
-struct LoopCheckpoint {
-  std::size_t rounds_run = 0;
-  /// Loop judgment already fired (exhaustion or ratio below threshold);
-  /// a resumed run must not start another round.
-  bool finished = false;
-  /// Oracle queries spent so far (restored so a resumed build reports
-  /// the same cumulative manual-verification effort).
-  std::size_t oracle_effort = 0;
-  std::vector<RoundStats> history;
-  std::vector<std::string> wild_security;  // finds beyond the seed, in order
-  std::vector<std::string> nonsecurity;    // rejected candidates, in order
-  std::vector<std::string> pool;           // residual pool, in order
-};
-
-/// Resolves checkpointed commits back to the rebuilt world's records.
-using CommitIndex =
-    std::unordered_map<std::string_view, const corpus::CommitRecord*>;
-
 class AugmentationLoop {
  public:
   /// `seed_security` are the already-verified patches (the NVD-based
@@ -72,9 +44,9 @@ class AugmentationLoop {
   /// One candidate-selection + verification round.
   RoundStats run_round();
 
-  /// Run until max_rounds total rounds (counting restored ones) or the
-  /// ratio drops below stop_ratio. Returns the full round history,
-  /// including rounds restored from a checkpoint.
+  /// Run rounds until max_rounds have run in all (run_round calls
+  /// included) or the ratio drops below stop_ratio. Returns the stats of
+  /// the rounds this call ran.
   std::vector<RoundStats> run(const AugmentOptions& options);
 
   /// Invoked by run() after every completed round, after the loop
@@ -85,25 +57,6 @@ class AugmentationLoop {
   void set_round_callback(RoundCallback callback) {
     on_round_ = std::move(callback);
   }
-
-  /// Snapshot the loop state at the current round boundary.
-  LoopCheckpoint checkpoint() const;
-
-  /// Restore a checkpoint into a freshly constructed loop (same seed
-  /// set, no pool installed, no rounds run — throws std::logic_error
-  /// otherwise). Replaces set_pool(): the checkpoint carries the
-  /// residual pool. Throws std::runtime_error when a checkpointed
-  /// commit is missing from `by_commit`.
-  void restore(const LoopCheckpoint& checkpoint, const CommitIndex& by_commit);
-
-  /// True once the loop judgment has stopped the run.
-  bool finished() const noexcept { return finished_; }
-
-  /// Rounds completed so far, including restored ones.
-  std::size_t rounds_run() const noexcept { return rounds_run_; }
-
-  /// Per-round stats, including restored rounds.
-  const std::vector<RoundStats>& history() const noexcept { return history_; }
 
   /// Every verified security patch (seed + wild finds).
   const std::vector<const corpus::CommitRecord*>& security() const noexcept {
@@ -121,8 +74,6 @@ class AugmentationLoop {
   corpus::Oracle& oracle_;
   std::size_t seed_count_;
   std::size_t rounds_run_ = 0;
-  bool finished_ = false;
-  std::vector<RoundStats> history_;
   RoundCallback on_round_;
 
   std::vector<const corpus::CommitRecord*> security_;

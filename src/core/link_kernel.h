@@ -23,8 +23,8 @@ namespace patchdb::core {
 
 /// Columns per block. A compile-time trip count lets the vectorizer
 /// fully unroll; 64 floats = two AVX-512 / four AVX2 vectors per dim
-/// step, and one screening decision per block keeps the norm test out
-/// of the SIMD loop.
+/// step, and the engine's whole-block rejection (every lane past the
+/// heap front's bar) is one decision per block, outside the SIMD loop.
 inline constexpr std::size_t kLinkGroupCols = 64;
 
 /// out[c] = sum_j (a[j] - block[j*kLinkGroupCols + c])^2 for every lane

@@ -24,14 +24,11 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   for (const corpus::CommitRecord& r : world.nvd_security) seed.push_back(&r);
 
   AugmentationLoop loop(std::move(seed), world.oracle);
-  const bool restored =
-      hooks.before_rounds && hooks.before_rounds(loop, world);
-  if (!restored) {
-    std::vector<const corpus::CommitRecord*> pool;
-    pool.reserve(world.wild.size());
-    for (const corpus::CommitRecord& r : world.wild) pool.push_back(&r);
-    loop.set_pool(std::move(pool));
-  }
+  if (hooks.before_rounds) hooks.before_rounds(loop, world);
+  std::vector<const corpus::CommitRecord*> pool;
+  pool.reserve(world.wild.size());
+  for (const corpus::CommitRecord& r : world.wild) pool.push_back(&r);
+  loop.set_pool(std::move(pool));
   if (hooks.after_round) loop.set_round_callback(hooks.after_round);
   db.rounds = loop.run(options.augment);
   db.verification_effort = world.oracle.effort();

@@ -3,10 +3,12 @@
 // oracle in the loop, and synthetic oversampling — and returns the three
 // dataset components. Examples and the quickstart use this; benches
 // drive the stages individually for finer measurement.
+// store::build_with_checkpoints (store/checkpoint.h) runs the same
+// pipeline through BuildHooks, with the experts' verdicts checkpointed
+// after every round.
 #pragma once
 
-#include <cstdint>
-#include <filesystem>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -21,23 +23,15 @@ struct BuildOptions {
   AugmentOptions augment;             // rounds / stop threshold
   synth::SynthesisOptions synthesis;  // oversampling knobs
   bool run_synthesis = true;
-
-  /// Round-boundary checkpoint directory (empty = no checkpointing)
-  /// and whether to resume from a checkpoint found there. Plain data
-  /// here; the store-layer driver (store::build_with_checkpoints) acts
-  /// on them — core::build_patchdb itself ignores both.
-  std::filesystem::path checkpoint_dir;
-  bool resume = false;
 };
 
 /// Injection points for checkpoint/resume (or any other round-boundary
 /// instrumentation) without a core -> store dependency.
 struct BuildHooks {
   /// Called after the world is built and the loop constructed, before
-  /// the wild pool is installed. Return true when loop state was
-  /// restored from a checkpoint — set_pool is then skipped because the
-  /// checkpoint carries the residual pool.
-  std::function<bool(AugmentationLoop&, corpus::World&)> before_rounds;
+  /// the wild pool is installed: where a resumed build records the
+  /// checkpoint's verdicts with world.oracle.
+  std::function<void(AugmentationLoop&, corpus::World&)> before_rounds;
   /// Installed as the loop's round callback (the checkpoint save point).
   AugmentationLoop::RoundCallback after_round;
 };

@@ -10,7 +10,12 @@ void Oracle::add(const std::string& commit_hash, GroundTruth truth) {
 
 bool Oracle::verify_security(const std::string& commit_hash) {
   ++effort_;
-  return truth(commit_hash).is_security;
+  const auto it = verdicts_.find(commit_hash);
+  return it != verdicts_.end() ? it->second : truth(commit_hash).is_security;
+}
+
+void Oracle::record_verdict(const std::string& commit_hash, bool is_security) {
+  verdicts_[commit_hash] = is_security;
 }
 
 GroundTruth Oracle::truth(const std::string& commit_hash) const {

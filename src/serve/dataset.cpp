@@ -1,5 +1,6 @@
 #include "serve/dataset.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -215,6 +216,15 @@ Response ServedDataset::nearest(const NearestRequest& request) const {
               " dimensions, dataset uses " + std::to_string(dims_));
     }
     query_storage = core::scale_query(request.vector, weights_);
+    // A NaN, an infinity, or a value past a float once scaled would rank
+    // every row at a NaN or infinite distance.
+    for (std::size_t j = 0; j < dims_; ++j) {
+      if (!std::isfinite(query_storage[j])) {
+        return error_response(Status::kBadRequest,
+                              "query vector component " + std::to_string(j) +
+                                  " is not finite once scaled to float");
+      }
+    }
     query = query_storage;
   }
 

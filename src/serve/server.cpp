@@ -54,18 +54,31 @@ void close_quietly(int fd) noexcept {
   if (fd >= 0) ::close(fd);
 }
 
-/// Write all of `data`; false on any error (peer gone, EPIPE, ...).
-/// MSG_NOSIGNAL so a dead peer surfaces as EPIPE, not SIGPIPE.
-bool send_all(int fd, std::string_view data) noexcept {
+/// Write all of `data` without blocking, polling in short slices; false
+/// on any error (peer gone, EPIPE, ...) or when no byte moves for
+/// `timeout` (serve.timeouts): a client that stops reading cannot pin
+/// the thread, as with read_exact's deadline. MSG_NOSIGNAL so a dead
+/// peer surfaces as EPIPE, not SIGPIPE.
+bool send_all(int fd, std::string_view data,
+              std::chrono::milliseconds timeout) noexcept {
   std::size_t sent = 0;
+  auto deadline = std::chrono::steady_clock::now() + timeout;
   while (sent < data.size()) {
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      deadline = std::chrono::steady_clock::now() + timeout;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      pollfd pfd{fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, kPollSliceMs) <= 0 &&
+          std::chrono::steady_clock::now() >= deadline) {
+        PATCHDB_COUNTER_ADD("serve.timeouts", 1);
+        return false;
+      }
+    } else if (errno != EINTR) {
       return false;
     }
-    sent += static_cast<std::size_t>(n);
   }
   return true;
 }
@@ -249,7 +262,7 @@ void Server::shed(int fd) {
   PATCHDB_COUNTER_ADD("serve.connections_shed", 1);
   const Response busy =
       error_response(Status::kBusy, "server at capacity; retry later");
-  send_all(fd, frame(encode_response(Op::kPing, busy)));
+  send_all(fd, frame(encode_response(Op::kPing, busy)), options_.read_timeout);
   close_quietly(fd);
 }
 
@@ -273,7 +286,7 @@ void Server::serve_requests(int fd) {
   const auto fail_protocol = [&](const std::string& message) {
     PATCHDB_COUNTER_ADD("serve.protocol_errors", 1);
     const Response err = error_response(Status::kBadRequest, message);
-    send_all(fd, frame(encode_response(Op::kPing, err)));
+    send_all(fd, frame(encode_response(Op::kPing, err)), options_.read_timeout);
   };
 
   for (;;) {
@@ -368,7 +381,7 @@ void Server::serve_requests(int fd) {
       PATCHDB_COUNTER_ADD("serve.server_errors", 1);
     }
 
-    if (!send_all(fd, reply)) return;
+    if (!send_all(fd, reply, options_.read_timeout)) return;
     if (draining_.load(std::memory_order_relaxed)) return;
   }
 }

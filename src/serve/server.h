@@ -17,8 +17,9 @@
 //     ends that connection alone;
 //   - reads poll in short slices so a blocked thread notices stop()
 //     quickly; a partial frame that stops making progress for longer
-//     than ServerOptions::read_timeout closes the connection — one bad
-//     client cannot hold a thread for longer than that.
+//     than ServerOptions::read_timeout closes the connection, and so
+//     does a response that a client stops reading — one bad client
+//     cannot hold a thread (or the drain) for longer than that.
 //
 // Shutdown sequence (stop(), also the SIGINT/SIGTERM path in the
 // daemon): mark draining -> join the acceptor and close the listen
@@ -54,8 +55,9 @@ struct ServerOptions {
   /// answered with a busy error and closed. An idle connection costs a
   /// parked thread until the read timeout closes it.
   std::size_t max_connections = 128;
-  /// A connection (or a partially received frame) that makes no
-  /// progress for this long is closed.
+  /// A connection that makes no progress for this long is closed:
+  /// idle, partway through a frame, or with a response it does not
+  /// read (a send that moves no byte).
   std::chrono::milliseconds read_timeout{5000};
 };
 

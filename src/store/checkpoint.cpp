@@ -6,6 +6,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "store/csv.h"
 #include "store/io.h"
 #include "util/hash.h"
@@ -16,7 +17,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v4";
+constexpr std::string_view kVersionLine = "#patchdb.checkpoint.v5";
 
 void append_u64(std::string& out, std::uint64_t value) {
   out += std::to_string(value);
@@ -32,13 +33,6 @@ void append_double(std::string& out, double value) {
 
 [[noreturn]] void corrupt(const std::string& why) {
   throw std::runtime_error("store: checkpoint: " + why);
-}
-
-std::size_t parse_count(const std::vector<std::string>& row, std::size_t index,
-                        const char* what) {
-  if (index >= row.size()) corrupt(std::string("missing ") + what);
-  return static_cast<std::size_t>(
-      parse_int_field(row[index], static_cast<long long>(1) << 62, what));
 }
 
 }  // namespace
@@ -66,40 +60,25 @@ std::uint64_t build_fingerprint(const core::BuildOptions& options) {
   return util::fnv1a64(canon);
 }
 
-void write_checkpoint(const fs::path& dir, const core::LoopCheckpoint& checkpoint,
+void write_checkpoint(const fs::path& dir, const Verdicts& verdicts,
                       std::uint64_t fingerprint) {
   fs::create_directories(dir);
   std::string body = "fingerprint," + util::to_hex(fingerprint) + '\n';
-  body += "rounds_run," + std::to_string(checkpoint.rounds_run) + '\n';
-  body += "finished,";
-  body += checkpoint.finished ? '1' : '0';
-  body += '\n';
-  body += "effort," + std::to_string(checkpoint.oracle_effort) + '\n';
-  for (const core::RoundStats& r : checkpoint.history) {
-    body += "round," + std::to_string(r.round) + ',' +
-            std::to_string(r.pool_size) + ',' + std::to_string(r.candidates) +
-            ',' + std::to_string(r.verified_security) + '\n';
-  }
-  for (const std::string& commit : checkpoint.wild_security) {
+  for (const std::string& commit : verdicts.security) {
     body += "security," + csv_escape(commit) + '\n';
   }
-  for (const std::string& commit : checkpoint.nonsecurity) {
+  for (const std::string& commit : verdicts.nonsecurity) {
     body += "nonsecurity," + csv_escape(commit) + '\n';
-  }
-  for (const std::string& commit : checkpoint.pool) {
-    body += "pool," + csv_escape(commit) + '\n';
   }
   atomic_write_file(checkpoint_path(dir), seal(kVersionLine, body));
 }
 
-core::LoopCheckpoint read_checkpoint(const fs::path& dir,
-                                     std::uint64_t expected_fingerprint) {
+Verdicts read_checkpoint(const fs::path& dir, std::uint64_t expected_fingerprint) {
   const std::string sealed = read_file(checkpoint_path(dir));
   const std::string_view body = open_sealed(sealed, kVersionLine, "checkpoint.csv");
 
-  core::LoopCheckpoint cp;
+  Verdicts verdicts;
   bool saw_fingerprint = false;
-  bool saw_rounds = false;
   for (const auto& row : csv_parse(body)) {
     if (row.empty() || row[0].empty()) corrupt("empty row");
     const std::string& tag = row[0];
@@ -114,83 +93,69 @@ core::LoopCheckpoint read_checkpoint(const fs::path& dir,
                 "(world/seed mismatch); refusing to resume");
       }
       saw_fingerprint = true;
-    } else if (tag == "rounds_run") {
-      cp.rounds_run = parse_count(row, 1, "rounds_run");
-      saw_rounds = true;
-    } else if (tag == "finished") {
-      if (row.size() != 2 || (row[1] != "0" && row[1] != "1")) {
-        corrupt("malformed finished flag");
-      }
-      cp.finished = row[1] == "1";
-    } else if (tag == "effort") {
-      cp.oracle_effort = parse_count(row, 1, "effort");
-    } else if (tag == "round") {
-      if (row.size() != 5) corrupt("malformed round row");
-      core::RoundStats stats;
-      stats.round = parse_count(row, 1, "round");
-      stats.pool_size = parse_count(row, 2, "pool_size");
-      stats.candidates = parse_count(row, 3, "candidates");
-      stats.verified_security = parse_count(row, 4, "verified_security");
-      stats.ratio = stats.candidates == 0
-                        ? 0.0
-                        : static_cast<double>(stats.verified_security) /
-                              static_cast<double>(stats.candidates);
-      cp.history.push_back(stats);
-    } else if (tag == "security" || tag == "nonsecurity" || tag == "pool") {
+    } else if (tag == "security" || tag == "nonsecurity") {
       if (row.size() != 2 || row[1].empty()) corrupt("malformed commit row");
-      if (tag == "security") {
-        cp.wild_security.push_back(row[1]);
-      } else if (tag == "nonsecurity") {
-        cp.nonsecurity.push_back(row[1]);
-      } else {
-        cp.pool.push_back(row[1]);
-      }
+      (tag == "security" ? verdicts.security : verdicts.nonsecurity)
+          .push_back(row[1]);
     } else {
       corrupt("unknown row tag '" + tag + "'");
     }
   }
-  if (!saw_fingerprint || !saw_rounds) corrupt("missing required rows");
-  if (cp.history.size() != cp.rounds_run) {
-    corrupt("round history does not match rounds_run");
-  }
-  return cp;
+  if (!saw_fingerprint) corrupt("missing fingerprint row");
+  return verdicts;
 }
 
-core::PatchDb build_with_checkpoints(const core::BuildOptions& options) {
-  if (options.checkpoint_dir.empty()) return core::build_patchdb(options);
-  const fs::path dir = options.checkpoint_dir;
+core::PatchDb build_with_checkpoints(const core::BuildOptions& options,
+                                     const fs::path& dir, bool resume) {
+  if (dir.empty()) return core::build_patchdb(options);
   fs::create_directories(dir);
   const std::uint64_t fingerprint = build_fingerprint(options);
+  // Verdicts read back on resume. The replayed rounds reach exactly
+  // these, so a round that holds no more rewrites nothing: a resume
+  // killed mid-replay, or run with fewer rounds, keeps every one.
+  std::size_t recorded = 0;
 
   core::BuildHooks hooks;
-  hooks.before_rounds = [&options, &dir, fingerprint](
-                            core::AugmentationLoop& loop,
-                            corpus::World& world) -> bool {
-    if (!options.resume) return false;
+  hooks.before_rounds = [&](core::AugmentationLoop&, corpus::World& world) {
+    if (!resume) return;
     if (!fs::exists(checkpoint_path(dir))) {
       std::fprintf(stderr, "store: no checkpoint in %s, starting fresh\n",
                    dir.string().c_str());
-      return false;
+      return;
     }
-    const core::LoopCheckpoint cp = read_checkpoint(dir, fingerprint);
-    core::CommitIndex by_commit;
-    by_commit.reserve(world.wild.size());
-    for (const corpus::CommitRecord& r : world.wild) {
-      by_commit.emplace(r.patch.commit, &r);
+    PATCHDB_TRACE_SPAN("store.checkpoint");
+    const Verdicts verdicts = read_checkpoint(dir, fingerprint);
+    for (const bool is_security : {true, false}) {
+      for (const std::string& commit :
+           is_security ? verdicts.security : verdicts.nonsecurity) {
+        if (!world.oracle.known(commit)) {
+          corrupt("names unknown commit " + commit);
+        }
+        world.oracle.record_verdict(commit, is_security);
+      }
     }
-    loop.restore(cp, by_commit);
-    world.oracle.set_effort(cp.oracle_effort);
+    recorded = verdicts.security.size() + verdicts.nonsecurity.size();
     PATCHDB_COUNTER_ADD("store.resumes", 1);
     std::fprintf(stderr,
-                 "store: resumed from %s at round %zu (%zu wild finds, %zu "
-                 "pool remaining)\n",
-                 checkpoint_path(dir).string().c_str(), cp.rounds_run,
-                 cp.wild_security.size(), cp.pool.size());
-    return true;
+                 "store: resumed from %s with %zu recorded verdicts (%zu wild "
+                 "finds)\n",
+                 checkpoint_path(dir).string().c_str(), recorded,
+                 verdicts.security.size());
   };
-  hooks.after_round = [&dir, fingerprint](const core::AugmentationLoop& loop,
-                                          const core::RoundStats&) {
-    write_checkpoint(dir, loop.checkpoint(), fingerprint);
+  hooks.after_round = [&](const core::AugmentationLoop& loop,
+                          const core::RoundStats&) {
+    PATCHDB_TRACE_SPAN("store.checkpoint");
+    Verdicts verdicts;
+    for (const corpus::CommitRecord* r : loop.wild_security()) {
+      verdicts.security.push_back(r->patch.commit);
+    }
+    for (const corpus::CommitRecord* r : loop.nonsecurity()) {
+      verdicts.nonsecurity.push_back(r->patch.commit);
+    }
+    if (verdicts.security.size() + verdicts.nonsecurity.size() <= recorded) {
+      return;
+    }
+    write_checkpoint(dir, verdicts, fingerprint);
   };
   return core::build_patchdb(options, hooks);
 }

@@ -61,11 +61,11 @@ FsckReport fsck(const fs::path& path) {
   }
   if (has_checkpoint) {
     try {
-      const core::LoopCheckpoint cp = read_checkpoint(path, kAnyFingerprint);
+      const Verdicts verdicts = read_checkpoint(path, kAnyFingerprint);
       ++report.files_checked;
       report.bytes_checked += fs::file_size(checkpoint_path(path));
-      report.manifest_rows += cp.wild_security.size() + cp.nonsecurity.size() +
-                              cp.pool.size();
+      report.manifest_rows +=
+          verdicts.security.size() + verdicts.nonsecurity.size();
     } catch (const std::exception& e) {
       report.errors.push_back(e.what());
     }

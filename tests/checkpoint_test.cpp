@@ -1,9 +1,11 @@
 // Crash-safety tests for the checkpointed build: kill-point sweep with
 // fault injection (a build interrupted at any round boundary and resumed
-// exports bit-identically), torn-write detection, fingerprint guards,
-// and fsck corruption coverage.
+// exports bit-identically), the recorded verdicts a resume replays,
+// torn-write detection, fingerprint guards, and fsck corruption
+// coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -47,6 +49,15 @@ std::map<std::string, std::string> dir_contents(const fs::path& root) {
   return out;
 }
 
+/// The commit of each record, in order.
+std::vector<std::string> commits_of(const std::vector<corpus::CommitRecord>& records) {
+  std::vector<std::string> commits;
+  for (const corpus::CommitRecord& record : records) {
+    commits.push_back(record.patch.commit);
+  }
+  return commits;
+}
+
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -83,40 +94,14 @@ TEST_F(CheckpointTest, FingerprintCoversWorldNotRoundKnobs) {
 }
 
 TEST_F(CheckpointTest, CheckpointWriteReadRoundTrip) {
-  core::LoopCheckpoint cp;
-  cp.rounds_run = 2;
-  cp.finished = false;
-  cp.oracle_effort = 17;
-  for (std::size_t r = 1; r <= 2; ++r) {
-    core::RoundStats stats;
-    stats.round = r;
-    stats.pool_size = 100 - r;
-    stats.candidates = 10 + r;
-    stats.verified_security = 4 + r;
-    stats.ratio = static_cast<double>(stats.verified_security) /
-                  static_cast<double>(stats.candidates);
-    cp.history.push_back(stats);
-  }
-  cp.wild_security = {"aabb01", "aabb02"};
-  cp.nonsecurity = {"ccdd01"};
-  cp.pool = {"eeff03", "eeff01", "eeff02"};  // order must survive verbatim
+  store::Verdicts verdicts;
+  verdicts.security = {"aabb02", "aabb01"};  // order must survive verbatim
+  verdicts.nonsecurity = {"ccdd01"};
 
-  store::write_checkpoint(dir("cp"), cp, 0x1234u);
-  const core::LoopCheckpoint back = store::read_checkpoint(dir("cp"), 0x1234u);
-  EXPECT_EQ(back.rounds_run, cp.rounds_run);
-  EXPECT_EQ(back.finished, cp.finished);
-  EXPECT_EQ(back.oracle_effort, cp.oracle_effort);
-  ASSERT_EQ(back.history.size(), cp.history.size());
-  for (std::size_t i = 0; i < cp.history.size(); ++i) {
-    EXPECT_EQ(back.history[i].round, cp.history[i].round);
-    EXPECT_EQ(back.history[i].pool_size, cp.history[i].pool_size);
-    EXPECT_EQ(back.history[i].candidates, cp.history[i].candidates);
-    EXPECT_EQ(back.history[i].verified_security, cp.history[i].verified_security);
-    EXPECT_DOUBLE_EQ(back.history[i].ratio, cp.history[i].ratio);
-  }
-  EXPECT_EQ(back.wild_security, cp.wild_security);
-  EXPECT_EQ(back.nonsecurity, cp.nonsecurity);
-  EXPECT_EQ(back.pool, cp.pool);
+  store::write_checkpoint(dir("cp"), verdicts, 0x1234u);
+  const store::Verdicts back = store::read_checkpoint(dir("cp"), 0x1234u);
+  EXPECT_EQ(back.security, verdicts.security);
+  EXPECT_EQ(back.nonsecurity, verdicts.nonsecurity);
 
   // Wrong fingerprint refuses; kAnyFingerprint (fsck) skips the check.
   EXPECT_THROW(store::read_checkpoint(dir("cp"), 0x9999u), std::runtime_error);
@@ -124,12 +109,12 @@ TEST_F(CheckpointTest, CheckpointWriteReadRoundTrip) {
 }
 
 TEST_F(CheckpointTest, CheckpointedBuildMatchesPlainBuild) {
-  core::BuildOptions options = small_options();
+  const core::BuildOptions options = small_options();
   const core::PatchDb plain = core::build_patchdb(options);
   store::export_patchdb(plain, dir("plain"));
 
-  options.checkpoint_dir = dir("ckpt");
-  const core::PatchDb checkpointed = store::build_with_checkpoints(options);
+  const core::PatchDb checkpointed =
+      store::build_with_checkpoints(options, dir("ckpt"), false);
   store::export_patchdb(checkpointed, dir("checkpointed"));
 
   EXPECT_TRUE(fs::exists(store::checkpoint_path(dir("ckpt"))));
@@ -141,10 +126,10 @@ TEST_F(CheckpointTest, CheckpointedBuildMatchesPlainBuild) {
 // --resume semantics, and require the resumed export to be bit-identical
 // to an uninterrupted run's.
 TEST_F(CheckpointTest, KillPointSweepResumesBitIdentical) {
-  core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("baseline_ckpt");
+  const core::BuildOptions options = small_options();
   store::clear_fault_plan();  // reset the write counter
-  const core::PatchDb baseline = store::build_with_checkpoints(options);
+  const core::PatchDb baseline =
+      store::build_with_checkpoints(options, dir("baseline_ckpt"), false);
   const std::size_t round_writes = store::fault_write_count();
   ASSERT_GE(round_writes, 2u) << "world too small to exercise kill points";
   store::export_patchdb(baseline, dir("baseline_out"));
@@ -152,18 +137,18 @@ TEST_F(CheckpointTest, KillPointSweepResumesBitIdentical) {
 
   for (std::size_t k = 0; k < round_writes; ++k) {
     const std::string tag = "kill" + std::to_string(k);
-    options.checkpoint_dir = dir(tag + "_ckpt");
-    options.resume = false;
+    const fs::path checkpoint_dir = dir(tag + "_ckpt");
 
     store::FaultPlan plan;
     plan.fail_write = k;
     store::set_fault_plan(plan);
-    EXPECT_THROW(store::build_with_checkpoints(options), store::FaultInjected)
+    EXPECT_THROW(store::build_with_checkpoints(options, checkpoint_dir, false),
+                 store::FaultInjected)
         << "kill point " << k;
     store::clear_fault_plan();
 
-    options.resume = true;
-    const core::PatchDb resumed = store::build_with_checkpoints(options);
+    const core::PatchDb resumed =
+        store::build_with_checkpoints(options, checkpoint_dir, true);
     store::export_patchdb(resumed, dir(tag + "_out"));
     EXPECT_EQ(dir_contents(dir(tag + "_out")), want)
         << "resume after kill point " << k << " diverged";
@@ -206,8 +191,7 @@ TEST_F(CheckpointTest, KilledExportLeavesNoManifestAndRetrySucceeds) {
 }
 
 TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
-  core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
+  const core::BuildOptions options = small_options();
 
   // The second checkpoint write tears: half the new content lands at the
   // final path, as a non-atomic writer would leave it after a crash.
@@ -215,12 +199,13 @@ TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
   plan.fail_write = 1;
   plan.truncate = true;
   store::set_fault_plan(plan);
-  EXPECT_THROW(store::build_with_checkpoints(options), store::FaultInjected);
+  EXPECT_THROW(store::build_with_checkpoints(options, dir("ckpt"), false),
+               store::FaultInjected);
   store::clear_fault_plan();
   ASSERT_TRUE(fs::exists(store::checkpoint_path(dir("ckpt"))));
 
-  options.resume = true;
-  EXPECT_THROW(store::build_with_checkpoints(options), std::runtime_error);
+  EXPECT_THROW(store::build_with_checkpoints(options, dir("ckpt"), true),
+               std::runtime_error);
 
   const store::FsckReport report = store::fsck(dir("ckpt"));
   EXPECT_FALSE(report.ok());
@@ -228,15 +213,14 @@ TEST_F(CheckpointTest, TornCheckpointRefusesResumeAndFsckFlagsIt) {
 
 // An older checkpoint carries an older version line: v1 hashed the link
 // engine's settings into the fingerprint, v2 the world options that are
-// now constants, and v3 the world's commit rates. Each must be refused
-// as an unsupported version, not misread as "written by a build with
-// different options".
+// now constants, v3 the world's commit rates, and v4 held the loop's
+// state. Each must be refused as an unsupported version, not misread as
+// "written by a build with different options".
 TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
   for (const std::string old : {"#patchdb.checkpoint.v1", "#patchdb.checkpoint.v2",
-                                "#patchdb.checkpoint.v3"}) {
-    core::BuildOptions options = small_options();
-    options.checkpoint_dir = dir("ckpt");
-    store::build_with_checkpoints(options);
+                                "#patchdb.checkpoint.v3", "#patchdb.checkpoint.v4"}) {
+    const core::BuildOptions options = small_options();
+    store::build_with_checkpoints(options, dir("ckpt"), false);
     const fs::path path = store::checkpoint_path(dir("ckpt"));
     std::string body(
         store::strip_checksum_trailer(store::read_file(path), "checkpoint.csv"));
@@ -246,9 +230,8 @@ TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
     std::ofstream(path, std::ios::binary)
         << store::with_checksum_trailer(std::move(body));
 
-    options.resume = true;
     try {
-      store::build_with_checkpoints(options);
+      store::build_with_checkpoints(options, dir("ckpt"), true);
       ADD_FAILURE() << "resumed from a checkpoint headed " << old;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported version"),
@@ -264,26 +247,26 @@ TEST_F(CheckpointTest, V1CheckpointRefusedByResumeAndFlaggedByFsck) {
 }
 
 TEST_F(CheckpointTest, ResumeWithoutCheckpointStartsFresh) {
-  core::BuildOptions options = small_options();
+  const core::BuildOptions options = small_options();
   const core::PatchDb plain = core::build_patchdb(options);
   store::export_patchdb(plain, dir("plain"));
 
-  options.checkpoint_dir = dir("empty_ckpt");
-  options.resume = true;  // nothing to resume from
-  const core::PatchDb fresh = store::build_with_checkpoints(options);
+  // Nothing to resume from.
+  const core::PatchDb fresh =
+      store::build_with_checkpoints(options, dir("empty_ckpt"), true);
   store::export_patchdb(fresh, dir("fresh"));
   EXPECT_EQ(dir_contents(dir("plain")), dir_contents(dir("fresh")));
 }
 
 // A --resume build says on stderr where it started: fresh when the
-// directory holds no checkpoint, else the checkpoint file and its round.
+// directory holds no checkpoint, else the checkpoint file and how many
+// verdicts it recorded.
 TEST_F(CheckpointTest, ResumeSaysWhereItStartedOnStderr) {
   core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
-  options.resume = true;
   options.augment.max_rounds = 1;
   ::testing::internal::CaptureStderr();
-  store::build_with_checkpoints(options);
+  const core::PatchDb first =
+      store::build_with_checkpoints(options, dir("ckpt"), true);
   const std::string fresh = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(fresh.find("store: no checkpoint in " + dir("ckpt").string() +
                        ", starting fresh\n"),
@@ -292,30 +275,130 @@ TEST_F(CheckpointTest, ResumeSaysWhereItStartedOnStderr) {
 
   options.augment.max_rounds = 2;
   ::testing::internal::CaptureStderr();
-  store::build_with_checkpoints(options);
+  store::build_with_checkpoints(options, dir("ckpt"), true);
   const std::string resumed = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(resumed.find("store: resumed from " +
                          store::checkpoint_path(dir("ckpt")).string() +
-                         " at round 1 ("),
+                         " with " + std::to_string(first.rounds[0].candidates) +
+                         " recorded verdicts (" +
+                         std::to_string(first.wild_security.size()) +
+                         " wild finds)\n"),
             std::string::npos)
       << resumed;
 }
 
 TEST_F(CheckpointTest, ResumeRefusesCheckpointFromDifferentBuild) {
   core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
-  store::build_with_checkpoints(options);
+  store::build_with_checkpoints(options, dir("ckpt"), false);
   ASSERT_TRUE(fs::exists(store::checkpoint_path(dir("ckpt"))));
 
-  options.resume = true;
   options.world.seed = 78;  // different world: its commits don't exist here
-  EXPECT_THROW(store::build_with_checkpoints(options), std::runtime_error);
+  EXPECT_THROW(store::build_with_checkpoints(options, dir("ckpt"), true),
+               std::runtime_error);
+}
+
+// The checkpoint is the experts' verdicts: after a full build it holds
+// one row per candidate the rounds verified, the wild finds and the
+// rejections each in the loop's order.
+TEST_F(CheckpointTest, CheckpointHoldsOneVerdictPerCandidate) {
+  const core::PatchDb db =
+      store::build_with_checkpoints(small_options(), dir("ckpt"), false);
+  ASSERT_EQ(db.rounds.size(), 3u);
+  std::size_t candidates = 0;
+  for (const core::RoundStats& round : db.rounds) candidates += round.candidates;
+
+  const store::Verdicts verdicts =
+      store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+  EXPECT_EQ(verdicts.security.size() + verdicts.nonsecurity.size(), candidates);
+  EXPECT_EQ(verdicts.security, commits_of(db.wild_security));
+  EXPECT_EQ(verdicts.nonsecurity, commits_of(db.nonsecurity));
+}
+
+// Rounds a checkpoint never saw extend it: a 2-round checkpoint resumed
+// with 3 rounds exports a plain 3-round build's bytes, and the replayed
+// rounds count their verdicts as effort once, as the plain build did.
+TEST_F(CheckpointTest, TwoRoundCheckpointResumedToThreeRoundsMatchesPlainBuild) {
+  core::BuildOptions options = small_options();
+  const core::PatchDb plain = core::build_patchdb(options);
+  store::export_patchdb(plain, dir("plain"));
+
+  options.augment.max_rounds = 2;
+  store::build_with_checkpoints(options, dir("ckpt"), false);
+  options.augment.max_rounds = 3;
+  const core::PatchDb resumed =
+      store::build_with_checkpoints(options, dir("ckpt"), true);
+  store::export_patchdb(resumed, dir("resumed"));
+
+  EXPECT_EQ(dir_contents(dir("resumed")), dir_contents(dir("plain")));
+  EXPECT_EQ(resumed.rounds.size(), plain.rounds.size());
+  EXPECT_EQ(resumed.verification_effort, plain.verification_effort);
+}
+
+// A resume asks no recorded verdict again: the checkpoint answers it,
+// even where the ground truth disagrees. Move one wild find of round 1
+// to a nonsecurity row, re-seal, and the resumed build rejects it.
+TEST_F(CheckpointTest, ResumeTakesRecordedVerdictsFromTheCheckpoint) {
+  core::BuildOptions options = small_options();
+  options.augment.max_rounds = 1;
+  store::build_with_checkpoints(options, dir("ckpt"), false);
+  store::Verdicts verdicts =
+      store::read_checkpoint(dir("ckpt"), store::build_fingerprint(options));
+  ASSERT_FALSE(verdicts.security.empty());
+  const std::string moved = verdicts.security.front();
+  verdicts.security.erase(verdicts.security.begin());
+  verdicts.nonsecurity.push_back(moved);
+  store::write_checkpoint(dir("ckpt"), verdicts, store::build_fingerprint(options));
+
+  options.augment.max_rounds = 3;
+  const core::PatchDb resumed =
+      store::build_with_checkpoints(options, dir("ckpt"), true);
+  const std::vector<std::string> wild = commits_of(resumed.wild_security);
+  const std::vector<std::string> rejected = commits_of(resumed.nonsecurity);
+  EXPECT_EQ(std::count(wild.begin(), wild.end(), moved), 0);
+  EXPECT_EQ(std::count(rejected.begin(), rejected.end(), moved), 1);
+}
+
+// A replayed round holds no verdict beyond the record, so it rewrites
+// nothing: resumed with fewer rounds than it recorded, a checkpoint
+// keeps every verdict for a later resume.
+TEST_F(CheckpointTest, ReplayedRoundsKeepEveryRecordedVerdict) {
+  core::BuildOptions options = small_options();
+  store::build_with_checkpoints(options, dir("ckpt"), false);
+  const store::Verdicts recorded =
+      store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+
+  options.augment.max_rounds = 1;
+  const core::PatchDb one_round =
+      store::build_with_checkpoints(options, dir("ckpt"), true);
+  EXPECT_EQ(one_round.rounds.size(), 1u);
+  const store::Verdicts kept =
+      store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+  EXPECT_EQ(kept.security, recorded.security);
+  EXPECT_EQ(kept.nonsecurity, recorded.nonsecurity);
+}
+
+TEST_F(CheckpointTest, ResumeRefusesCheckpointNamingAnUnknownCommit) {
+  const core::BuildOptions options = small_options();
+  store::build_with_checkpoints(options, dir("ckpt"), false);
+  store::Verdicts verdicts =
+      store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+  const std::string unknown(40, 'e');
+  verdicts.nonsecurity.push_back(unknown);
+  store::write_checkpoint(dir("ckpt"), verdicts, store::build_fingerprint(options));
+
+  try {
+    store::build_with_checkpoints(options, dir("ckpt"), true);
+    ADD_FAILURE() << "resumed from a checkpoint naming " << unknown;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown commit " + unknown),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CheckpointTest, FsckAcceptsCleanDatasetAndCheckpoint) {
-  core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
-  const core::PatchDb db = store::build_with_checkpoints(options);
+  const core::PatchDb db =
+      store::build_with_checkpoints(small_options(), dir("ckpt"), false);
   store::export_patchdb(db, dir("out"));
 
   const store::FsckReport dataset = store::fsck(dir("out"));
@@ -388,16 +471,15 @@ TEST_F(CheckpointTest, StoreCountersTrackWritesAndResumes) {
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* previous = obs::install_registry(&registry);
 
-  core::BuildOptions options = small_options();
-  options.checkpoint_dir = dir("ckpt");
+  const core::BuildOptions options = small_options();
   store::FaultPlan plan;
   plan.fail_write = 1;
   store::set_fault_plan(plan);
-  EXPECT_THROW(store::build_with_checkpoints(options), store::FaultInjected);
+  EXPECT_THROW(store::build_with_checkpoints(options, dir("ckpt"), false),
+               store::FaultInjected);
   store::clear_fault_plan();
 
-  options.resume = true;
-  const core::PatchDb db = store::build_with_checkpoints(options);
+  const core::PatchDb db = store::build_with_checkpoints(options, dir("ckpt"), true);
   store::export_patchdb(db, dir("out"));
   obs::install_registry(previous);
 

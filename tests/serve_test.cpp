@@ -11,16 +11,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -714,6 +718,17 @@ TEST(ServeDataset, RejectsBadQueries) {
   nearest.by_id = false;
   nearest.vector = {1.0, 2.0};  // wrong dimensionality
   EXPECT_EQ(dataset.nearest(nearest).status, serve::Status::kBadRequest);
+  // A component that is not finite, or not finite once scaled to float,
+  // is refused by name.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e300}) {
+    nearest.vector.assign(feature::kFeatureCount, 0.5);
+    nearest.vector[7] = bad;
+    const serve::Response refused = dataset.nearest(nearest);
+    EXPECT_EQ(refused.status, serve::Status::kBadRequest) << bad;
+    EXPECT_NE(refused.error.find("component 7 "), std::string::npos)
+        << refused.error;
+  }
   nearest.by_id = true;
   nearest.id = natural_patches().front()->commit;
   nearest.k = 0;
@@ -1076,6 +1091,86 @@ TEST(ServeServer, IdleConnectionsDoNotDelayAPing) {
   for (const int fd : idle) ::close(fd);
   server.stop();
   EXPECT_EQ(server.connections_shed(), 0u);
+}
+
+TEST(ServeServer, ClientThatNeverReadsIsClosedAtTheReadTimeout) {
+  // A client with a 4 KiB receive buffer pipelines lookups of the
+  // largest patch and reads no response, until its own writes stall.
+  // The server's send moves no byte from then on, so the read timeout
+  // closes the connection: the thread is freed, and the drain does not
+  // wait for the client. Where the send has no deadline, stop() blocks
+  // until the client closes; the test closes it after 2 s, then fails.
+  obs::MetricsRegistry registry;
+  auto* previous = obs::install_registry(&registry);
+  const serve::ServedDataset dataset = make_dataset();
+  serve::ServerOptions options;
+  options.max_connections = 2;
+  options.read_timeout = std::chrono::milliseconds(300);
+  serve::Server server(dataset, options);
+  server.start();
+
+  const std::vector<const diff::Patch*> natural = natural_patches();
+  const diff::Patch* largest = *std::max_element(
+      natural.begin(), natural.end(), [](const diff::Patch* a, const diff::Patch* b) {
+        return diff::render_patch(*a).size() < diff::render_patch(*b).size();
+      });
+  serve::Request lookup;
+  lookup.op = serve::Op::kLookup;
+  lookup.lookup.id = largest->commit;
+  const std::string request = serve::frame(serve::encode_request(lookup));
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  std::size_t offset = 0;
+  for (;;) {
+    const ssize_t n = ::send(fd, request.data() + offset, request.size() - offset,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      offset = (offset + static_cast<std::size_t>(n)) % request.size();
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd pfd{fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, 200) == 0) break;  // the server stopped reading
+      continue;
+    }
+    break;  // the server already closed the connection
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port(), std::chrono::milliseconds(2000));
+  const serve::Response pong = client.ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(pong.status, serve::Status::kOk);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+  client.close();
+
+  // The stalled send times out about 300 ms after its last byte moved.
+  for (int i = 0; i < 200; ++i) {
+    if (registry.snapshot().counter("serve.timeouts") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::promise<void> stopped;
+  std::future<void> stop_done = stopped.get_future();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  const bool in_time =
+      stop_done.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(fd);  // frees a server still blocked on this client
+  stopper.join();
+  obs::install_registry(previous);
+  EXPECT_TRUE(in_time) << "stop() waited on a client that never reads";
+  EXPECT_GE(registry.snapshot().counter("serve.timeouts"), 1u);
 }
 
 TEST(ServeServer, ResponsePastTheFrameCapIsAServerError) {

@@ -7,9 +7,10 @@
 //       -> synthesis) and export it to DIR in the release layout.
 //       --synth N caps the synthetic patches derived from one natural
 //       patch (default 4, 0 = no cap). With --checkpoint-dir the
-//       augmentation state is persisted after every round; --resume
-//       continues an interrupted build from the last checkpoint and
-//       produces a bit-identical export. --threads N sizes the worker pool the
+//       experts' verdicts are persisted after every round; --resume
+//       continues an interrupted build from the last checkpoint, asking
+//       for no recorded verdict again, and produces a bit-identical
+//       export. --threads N sizes the worker pool the
 //       nearest-link engine shards across (wins over PATCHDB_THREADS;
 //       default: hardware concurrency); the export is bit-identical for
 //       every value. --metrics-out writes the JSON metrics artifact and
@@ -176,17 +177,18 @@ int cmd_build(const Flags& flags) {
     std::fprintf(stderr, "patchdb build: --out DIR is required\n");
     return 2;
   }
-  core::BuildOptions options = pipeline_options(flags);
-  options.checkpoint_dir = flags.value("--checkpoint-dir", std::string());
-  options.resume = flags.has("--resume");
+  const core::BuildOptions options = pipeline_options(flags);
+  const std::string checkpoint_dir =
+      flags.value("--checkpoint-dir", std::string());
 
   std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s\n",
               options.world.nvd_security, options.world.wild_pool,
               options.augment.max_rounds,
               static_cast<std::size_t>(options.world.seed),
-              options.checkpoint_dir.empty() ? "" : " (checkpointed)");
+              checkpoint_dir.empty() ? "" : " (checkpointed)");
   obs::ObsSession cli_obs("patchdb build", obs::artifact_request(flags));
-  const core::PatchDb db = store::build_with_checkpoints(options);
+  const core::PatchDb db = store::build_with_checkpoints(
+      options, checkpoint_dir, flags.has("--resume"));
   const store::ExportStats stats = store::export_patchdb(db, out);
   if (!cli_obs.write_artifacts(cli_obs.report())) return 1;
 

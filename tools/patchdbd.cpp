@@ -16,7 +16,8 @@
 // --max-connections open connections (default 128, at least 1) a new
 // one is answered with a busy error and closed. A connection that makes
 // no progress for --read-timeout-ms (1 to 86400000, one day; default
-// 5000) is closed. SIGINT or SIGTERM drains gracefully: accepting
+// 5000) is closed: idle, partway through a request, or not reading a
+// response. SIGINT or SIGTERM drains gracefully: accepting
 // stops, in-flight requests finish and are answered, then the daemon
 // writes its obs artifacts (--metrics-out / --trace-out) and exits 0.
 #include <poll.h>
@@ -49,7 +50,8 @@ int usage() {
                "                [--port-file FILE]\n"
                "                [--metrics-out FILE] [--trace-out FILE]"
                " [--progress]\n"
-               "--read-timeout-ms is 1..86400000 (one day; default 5000).\n");
+               "--read-timeout-ms is 1..86400000 (one day; default 5000): a\n"
+               "connection that moves no byte, in or out, for that long is closed.\n");
   return 2;
 }
 
