@@ -112,6 +112,45 @@ TEST(Lexer, KeywordsRecognized) {
   EXPECT_TRUE(lang::is_keyword("sizeof"));
   EXPECT_TRUE(lang::is_keyword("nullptr"));
   EXPECT_FALSE(lang::is_keyword("foobar"));
+
+  // Every keyword the lexer lists, and three near-misses of each: the
+  // keyword less its last byte, with its first letter's case flipped,
+  // and with a trailing '_'. Generated code never produces most of
+  // these, so the token-stream pin cannot stand in for this list.
+  const std::set<std::string_view> keywords = {
+      "auto", "break", "case", "char", "const", "continue", "default", "do",
+      "double", "else", "enum", "extern", "float", "for", "goto", "if",
+      "inline", "int", "long", "register", "restrict", "return", "short",
+      "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
+      "unsigned", "void", "volatile", "while", "_Bool", "_Complex",
+      "_Atomic", "_Static_assert", "_Noreturn", "_Thread_local",
+      "bool", "true", "false", "class", "namespace", "template", "typename",
+      "public", "private", "protected", "virtual", "override", "final",
+      "new", "delete", "this", "nullptr", "using", "try", "catch", "throw",
+      "operator", "friend", "explicit", "mutable", "constexpr", "consteval",
+      "constinit", "static_cast", "dynamic_cast", "const_cast",
+      "reinterpret_cast", "noexcept", "decltype", "concept", "requires",
+      "co_await", "co_return", "co_yield", "alignas", "alignof",
+      "static_assert", "thread_local", "wchar_t", "char8_t", "char16_t",
+      "char32_t", "and", "or", "not", "xor", "NULL",
+  };
+  EXPECT_EQ(keywords.size(), 92u);
+  for (const std::string_view keyword : keywords) {
+    EXPECT_TRUE(lang::is_keyword(keyword)) << keyword;
+    std::string flipped(keyword);
+    const auto letter = std::find_if(flipped.begin(), flipped.end(), [](char c) {
+      return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    });
+    ASSERT_NE(letter, flipped.end()) << keyword;
+    *letter = static_cast<char>(*letter ^ 0x20);
+    for (const std::string& miss :
+         {std::string(keyword.substr(0, keyword.size() - 1)), flipped,
+          std::string(keyword) + "_"}) {
+      if (keywords.contains(miss)) continue;
+      EXPECT_FALSE(lang::is_keyword(miss)) << miss << " (near " << keyword << ")";
+    }
+  }
+  EXPECT_FALSE(lang::is_keyword(""));
 }
 
 // Each byte the lexer's fast path singles out, next to the operators it
