@@ -82,6 +82,7 @@ RoundStats AugmentationLoop::run_round() {
       security_features_.push_back(pool_features_[selected[i]]);
     } else {
       nonsecurity_.push_back(record);
+      nonsecurity_features_.push_back(pool_features_[selected[i]]);
     }
   }
   stats.ratio = stats.candidates == 0
@@ -129,6 +130,16 @@ std::vector<RoundStats> AugmentationLoop::run(const AugmentOptions& options) {
     if (on_round_) on_round_(*this, stats);
   }
   return history;
+}
+
+feature::FeatureMatrix AugmentationLoop::take_features() {
+  feature::FeatureMatrix rows = std::move(security_features_);
+  for (std::size_t i = 0; i < nonsecurity_features_.rows(); ++i) {
+    rows.push_back(nonsecurity_features_[i]);
+  }
+  security_features_ = {};
+  nonsecurity_features_ = {};
+  return rows;
 }
 
 std::vector<const corpus::CommitRecord*> AugmentationLoop::wild_security() const {

@@ -3,7 +3,9 @@
 // core/streaming_link.h), "manual" verification through the oracle, and
 // the loop judgment on the security-patch hit ratio R. Reproduces the
 // Table II protocol (rounds over growing labeled sets, pool swaps
-// between rounds).
+// between rounds). It keeps the Table I row of every patch it verified,
+// found or rejected, so the dataset's features.csv needs no second
+// extraction (take_features).
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,9 @@ class AugmentationLoop {
                    corpus::Oracle& oracle);
 
   /// Replace the unlabeled pool (the paper swaps Set I -> Set II -> III).
-  /// Features are extracted once per record here.
+  /// Features are extracted once per record here; each verified
+  /// candidate's row moves to the security or the rejected rows, and
+  /// the loop never extracts it again.
   void set_pool(std::vector<const corpus::CommitRecord*> pool);
 
   /// One candidate-selection + verification round.
@@ -70,6 +74,12 @@ class AugmentationLoop {
   }
   std::size_t pool_remaining() const noexcept { return pool_.size(); }
 
+  /// Moves out the Table I row of every verified patch, in the order of
+  /// security() and then nonsecurity(): the seed's, the wild finds' and
+  /// the rejected candidates'. The rejected rows are appended behind the
+  /// others, the only copy; the loop is left without rows.
+  feature::FeatureMatrix take_features();
+
  private:
   corpus::Oracle& oracle_;
   std::size_t seed_count_;
@@ -83,6 +93,7 @@ class AugmentationLoop {
   feature::FeatureMatrix pool_features_;
 
   std::vector<const corpus::CommitRecord*> nonsecurity_;
+  feature::FeatureMatrix nonsecurity_features_;
 };
 
 }  // namespace patchdb::core

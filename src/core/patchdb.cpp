@@ -1,7 +1,7 @@
 #include "core/patchdb.h"
 
+#include <span>
 #include <utility>
-
 
 namespace patchdb::core {
 
@@ -34,12 +34,18 @@ PatchDb build_patchdb(const BuildOptions& options, const BuildHooks& hooks) {
   db.verification_effort = world.oracle.effort();
   db.nvd_security = std::move(world.nvd_security);
 
-  for (const corpus::CommitRecord* r : loop.wild_security()) {
-    db.wild_security.push_back(*r);
-  }
-  for (const corpus::CommitRecord* r : loop.nonsecurity()) {
-    db.nonsecurity.push_back(*r);
-  }
+  // The wild finds and the rejected candidates point into world.wild,
+  // which is dropped after this: move them out instead of copying.
+  const auto move_out = [&world](std::span<const corpus::CommitRecord* const> records,
+                                 std::vector<corpus::CommitRecord>& into) {
+    into.reserve(records.size());
+    for (const corpus::CommitRecord* r : records) {
+      into.push_back(std::move(world.wild[static_cast<std::size_t>(r - world.wild.data())]));
+    }
+  };
+  move_out(loop.wild_security(), db.wild_security);
+  move_out(loop.nonsecurity(), db.nonsecurity);
+  db.features = loop.take_features();
 
   // Stage 3: synthetic oversampling from the natural patches that carry
   // snapshots (NVD side by default; wild side when the world kept them).

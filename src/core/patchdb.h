@@ -46,6 +46,15 @@ struct PatchDb {
   /// Component 3: synthetic patches derived from the natural ones.
   std::vector<synth::SyntheticPatch> synthetic;
 
+  /// The Table I row of each natural patch, in manifest order: one per
+  /// nvd_security record, then per wild_security record, then per
+  /// nonsecurity record, each equal to feature::extract of its patch
+  /// bitwise. Or no rows at all. build_patchdb moves in the rows the
+  /// augmentation loop extracted, so no natural patch is featurized
+  /// twice; store::export_patchdb formats them, and extracts the rows
+  /// itself only for a PatchDb that carries none.
+  feature::FeatureMatrix features;
+
   /// Collection + augmentation telemetry.
   corpus::CrawlStats crawl_stats;
   std::vector<RoundStats> rounds;

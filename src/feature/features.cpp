@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <unordered_set>
+#include <string>
+#include <string_view>
 
 #include "analysis/analyze.h"
 #include "lang/abstract.h"
@@ -75,26 +76,44 @@ void write_quad(std::span<double> v, std::size_t base, double added, double remo
 }
 
 /// The removed or the added side of a patch, one hunk at a time. Each
-/// hunk side is lexed once: its tokens feed the abstraction, and appended
-/// in hunk order they are the tokens of `joined`, the hunk sides each
-/// followed by '\n', which count_syntax reads. When a hunk side ends
-/// open (lexer.h), `joined` is lexed as a whole instead.
+/// hunk side's lines are appended once to `joined`, the hunk sides each
+/// followed by '\n', and the new slice is lexed where it lies: its tokens
+/// feed the abstraction, and appended in hunk order they are the tokens
+/// of `joined`, which count_syntax reads. When a hunk side ends open
+/// (lexer.h), `joined` is lexed as a whole instead.
 struct Side {
   std::string joined;
   std::vector<lang::Token> tokens;
   bool open = false;
+  std::size_t lines = 0;
+  std::size_t begin = 0;  // the last hunk side is joined[begin, end)
+  std::size_t end = 0;
 
-  /// Append one hunk side; returns its abstracted text.
-  std::string add(const std::string& text) {
-    joined += text;
-    joined += '\n';
+  /// Append the lines of `kind` in `hunk`; returns their abstracted text.
+  std::string add(const diff::Hunk& hunk, diff::LineKind kind) {
+    begin = joined.size();
+    const std::size_t lines_before = lines;
+    for (const diff::Line& line : hunk.lines) {
+      if (line.kind != kind) continue;
+      if (lines != lines_before) joined += '\n';
+      joined += line.text;
+      ++lines;
+    }
+    end = joined.size();
     bool ends_open = false;
-    std::vector<lang::Token> hunk_tokens = lang::lex(text, ends_open);
+    std::vector<lang::Token> hunk_tokens = lang::lex(text(), ends_open);
+    joined += '\n';
     open = open || ends_open;
     std::string abstracted = lang::abstract_code(hunk_tokens);
     tokens.insert(tokens.end(), std::make_move_iterator(hunk_tokens.begin()),
                   std::make_move_iterator(hunk_tokens.end()));
     return abstracted;
+  }
+
+  /// The last hunk side, its lines joined by '\n'; valid until the next
+  /// add.
+  std::string_view text() const {
+    return std::string_view(joined).substr(begin, end - begin);
   }
 
   lang::SyntaxCounts counts() const {
@@ -103,42 +122,103 @@ struct Side {
   }
 };
 
-/// Table I dimensions 0-59 of `patch` into v[0, 60).
+/// Mean, min and max of per-hunk distances, kept as they arrive: the
+/// total is summed in hunk order.
+struct Running {
+  std::size_t count = 0;
+  double total = 0.0;
+  double lo = std::numeric_limits<double>::max();
+  double hi = 0.0;
+
+  void add(std::size_t distance) {
+    const double d = static_cast<double>(distance);
+    ++count;
+    total += d;
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
+  }
+
+  /// v[base, base + 3): mean, min, max; left 0 without a distance.
+  void write(std::span<double> v, std::size_t base) const {
+    if (count == 0) return;
+    v[base] = total / static_cast<double>(count);
+    v[base + 1] = lo;
+    v[base + 2] = hi;
+  }
+};
+
+/// A touched function, known by the text `path + "::" + section`, which
+/// is never built: keys order as below, by that text.
+struct FunctionKey {
+  std::string_view path;
+  std::string_view section;
+
+  std::size_t size() const { return path.size() + 2 + section.size(); }
+
+  /// Byte k of the text.
+  char operator[](std::size_t k) const {
+    if (k < path.size()) return path[k];
+    k -= path.size();
+    return k < 2 ? ':' : section[k - 2];
+  }
+
+  /// Shorter texts first, then byte by byte: two keys are equivalent
+  /// exactly when their texts are equal.
+  friend bool operator<(const FunctionKey& a, const FunctionKey& b) {
+    if (a.size() != b.size()) return a.size() < b.size();
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (a[k] != b[k]) return a[k] < b[k];
+    }
+    return false;
+  }
+};
+
+/// Distinct keys among `keys` (reordered).
+std::size_t count_distinct(std::vector<FunctionKey>& keys) {
+  std::sort(keys.begin(), keys.end());
+  std::size_t distinct = keys.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < keys.size(); ++i) distinct += keys[i - 1] < keys[i];
+  return distinct;
+}
+
+/// Table I dimensions 0-59 of `patch` into v[0, 60), in one pass over its
+/// hunks.
 void write_syntactic(const diff::Patch& patch, std::span<double> v) {
   Side added_side;
   Side removed_side;
+  std::size_t hunks = 0;
   std::size_t added_chars = 0;
   std::size_t removed_chars = 0;
 
-  std::vector<double> lev_raw;
-  std::vector<double> lev_abs;
+  Running lev_raw;
+  Running lev_abs;
   std::size_t same_raw = 0;
   std::size_t same_abs = 0;
 
-  std::unordered_set<std::string> touched_functions;
+  // The section line is the enclosing function signature: distinct
+  // (file, section) texts count the touched functions.
+  std::vector<FunctionKey> touched_functions;
   std::size_t sectionless_hunks = 0;
 
   for (const diff::FileDiff& fd : patch.files) {
     for (const diff::Hunk& hunk : fd.hunks) {
-      const std::string removed = hunk.removed_text();
-      const std::string added = hunk.added_text();
-      const std::string removed_abs = removed_side.add(removed);
-      const std::string added_abs = added_side.add(added);
+      ++hunks;
+      const std::string removed_abs = removed_side.add(hunk, diff::LineKind::kRemoved);
+      const std::string added_abs = added_side.add(hunk, diff::LineKind::kAdded);
+      const std::string_view removed = removed_side.text();
+      const std::string_view added = added_side.text();
       added_chars += added.size();
       removed_chars += removed.size();
 
       if (!(removed.empty() && added.empty())) {
-        lev_raw.push_back(static_cast<double>(util::levenshtein(removed, added)));
-        lev_abs.push_back(
-            static_cast<double>(util::levenshtein(removed_abs, added_abs)));
+        lev_raw.add(util::levenshtein(removed, added));
+        lev_abs.add(util::levenshtein(removed_abs, added_abs));
         if (removed == added) ++same_raw;
         if (removed_abs == added_abs) ++same_abs;
       }
 
       if (!hunk.section.empty()) {
-        // The section line is the enclosing function signature; dedupe on
-        // its text to count distinct touched functions.
-        touched_functions.insert(fd.new_path + "::" + hunk.section);
+        touched_functions.push_back({fd.new_path, hunk.section});
       } else {
         ++sectionless_hunks;
       }
@@ -148,11 +228,11 @@ void write_syntactic(const diff::Patch& patch, std::span<double> v) {
   const lang::SyntaxCounts added = added_side.counts();
   const lang::SyntaxCounts removed = removed_side.counts();
 
-  const double added_lines = static_cast<double>(patch.added_lines());
-  const double removed_lines = static_cast<double>(patch.removed_lines());
+  const double added_lines = static_cast<double>(added_side.lines);
+  const double removed_lines = static_cast<double>(removed_side.lines);
 
   v[0] = added_lines + removed_lines;
-  v[1] = static_cast<double>(patch.hunk_count());
+  v[1] = static_cast<double>(hunks);
   write_quad(v, 2, added_lines, removed_lines);
   write_quad(v, 6, static_cast<double>(added_chars), static_cast<double>(removed_chars));
   write_quad(v, 10, static_cast<double>(added.if_statements),
@@ -174,27 +254,13 @@ void write_syntactic(const diff::Patch& patch, std::span<double> v) {
              static_cast<double>(removed.variables));
 
   const double total_funcs =
-      static_cast<double>(touched_functions.size() + sectionless_hunks);
+      static_cast<double>(count_distinct(touched_functions) + sectionless_hunks);
   v[46] = total_funcs;
   v[47] = static_cast<double>(added.function_defs) -
           static_cast<double>(removed.function_defs);
 
-  auto write_lev = [&v](std::size_t base, const std::vector<double>& values) {
-    if (values.empty()) return;  // stays 0
-    double total = 0.0;
-    double lo = std::numeric_limits<double>::max();
-    double hi = 0.0;
-    for (double d : values) {
-      total += d;
-      lo = std::min(lo, d);
-      hi = std::max(hi, d);
-    }
-    v[base] = total / static_cast<double>(values.size());
-    v[base + 1] = lo;
-    v[base + 2] = hi;
-  };
-  write_lev(48, lev_raw);
-  write_lev(51, lev_abs);
+  lev_raw.write(v, 48);
+  lev_abs.write(v, 51);
   v[54] = static_cast<double>(same_raw);
   v[55] = static_cast<double>(same_abs);
 

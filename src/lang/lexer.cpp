@@ -1,32 +1,38 @@
 #include "lang/lexer.h"
 
 #include <array>
-#include <cctype>
-#include <unordered_set>
+
+#include "lang/name_set.h"
 
 namespace patchdb::lang {
 
+namespace {
+
+constexpr std::string_view kKeywords[] = {
+    // C
+    "auto", "break", "case", "char", "const", "continue", "default", "do",
+    "double", "else", "enum", "extern", "float", "for", "goto", "if",
+    "inline", "int", "long", "register", "restrict", "return", "short",
+    "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
+    "unsigned", "void", "volatile", "while", "_Bool", "_Complex",
+    "_Atomic", "_Static_assert", "_Noreturn", "_Thread_local",
+    // common C++ additions seen in patches
+    "bool", "true", "false", "class", "namespace", "template", "typename",
+    "public", "private", "protected", "virtual", "override", "final",
+    "new", "delete", "this", "nullptr", "using", "try", "catch", "throw",
+    "operator", "friend", "explicit", "mutable", "constexpr", "consteval",
+    "constinit", "static_cast", "dynamic_cast", "const_cast",
+    "reinterpret_cast", "noexcept", "decltype", "concept", "requires",
+    "co_await", "co_return", "co_yield", "alignas", "alignof",
+    "static_assert", "thread_local", "wchar_t", "char8_t", "char16_t",
+    "char32_t", "and", "or", "not", "xor", "NULL",
+};
+
+}  // namespace
+
 bool is_keyword(std::string_view word) {
-  static const std::unordered_set<std::string_view> kKeywords = {
-      // C
-      "auto", "break", "case", "char", "const", "continue", "default", "do",
-      "double", "else", "enum", "extern", "float", "for", "goto", "if",
-      "inline", "int", "long", "register", "restrict", "return", "short",
-      "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
-      "unsigned", "void", "volatile", "while", "_Bool", "_Complex",
-      "_Atomic", "_Static_assert", "_Noreturn", "_Thread_local",
-      // common C++ additions seen in patches
-      "bool", "true", "false", "class", "namespace", "template", "typename",
-      "public", "private", "protected", "virtual", "override", "final",
-      "new", "delete", "this", "nullptr", "using", "try", "catch", "throw",
-      "operator", "friend", "explicit", "mutable", "constexpr", "consteval",
-      "constinit", "static_cast", "dynamic_cast", "const_cast",
-      "reinterpret_cast", "noexcept", "decltype", "concept", "requires",
-      "co_await", "co_return", "co_yield", "alignas", "alignof",
-      "static_assert", "thread_local", "wchar_t", "char8_t", "char16_t",
-      "char32_t", "and", "or", "not", "xor", "NULL",
-  };
-  return kKeywords.contains(word);
+  static const NameSet keywords = NameSet::of(kKeywords);
+  return !word.empty() && keywords.contains(word, name_hash(word));
 }
 
 namespace {
@@ -62,12 +68,19 @@ struct Scanner {
   }
 };
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+// ASCII character classes. They answer as <cctype> does in the "C"
+// locale, which the program never leaves, without a locale lookup.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
+/// The whitespace besides '\n', which the scanner steps over one at a
+/// time to count lines.
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
-bool is_ident_cont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
-}
+
+bool is_ident_start(char c) { return is_alpha(c) || c == '_' || c == '$'; }
+bool is_ident_cont(char c) { return is_alnum(c) || c == '_' || c == '$'; }
 bool is_exponent(char c) { return c == 'e' || c == 'E' || c == 'p' || c == 'P'; }
 
 // Multi-character operators, longest first within each leading char.
@@ -122,8 +135,14 @@ std::vector<Token> lex(std::string_view source, bool& ends_open) {
     const std::size_t tok_col = s.column;
     const std::size_t start = s.pos;
 
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (c == '\n') {
       s.advance();
+      continue;
+    }
+    if (is_blank(c)) {
+      std::size_t run = 1;
+      while (is_blank(s.peek(run))) ++run;
+      s.skip(run);
       continue;
     }
 
@@ -181,11 +200,10 @@ std::vector<Token> lex(std::string_view source, bool& ends_open) {
       continue;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(s.peek(1))))) {
+    if (is_digit(c) || (c == '.' && is_digit(s.peek(1)))) {
       while (!s.done()) {
         const char d = s.peek();
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '.' || d == '\'' ||
+        if (is_alnum(d) || d == '.' || d == '\'' ||
             ((d == '+' || d == '-') && is_exponent(source[s.pos - 1]))) {
           s.skip(1);
         } else {

@@ -1,11 +1,9 @@
 #include "lang/taxonomy.h"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "lang/lexer.h"
+#include "lang/name_set.h"
 
 namespace patchdb::lang {
 
@@ -48,51 +46,6 @@ OperatorClass classify_operator(std::string_view op) {
 
 namespace {
 
-/// A cheap hash of a short name: its first and last eight bytes (which
-/// overlap below 16) and its length, mixed by one multiply. NameSet
-/// compares names in full, so the hash only picks the first slot.
-std::uint64_t name_hash(std::string_view name) {
-  std::uint64_t head = 0;
-  std::uint64_t tail = 0;
-  std::memcpy(&head, name.data(), std::min<std::size_t>(name.size(), 8));
-  if (name.size() > 8) std::memcpy(&tail, name.data() + name.size() - 8, 8);
-  return (head ^ std::rotl(tail, 29) ^ name.size()) * 0x9e3779b97f4a7c15ULL;
-}
-
-/// An open-addressing set of names, sized on construction to stay at
-/// most half full. A free slot is a view with no data, which no name
-/// taken from a string has.
-class NameSet {
- public:
-  explicit NameSet(std::size_t max_names)
-      : slots_(std::bit_ceil(std::max<std::size_t>(2 * max_names, 16))),
-        shift_(64 - std::countr_zero(slots_.size())) {}
-
-  /// Adds `name`; true when it was not in the set yet.
-  bool insert(std::string_view name, std::uint64_t hash) {
-    std::string_view& slot = slots_[find(name, hash)];
-    if (slot.data() != nullptr) return false;
-    slot = name;
-    return true;
-  }
-
-  bool contains(std::string_view name, std::uint64_t hash) const {
-    return slots_[find(name, hash)].data() != nullptr;
-  }
-
- private:
-  /// The slot holding `name`, or the free slot where it belongs.
-  std::size_t find(std::string_view name, std::uint64_t hash) const {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash >> shift_;; i = (i + 1) & mask) {
-      if (slots_[i].data() == nullptr || slots_[i] == name) return i;
-    }
-  }
-
-  std::vector<std::string_view> slots_;
-  int shift_;
-};
-
 constexpr std::string_view kMemoryOps[] = {
     "malloc", "calloc", "realloc", "free", "new", "delete",
     "memcpy", "memmove", "memset", "memcmp", "mmap", "munmap",
@@ -105,11 +58,7 @@ constexpr std::string_view kMemoryOps[] = {
 };
 
 const NameSet& memory_ops() {
-  static const NameSet set = [] {
-    NameSet names(std::size(kMemoryOps));
-    for (const std::string_view name : kMemoryOps) names.insert(name, name_hash(name));
-    return names;
-  }();
+  static const NameSet set = NameSet::of(kMemoryOps);
   return set;
 }
 

@@ -4,6 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -79,7 +82,11 @@ Verdicts read_checkpoint(const fs::path& dir, std::uint64_t expected_fingerprint
 
   Verdicts verdicts;
   bool saw_fingerprint = false;
-  for (const auto& row : csv_parse(body)) {
+  const std::vector<std::vector<std::string>> rows = csv_parse(body);
+  // A commit has one verdict: one row, in either kind.
+  std::unordered_map<std::string_view, std::size_t> first_row;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<std::string>& row = rows[i];
     if (row.empty() || row[0].empty()) corrupt("empty row");
     const std::string& tag = row[0];
     if (tag == "fingerprint") {
@@ -95,6 +102,11 @@ Verdicts read_checkpoint(const fs::path& dir, std::uint64_t expected_fingerprint
       saw_fingerprint = true;
     } else if (tag == "security" || tag == "nonsecurity") {
       if (row.size() != 2 || row[1].empty()) corrupt("malformed commit row");
+      // Row numbers count the version line, as the manifest's do.
+      if (const auto [first, fresh] = first_row.emplace(row[1], i + 2); !fresh) {
+        corrupt("row " + std::to_string(i + 2) + ": duplicate commit " + row[1] +
+                " (first listed at row " + std::to_string(first->second) + ")");
+      }
       (tag == "security" ? verdicts.security : verdicts.nonsecurity)
           .push_back(row[1]);
     } else {

@@ -61,9 +61,10 @@ void write_checkpoint(const std::filesystem::path& dir, const Verdicts& verdicts
                       std::uint64_t fingerprint);
 
 /// Read and verify a checkpoint. Throws std::runtime_error when the
-/// file is missing, corrupted (checksum/format), or was written under a
-/// different fingerprint (pass `expected_fingerprint = kAnyFingerprint`
-/// to skip the fingerprint check, e.g. for fsck).
+/// file is missing, corrupted (checksum/format), records a commit twice
+/// (naming it), or was written under a different fingerprint (pass
+/// `expected_fingerprint = kAnyFingerprint` to skip the fingerprint
+/// check, e.g. for fsck).
 inline constexpr std::uint64_t kAnyFingerprint = ~std::uint64_t{0};
 Verdicts read_checkpoint(const std::filesystem::path& dir,
                          std::uint64_t expected_fingerprint);

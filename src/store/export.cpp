@@ -282,13 +282,25 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
   ExportStats stats;
   stats.root = root;
 
-  // Each component's patches, in manifest order.
+  // Each component's patches, and every natural one, in manifest order.
   std::array<std::vector<const diff::Patch*>, std::size(kComponents)> patches;
+  std::vector<const diff::Patch*> natural_patches;
   const auto natural = natural_records(db);
   for (std::size_t c = 0; c < natural.size(); ++c) {
     for (const corpus::CommitRecord& record : *natural[c]) {
       patches[c].push_back(&record.patch);
+      natural_patches.push_back(&record.patch);
     }
+  }
+  // Rows the build carries are formatted as they are, so they must be
+  // one Table I row per natural patch.
+  const bool carried = db.features.rows() != 0;
+  if (carried && (db.features.rows() != natural_patches.size() ||
+                  db.features.cols() != feature::kFeatureCount)) {
+    throw std::invalid_argument(
+        "store: the PatchDb carries " + std::to_string(db.features.rows()) +
+        " feature rows of " + std::to_string(db.features.cols()) + " values for " +
+        std::to_string(natural_patches.size()) + " natural patches");
   }
   for (const synth::SyntheticPatch& s : db.synthetic) {
     patches[kSynthetic].push_back(&s.patch);
@@ -306,13 +318,11 @@ ExportStats export_patchdb(const core::PatchDb& db, const fs::path& root) {
     stats.patches_written += patches[c].size();
   }
 
-  // Every natural patch's row comes from one pool batch, in manifest
-  // order.
-  std::vector<const diff::Patch*> natural_patches;
-  for (std::size_t c = 0; c < kSynthetic; ++c) {
-    natural_patches.insert(natural_patches.end(), patches[c].begin(), patches[c].end());
-  }
-  const feature::FeatureMatrix matrix = feature::extract_all(natural_patches);
+  // Every natural patch's row, in manifest order: the rows the build
+  // carries, or one pool batch for a PatchDb that carries none.
+  const feature::FeatureMatrix extracted =
+      carried ? feature::FeatureMatrix() : feature::extract_all(natural_patches);
+  const feature::FeatureMatrix& matrix = carried ? db.features : extracted;
   // Each row's line is formatted on the pool, then joined in order.
   std::vector<std::string> lines(matrix.rows());
   util::default_pool().parallel_for(

@@ -9,7 +9,11 @@
 //                              # fnv1a64 checksum of the patch),
 //                              # sealed with a checksum trailer
 //     features.csv             # one row per natural patch: id + 60
-//                              # features; same version line + trailer
+//                              # features; same version line + trailer.
+//                              # The rows are the ones core::PatchDb
+//                              # carries, which build_patchdb takes
+//                              # from the augmentation loop; a PatchDb
+//                              # without rows is featurized here
 //     nvd/patches.pack
 //     wild/patches.pack
 //     nonsecurity/patches.pack
@@ -83,7 +87,11 @@ struct ExportStats {
 
 /// Write the dataset under `root` (created if absent; existing files are
 /// overwritten): the four packs, then features.csv, then manifest.csv,
-/// each durably. Throws std::runtime_error on I/O failure.
+/// each durably. features.csv formats db.features, or the rows
+/// feature::extract_all gives when db carries none; either way a row
+/// equals feature::extract of its patch. Throws std::runtime_error on
+/// I/O failure, and std::invalid_argument, before writing anything,
+/// when db carries rows but not one Table I row per natural patch.
 ExportStats export_patchdb(const core::PatchDb& db, const std::filesystem::path& root);
 
 /// A dataset loaded back from disk. Snapshots are empty (see above);

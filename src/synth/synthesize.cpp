@@ -1,7 +1,7 @@
 #include "synth/synthesize.h"
 
 #include <algorithm>
-#include <mutex>
+#include <string_view>
 
 #include "diff/myers.h"
 #include "diff/render.h"
@@ -34,11 +34,16 @@ std::vector<std::pair<std::size_t, std::size_t>> changed_ranges(
 }
 
 struct Site {
-  const corpus::FileSnapshot* snapshot = nullptr;
-  const diff::FileDiff* fd = nullptr;
+  std::size_t snapshot = 0;  // index into the record's snapshots
   bool after_version = true;
   std::size_t if_line = 0;
   std::string condition;
+};
+
+/// Views of one snapshot's two versions.
+struct VersionViews {
+  std::vector<std::string_view> before;
+  std::vector<std::string_view> after;
 };
 
 }  // namespace
@@ -52,7 +57,8 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
   // ---- Step 1+2 (paper): parse both file versions, collect the `if`
   // statements whose extent intersects the patch's changed lines.
   std::vector<Site> sites;
-  for (const corpus::FileSnapshot& snapshot : record.snapshots) {
+  for (std::size_t f = 0; f < record.snapshots.size(); ++f) {
+    const corpus::FileSnapshot& snapshot = record.snapshots[f];
     const diff::FileDiff* fd = nullptr;
     for (const diff::FileDiff& candidate : record.patch.files) {
       const std::string& path =
@@ -78,8 +84,7 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
               info->cond_end_line != info->if_line || info->condition.empty()) {
             continue;
           }
-          sites.push_back(Site{&snapshot, fd, after_version, info->if_line,
-                               info->condition});
+          sites.push_back(Site{f, after_version, info->if_line, info->condition});
         }
       }
     }
@@ -116,13 +121,28 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
     jobs.resize(options.max_per_patch);
   }
 
+  // Each version's line views, built once: a job copies the views of
+  // the version it rewrites, with the rewritten lines spliced in.
+  std::vector<VersionViews> versions;
+  versions.reserve(record.snapshots.size());
+  for (const corpus::FileSnapshot& snapshot : record.snapshots) {
+    versions.push_back({diff::line_views(snapshot.before), diff::line_views(snapshot.after)});
+  }
+
   for (const Job& job : jobs) {
     const Site& site = sites[job.site];
-    std::vector<std::string> mutated =
-        site.after_version ? site.snapshot->after : site.snapshot->before;
-    if (!apply_variant(mutated, site.if_line, site.condition, job.variant)) {
-      continue;
-    }
+    const std::vector<std::string_view>& original =
+        site.after_version ? versions[site.snapshot].after : versions[site.snapshot].before;
+    if (site.if_line == 0 || site.if_line > original.size()) continue;
+    const auto at = original.begin() + static_cast<std::ptrdiff_t>(site.if_line - 1);
+    const std::vector<std::string> replacement =
+        apply_variant(*at, site.condition, job.variant);
+    if (replacement.empty()) continue;
+    std::vector<std::string_view> mutated;
+    mutated.reserve(original.size() + replacement.size() - 1);
+    mutated.insert(mutated.end(), original.begin(), at);
+    mutated.insert(mutated.end(), replacement.begin(), replacement.end());
+    mutated.insert(mutated.end(), at + 1, original.end());
 
     SyntheticPatch synthetic;
     synthetic.origin_commit = record.patch.commit;
@@ -135,14 +155,13 @@ std::vector<SyntheticPatch> synthesize(const corpus::CommitRecord& record,
     patch.date = record.patch.date;
     patch.message = record.patch.message;
     // Re-diff the (possibly mutated) version pair for every touched file.
-    for (const corpus::FileSnapshot& snapshot : record.snapshots) {
-      const bool is_target = &snapshot == site.snapshot;
-      const std::vector<std::string>& before =
-          (is_target && !site.after_version) ? mutated : snapshot.before;
-      const std::vector<std::string>& after =
-          (is_target && site.after_version) ? mutated : snapshot.after;
-      diff::FileDiff fd = diff::diff_file(snapshot.path, diff::line_views(before),
-                                          diff::line_views(after));
+    for (std::size_t f = 0; f < record.snapshots.size(); ++f) {
+      const bool is_target = f == site.snapshot;
+      const std::vector<std::string_view>& before =
+          (is_target && !site.after_version) ? mutated : versions[f].before;
+      const std::vector<std::string_view>& after =
+          (is_target && site.after_version) ? mutated : versions[f].after;
+      diff::FileDiff fd = diff::diff_file(record.snapshots[f].path, before, after);
       if (!fd.hunks.empty()) patch.files.push_back(std::move(fd));
     }
     if (patch.files.empty()) continue;

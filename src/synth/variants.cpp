@@ -1,6 +1,6 @@
 #include "synth/variants.h"
 
-#include "util/strings.h"
+#include <utility>
 
 namespace patchdb::synth {
 
@@ -69,43 +69,36 @@ VariantRewrite rewrite_if(IfVariant variant, const std::string& condition,
   return r;
 }
 
-bool apply_variant(std::vector<std::string>& lines, std::size_t if_line,
-                   const std::string& condition, IfVariant variant) {
-  if (if_line == 0 || if_line > lines.size()) return false;
-  const std::size_t index = if_line - 1;
-  const std::string& original = lines[index];
-
+std::vector<std::string> apply_variant(std::string_view line, const std::string& condition,
+                                       IfVariant variant) {
   // The line must contain an `if (` head and the closing paren of the
   // condition must be on the same line (single-line conditions only).
-  const std::size_t if_pos = original.find("if");
-  if (if_pos == std::string::npos) return false;
-  const std::size_t open = original.find('(', if_pos);
-  if (open == std::string::npos) return false;
+  const std::size_t if_pos = line.find("if");
+  if (if_pos == std::string_view::npos) return {};
+  const std::size_t open = line.find('(', if_pos);
+  if (open == std::string_view::npos) return {};
   // Match the closing parenthesis of the condition.
   std::size_t depth = 0;
-  std::size_t close = std::string::npos;
-  for (std::size_t i = open; i < original.size(); ++i) {
-    if (original[i] == '(') ++depth;
-    else if (original[i] == ')') {
+  std::size_t close = std::string_view::npos;
+  for (std::size_t i = open; i < line.size(); ++i) {
+    if (line[i] == '(') ++depth;
+    else if (line[i] == ')') {
       if (--depth == 0) {
         close = i;
         break;
       }
     }
   }
-  if (close == std::string::npos) return false;
+  if (close == std::string_view::npos) return {};
 
-  const std::string indent = original.substr(0, original.find_first_not_of(" \t"));
-  const std::string tail = original.substr(close + 1);  // " {" or ""
+  const std::string indent(line.substr(0, line.find_first_not_of(" \t")));
+  const std::string_view tail = line.substr(close + 1);  // " {" or ""
 
-  const VariantRewrite rewrite = rewrite_if(variant, condition, indent);
-  std::vector<std::string> replacement = rewrite.setup;
-  replacement.push_back(rewrite.new_if_head + tail);
-
-  lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(index));
-  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(index),
-               replacement.begin(), replacement.end());
-  return true;
+  VariantRewrite rewrite = rewrite_if(variant, condition, indent);
+  rewrite.new_if_head += tail;
+  std::vector<std::string> replacement = std::move(rewrite.setup);
+  replacement.push_back(std::move(rewrite.new_if_head));
+  return replacement;
 }
 
 }  // namespace patchdb::synth

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace patchdb::synth {
@@ -43,11 +44,11 @@ struct VariantRewrite {
 VariantRewrite rewrite_if(IfVariant variant, const std::string& condition,
                           const std::string& indent);
 
-/// Apply a variant to file `lines`, rewriting the single-line `if` at
-/// 1-based `if_line` whose condition is `condition`. Returns false (and
-/// leaves `lines` untouched) when the line does not look like the
-/// expected `if` head.
-bool apply_variant(std::vector<std::string>& lines, std::size_t if_line,
-                   const std::string& condition, IfVariant variant);
+/// Apply a variant to `line`, a single-line `if` head whose condition is
+/// `condition`: the lines that replace it in its file, the setup
+/// statements and then the rewritten head followed by the rest of
+/// `line`. Empty when `line` does not look like the expected `if` head.
+std::vector<std::string> apply_variant(std::string_view line, const std::string& condition,
+                                       IfVariant variant);
 
 }  // namespace patchdb::synth

@@ -396,6 +396,40 @@ TEST_F(CheckpointTest, ResumeRefusesCheckpointNamingAnUnknownCommit) {
   }
 }
 
+// A checkpoint that records one commit twice holds no single verdict for
+// it, whether the rows agree or not: resume refuses it and names the
+// commit, as the manifest walker refuses a repeated commit, and fsck
+// reports it. The repeat is a wild find recorded again as rejected, and
+// the same find recorded twice as found.
+TEST_F(CheckpointTest, CheckpointRecordingACommitTwiceIsRefused) {
+  const core::BuildOptions options = small_options();
+  for (const bool as_nonsecurity : {true, false}) {
+    store::build_with_checkpoints(options, dir("ckpt"), false);
+    store::Verdicts verdicts =
+        store::read_checkpoint(dir("ckpt"), store::kAnyFingerprint);
+    ASSERT_FALSE(verdicts.security.empty());
+    const std::string repeated = verdicts.security.front();
+    (as_nonsecurity ? verdicts.nonsecurity : verdicts.security).push_back(repeated);
+    store::write_checkpoint(dir("ckpt"), verdicts, store::build_fingerprint(options));
+
+    try {
+      store::build_with_checkpoints(options, dir("ckpt"), true);
+      ADD_FAILURE() << "resumed from a checkpoint recording " << repeated << " twice";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate commit " + repeated),
+                std::string::npos)
+          << e.what();
+    }
+
+    const store::FsckReport report = store::fsck(dir("ckpt"));
+    ASSERT_FALSE(report.ok()) << "fsck passed a checkpoint recording " << repeated
+                              << " twice";
+    EXPECT_NE(report.errors[0].find("duplicate commit " + repeated), std::string::npos)
+        << report.errors[0];
+    fs::remove_all(dir("ckpt"));
+  }
+}
+
 TEST_F(CheckpointTest, FsckAcceptsCleanDatasetAndCheckpoint) {
   const core::PatchDb db =
       store::build_with_checkpoints(small_options(), dir("ckpt"), false);

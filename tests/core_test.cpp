@@ -3,6 +3,7 @@
 // augmentation loop, the Table III baselines, and the categorizer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -437,6 +438,33 @@ TEST(PatchDbFacade, EndToEndSmallBuild) {
             db.rounds[0].candidates + db.rounds[1].candidates);
   EXPECT_EQ(db.natural_security_count(),
             db.nvd_security.size() + db.wild_security.size());
+}
+
+// The build carries the loop's rows: one per natural patch in manifest
+// order (nvd, wild, nonsecurity), each bitwise the row feature::extract
+// gives its patch, over two rounds of finds and rejections.
+TEST(PatchDbFacade, CarriesOneRowPerNaturalPatchInManifestOrder) {
+  core::BuildOptions options;
+  options.world.repos = 4;
+  options.world.nvd_security = 40;
+  options.world.wild_pool = 600;
+  options.world.seed = 29;
+  options.augment.max_rounds = 2;
+  options.run_synthesis = false;
+
+  const core::PatchDb db = core::build_patchdb(options);
+  ASSERT_EQ(db.features.rows(), db.nvd_security.size() + db.wild_security.size() +
+                                    db.nonsecurity.size());
+  ASSERT_EQ(db.features.cols(), feature::kFeatureCount);
+  std::size_t row = 0;
+  for (const auto* records : {&db.nvd_security, &db.wild_security, &db.nonsecurity}) {
+    for (const corpus::CommitRecord& record : *records) {
+      const feature::FeatureVector expected = feature::extract(record.patch);
+      EXPECT_EQ(std::memcmp(db.features[row].data(), expected.data(), sizeof(expected)), 0)
+          << "row " << row << " (" << record.patch.commit << ")";
+      ++row;
+    }
+  }
 }
 
 }  // namespace

@@ -346,6 +346,26 @@ TEST_F(StoreTest, FeaturesCsvHasHeaderAndRows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i], expected[i]) << "features.csv data row " << i;
   }
+
+  // The build carries the loop's rows, and export formats them. A copy
+  // without rows (perfbench's traced replay assembles one) is featurized
+  // by the export itself, to the same bytes.
+  ASSERT_EQ(db.features.rows(), expected.size());
+  core::PatchDb rowless = db;
+  rowless.features = {};
+  store::export_patchdb(rowless, root_ / "rowless");
+  EXPECT_EQ(store::read_file(root_ / "rowless" / "features.csv"),
+            store::read_file(root_ / "features.csv"));
+}
+
+// Rows that are not one per natural patch cannot be formatted against
+// the manifest: the export refuses them before it writes a file.
+TEST_F(StoreTest, ExportRefusesRowsThatDoNotMatchThePatches) {
+  core::PatchDb db = small_db();
+  ASSERT_FALSE(db.nonsecurity.empty());
+  db.nonsecurity.pop_back();
+  EXPECT_THROW(store::export_patchdb(db, root_), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(root_));
 }
 
 TEST_F(StoreTest, LoadMissingManifestThrows) {

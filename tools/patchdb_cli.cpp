@@ -8,9 +8,9 @@
 //       --synth N caps the synthetic patches derived from one natural
 //       patch (default 4, 0 = no cap). With --checkpoint-dir the
 //       experts' verdicts are persisted after every round; --resume
-//       continues an interrupted build from the last checkpoint, asking
-//       for no recorded verdict again, and produces a bit-identical
-//       export. --threads N sizes the worker pool the
+//       continues an interrupted build from the last checkpoint there,
+//       asking for no recorded verdict again, and produces a
+//       bit-identical export (without --checkpoint-dir it exits 2). --threads N sizes the worker pool the
 //       nearest-link engine shards across (wins over PATCHDB_THREADS;
 //       default: hardware concurrency); the export is bit-identical for
 //       every value. --metrics-out writes the JSON metrics artifact and
@@ -180,6 +180,12 @@ int cmd_build(const Flags& flags) {
   const core::BuildOptions options = pipeline_options(flags);
   const std::string checkpoint_dir =
       flags.value("--checkpoint-dir", std::string());
+  if (flags.has("--resume") && checkpoint_dir.empty()) {
+    std::fprintf(stderr,
+                 "patchdb build: --resume needs --checkpoint-dir D, the directory "
+                 "it resumes from\n");
+    return 2;
+  }
 
   std::printf("building PatchDB: %zu NVD CVEs, %zu wild commits, %zu rounds, seed %zu%s\n",
               options.world.nvd_security, options.world.wild_pool,
